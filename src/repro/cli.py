@@ -34,16 +34,6 @@ Commands
 ``figures``
     Regenerate the paper's Figure 3 experiments (all or a subset).
 
-``bench``
-    Time the detection engines — the per-normal-form reference plan vs the
-    fused columnar engine (pure-Python and numpy folds) vs the
-    database-backed sql engine (sqlite; duckdb when importable), the
-    incremental maintenance legs (update batches vs full recompute), plus
-    the parallel fragment-detection legs — on the Fig. 3c/3i workloads.  The
-    machine-readable perf trajectory (``BENCH_detect.json``) is written
-    only when ``REPRO_BENCH=1``; otherwise a one-line warning says the
-    recording was skipped.
-
 Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
 accept a scoped ``--engine`` override), ``REPRO_SQL_BACKEND`` (database
@@ -233,30 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="figure ids (fig3a..fig3i); repeatable; default all",
     )
     figures.add_argument("--out", default="results")
-
-    bench = commands.add_parser(
-        "bench",
-        help="benchmark the detection engines (reference vs fused vs "
-        "fused-numpy vs sql) and the parallel fragment-detection legs",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_detect.json",
-        help="where to write the JSON summary when REPRO_BENCH=1 "
-        "(default BENCH_detect.json)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="steady-state (warm) timing repetitions per engine",
-    )
-    bench.add_argument(
-        "--fraction", type=float, default=1.0,
-        help="use only this fraction of the scaled dataset",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="worker count of the parallel fragment-detection legs "
-        "(serial vs N threads vs N processes; 1 skips the legs)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -700,227 +666,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments import bench_detection
-
-    record = os.environ.get("REPRO_BENCH") == "1"
-    if not record:
-        print(
-            f"warning: not recording {args.out} (set REPRO_BENCH=1 to "
-            "persist the perf trajectory)",
-            file=sys.stderr,
-        )
-    summary = bench_detection(
-        out=args.out if record else None,
-        repeats=args.repeats,
-        fraction=args.fraction,
-        workers=args.workers,
-    )
-    print(
-        f"detection bench: {summary['n_tuples']} tuples "
-        f"(REPRO_SCALE={summary['scale']})"
-    )
-    for name, entry in summary["workloads"].items():
-        print(
-            f"  {name}: baseline {entry['baseline_seconds']:.3f}s, "
-            f"fused {entry['fused_warm_seconds']:.3f}s warm "
-            f"({entry['fused_cold_seconds']:.3f}s cold) -> "
-            f"{entry['speedup']:.1f}x speedup, "
-            f"{entry['fused_rows_per_sec']:,.0f} rows/s, "
-            f"matches reference: {entry['matches_reference']}"
-        )
-        if "fused_numpy_warm_seconds" in entry:
-            print(
-                f"  {name}: fused-numpy "
-                f"{entry['fused_numpy_warm_seconds']:.3f}s warm "
-                f"({entry['fused_numpy_cold_seconds']:.3f}s cold) -> "
-                f"{entry['fused_numpy_speedup']:.1f}x speedup "
-                f"({entry['fused_numpy_vs_fused']:.1f}x over fused), "
-                f"{entry['fused_numpy_rows_per_sec']:,.0f} rows/s, "
-                f"matches reference: {entry['fused_numpy_matches_reference']}"
-            )
-    if not summary["numpy"]:
-        print("  (fused-numpy tier skipped: numpy unavailable or disabled)")
-    sql = summary.get("sql")
-    if sql:
-        for backend, legs in sql["backends"].items():
-            for name, leg in legs.items():
-                print(
-                    f"  sql[{backend}] {name}: "
-                    f"{leg['warm_seconds']:.3f}s warm "
-                    f"({leg['cold_seconds']:.3f}s cold incl. load), "
-                    f"{leg['rows_per_sec']:,.0f} rows/s, "
-                    f"matches reference: {leg['matches_reference']}"
-                )
-        if not sql["duckdb"]:
-            print("  (sql duckdb backend skipped: package not importable)")
-    incremental = summary.get("incremental")
-    if incremental:
-        line = "  incremental maintenance vs full recompute:"
-        for fraction, leg in incremental["legs"].items():
-            line += (
-                f" {float(fraction):.1%} batch "
-                f"{leg['incremental_seconds'] * 1000:.1f}ms "
-                f"({leg['speedup']:.1f}x);"
-            )
-        print(line.rstrip(";"))
-        kinds = incremental.get("kinds")
-        if kinds:
-            print(
-                "  incremental update kinds: "
-                + ", ".join(
-                    f"{kind} {leg['speedup']:.1f}x" for kind, leg in kinds.items()
-                )
-            )
-        sessions = incremental.get("sessions")
-        if sessions:
-            print(
-                "  incremental sessions vs one-shot re-detection: "
-                + ", ".join(
-                    f"{name} {sessions[name]['speedup']:.1f}x"
-                    for name in ("clust", "vertical", "hybrid")
-                    if name in sessions
-                )
-            )
-        print(
-            "  incremental matches full recompute: "
-            f"{incremental['matches_full_recompute']}"
-        )
-    parallel = summary.get("parallel")
-    if parallel:
-        legs = parallel["legs"]
-        serial_warm = legs["1"]["warm_seconds"]
-        line = (
-            f"  parallel fragment detection ({parallel['algorithm']}, "
-            f"{parallel['sites']} sites, {parallel['cpu_count']} CPUs): "
-            f"serial {serial_warm * 1000:.1f}ms warm"
-        )
-        for name, leg in legs.items():
-            if name == "1":
-                continue
-            line += (
-                f"; {name.replace('_', ' workers ')} "
-                f"{leg['warm_seconds'] * 1000:.1f}ms "
-                f"({leg['speedup_warm']:.2f}x)"
-            )
-        print(line)
-        print(
-            "  parallel matches serial: "
-            f"{parallel['matches_serial']}"
-        )
-    robustness = summary.get("robustness")
-    if robustness:
-        crash = robustness["crash_recovery"]
-        degraded = robustness["degraded_throughput"]
-        print(
-            f"  robustness ({robustness['algorithm']}, "
-            f"{robustness['sites']} sites): crash recovery "
-            f"{crash['recovery_seconds'] * 1000:.1f}ms "
-            f"(+{crash['recovery_overhead_seconds'] * 1000:.1f}ms over "
-            f"fault-free warm, {crash['respawns']} respawn(s), "
-            f"plan {crash['fault_spec']!r})"
-        )
-        print(
-            f"  robustness degraded serial fallback: "
-            f"{degraded['seconds'] * 1000:.1f}ms, "
-            f"{degraded['rows_per_sec']:,.0f} rows/s "
-            f"({degraded['degraded_runs']} degraded run(s))"
-        )
-        print(
-            "  robustness matches serial: "
-            f"{robustness['matches_serial']}"
-        )
-    serve = summary.get("serve")
-    if serve:
-        print(
-            f"  serve ({serve['writers']} concurrent writers, "
-            f"{serve['base_rows']} resident rows): update p50 "
-            f"{serve['update_p50_seconds'] * 1000:.1f}ms, p99 "
-            f"{serve['update_p99_seconds'] * 1000:.1f}ms, "
-            f"{serve['requests_per_sec']:,.0f} req/s, coalesced up to "
-            f"{serve['coalesced_max']} ({serve['folds']} folds / "
-            f"{serve['updates']} updates), session churn "
-            f"{serve['churn_sessions_per_sec']:,.1f}/s"
-        )
-        print(
-            "  serve matches serial replay: "
-            f"{serve['matches_serial_replay']} "
-            f"(verify ok: {serve['verify_ok']})"
-        )
-    overload = summary.get("overload")
-    if overload:
-        print(
-            f"  overload ({overload['tenants']} tenants at "
-            f"{overload['offered_factor']:g}x queue capacity): goodput "
-            f"{overload['goodput_per_sec']:,.0f} accepted/s "
-            f"({overload['accepted']}/{overload['offered']} offered, "
-            f"shed rate {overload['shed_rate']:.0%}), accepted p99 "
-            f"{overload['p99_accepted_seconds'] * 1000:.1f}ms "
-            f"({overload['p99_ratio']:.1f}x uncontended)"
-        )
-        print(
-            "  overload shed with Retry-After: "
-            f"{overload['all_shed_carry_retry_after']}; matches serial "
-            f"replay on the accepted set: {overload['matches_serial_replay']}"
-        )
-    durability = summary.get("durability")
-    if durability:
-        memory = durability["memory"]
-        line = (
-            f"  durability ({durability['requests']} updates, "
-            f"{durability['base_rows']} resident rows): in-memory p50 "
-            f"{memory['update_p50_seconds'] * 1000:.2f}ms"
-        )
-        for policy, leg in durability["policies"].items():
-            line += (
-                f"; fsync={policy} "
-                f"{leg['update_p50_seconds'] * 1000:.2f}ms "
-                f"({leg['overhead_p50_vs_memory']:.1f}x)"
-            )
-        print(line)
-        recovery = durability["recovery"]
-        print(
-            f"  durability recovery: {recovery['wal_records']:,} WAL "
-            f"records replayed in {recovery['recovery_seconds']:.2f}s "
-            f"({recovery['records_per_sec']:,.0f} records/s)"
-        )
-        print(
-            "  durability matches serial replay: "
-            f"{durability['matches_serial_replay']}"
-        )
-    if record:
-        print(f"[saved to {args.out}]")
-    ok = (
-        all(
-            entry["matches_reference"]
-            and entry.get("fused_numpy_matches_reference", True)
-            for entry in summary["workloads"].values()
-        )
-        and (sql is None or sql["matches_reference"])
-        and (parallel is None or parallel["matches_serial"])
-        and (robustness is None or robustness["matches_serial"])
-        and (incremental is None or incremental["matches_full_recompute"])
-        and (
-            incremental is None
-            or "sessions" not in incremental
-            or incremental["sessions"]["matches_full_recompute"]
-        )
-        and (
-            serve is None
-            or (serve["matches_serial_replay"] and serve["verify_ok"])
-        )
-        and (durability is None or durability["matches_serial_replay"])
-        and (
-            summary.get("overload") is None
-            or (
-                summary["overload"]["matches_serial_replay"]
-                and summary["overload"]["all_shed_carry_retry_after"]
-            )
-        )
-    )
-    return 0 if ok else 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     engine = os.environ.get("REPRO_ENGINE")
@@ -983,6 +728,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         resolve_max_body()
         resolve_scrub()
         resolve_scrub_sample()
+
+        if "REPRO_SCALE" in os.environ:
+            # only ``figures`` reads it: when unset, skip importing the
+            # experiments package on every other command's start-up
+            from .experiments.harness import scale
+
+            scale()
     except (ValueError, RuntimeError) as error:
         # RuntimeError: REPRO_SQL_BACKEND=duckdb without the package —
         # same exit code as a typo, the run could not have proceeded
@@ -995,7 +747,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "sql": _cmd_sql,
         "datagen": _cmd_datagen,
         "figures": _cmd_figures,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
     }
     return handlers[args.command](args)

@@ -13,9 +13,8 @@ environment variable to 1.0 to regenerate at full paper scale.
 
 from __future__ import annotations
 
-import json
+import math
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,61 +22,21 @@ from typing import Callable, Sequence
 
 def scale() -> float:
     """The global dataset scale factor (``REPRO_SCALE``, default 0.1)."""
-    value = float(os.environ.get("REPRO_SCALE", "0.1"))
-    if value <= 0:
-        raise ValueError("REPRO_SCALE must be positive")
+    raw = os.environ.get("REPRO_SCALE", "0.1")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"REPRO_SCALE must be a finite number > 0, got {raw!r}"
+        )
     return value
 
 
 def scaled(n_paper_tuples: int) -> int:
     """A paper dataset size scaled to the current ``REPRO_SCALE``."""
     return max(100, int(n_paper_tuples * scale()))
-
-
-#: ceiling on one honored ``Retry-After`` pause: a confused (or
-#: adversarial) server must not be able to stall a client for minutes
-#: by advertising a huge backoff
-MAX_RETRY_AFTER = 1.0
-
-
-def request_json(
-    request,
-    timeout: float = 60.0,
-    on_backpressure: Callable[[], None] | None = None,
-    max_retry_after: float = MAX_RETRY_AFTER,
-    opener=None,
-) -> dict:
-    """One JSON request against ``repro serve``, with a 429 retry loop.
-
-    Retries **only** 429 (backpressure / quota): the server declared the
-    condition transient and said when to come back — the advertised
-    ``Retry-After`` is honored, capped at ``max_retry_after`` seconds.
-    Everything else fails fast with the ``HTTPError`` surfaced; in
-    particular a 503 from an open circuit breaker must NOT be retried
-    here — hammering a tripped session just resets its cool-down
-    observation window, the caller has to back off for real.
-
-    ``opener`` swaps ``urllib.request.urlopen`` for a scripted one in
-    tests; ``on_backpressure`` is a counter hook per 429 absorbed.
-    """
-    import urllib.error
-    import urllib.request
-
-    open_request = opener if opener is not None else urllib.request.urlopen
-    while True:
-        try:
-            with open_request(request, timeout=timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            if error.code != 429:
-                raise
-            if on_backpressure is not None:
-                on_backpressure()
-            try:
-                delay = float(error.headers.get("Retry-After", "0.05"))
-            except (TypeError, ValueError):
-                delay = 0.05
-            time.sleep(min(max(delay, 0.0), max_retry_after))
 
 
 @dataclass
@@ -158,1346 +117,3 @@ def sweep(
     for x in xs:
         result.add_point(x, point(x))
     return result
-
-
-# -- detection engine benchmark ----------------------------------------------
-
-
-def _bench_provenance() -> dict:
-    """Where and how a benchmark record was captured.
-
-    Trajectory entries are only comparable like-for-like; recording the
-    git sha, timestamp, interpreter/numpy versions and every active
-    ``REPRO_*`` knob makes a record self-describing, so a future reader
-    can tell a real regression from a knob or host change.
-    """
-    import platform
-    import subprocess
-    from datetime import datetime, timezone
-
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        sha = None
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    from ..core.faults import active_plan
-
-    return {
-        "git_sha": sha,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "numpy_version": numpy_version,
-        "cpu_count": os.cpu_count(),
-        # the timed legs must run fault-free: an ambient fault plan would
-        # make every number incomparable, so the record says so explicitly
-        # (the robustness legs install their plans locally and note them)
-        "faults": repr(active_plan()) if active_plan() is not None else "none",
-        "repro_knobs": {
-            name: value
-            for name, value in sorted(os.environ.items())
-            if name.startswith("REPRO_")
-        },
-    }
-
-
-def _bench_sql_engine(data, workloads, repeats: int) -> dict:
-    """Time the sql engine on the same workloads as the in-memory tiers.
-
-    Per backend (sqlite always; duckdb only when importable) and per
-    workload: **cold** is a fresh relation copy — the handle must load the
-    rows into the database and compile the plan before the first answer —
-    and **warm** is the steady state with the handle and statement cache
-    resident, timed ``repeats`` times (minimum reported).  Every leg is
-    cross-checked against the reference engine on violations *and* tuple
-    keys, and the aggregate ``matches_reference`` is what the perf
-    regression gate asserts.
-    """
-    from ..core import detect_violations_reference
-    from ..core.sql import (
-        close_sql_handles,
-        detect_violations_sql,
-        duckdb_enabled,
-    )
-    from ..relational import Relation
-
-    backends = ["sqlite"] + (["duckdb"] if duckdb_enabled() else [])
-    result: dict = {"backends": {}, "duckdb": duckdb_enabled()}
-    all_match = True
-    for backend in backends:
-        legs: dict = {}
-        for name, cfds in workloads.items():
-            reference = detect_violations_reference(
-                data, cfds, collect_tuples=True
-            )
-            # a fresh relation has no cached handle: the first detection
-            # pays load + compile and is the cold measurement
-            fresh = Relation(data.schema, data.rows, copy=False)
-            start = time.perf_counter()
-            report = detect_violations_sql(fresh, cfds, backend=backend)
-            cold = time.perf_counter() - start
-            warm_times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                report = detect_violations_sql(fresh, cfds, backend=backend)
-                warm_times.append(time.perf_counter() - start)
-            warm = min(warm_times)
-            matches = (
-                report.violations == reference.violations
-                and report.tuple_keys == reference.tuple_keys
-            )
-            all_match = all_match and matches
-            legs[name] = {
-                "cold_seconds": cold,
-                "warm_seconds": warm,
-                "rows_per_sec": len(data) / warm,
-                "matches_reference": matches,
-            }
-        result["backends"][backend] = legs
-        close_sql_handles()
-    result["matches_reference"] = all_match
-    return result
-
-
-def _bench_incremental(data, cfds, repeats: int) -> dict:
-    """Incremental maintenance vs full recompute at several batch sizes.
-
-    A batch of fraction ``f`` means ``|ΔD| = f·|D|`` updated tuples —
-    half (seeded-random) deletions, half mutated insertions.  Each leg
-    times
-    :meth:`IncrementalDetector.update` absorbing the batch (steady state:
-    each timed forward batch is reverted by an untimed inverse batch)
-    against a **full recompute** — the fused engine on a fresh relation
-    over the final rows, columnar caches cold, which is exactly what a
-    non-incremental deployment pays per update.  Every leg cross-checks
-    the maintained report against the recompute (violations *and* tuple
-    keys), recorded as ``matches_full_recompute``.
-
-    Two extra ``kinds`` legs at the 1% batch record a **pure-insert** and
-    a **pure-delete** batch, so the tombstone path — derived stores
-    filtering codes through a mask, key-array compaction — shows up in
-    the recorded trajectory, not just the append path.
-    """
-    import random
-
-    from ..core import FusedDetector, IncrementalDetector
-    from ..relational import Relation
-
-    rng = random.Random(11)
-    schema = data.schema
-    key_position = schema.key_positions()[0]
-    max_id = len(data) * 10
-    detector = FusedDetector(cfds)
-    street = schema.position("street") if "street" in schema else 1
-
-    def make_batch(fraction: float, kind: str, start_id: int):
-        batch = max(2, int(len(data) * fraction))
-        n_victims = batch if kind in ("insert", "delete") else batch // 2
-        victims = rng.sample(data.rows, n_victims)
-        doomed_keys = [row[key_position] for row in victims]
-        # replacements keep the victims' attribute values but take fresh
-        # ids, and half get a corrupted street so the batch genuinely
-        # moves violations in both directions
-        inserted = []
-        for i, row in enumerate(victims):
-            row = list(row)
-            row[key_position] = start_id + i
-            if i % 2:
-                row[street] = f"delta street {i}"
-            inserted.append(tuple(row))
-        if kind == "insert":
-            return batch, victims, inserted, []
-        if kind == "delete":
-            return batch, victims, [], doomed_keys
-        return batch, victims, inserted, doomed_keys
-
-    def measure(fraction: float, kind: str, start_id: int) -> dict:
-        batch, victims, inserted, doomed_keys = make_batch(
-            fraction, kind, start_id
-        )
-        inserted_keys = [row[key_position] for row in inserted]
-        incremental = IncrementalDetector(cfds)
-        incremental.attach(Relation(schema, data.rows, copy=False))
-        forward_times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            incremental.update(inserted=inserted, deleted=doomed_keys)
-            forward_times.append(time.perf_counter() - start)
-            # revert (untimed) so every timed batch hits the same state
-            revert_victims = victims if doomed_keys else []
-            incremental.update(inserted=revert_victims, deleted=inserted_keys)
-        start = time.perf_counter()
-        delta = incremental.update(inserted=inserted, deleted=doomed_keys)
-        forward_times.append(time.perf_counter() - start)
-        incremental_seconds = min(forward_times)
-
-        final_rows = incremental.relation.rows
-        recompute_times = []
-        for _ in range(repeats):
-            fresh = Relation(schema, final_rows, copy=False)
-            start = time.perf_counter()
-            full_report = detector.detect(fresh)
-            recompute_times.append(time.perf_counter() - start)
-        full_seconds = min(recompute_times)
-
-        maintained = incremental.report
-        matches = (
-            maintained.violations == full_report.violations
-            and maintained.tuple_keys == full_report.tuple_keys
-        )
-        return {
-            "batch_rows": batch,
-            "kind": kind,
-            "incremental_seconds": incremental_seconds,
-            "full_recompute_seconds": full_seconds,
-            "speedup": full_seconds / incremental_seconds,
-            "violations_added": len(delta.added),
-            "violations_removed": len(delta.removed),
-            "matches_full_recompute": matches,
-        }
-
-    legs: dict[str, dict] = {}
-    all_match = True
-    for fraction in (0.001, 0.01, 0.1):
-        leg = measure(fraction, "mixed", max_id)
-        max_id += len(data)
-        del leg["kind"]
-        legs[str(fraction)] = leg
-        all_match = all_match and leg["matches_full_recompute"]
-    kinds: dict[str, dict] = {}
-    for kind in ("insert", "delete"):
-        leg = measure(0.01, kind, max_id)
-        max_id += len(data)
-        kinds[kind] = leg
-        all_match = all_match and leg["matches_full_recompute"]
-    return {
-        "workload": "fig3c_single_cfd",
-        "engine": "auto",
-        "repeats": repeats,
-        "legs": legs,
-        "kinds": kinds,
-        "matches_full_recompute": all_match,
-    }
-
-
-def _bench_incremental_sessions(data, repeats: int) -> dict:
-    """Resident distributed sessions vs one-shot re-detection, per kind.
-
-    One leg per session family — CLUSTDETECT over the overlapping Σ,
-    vertical (the street CFD spans two fragments, so the coordinator
-    keeps joined state), and hybrid (CC regions × vertical fragments) —
-    each absorbing a 1% mixed batch and cross-checked against a fresh
-    one-shot run over the updated deployment (``matches_full_recompute``,
-    gated in the perf job).  The recompute side rebuilds its cluster from
-    the session's updated fragments with cold caches, which is what a
-    non-resident deployment pays per update round.
-    """
-    import random
-
-    from ..datagen import cust_overlapping_cfds
-    from ..detect import (
-        IncrementalClustDetector,
-        IncrementalHybridDetector,
-        IncrementalVerticalDetector,
-        clust_detect,
-        hybrid_detect,
-        vertical_detect,
-    )
-    from ..distributed import Cluster, HybridCluster
-    from ..partition import partition_uniform, vertical_partition
-    from ..relational import Eq, Relation
-
-    schema = data.schema
-    key_position = schema.key_positions()[0]
-    street = schema.position("street")
-    cfds = cust_overlapping_cfds()
-    batch = max(2, len(data) // 100)
-    rng = random.Random(13)
-
-    def mutate(victims, start_id):
-        inserted = []
-        for i, row in enumerate(victims):
-            row = list(row)
-            row[key_position] = start_id + i
-            if i % 2:
-                row[street] = f"session street {i}"
-            inserted.append(tuple(row))
-        return inserted
-
-    def leg(session, one_shot, rows_source, forward, revert) -> dict:
-        """Time ``forward`` (min over repeats, reverted in between), then
-        compare against a cold one-shot run on the updated deployment."""
-        victims = rng.sample(rows_source, batch // 2)
-        doomed = [row[key_position] for row in victims]
-        inserted = mutate(victims, len(data) * 20)
-        inserted_keys = [row[key_position] for row in inserted]
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            forward(session, inserted, doomed)
-            times.append(time.perf_counter() - start)
-            revert(session, victims, inserted_keys)
-        start = time.perf_counter()
-        forward(session, inserted, doomed)
-        times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        fresh = one_shot(session)
-        one_shot_seconds = time.perf_counter() - start
-        matches = (
-            session.report.violations == fresh.report.violations
-            and session.report.tuple_keys == fresh.report.tuple_keys
-        )
-        return {
-            "batch_rows": batch,
-            "update_seconds": min(times),
-            "one_shot_seconds": one_shot_seconds,
-            "speedup": one_shot_seconds / min(times),
-            "matches_full_recompute": matches,
-        }
-
-    sessions: dict[str, dict] = {}
-
-    # CLUSTDETECT: 4 sites, the overlapping multi-CFD set
-    clust_session = IncrementalClustDetector(
-        partition_uniform(data, 4), cfds
-    )
-    clust_session.detect()
-    clust_site = max(
-        range(4), key=lambda i: len(clust_session.fragments[i])
-    )
-    sessions["clust"] = leg(
-        clust_session,
-        lambda s: clust_detect(
-            Cluster.from_fragments(
-                [Relation(schema, f.rows) for f in s.fragments]
-            ),
-            cfds,
-        ),
-        clust_session.fragments[clust_site].rows,
-        lambda s, ins, dels: s.update(clust_site, inserted=ins, deleted=dels),
-        lambda s, victims, keys: s.update(
-            clust_site, inserted=victims, deleted=keys
-        ),
-    )
-
-    # vertical: address attributes split off the order attributes, so the
-    # street CFD joins at a coordinator
-    sets = [
-        ("id", "name", "CC", "AC", "phn"),
-        ("id", "street", "city", "zip"),
-        ("id", "item", "price", "quantity"),
-    ]
-    vertical_session = IncrementalVerticalDetector(
-        vertical_partition(data, sets), cfds
-    )
-    vertical_session.detect()
-    def rebuild_vertical(s):
-        joined = s.fragments[0].join(s.fragments[1], on=("id",))
-        joined = joined.join(s.fragments[2], on=("id",))
-        rows = joined.project(schema.attributes).rows
-        return vertical_detect(
-            vertical_partition(Relation(schema, rows, copy=False), sets), cfds
-        )
-
-    sessions["vertical"] = leg(
-        vertical_session,
-        rebuild_vertical,
-        data.rows,
-        lambda s, ins, dels: s.update(inserted=ins, deleted=dels),
-        lambda s, victims, keys: s.update(inserted=victims, deleted=keys),
-    )
-
-    # hybrid: one region per country code, each vertically partitioned
-    country_codes = sorted({row[schema.position("CC")] for row in data.rows})
-    predicates = {f"CC{cc}": Eq("CC", cc) for cc in country_codes}
-    attribute_sets = {
-        "V1": ["name", "CC", "AC", "phn"],
-        "V2": ["street", "city", "zip"],
-        "V3": ["item", "price", "quantity"],
-    }
-    hybrid_session = IncrementalHybridDetector(
-        HybridCluster.from_partitions(data, predicates, attribute_sets),
-        cfds,
-    )
-    hybrid_session.detect()
-    hybrid_region = max(
-        range(len(hybrid_session.regions_data)),
-        key=lambda r: len(hybrid_session.regions_data[r]),
-    )
-    sessions["hybrid"] = leg(
-        hybrid_session,
-        lambda s: hybrid_detect(
-            HybridCluster.from_partitions(
-                Relation(
-                    schema,
-                    [
-                        row
-                        for region in s.regions_data
-                        for row in region.rows
-                    ],
-                    copy=False,
-                ),
-                predicates,
-                attribute_sets,
-            ),
-            cfds,
-        ),
-        hybrid_session.regions_data[hybrid_region].rows,
-        lambda s, ins, dels: s.update(
-            hybrid_region, inserted=ins, deleted=dels
-        ),
-        lambda s, victims, keys: s.update(
-            hybrid_region, inserted=victims, deleted=keys
-        ),
-    )
-
-    sessions["matches_full_recompute"] = all(
-        entry["matches_full_recompute"]
-        for entry in sessions.values()
-        if isinstance(entry, dict)
-    )
-    return sessions
-
-
-def _bench_parallel_detection(data, cfd, repeats: int, workers: int) -> dict:
-    """Time distributed fragment detection at workers ∈ {1, ``workers``}.
-
-    The workload is PATDETECTS over the Fig. 3c data partitioned across 4
-    simulated sites — the fragment-scan stage the
-    :mod:`repro.core.parallel` scheduler fans out.  Three legs: serial,
-    thread pool, and the fragment-resident process pool, each measured
-    cold (first detection against a fresh cluster; for processes this
-    includes placing the fragments into the workers) and warm (min over
-    ``repeats`` with every dictionary and columnar cache hot).  Each leg's
-    report and shipment totals are checked against the serial leg — the
-    scheduler's bit-identical contract — and recorded as
-    ``matches_serial``.
-
-    Speedups are hardware-honest: they record whatever the host gives
-    (``cpu_count`` is included so a single-core container's ≈1.0x is
-    readable as such; the thread legs additionally stay GIL-bound on the
-    pure-Python σ probes whatever the core count).
-    """
-    from ..detect import pat_detect_s
-    from ..partition import partition_uniform
-
-    def leg(n_workers: int, mode: str) -> tuple[dict, object]:
-        overrides = {"REPRO_WORKERS": str(n_workers), "REPRO_PARALLEL": mode}
-        previous = {name: os.environ.get(name) for name in overrides}
-        os.environ.update(overrides)
-        try:
-            cluster = partition_uniform(data, 4)
-            start = time.perf_counter()
-            outcome = pat_detect_s(cluster, cfd)
-            cold = time.perf_counter() - start
-            warm_times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                outcome = pat_detect_s(cluster, cfd)
-                warm_times.append(time.perf_counter() - start)
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-        return {"cold_seconds": cold, "warm_seconds": min(warm_times)}, outcome
-
-    serial_times, serial = leg(1, "off")
-    legs = {"1": serial_times}
-    matches = True
-    multicore = (os.cpu_count() or 1) > 1
-    for mode in ("thread", "process"):
-        times, outcome = leg(workers, mode)
-        times["speedup_warm"] = serial_times["warm_seconds"] / times["warm_seconds"]
-        times["speedup_cold"] = serial_times["cold_seconds"] / times["cold_seconds"]
-        # a single-core host cannot exhibit pool speedups; flag such legs
-        # so the recorded trajectory stays comparable across machines
-        times["representative"] = multicore
-        legs[f"{workers}_{mode}"] = times
-        matches = matches and (
-            outcome.report.violations == serial.report.violations
-            and outcome.tuples_shipped == serial.tuples_shipped
-        )
-    return {
-        "workload": "fig3c_single_cfd",
-        "algorithm": "PATDETECTS",
-        "sites": 4,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "legs": legs,
-        "matches_serial": matches,
-    }
-
-
-def _bench_robustness(data, cfd, repeats: int, workers: int) -> dict:
-    """Detection under injected faults: recovery cost and the degraded floor.
-
-    Two legs over the Fig. 3c workload at 4 simulated sites, each with a
-    deterministic :class:`~repro.core.faults.FaultPlan` installed for
-    exactly its own run (the plan's spec is recorded per leg, and the
-    headline benchmark sections above stay fault-free — see
-    ``provenance.faults``):
-
-    ``crash_recovery``
-        A warm fragment-resident process pool loses one worker to an
-        injected crash on the first order of the timed detection.  The
-        supervisor respawns it, re-places its fragments and resends the
-        order; the leg records the wall-clock of that recovered detection
-        next to the fault-free warm time, the respawn count, and
-        ``matches_serial`` — recovery must be bit-identical, not merely
-        survivable.
-
-    ``degraded_throughput``
-        Enough crashes to exhaust the retry budget, so the pool raises its
-        typed failure, evicts itself, and :func:`map_fragments` falls back
-        to the serial loop.  The leg records the degraded run's wall-clock
-        and rows/sec — the floor a deployment keeps when a site stays
-        down — plus ``matches_serial`` for the fallback's results.
-
-    Timing floors are deliberately **not** gated on these legs (degraded
-    runs measure survival, not speed); only the ``matches_serial`` flags
-    are, in ``benchmarks/test_perf_regression.py``.
-    """
-    from ..core.faults import STATS, FaultPlan, fault_plan
-    from ..detect import pat_detect_s
-    from ..partition import partition_uniform
-
-    overrides = {
-        "REPRO_WORKERS": str(workers),
-        "REPRO_PARALLEL": "process",
-        "REPRO_POOL_TIMEOUT": "60",
-        "REPRO_POOL_RETRIES": "2",
-        "REPRO_POOL_DEGRADE": "1",
-    }
-    previous = {name: os.environ.get(name) for name in overrides}
-    serial = pat_detect_s(partition_uniform(data, 4), cfd)
-
-    def matches(outcome) -> bool:
-        return (
-            outcome.report.violations == serial.report.violations
-            and outcome.tuples_shipped == serial.tuples_shipped
-        )
-
-    os.environ.update(overrides)
-    try:
-        # -- crash recovery: warm pool, one injected crash ------------------
-        cluster = partition_uniform(data, 4)
-        pat_detect_s(cluster, cfd)  # cold run: place fragments, warm caches
-        warm_times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pat_detect_s(cluster, cfd)
-            warm_times.append(time.perf_counter() - start)
-        crash_spec = "crash@0"
-        respawns_before = STATS["respawns"]
-        with fault_plan(FaultPlan.parse(crash_spec)):
-            start = time.perf_counter()
-            recovered = pat_detect_s(cluster, cfd)
-            recovery_seconds = time.perf_counter() - start
-        crash_leg = {
-            "fault_spec": crash_spec,
-            "recovery_seconds": recovery_seconds,
-            "fault_free_warm_seconds": min(warm_times),
-            "recovery_overhead_seconds": recovery_seconds - min(warm_times),
-            "respawns": STATS["respawns"] - respawns_before,
-            "matches_serial": matches(recovered),
-        }
-
-        # -- degraded throughput: crashes past the retry budget -------------
-        os.environ["REPRO_POOL_RETRIES"] = "1"
-        degraded_spec = ",".join(f"crash@{i}" for i in range(16))
-        cluster = partition_uniform(data, 4)
-        degraded_before = STATS["degraded_runs"]
-        with fault_plan(FaultPlan.parse(degraded_spec)):
-            start = time.perf_counter()
-            outcome = pat_detect_s(cluster, cfd)
-            degraded_seconds = time.perf_counter() - start
-        degraded_leg = {
-            "fault_spec": degraded_spec,
-            "seconds": degraded_seconds,
-            "rows_per_sec": len(data) / degraded_seconds,
-            "degraded_runs": STATS["degraded_runs"] - degraded_before,
-            "matches_serial": matches(outcome),
-        }
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    return {
-        "workload": "fig3c_single_cfd",
-        "algorithm": "PATDETECTS",
-        "sites": 4,
-        "workers": workers,
-        "crash_recovery": crash_leg,
-        "degraded_throughput": degraded_leg,
-        "matches_serial": (
-            crash_leg["matches_serial"] and degraded_leg["matches_serial"]
-        ),
-    }
-
-
-def _bench_serve(data, cfd, repeats: int, writers: int = 4) -> dict:
-    """The resident detection service under concurrent HTTP writers.
-
-    A load generator against a real in-process ``repro serve`` deployment
-    (threaded HTTP server, one resident ``central`` session): ``writers``
-    client threads stream single-row update requests over disjoint key
-    ranges — every 4th request a delete — while the session group-commits
-    them into coalesced delta folds.  Records update latency quantiles
-    (p50/p99 over all requests), aggregate request throughput, the
-    coalescing the group commit actually achieved, and session churn
-    (create+drop cycles per second).  Disjoint key ranges make the
-    concurrent streams commutative, so the final report must equal a
-    serial replay — recomputed here with the reference oracle over the
-    expected final rows (``matches_serial_replay``, gated in the perf
-    job; timing is recorded but not gated, like the other
-    concurrency-shaped legs).
-    """
-    import threading
-    import urllib.request
-
-    from ..core import detect_violations_reference, format_cfd
-    from ..relational import Relation
-    from ..serve import DetectionService, serve_http
-
-    schema = data.schema
-    key_position = schema.key_positions()[0]
-    # cap the resident relation: the leg measures request handling and
-    # group commit, not fold cost over the full Fig. 3c instance
-    base = [list(row) for row in data.rows[: min(len(data), 20_000)]]
-    spec = {
-        "kind": "central",
-        "schema": {
-            "name": schema.name,
-            "attributes": list(schema.attributes),
-            "key": list(schema.key),
-        },
-        "cfds": [format_cfd(cfd)],
-        "rows": base,
-    }
-    per_writer = max(24, 8 * repeats)
-    street = schema.position("street")
-
-    service = DetectionService(coalesce=8)
-    server = serve_http(service)
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
-    host, port = server.server_address
-    root = f"http://{host}:{port}/v1/bench/sessions"
-    backpressured = [0]
-
-    def on_backpressure() -> None:
-        backpressured[0] += 1
-
-    def call(method: str, path: str, body=None) -> dict:
-        payload = json.dumps(body).encode() if body is not None else None
-        request = urllib.request.Request(
-            root + path, data=payload, method=method
-        )
-        if payload is not None:
-            request.add_header("Content-Type", "application/json")
-        return request_json(request, on_backpressure=on_backpressure)
-
-    try:
-        call("POST", "/cust", spec)
-
-        # each writer owns a disjoint key range; every 4th request deletes
-        # the row inserted two steps earlier, so the delete/reconcile path
-        # is on the timed path too
-        expected: dict[int, dict] = {i: {} for i in range(writers)}
-        for index in range(writers):
-            for step in range(per_writer):
-                key = 10_000_000 + index * 100_000 + step
-                row = list(base[(index * per_writer + step) % len(base)])
-                row[key_position] = key
-                row[street] = f"serve bench {index}-{step}"
-                if step % 4 == 3:
-                    expected[index].pop(key - 2, None)
-                else:
-                    expected[index][key] = row
-
-        latencies: list[list[float]] = [[] for _ in range(writers)]
-        errors: list[BaseException] = []
-        gate = threading.Barrier(writers)
-
-        def writer(index: int) -> None:
-            gate.wait()
-            try:
-                for step in range(per_writer):
-                    key = 10_000_000 + index * 100_000 + step
-                    if step % 4 == 3:
-                        body = {"deleted": [key - 2]}
-                    else:
-                        row = list(base[(index * per_writer + step) % len(base)])
-                        row[key_position] = key
-                        row[street] = f"serve bench {index}-{step}"
-                        body = {"inserted": [row]}
-                    start = time.perf_counter()
-                    call("POST", "/cust/update", body)
-                    latencies[index].append(time.perf_counter() - start)
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=writer, args=(index,))
-            for index in range(writers)
-        ]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600)
-        wall = time.perf_counter() - wall_start
-        if errors:
-            raise errors[0]
-
-        # equivalence gate: the served report vs the reference oracle over
-        # the serial-replay final state (the CFD name does not survive the
-        # format/parse round trip, so violations compare on LHS identity —
-        # exact for a single-CFD session)
-        final_rows = [tuple(row) for row in base] + [
-            tuple(row)
-            for index in range(writers)
-            for row in expected[index].values()
-        ]
-        replay = detect_violations_reference(
-            Relation(schema, final_rows, copy=False), [cfd]
-        )
-        report = call("GET", "/cust/detect")
-        served_violations = {
-            (tuple(v["lhs_attributes"]), tuple(v["lhs_values"]))
-            for v in report["violations"]
-        }
-        served_keys = {tuple(k) for k in report["tuple_keys"]}
-        matches = served_violations == {
-            (v.lhs_attributes, v.lhs_values) for v in replay.violations
-        } and served_keys == set(replay.tuple_keys)
-        verify_ok = bool(call("POST", "/cust/verify", {})["ok"])
-        stats = service.stats()["sessions"]["bench/cust"]
-
-        # session churn: how fast the registry turns whole sessions over
-        churn_spec = dict(spec, rows=base[:500])
-        cycles = 8
-        churn_start = time.perf_counter()
-        for index in range(cycles):
-            call("POST", f"/churn{index}", churn_spec)
-            call("DELETE", f"/churn{index}")
-        churn_seconds = time.perf_counter() - churn_start
-    finally:
-        server.shutdown()
-        server.server_close()
-
-    samples = sorted(t for per in latencies for t in per)
-
-    def quantile(q: float) -> float:
-        return samples[round(q * (len(samples) - 1))]
-
-    return {
-        "writers": writers,
-        "base_rows": len(base),
-        "requests": len(samples),
-        "update_p50_seconds": quantile(0.50),
-        "update_p99_seconds": quantile(0.99),
-        "update_max_seconds": samples[-1],
-        "requests_per_sec": len(samples) / wall,
-        "updates": stats["updates"],
-        "folds": stats["folds"],
-        "coalesced_max": stats["coalesced_max"],
-        "backpressure_retries": backpressured[0],
-        "churn_sessions_per_sec": cycles / churn_seconds,
-        "verify_ok": verify_ok,
-        "matches_serial_replay": matches,
-    }
-
-
-def _bench_overload(data, cfd, repeats: int, tenants: int = 4) -> dict:
-    """The governed service at 2× queue capacity: goodput, shed, p99.
-
-    Four tenants each own one resident session behind a governed
-    ``repro serve`` deployment with a deliberately tight queue and a
-    per-update rows cap.  Phase one is uncontended — one sequential
-    writer per tenant — and establishes the baseline *governed* p99
-    (the server-reported ``queue_seconds``: enqueue → group-commit
-    settle, the span the admission deadline bounds; client wall time
-    would mostly measure transport and scheduler noise in front of
-    admission, which no server-side governor can shed).  The
-    queue-residence deadline is then armed at ≈3× that baseline, so
-    queue waits cannot stretch accepted latency past the 5× gate.
-    Phase two offers **2× queue capacity** per tenant:
-    ``2 × queue_depth`` concurrent writers per tenant fire single-row
-    inserts with NO retry — and every tenth request is a bulk update
-    over the rows cap, guaranteed abusive load the governor must
-    reject.  A shed request (429 backpressure / quota, 503 expired
-    deadline) is counted, its ``Retry-After`` header checked, and
-    abandoned.  Every writer records exactly which of its inserts were
-    accepted, so the equivalence gate is sharp: per tenant, the served
-    report must equal the reference oracle over base rows + *exactly
-    the accepted set* — a shed update leaving any trace, or an
-    accepted one lost, fails ``matches_serial_replay``.
-    """
-    import threading
-    import urllib.error
-    import urllib.request
-
-    from ..core import detect_violations_reference, format_cfd
-    from ..relational import Relation
-    from ..serve import DetectionService, serve_http
-
-    schema = data.schema
-    key_position = schema.key_positions()[0]
-    street = schema.position("street")
-    base = [list(row) for row in data.rows[: min(len(data), 20_000)]]
-    queue_depth = 4
-    max_rows = 256
-    bulk_every = 10  # every tenth request exceeds the rows cap
-    writers_per_tenant = 2 * queue_depth  # the 2× capacity offered load
-    per_writer = max(20, 5 * repeats)
-    uncontended_per_tenant = 16
-
-    def session_spec() -> dict:
-        return {
-            "kind": "central",
-            "schema": {
-                "name": schema.name,
-                "attributes": list(schema.attributes),
-                "key": list(schema.key),
-            },
-            "cfds": [format_cfd(cfd)],
-            "rows": base,
-        }
-
-    service = DetectionService(
-        queue_depth=queue_depth, coalesce=8, deadline=0, max_rows=max_rows
-    )
-    server = serve_http(service)
-    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
-    server_thread.start()
-    host, port = server.server_address
-
-    def url(tenant: int, action: str = "") -> str:
-        return (
-            f"http://{host}:{port}/v1/tenant{tenant}/sessions/cust{action}"
-        )
-
-    def post(target: str, body) -> dict:
-        request = urllib.request.Request(
-            target, data=json.dumps(body).encode(), method="POST"
-        )
-        request.add_header("Content-Type", "application/json")
-        return request_json(request)
-
-    def row_for(tenant: int, writer: int, step: int, phase: int) -> list:
-        key = 20_000_000 + ((phase * 64 + tenant) * 64 + writer) * 100_000 + step
-        row = list(base[(writer * per_writer + step) % len(base)])
-        row[key_position] = key
-        row[street] = f"overload {tenant}-{writer}-{step}-{phase}"
-        return row
-
-    try:
-        for tenant in range(tenants):
-            post(url(tenant), session_spec())
-
-        # phase 1: uncontended — one sequential writer per tenant; all
-        # accepted, establishes the p99 the 5× bound is measured against
-        accepted_rows: list[list[dict[int, list]]] = [
-            [dict() for _ in range(writers_per_tenant + 1)]
-            for _ in range(tenants)
-        ]
-        uncontended: list[float] = []
-        for tenant in range(tenants):
-            for step in range(uncontended_per_tenant):
-                row = row_for(tenant, writers_per_tenant, step, phase=0)
-                ack = post(url(tenant, "/update"), {"inserted": [row]})
-                uncontended.append(ack["queue_seconds"])
-                accepted_rows[tenant][writers_per_tenant][row[key_position]] = row
-        uncontended.sort()
-        p99_uncontended = uncontended[round(0.99 * (len(uncontended) - 1))]
-
-        # arm the deadline for phase 2 (the governor reads it per
-        # ticket, so flipping it between phases is race-free): 3× the
-        # uncontended governed p99, so an accepted ticket that waits
-        # right up to the deadline and then folds still lands ≈4× —
-        # inside the 5× gate
-        deadline = max(3.0 * p99_uncontended, 0.002)
-        service.governor.deadline = deadline
-
-        accepted_latencies: list[list[float]] = [
-            [] for _ in range(tenants * writers_per_tenant)
-        ]
-        shed_count = [0] * (tenants * writers_per_tenant)
-        shed_missing_retry_after = [0] * (tenants * writers_per_tenant)
-        errors: list[BaseException] = []
-        gate = threading.Barrier(tenants * writers_per_tenant)
-
-        # a bulk update over the rows cap: the governor must shed it
-        # before any fold, so the junk rows are never validated
-        bulk_payload = json.dumps(
-            {"inserted": [[0]] * (max_rows + 64)}
-        ).encode()
-
-        def writer(tenant: int, index: int) -> None:
-            slot = tenant * writers_per_tenant + index
-            target = url(tenant, "/update")
-            gate.wait()
-            try:
-                for step in range(per_writer):
-                    bulk = step % bulk_every == bulk_every - 1
-                    if bulk:
-                        payload = bulk_payload
-                    else:
-                        row = row_for(tenant, index, step, phase=1)
-                        payload = json.dumps({"inserted": [row]}).encode()
-                    request = urllib.request.Request(
-                        target, data=payload, method="POST"
-                    )
-                    request.add_header("Content-Type", "application/json")
-                    try:
-                        with urllib.request.urlopen(
-                            request, timeout=60
-                        ) as response:
-                            ack = json.loads(response.read())
-                    except urllib.error.HTTPError as error:
-                        if error.code not in (429, 503):
-                            raise
-                        error.read()
-                        shed_count[slot] += 1
-                        if error.headers.get("Retry-After") is None:
-                            shed_missing_retry_after[slot] += 1
-                        continue  # shed: no retry, keep the pressure on
-                    if bulk:
-                        raise AssertionError(
-                            "bulk update over the rows cap was accepted"
-                        )
-                    accepted_latencies[slot].append(ack["queue_seconds"])
-                    accepted_rows[tenant][index][row[key_position]] = row
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=writer, args=(tenant, index))
-            for tenant in range(tenants)
-            for index in range(writers_per_tenant)
-        ]
-        wall_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600)
-        wall = time.perf_counter() - wall_start
-        if errors:
-            raise errors[0]
-
-        # equivalence on exactly the accepted set, per tenant
-        matches = True
-        for tenant in range(tenants):
-            final_rows = [tuple(row) for row in base] + [
-                tuple(row)
-                for per_writer_rows in accepted_rows[tenant]
-                for row in per_writer_rows.values()
-            ]
-            replay = detect_violations_reference(
-                Relation(schema, final_rows, copy=False), [cfd]
-            )
-            request = urllib.request.Request(
-                url(tenant, "/detect"), method="GET"
-            )
-            report = request_json(request)
-            served_violations = {
-                (tuple(v["lhs_attributes"]), tuple(v["lhs_values"]))
-                for v in report["violations"]
-            }
-            served_keys = {tuple(k) for k in report["tuple_keys"]}
-            matches = (
-                matches
-                and served_violations
-                == {(v.lhs_attributes, v.lhs_values) for v in replay.violations}
-                and served_keys == set(replay.tuple_keys)
-            )
-        governor_stats = service.stats()["governor"]
-    finally:
-        server.shutdown()
-        service.close()
-        server.server_close()
-
-    accepted = sorted(t for per in accepted_latencies for t in per)
-    shed = sum(shed_count)
-    offered = tenants * writers_per_tenant * per_writer
-    p99_accepted = (
-        accepted[round(0.99 * (len(accepted) - 1))] if accepted else 0.0
-    )
-    return {
-        "tenants": tenants,
-        "queue_depth": queue_depth,
-        "max_rows": max_rows,
-        "writers_per_tenant": writers_per_tenant,
-        "offered_factor": writers_per_tenant / queue_depth,
-        "deadline_seconds": deadline,
-        "offered": offered,
-        "accepted": len(accepted),
-        "shed": shed,
-        "shed_rate": shed / offered if offered else 0.0,
-        "goodput_per_sec": len(accepted) / wall if wall else 0.0,
-        "p99_uncontended_seconds": p99_uncontended,
-        "p99_accepted_seconds": p99_accepted,
-        "p99_ratio": (
-            p99_accepted / p99_uncontended if p99_uncontended else 0.0
-        ),
-        "all_shed_carry_retry_after": sum(shed_missing_retry_after) == 0,
-        "shed_by_reason": governor_stats["shed"],
-        "matches_serial_replay": matches,
-    }
-
-
-def _bench_durability(data, cfd, repeats: int) -> dict:
-    """WAL overhead per fsync policy, and recovery cost of a long log.
-
-    Part one drives the same single-row update stream through four
-    deployments of the detection service — in-memory (no ``--data-dir``)
-    and durable at each ``REPRO_SERVE_FSYNC`` policy — and records the
-    update latency quantiles, so the recorded trajectory shows what an
-    acknowledged-durable update costs over an acknowledged-resident one.
-    Part two builds a session whose WAL holds 10k committed records
-    (checkpointing disabled), then times a cold restart's recovery —
-    snapshot load plus full replay through the normal ``update()`` path.
-    Both parts are equivalence-gated (``matches_serial_replay``): every
-    deployment's final report, and the recovered report, must equal the
-    reference oracle over the serially-replayed rows; timing is recorded
-    but not gated, like the other concurrency-shaped legs.
-    """
-    import tempfile
-
-    from ..core import detect_violations_reference, format_cfd
-    from ..relational import Relation
-    from ..serve import DetectionService
-
-    schema = data.schema
-    key_position = schema.key_positions()[0]
-    street = schema.position("street")
-    base = [list(row) for row in data.rows[: min(len(data), 2_000)]]
-    spec = {
-        "kind": "central",
-        "schema": {
-            "name": schema.name,
-            "attributes": list(schema.attributes),
-            "key": list(schema.key),
-        },
-        "cfds": [format_cfd(cfd)],
-        "rows": base,
-    }
-    n_updates = max(120, 40 * repeats)
-
-    def stream(service) -> list[float]:
-        """The timed workload: single-row updates, every 4th a delete."""
-        service.create_session("bench", "wal", spec)
-        latencies = []
-        for step in range(n_updates):
-            key = 20_000_000 + step
-            if step % 4 == 3:
-                body = {"deleted": [key - 2]}
-            else:
-                row = list(base[step % len(base)])
-                row[key_position] = key
-                row[street] = f"durability bench {step}"
-                body = {"inserted": [row]}
-            start = time.perf_counter()
-            service.update("bench", "wal", **body)
-            latencies.append(time.perf_counter() - start)
-        return sorted(latencies)
-
-    def final_rows() -> list[tuple]:
-        alive: dict[int, tuple] = {}
-        for step in range(n_updates):
-            key = 20_000_000 + step
-            if step % 4 == 3:
-                alive.pop(key - 2, None)
-            else:
-                row = list(base[step % len(base)])
-                row[key_position] = key
-                row[street] = f"durability bench {step}"
-                alive[key] = tuple(row)
-        return [tuple(row) for row in base] + list(alive.values())
-
-    replay = detect_violations_reference(
-        Relation(schema, final_rows(), copy=False), [cfd]
-    )
-    expected = {(v.lhs_attributes, v.lhs_values) for v in replay.violations}
-
-    def matches(service) -> bool:
-        report = service.detect("bench", "wal")
-        served = {
-            (tuple(v["lhs_attributes"]), tuple(v["lhs_values"]))
-            for v in report["violations"]
-        }
-        return served == expected
-
-    def quantiles(samples: list[float]) -> dict:
-        return {
-            "update_p50_seconds": samples[round(0.50 * (len(samples) - 1))],
-            "update_p99_seconds": samples[round(0.99 * (len(samples) - 1))],
-        }
-
-    all_match = True
-    memory_service = DetectionService()
-    memory_samples = stream(memory_service)
-    all_match &= matches(memory_service)
-    memory = {"requests": len(memory_samples), **quantiles(memory_samples)}
-
-    policies: dict[str, dict] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as tmp:
-        for policy in ("off", "batch", "always"):
-            service = DetectionService(
-                data_dir=Path(tmp) / policy,
-                fsync=policy,
-                checkpoint=1_000_000,  # keep checkpoints off the timed path
-            )
-            samples = stream(service)
-            policy_matches = matches(service)
-            # the durable deployments must also survive a restart;
-            # close first so 'off'-policy buffers reach the disk files
-            service.registry.store.close()
-            revived = DetectionService(
-                data_dir=Path(tmp) / policy, fsync=policy
-            )
-            policy_matches &= revived.recovered == 1 and matches(revived)
-            all_match &= policy_matches
-            entry = quantiles(samples)
-            entry["overhead_p50_vs_memory"] = (
-                entry["update_p50_seconds"] / memory["update_p50_seconds"]
-            )
-            entry["matches_serial_replay"] = policy_matches
-            policies[policy] = entry
-
-        # part two: recovery time for a 10k-record WAL
-        records = 10_000
-        build_dir = Path(tmp) / "recovery"
-        builder = DetectionService(
-            data_dir=build_dir, fsync="off", checkpoint=10_000_000
-        )
-        builder.create_session("bench", "log", dict(spec, rows=base[:500]))
-        for step in range(records):
-            key = 30_000_000 + step
-            if step % 4 == 3:
-                builder.update("bench", "log", deleted=[key - 2])
-            else:
-                row = list(base[step % len(base)])
-                row[key_position] = key
-                row[street] = f"recovery bench {step}"
-                builder.update("bench", "log", inserted=[row])
-        before = builder.detect("bench", "log")
-        builder.registry.store.close()  # flush 'off'-policy buffers
-        start = time.perf_counter()
-        revived = DetectionService(data_dir=build_dir, fsync="off")
-        recovery_seconds = time.perf_counter() - start
-        recovery_matches = (
-            revived.recovered == 1
-            and revived.detect("bench", "log") == before
-        )
-        all_match &= recovery_matches
-        recovery = {
-            "wal_records": records,
-            "recovery_seconds": recovery_seconds,
-            "replayed_records": revived.stats()["durability"].get(
-                "replayed_records", 0
-            ),
-            "records_per_sec": records / recovery_seconds,
-            "matches_serial_replay": recovery_matches,
-        }
-
-    return {
-        "requests": n_updates,
-        "base_rows": len(base),
-        "memory": memory,
-        "policies": policies,
-        "recovery": recovery,
-        "matches_serial_replay": bool(all_match),
-    }
-
-
-def bench_detection(
-    out: str | Path | None = None,
-    repeats: int = 3,
-    fraction: float = 1.0,
-    seed: int = 8,
-    workers: int = 4,
-) -> dict:
-    """Time centralized detection across all four engines on Fig. 3c/3i data.
-
-    The workload is the Fig. 3c data-size configuration (cust16 at
-    ``REPRO_SCALE``), measured with the single 255-pattern street CFD
-    (Fig. 3c) and with the overlapping multi-CFD set Σ (Fig. 3i); the
-    generator is seeded (``seed``, default 8) so successive runs time the
-    identical instance and the recorded trajectory compares like-for-like.
-    Per workload the per-normal-form **reference** plan runs ``repeats``
-    times; the **fused** engine (pure-Python encoding *and* folds — the
-    array backend is disabled for this tier regardless of the environment)
-    and, when numpy is active, the **fused-numpy** engine (vectorized
-    encoding and folds) are each timed *cold* (fresh relation, empty
-    columnar cache) and then ``repeats`` times *warm* — the steady-state
-    number that matters for a detector that, like a DBMS, keeps its
-    indexes.  Every engine's report is cross-checked against the reference
-    (violations and tuple keys) so the benchmark doubles as an equivalence
-    gate.  The ``sql`` section (:func:`_bench_sql_engine`) times the
-    database-backed engine on the same workloads, per backend.
-
-    ``workers`` (default 4) appends the distributed ``parallel`` section —
-    fragment-level detection at workers ∈ {1, N} across serial/thread/
-    process legs (:func:`_bench_parallel_detection`) — and the
-    ``robustness`` section — crash recovery and degraded-mode throughput
-    under injected faults (:func:`_bench_robustness`); pass ``workers<=1``
-    to skip both.  The ``serve`` section (:func:`_bench_serve`) always
-    runs: the resident multi-tenant HTTP service under 4 concurrent
-    writers — update latency p50/p99, request throughput, group-commit
-    coalescing, session churn, equivalence against a serial replay.
-
-    Returns the summary dict; when ``out`` is given it is also written
-    there as JSON (``BENCH_detect.json``), giving future changes a
-    machine-readable perf trajectory to compare against.
-    """
-    from ..core import FusedDetector, detect_violations_reference
-    from ..datagen import cust_overlapping_cfds, cust_street_cfd, generate_cust
-    from ..relational import Relation
-    from ..relational.columnar import numpy_enabled
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    data = generate_cust(scaled(1_600_000), seed=seed)
-    if fraction < 1.0:
-        data = Relation(
-            data.schema, data.rows[: int(len(data) * fraction)], copy=False
-        )
-    workloads = {
-        "fig3c_single_cfd": [cust_street_cfd(255)],
-        "fig3i_multi_cfd": cust_overlapping_cfds(),
-    }
-
-    def timed(call):
-        start = time.perf_counter()
-        report = call()
-        return report, time.perf_counter() - start
-
-    def cold_and_warm(detector, vectorize):
-        # a fresh relation over the same rows has an empty column cache, so
-        # the first detection is the cold measurement and doubles as the
-        # warm-up for the steady-state loop (even with repeats=1)
-        relation = Relation(data.schema, data.rows, copy=False)
-        report, cold = timed(
-            lambda: detector.detect(relation, True, vectorize)
-        )
-        warm_times = []
-        for _ in range(repeats):
-            report, elapsed = timed(
-                lambda: detector.detect(relation, True, vectorize)
-            )
-            warm_times.append(elapsed)
-        return report, cold, min(warm_times)
-
-    summary: dict = {
-        "benchmark": "centralized detection: reference vs fused vs fused-numpy",
-        "scale": scale(),
-        "seed": seed,
-        "n_tuples": len(data),
-        "repeats": repeats,
-        "numpy": numpy_enabled(),
-        "workloads": {},
-    }
-    for name, cfds in workloads.items():
-        detector = FusedDetector(cfds)
-
-        baseline_times = []
-        for _ in range(repeats):
-            reference_report, elapsed = timed(
-                lambda: detect_violations_reference(data, cfds, collect_tuples=True)
-            )
-            baseline_times.append(elapsed)
-        baseline = min(baseline_times)
-
-        def matches(report):
-            return (
-                report.violations == reference_report.violations
-                and report.tuple_keys == reference_report.tuple_keys
-            )
-
-        # pure-Python tier: list encoding and folds, whatever the machine has
-        previous = os.environ.get("REPRO_NUMPY")
-        os.environ["REPRO_NUMPY"] = "0"
-        try:
-            fused_report, cold_seconds, warm = cold_and_warm(detector, False)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_NUMPY"]
-            else:
-                os.environ["REPRO_NUMPY"] = previous
-
-        entry = {
-            "n_cfds": len(cfds),
-            "baseline_seconds": baseline,
-            "baseline_rows_per_sec": len(data) / baseline,
-            "fused_cold_seconds": cold_seconds,
-            "fused_warm_seconds": warm,
-            "fused_rows_per_sec": len(data) / warm,
-            "speedup": baseline / warm,
-            "cold_speedup": baseline / cold_seconds,
-            "matches_reference": matches(fused_report),
-        }
-
-        if numpy_enabled():
-            numpy_report, numpy_cold, numpy_warm = cold_and_warm(detector, True)
-            entry.update(
-                {
-                    "fused_numpy_cold_seconds": numpy_cold,
-                    "fused_numpy_warm_seconds": numpy_warm,
-                    "fused_numpy_rows_per_sec": len(data) / numpy_warm,
-                    "fused_numpy_speedup": baseline / numpy_warm,
-                    "fused_numpy_cold_speedup": baseline / numpy_cold,
-                    "fused_numpy_vs_fused": warm / numpy_warm,
-                    "fused_numpy_matches_reference": matches(numpy_report),
-                }
-            )
-        summary["workloads"][name] = entry
-
-    summary["speedup"] = summary["workloads"]["fig3c_single_cfd"]["speedup"]
-    summary["sql"] = _bench_sql_engine(data, workloads, repeats)
-    summary["provenance"] = _bench_provenance()
-    summary["incremental"] = _bench_incremental(
-        data, workloads["fig3c_single_cfd"], repeats
-    )
-    summary["incremental"]["sessions"] = _bench_incremental_sessions(
-        data, repeats
-    )
-    if workers > 1:
-        summary["parallel"] = _bench_parallel_detection(
-            data, workloads["fig3c_single_cfd"][0], repeats, workers
-        )
-        summary["robustness"] = _bench_robustness(
-            data, workloads["fig3c_single_cfd"][0], repeats, workers
-        )
-    # the serve leg is thread-based (it load-tests the resident HTTP
-    # service), so it runs regardless of the process-worker knob
-    summary["serve"] = _bench_serve(
-        data, workloads["fig3c_single_cfd"][0], repeats, writers=4
-    )
-    # the overload leg drives the same service 2× past queue capacity
-    # and records what the governor sheds (and that it sheds cleanly)
-    summary["overload"] = _bench_overload(
-        data, workloads["fig3c_single_cfd"][0], repeats
-    )
-    summary["durability"] = _bench_durability(
-        data, workloads["fig3c_single_cfd"][0], repeats
-    )
-    if out is not None:
-        out = Path(out)
-        out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary

@@ -175,6 +175,15 @@ def test_cli_unknown_engine_env_exits_2(emp_csv, capsys, monkeypatch):
     assert "unknown REPRO_ENGINE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "nan", "inf", ""])
+def test_cli_bad_scale_env_exits_2(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", value)
+    code = main(["figures", "--only", "fig3a", "--out", str(tmp_path)])
+    assert code == 2
+    assert "REPRO_SCALE must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_unknown_sql_backend_exits_2(emp_csv, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SQL_BACKEND", "bogus")
     code = main(["check", "--data", emp_csv, "--cfd", "([a] -> [b])"])

@@ -140,11 +140,10 @@ def test_concurrent_writers_coalesce_and_match_serial_replay():
     rows = base_rows()
     service.create_session("t", "s", spec(rows))
     n_writers, per_writer = 4, 12
-    barrier = threading.Barrier(n_writers)
+    session = service.registry.get("t", "s")
     errors: list = []
 
     def writer(index: int) -> None:
-        barrier.wait()
         try:
             for step in range(per_writer):
                 key = 1000 + index * per_writer + step
@@ -159,10 +158,20 @@ def test_concurrent_writers_coalesce_and_match_serial_replay():
     threads = [
         threading.Thread(target=writer, args=(i,)) for i in range(n_writers)
     ]
-    for thread in threads:
-        thread.start()
+    # hold the fold lock until every writer has a ticket queued: the
+    # first leader then provably drains a multi-ticket batch, whatever
+    # the thread scheduling
+    with session._lock:
+        for thread in threads:
+            thread.start()
+        for _ in range(5000):
+            if len(session._pending) == n_writers:
+                break
+            threading.Event().wait(0.001)
+        assert len(session._pending) == n_writers, "writers never enqueued"
     for thread in threads:
         thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     final = rows + [
         [1000 + i * per_writer + s, 44, f"Z{i}", f"W{i}-{s}"]
@@ -176,7 +185,7 @@ def test_concurrent_writers_coalesce_and_match_serial_replay():
     # group commit must have folded at least one multi-ticket batch, and
     # strictly fewer folds than updates (otherwise coalescing is off)
     assert stats["folds"] < stats["updates"]
-    assert stats["coalesced_max"] >= 2
+    assert stats["coalesced_max"] >= n_writers
 
 
 def test_interleaved_update_and_verify_is_safe():

@@ -199,26 +199,36 @@ def test_restart_recovers_equivalent_state(tmp_path, kind):
 
 
 def test_recovery_equals_serial_replay_of_acknowledged_prefix(tmp_path):
-    """The core property over a seeded mixed workload (inserts+deletes)."""
+    """The core property over a seeded mixed workload (inserts+deletes),
+    under every fsync policy."""
     rows = base_rows(30)
-    service = DetectionService(data_dir=tmp_path, fsync="always")
-    service.create_session("t", "s", spec(rows))
-    alive = [row[0] for row in rows]
-    acked = list(rows)
-    for i in range(40, 90):
-        if i % 4 == 0 and alive:
-            victim = alive.pop(i % len(alive))
-            service.update("t", "s", deleted=[victim])
-            acked = [row for row in acked if row[0] != victim]
-        else:
-            row = [i, 44, f"Z{i % 5}", f"S{i % 3}" if i % 6 else "CONFLICT"]
-            service.update("t", "s", inserted=[row])
-            acked.append(row)
-            alive.append(i)
-    revived = DetectionService(data_dir=tmp_path, fsync="always")
-    assert resident_ids(revived, "t", "s") == sorted(r[0] for r in acked)
-    assert served_violations(revived, "t", "s") == as_comparable(oracle(acked))
-    assert revived.verify("t", "s")["ok"]
+    for fsync in ("always", "batch", "off"):
+        data_dir = tmp_path / fsync
+        service = DetectionService(data_dir=data_dir, fsync=fsync)
+        service.create_session("t", "s", spec(rows))
+        alive = [row[0] for row in rows]
+        acked = list(rows)
+        for i in range(40, 90):
+            if i % 4 == 0 and alive:
+                victim = alive.pop(i % len(alive))
+                service.update("t", "s", deleted=[victim])
+                acked = [row for row in acked if row[0] != victim]
+            else:
+                row = [i, 44, f"Z{i % 5}", f"S{i % 3}" if i % 6 else "CONFLICT"]
+                service.update("t", "s", inserted=[row])
+                acked.append(row)
+                alive.append(i)
+        if fsync == "off":
+            # 'off' buffers records until a checkpoint or close: only a
+            # closed store promises them to a restart
+            service.registry.store.close()
+        revived = DetectionService(data_dir=data_dir, fsync=fsync)
+        assert revived.recovered == 1, fsync
+        assert resident_ids(revived, "t", "s") == sorted(r[0] for r in acked)
+        assert served_violations(revived, "t", "s") == as_comparable(
+            oracle(acked)
+        ), fsync
+        assert revived.verify("t", "s")["ok"], fsync
 
 
 def test_checkpoint_truncates_wal_and_bounds_replay(tmp_path):

@@ -4,26 +4,29 @@ Covers admission control (token-bucket rates, rows-per-update and
 per-tenant session/ticket caps), per-session circuit breakers driven by
 deterministic ``fold-fail@N`` fault plans, deadline-aware group commit,
 the background scrubber's quarantine path (``verify-drift@N``), the
-tenant-fair LRU shed, the lock-free slow-create path, the HTTP
+tenant-fair LRU shed, the lock-free slow-create path and the HTTP
 surfaces (413 body cap, 429/503 + ``Retry-After``, truthful
-``/healthz``) and the harness client's capped 429 retry loop.
+``/healthz``).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
-from email.message import Message
 
 import pytest
 
-from repro.core import FaultPlan, fault_plan
+from repro.core import (
+    FaultPlan,
+    detect_violations_reference,
+    fault_plan,
+    parse_cfd,
+)
 from repro.core.faults import FoldFaultInjected
-from repro.experiments.harness import request_json
+from repro.relational import Relation, Schema
 from repro.serve import (
     Backpressure,
     BadSessionSpec,
@@ -506,6 +509,12 @@ def test_http_governor_surfaces():
         assert headers.get("Retry-After") is not None
         assert "rows per update" in payload["error"]
 
+        accepted = [3050, 44, "Z1", "ACCEPTED"]
+        status, _, _ = http(
+            base, "POST", "/v1/t/sessions/s/update", {"inserted": [accepted]}
+        )
+        assert status == 200
+
         # trip the breaker (threshold 1) through the real fold path,
         # then observe 503 + Retry-After and a truthful /healthz
         with fault_plan(FaultPlan.parse("fold-fail@0")):
@@ -527,78 +536,27 @@ def test_http_governor_surfaces():
         assert health["ok"] is False and health["breakers_open"] == ["t/s"]
         status, live, _ = http(base, "GET", "/healthz?live=1")
         assert status == 200 and live["live"] is True
+
+        # the served report equals the reference over the base rows plus
+        # exactly the accepted update: no shed (429), failed (500) or
+        # refused (503) request left a trace, and the accepted one held
+        status, report, _ = http(base, "GET", "/v1/t/sessions/s/detect")
+        assert status == 200
+        expected = detect_violations_reference(
+            Relation(
+                Schema(SCHEMA["name"], SCHEMA["attributes"], SCHEMA["key"]),
+                [tuple(row) for row in base_rows(20) + [accepted]],
+            ),
+            parse_cfd(CFD),
+        )
+        assert report["n_violations"] == len(expected.violations)
+        assert {tuple(k) for k in report["tuple_keys"]} == set(
+            expected.tuple_keys
+        )
     finally:
         instance.shutdown()
         service.close()
         instance.server_close()
-
-
-# -- the harness client's 429 retry loop --------------------------------------
-
-
-class _Response:
-    def __init__(self, payload: dict) -> None:
-        self._payload = payload
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self) -> bytes:
-        return json.dumps(self._payload).encode()
-
-
-def _http_error(code: int, retry_after: str | None = None):
-    headers = Message()
-    if retry_after is not None:
-        headers["Retry-After"] = retry_after
-    return urllib.error.HTTPError(
-        "http://test/", code, "status", headers, io.BytesIO(b"{}")
-    )
-
-
-def _scripted_opener(script: list):
-    def opener(request, timeout=None):
-        outcome = script.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    return opener
-
-
-def test_request_json_retries_429_with_capped_retry_after():
-    script = [
-        _http_error(429, "0.01"),
-        _http_error(429, "9999"),  # adversarial backoff: must be capped
-        _http_error(429, "soon"),  # malformed: falls back to a tiny pause
-        _Response({"ok": True}),
-    ]
-    backpressured = [0]
-    start = time.perf_counter()
-    result = request_json(
-        object(),
-        opener=_scripted_opener(script),
-        on_backpressure=lambda: backpressured.__setitem__(
-            0, backpressured[0] + 1
-        ),
-        max_retry_after=0.05,
-    )
-    elapsed = time.perf_counter() - start
-    assert result == {"ok": True}
-    assert backpressured[0] == 3
-    assert not script  # every scripted step was consumed
-    assert elapsed < 2.0  # the 9999s Retry-After was capped, not honored
-
-
-def test_request_json_fails_fast_on_circuit_open_503():
-    script = [_http_error(503, "30"), _Response({"never": "reached"})]
-    with pytest.raises(urllib.error.HTTPError) as failed:
-        request_json(object(), opener=_scripted_opener(script))
-    assert failed.value.code == 503
-    assert len(script) == 1  # no retry consumed the success
 
 
 # -- stats surfaces -----------------------------------------------------------
