@@ -38,11 +38,9 @@ Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
 accept a scoped ``--engine`` override), ``REPRO_SQL_BACKEND`` (database
 behind the sql engine: ``sqlite``, ``duckdb`` or ``auto``; unknown or
-unavailable backends abort with exit code 2), ``REPRO_WORKERS`` /
-``REPRO_PARALLEL`` (parallel scheduler), ``REPRO_POOL_TIMEOUT`` /
-``REPRO_POOL_RETRIES`` / ``REPRO_POOL_DEGRADE`` (worker supervision),
-``REPRO_FAULTS`` (deterministic fault injection; ``detect --fault-plan``
-scopes a plan to one run), ``REPRO_NUMPY`` (array backend opt-out),
+unavailable backends abort with exit code 2), ``REPRO_FAULTS``
+(deterministic disk/serve fault injection), ``REPRO_NUMPY`` (array
+backend opt-out),
 ``REPRO_INCREMENTAL`` (structural store sharing of delta relations),
 ``REPRO_SCALE`` (dataset scale) — see the README's table.  Malformed
 knob values abort with exit code 2 before any data is loaded.
@@ -155,17 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-fragment detection engine for this run (overrides "
         "REPRO_ENGINE; 'sql' runs each scan on the configured "
         "REPRO_SQL_BACKEND database)",
-    )
-    detect.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the per-fragment scans on N workers (overrides "
-        "REPRO_WORKERS; REPRO_PARALLEL picks threads or processes)",
-    )
-    detect.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="inject deterministic faults into the scheduler for this run "
-        "(same grammar as REPRO_FAULTS, e.g. 'crash@0,corrupt@3' or "
-        "'seed=13,rate=0.05'); recovery statistics print afterwards",
     )
     detect.add_argument(
         "--updates", type=float, default=None, metavar="FRAC",
@@ -337,39 +324,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    from collections import Counter
-
-    from .core.faults import STATS, FaultPlan, FaultSpecError, fault_plan
-
-    plan = None
-    if args.fault_plan is not None:
-        try:
-            plan = FaultPlan.parse(args.fault_plan)
-        except FaultSpecError as error:
-            print(f"error: invalid --fault-plan: {error}", file=sys.stderr)
-            return 2
-
-    def run() -> int:
-        if plan is None:
-            return _run_detect(args)
-        before = Counter(STATS)
-        with fault_plan(plan):
-            code = _run_detect(args)
-        delta = {
-            name: STATS[name] - before[name]
-            for name in sorted(STATS)
-            if STATS[name] - before[name]
-        }
-        recovered = (
-            " ".join(f"{name}={count}" for name, count in delta.items())
-            or "no faults fired"
-        )
-        print(f"fault plan {plan!r}: {recovered}")
-        return code
-
-    with _env_override("REPRO_WORKERS", args.workers):
-        with _env_override("REPRO_ENGINE", args.engine):
-            return run()
+    with _env_override("REPRO_ENGINE", args.engine):
+        return _run_detect(args)
 
 
 def _run_detect(args: argparse.Namespace) -> int:
@@ -679,17 +635,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
     try:
-        # same fail-loudly treatment for the scheduler knobs: surface the
+        # same fail-loudly treatment for every other knob: surface the
         # typo before any data is loaded, not as a mid-detection traceback
-        from .core import active_plan, resolve_mode, resolve_workers
-        from .core.parallel import resolve_order_retries, resolve_order_timeout
+        from .core import active_plan
         from .core.sql import resolve_sql_backend
 
         resolve_sql_backend()
-        resolve_workers()
-        resolve_mode()
-        resolve_order_timeout()
-        resolve_order_retries()
         active_plan()  # a malformed REPRO_FAULTS raises FaultSpecError
 
         from .core.sql import resolve_handle_cap

@@ -157,30 +157,21 @@ def detect_violations_reference(
     relation: Relation,
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
-    parallel: int | bool | None = None,
 ) -> ViolationReport:
     """``Vioπ(Σ, D)`` by the literal per-normal-form SQL plan of [2].
 
     This is the reference oracle: the fused engine and every distributed
     algorithm must agree with it bit-for-bit (violations and tuple keys),
     which the test suite asserts both on the paper's running example and
-    property-based random instances.  ``parallel`` (default: the
-    ``REPRO_WORKERS`` environment) runs the per-CFD scans on a thread
-    pool; reports merge in CFD order, so the answer never depends on the
-    concurrency.
+    property-based random instances.  Reports merge in CFD order.
     """
-    from .parallel import parallel_map
-
     if isinstance(cfds, CFD):
         cfds = [cfds]
     return ViolationReport.union(
-        parallel_map(
-            lambda normalized: detect_normalized(
-                relation, normalized, collect_tuples
-            ),
-            normalize_all(cfds),
-            workers=parallel,
-        )
+        [
+            detect_normalized(relation, normalized, collect_tuples)
+            for normalized in normalize_all(cfds)
+        ]
     )
 
 
@@ -193,13 +184,12 @@ def detect_violations(
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
     engine: str | None = None,
-    parallel: int | bool | None = None,
 ) -> ViolationReport:
     """``Vioπ(Σ, D)`` (plus violating tuple keys) on a centralized relation.
 
     This is the library's central detection entry point: the CLI, the
     experiment harness and every distributed detector's local check land
-    here.  Two orthogonal knobs select how the plan executes:
+    here.  One knob selects how the plan executes:
 
     ``engine``
         The execution backend: ``"fused"`` (single-pass columnar
@@ -213,12 +203,6 @@ def detect_violations(
         ``REPRO_ENGINE`` environment variable decides, defaulting to
         ``"auto"`` — the fused engine with vectorized folds whenever numpy
         is active and the relation is large enough for them to pay off.
-    ``parallel``
-        Worker count for the per-normal-form folds (a thread pool; see
-        :mod:`repro.core.parallel`).  When ``None``, the ``REPRO_WORKERS``
-        environment variable decides, defaulting to serial.  Whatever the
-        setting, the report is bit-identical to a serial run — the
-        conformance suite asserts it per engine.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "auto")
@@ -226,17 +210,13 @@ def detect_violations(
         from .fused import fused_detect
 
         vectorize = {"auto": None, "fused": False, "fused-numpy": True}[engine]
-        return fused_detect(relation, cfds, collect_tuples, vectorize, parallel)
+        return fused_detect(relation, cfds, collect_tuples, vectorize)
     if engine == "reference":
-        return detect_violations_reference(
-            relation, cfds, collect_tuples, parallel
-        )
+        return detect_violations_reference(relation, cfds, collect_tuples)
     if engine == "sql":
         from .sql import detect_violations_sql
 
-        return detect_violations_sql(
-            relation, cfds, collect_tuples, parallel=parallel
-        )
+        return detect_violations_sql(relation, cfds, collect_tuples)
     raise ValueError(
         f"unknown detection engine {engine!r}; "
         f"use one of {', '.join(ENGINES)} (or 'auto')"

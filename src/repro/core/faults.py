@@ -1,74 +1,42 @@
-"""Deterministic fault injection for the distributed scheduler.
+"""Deterministic fault injection for the durable, governed service.
 
-The paper's setting — detection over *fragmented, distributed* data —
-treats sites and links as real failure domains, yet a simulation is only
-honest about that if every failure mode is **reproducible**: a worker
-crash that appears once per thousand CI runs is a flake, not a test.
-This module makes failures first-class and deterministic:
+Disks die and folds fail, yet a simulation is only honest about that if
+every failure mode is **reproducible**: a torn write that appears once
+per thousand CI runs is a flake, not a test.  This module makes failures
+first-class and deterministic:
 
-* a :class:`FaultPlan` maps **order sequence numbers** (a global,
-  monotonically increasing counter of work orders the scheduler
-  dispatches — every send *attempt* consumes one) to fault kinds:
-
-  - ``crash``  — the worker process serving the order exits hard
-    (``os._exit``), exactly like a killed site;
-  - ``drop``   — the worker consumes the order but never answers, like a
-    lost response payload (the parent's per-order timeout fires);
-  - ``corrupt`` — the worker flips the CRC32 checksum on its shipped
-    summary, so the coordinator-side verification fails and triggers a
-    single re-request;
-  - ``slow``   — the worker sleeps ``latency`` seconds before answering,
-    a straggler site.
-
-  In *thread* mode (no processes, no wire) every kind degenerates to the
-  matching typed :class:`WorkerFailure` raised at the order's position,
-  so the supervision ladder — bounded retry, then serial fallback — is
-  exercised identically in both modes.  Serial execution never consults
-  the plan: the degradation ladder's last rung must always succeed.
+* a :class:`FaultPlan` maps **order sequence numbers** to fault kinds.
+  Every family of kinds counts on its own monotonically increasing
+  sequence — one order per WAL append (:data:`DISK_FAULT_KINDS`), per
+  session fold attempt and per scrubber verify
+  (:data:`SERVE_FAULT_KINDS`) — so disk chaos and serve chaos compose in
+  one plan without renumbering each other.
 
 * activation via the ``REPRO_FAULTS`` environment variable or the
   :func:`install_fault_plan` / :func:`fault_plan` API.  The spec grammar
-  is comma-separated directives::
+  is comma-separated ``kind@order`` entries::
 
-      REPRO_FAULTS="crash@3,corrupt@7,slow@2,drop@11,latency=0.005"
-      REPRO_FAULTS="seed=13,rate=0.05"          # seeded random faults
-      REPRO_FAULTS="seed=13,rate=0.05,kinds=crash|drop"
-      REPRO_FAULTS="torn-write@2,fsync-fail@5"  # disk faults (WAL appends)
+      REPRO_FAULTS="torn-write@2,fsync-fail@5"   # disk faults (WAL appends)
+      REPRO_FAULTS="fold-fail@0,verify-drift@3"  # serve faults
 
-  Explicit ``kind@order`` entries fire **once** (so a retried order
-  succeeds and recovery is observable); seeded random faults draw
-  per-order from ``random.Random(f"{seed}|{order}")`` — deterministic
-  for a given seed whatever the host or interleaving.
+  Each entry fires **once**, so a retried operation succeeds and recovery
+  is observable.  Anything else — an unknown kind, a non-integer order, a
+  bare word or an ``option=value`` — is a :class:`FaultSpecError`.
 
-* the typed error ladder every scheduler failure resolves to:
-  :class:`WorkerCrashError`, :class:`OrderTimeoutError`,
-  :class:`PayloadCorruptionError` — all :class:`WorkerFailure`, which is
-  what callers (and the graceful-degradation path in
-  :func:`repro.core.parallel.map_fragments`) catch.  Application errors
-  raised by the task function are *not* wrapped: a detection bug must
-  not masquerade as an infrastructure failure.
-
-* :data:`STATS`, a process-wide counter of recoveries (respawns,
-  re-requests, timeouts, degraded runs) that the chaos suite and the
-  ``robustness`` bench legs assert against — recovery must be visible,
-  not just survivable.
+Injected faults surface as the exception the real failure would raise
+(:class:`DiskFaultInjected` is an :class:`OSError`,
+:class:`FoldFaultInjected` a plain :class:`RuntimeError`), so chaos tests
+exercise the production handling path, not a special injected one.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import threading
-from collections import Counter
 from typing import Iterable, Mapping
 
-#: fault kinds a plan can inject, in priority order when several target
-#: the same order.
-FAULT_KINDS = ("crash", "drop", "corrupt", "slow")
-
-#: disk fault kinds, keyed by an independent **disk order** counter (one
-#: per WAL append) so scheduler chaos and durability chaos compose in one
-#: plan without renumbering each other:
+#: disk fault kinds, keyed by the **disk order** counter (one per WAL
+#: append):
 #:
 #: - ``torn-write``  — the append writes only a prefix of the record
 #:   frame, then fails, exactly like a crash mid-``write(2)``;
@@ -79,7 +47,7 @@ FAULT_KINDS = ("crash", "drop", "corrupt", "slow")
 DISK_FAULT_KINDS = ("torn-write", "bit-flip", "fsync-fail")
 
 #: resident-service fault kinds, each on its own order counter so serve
-#: chaos composes with scheduler and disk chaos in one plan:
+#: chaos composes with disk chaos in one plan:
 #:
 #: - ``fold-fail``    — the Nth session fold attempt raises before any
 #:   state mutates (one order per fold attempt); drives the per-session
@@ -88,33 +56,6 @@ DISK_FAULT_KINDS = ("torn-write", "bit-flip", "fsync-fail")
 #:   (one order per scrub verify); drives the quarantine path without
 #:   needing to actually corrupt resident state.
 SERVE_FAULT_KINDS = ("fold-fail", "verify-drift")
-
-#: process-wide recovery statistics: ``respawns``, ``re_requests``,
-#: ``timeouts``, ``crashes``, ``retries``, ``degraded_runs``.  Tests and
-#: the robustness bench snapshot it before/after a run.
-STATS: Counter = Counter()
-
-
-class WorkerFailure(RuntimeError):
-    """Base of the scheduler's *infrastructure* failures.
-
-    Raised when a worker process, pipe or payload failed — never when the
-    task function itself raised (application errors propagate unwrapped).
-    :func:`repro.core.parallel.map_fragments` catches exactly this type
-    for its graceful-degradation ladder.
-    """
-
-
-class WorkerCrashError(WorkerFailure):
-    """A worker process died (sentinel/exitcode or EOF on its pipe)."""
-
-
-class OrderTimeoutError(WorkerFailure):
-    """A work order's per-order deadline expired without an answer."""
-
-
-class PayloadCorruptionError(WorkerFailure):
-    """A shipped summary failed its CRC32 check (even after re-request)."""
 
 
 class FaultSpecError(ValueError):
@@ -144,32 +85,16 @@ class FoldFaultInjected(RuntimeError):
 class FaultPlan:
     """A deterministic schedule of injected faults, keyed by order number.
 
-    ``crash`` / ``drop`` / ``corrupt`` / ``slow`` are iterables of order
-    sequence numbers; each explicit entry fires at most once.  ``rate``
-    adds seeded random faults on top: every order draws from
-    ``random.Random(f"{seed}|{order}")`` and faults with probability
-    ``rate``, choosing uniformly among ``kinds``.  ``latency`` is the
-    sleep injected by ``slow`` faults.  Thread-safe: the scheduler may
-    consult one plan from several threads.
+    ``disk`` and ``serve`` map a fault kind to the order sequence numbers
+    it fires at; each entry fires at most once.  Thread-safe: the
+    resident service consults one plan from several request threads.
     """
 
     def __init__(
         self,
-        crash=(),
-        drop=(),
-        corrupt=(),
-        slow=(),
-        latency: float = 0.002,
-        rate: float = 0.0,
-        seed: int = 0,
-        kinds=FAULT_KINDS,
         disk: Mapping[str, Iterable[int]] | None = None,
         serve: Mapping[str, Iterable[int]] | None = None,
     ) -> None:
-        self.crash = frozenset(crash)
-        self.drop = frozenset(drop)
-        self.corrupt = frozenset(corrupt)
-        self.slow = frozenset(slow)
         self.disk = {kind: frozenset() for kind in DISK_FAULT_KINDS}
         for kind, orders in (disk or {}).items():
             if kind not in DISK_FAULT_KINDS:
@@ -185,22 +110,10 @@ class FaultPlan:
                     f"use {SERVE_FAULT_KINDS}"
                 )
             self.serve[kind] = frozenset(orders)
-        self.latency = float(latency)
-        self.rate = float(rate)
-        self.seed = seed
-        self.kinds = tuple(kinds)
-        unknown = set(self.kinds) - set(FAULT_KINDS)
-        if unknown:
-            raise FaultSpecError(
-                f"unknown fault kinds {sorted(unknown)}; use {FAULT_KINDS}"
-            )
-        if not 0.0 <= self.rate <= 1.0:
-            raise FaultSpecError("fault rate must be in [0, 1]")
-        self._next = 0
+        #: independent counters: one per WAL append, one per session fold
+        #: attempt and one per scrubber verify, so ``fold-fail@3`` means
+        #: the 4th fold whatever the WAL is doing
         self._disk_next = 0
-        #: independent serve-side counters: one per session fold attempt
-        #: and one per scrubber verify, so ``fold-fail@3`` means the 4th
-        #: fold whatever the scheduler or the WAL are doing
         self._fold_next = 0
         self._verify_next = 0
         self._fired: set[tuple[str, int]] = set()
@@ -209,120 +122,51 @@ class FaultPlan:
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from the ``REPRO_FAULTS`` grammar (see module doc)."""
-        orders: dict[str, list[int]] = {kind: [] for kind in FAULT_KINDS}
         disk_orders: dict[str, list[int]] = {
             kind: [] for kind in DISK_FAULT_KINDS
         }
         serve_orders: dict[str, list[int]] = {
             kind: [] for kind in SERVE_FAULT_KINDS
         }
-        options: dict[str, object] = {}
         for raw in spec.split(","):
             part = raw.strip()
             if not part:
                 continue
-            if "@" in part:
-                kind, _, position = part.partition("@")
-                kind = kind.strip()
-                if (
-                    kind not in orders
-                    and kind not in disk_orders
-                    and kind not in serve_orders
-                ):
-                    raise FaultSpecError(
-                        f"unknown fault kind {kind!r} in REPRO_FAULTS "
-                        f"entry {part!r}; use one of "
-                        f"{FAULT_KINDS + DISK_FAULT_KINDS + SERVE_FAULT_KINDS}"
-                    )
-                try:
-                    if kind in orders:
-                        target = orders
-                    elif kind in disk_orders:
-                        target = disk_orders
-                    else:
-                        target = serve_orders
-                    target[kind].append(int(position))
-                except ValueError:
-                    raise FaultSpecError(
-                        f"fault order must be an integer in {part!r}"
-                    ) from None
-            elif "=" in part:
-                name, _, value = part.partition("=")
-                name = name.strip()
-                if name == "kinds":
-                    options["kinds"] = tuple(
-                        k.strip() for k in value.split("|") if k.strip()
-                    )
-                elif name in ("latency", "rate"):
-                    try:
-                        options[name] = float(value)
-                    except ValueError:
-                        raise FaultSpecError(
-                            f"{name} must be a float in {part!r}"
-                        ) from None
-                elif name == "seed":
-                    try:
-                        options["seed"] = int(value)
-                    except ValueError:
-                        raise FaultSpecError(
-                            f"seed must be an integer in {part!r}"
-                        ) from None
-                else:
-                    raise FaultSpecError(
-                        f"unknown REPRO_FAULTS option {name!r} in {part!r}"
-                    )
-            else:
+            kind, at, position = part.partition("@")
+            if not at:
                 raise FaultSpecError(
                     f"cannot parse REPRO_FAULTS entry {part!r}; expected "
-                    "kind@order or option=value"
+                    "kind@order"
                 )
-        return cls(
-            crash=orders["crash"],
-            drop=orders["drop"],
-            corrupt=orders["corrupt"],
-            slow=orders["slow"],
-            disk=disk_orders,
-            serve=serve_orders,
-            **options,
-        )
+            kind = kind.strip()
+            if kind in disk_orders:
+                target = disk_orders
+            elif kind in serve_orders:
+                target = serve_orders
+            else:
+                raise FaultSpecError(
+                    f"unknown fault kind {kind!r} in REPRO_FAULTS "
+                    f"entry {part!r}; use one of "
+                    f"{DISK_FAULT_KINDS + SERVE_FAULT_KINDS}"
+                )
+            try:
+                target[kind].append(int(position))
+            except ValueError:
+                raise FaultSpecError(
+                    f"fault order must be an integer in {part!r}"
+                ) from None
+        return cls(disk=disk_orders, serve=serve_orders)
 
-    def next_order(self) -> int:
-        """Allot the next global order sequence number (one per attempt)."""
+    def _fire(self, kind: str, orders: frozenset, order: int) -> bool:
+        """Whether ``kind`` fires at ``order`` — at most once per entry."""
         with self._lock:
-            order = self._next
-            self._next = order + 1
-            return order
-
-    def fault_for(self, order: int) -> tuple[str, float] | None:
-        """The fault to inject at ``order`` (one-shot), or ``None``.
-
-        Returns ``(kind, latency)`` so the directive crosses a pipe as
-        one small tuple.  Explicit entries take priority over the seeded
-        random draw and fire at most once each — a retried order (which
-        consumes a *fresh* sequence number anyway) can always succeed.
-        """
-        with self._lock:
-            for kind in FAULT_KINDS:
-                if order in getattr(self, kind):
-                    if (kind, order) in self._fired:
-                        continue
-                    self._fired.add((kind, order))
-                    return (kind, self.latency)
-            if self.rate:
-                rng = random.Random(f"{self.seed}|{order}")
-                if rng.random() < self.rate:
-                    kind = self.kinds[rng.randrange(len(self.kinds))]
-                    return (kind, self.latency)
-        return None
+            if order in orders and (kind, order) not in self._fired:
+                self._fired.add((kind, order))
+                return True
+        return False
 
     def next_disk_order(self) -> int:
-        """Allot the next disk order number (one per WAL append attempt).
-
-        An independent counter from :meth:`next_order`: scheduler faults
-        and disk faults in one plan target their own sequences, so
-        ``crash@3,torn-write@3`` means the 4th work order *and* the 4th
-        WAL append, not a collision.
-        """
+        """Allot the next disk order number (one per WAL append attempt)."""
         with self._lock:
             order = self._disk_next
             self._disk_next = order + 1
@@ -330,13 +174,9 @@ class FaultPlan:
 
     def disk_fault_for(self, order: int) -> str | None:
         """The disk fault kind to inject at disk ``order`` (one-shot)."""
-        with self._lock:
-            for kind in DISK_FAULT_KINDS:
-                if order in self.disk[kind]:
-                    if (kind, order) in self._fired:
-                        continue
-                    self._fired.add((kind, order))
-                    return kind
+        for kind in DISK_FAULT_KINDS:
+            if self._fire(kind, self.disk[kind], order):
+                return kind
         return None
 
     def next_fold_order(self) -> int:
@@ -348,12 +188,7 @@ class FaultPlan:
 
     def fold_fault_for(self, order: int) -> bool:
         """Whether the fold at serve ``order`` must fail (one-shot)."""
-        with self._lock:
-            if order in self.serve["fold-fail"]:
-                if ("fold-fail", order) not in self._fired:
-                    self._fired.add(("fold-fail", order))
-                    return True
-        return False
+        return self._fire("fold-fail", self.serve["fold-fail"], order)
 
     def next_verify_order(self) -> int:
         """Allot the next scrub verify order number (one per check)."""
@@ -364,17 +199,11 @@ class FaultPlan:
 
     def verify_fault_for(self, order: int) -> bool:
         """Whether the scrub check at ``order`` reports drift (one-shot)."""
-        with self._lock:
-            if order in self.serve["verify-drift"]:
-                if ("verify-drift", order) not in self._fired:
-                    self._fired.add(("verify-drift", order))
-                    return True
-        return False
+        return self._fire("verify-drift", self.serve["verify-drift"], order)
 
     def reset(self) -> None:
         """Forget fired entries and restart every order counter."""
         with self._lock:
-            self._next = 0
             self._disk_next = 0
             self._fold_next = 0
             self._verify_next = 0
@@ -383,21 +212,10 @@ class FaultPlan:
     def __repr__(self) -> str:
         parts = [
             f"{kind}@{order}"
-            for kind in FAULT_KINDS
-            for order in sorted(getattr(self, kind))
+            for orders in (self.disk, self.serve)
+            for kind in orders
+            for order in sorted(orders[kind])
         ]
-        parts.extend(
-            f"{kind}@{order}"
-            for kind in DISK_FAULT_KINDS
-            for order in sorted(self.disk[kind])
-        )
-        parts.extend(
-            f"{kind}@{order}"
-            for kind in SERVE_FAULT_KINDS
-            for order in sorted(self.serve[kind])
-        )
-        if self.rate:
-            parts.append(f"rate={self.rate} seed={self.seed}")
         return f"FaultPlan({', '.join(parts) or 'empty'})"
 
 
@@ -444,17 +262,6 @@ def active_plan() -> FaultPlan | None:
     if _ENV_PLAN is None or _ENV_PLAN[0] != spec:
         _ENV_PLAN = (spec, FaultPlan.parse(spec))
     return _ENV_PLAN[1]
-
-
-def failure_for(kind: str, order: int) -> WorkerFailure:
-    """The typed failure a fault ``kind`` resolves to (thread-mode path)."""
-    if kind == "crash":
-        return WorkerCrashError(f"injected worker crash at order {order}")
-    if kind == "drop":
-        return OrderTimeoutError(f"injected dropped payload at order {order}")
-    return PayloadCorruptionError(
-        f"injected payload corruption at order {order}"
-    )
 
 
 def disk_failure_for(kind: str, order: int) -> DiskFaultInjected:

@@ -494,43 +494,19 @@ class FusedDetector:
         relation: Relation,
         collect_tuples: bool = True,
         vectorize: bool | None = None,
-        parallel: int | bool | None = None,
     ) -> ViolationReport:
         """``Vioπ(Σ, D)`` plus violating tuple keys, fused over one encoding
         pass of ``relation``.
 
         ``vectorize`` selects the fold implementation: ``True`` the
         numpy kernels, ``False`` the pure-Python ones, ``None`` (default)
-        auto-selects (see :func:`_resolve_vectorize`).  ``parallel``
-        (default: the ``REPRO_WORKERS`` environment) fans the per-normal-
-        form folds out over a thread pool when there is more than one form;
-        the per-form reports merge in form order, so the result is
-        bit-identical to a serial run (the folds share the relation's
-        columnar caches, which is why this tier always uses threads — see
-        :mod:`repro.core.parallel`).
+        auto-selects (see :func:`_resolve_vectorize`).
         """
-        from .parallel import parallel_enabled, parallel_map
-
         vectorize = _resolve_vectorize(vectorize, relation)
         # resolve the key-collection breadcrumb once per call: both scans of
         # a first detection must take the one-shot path even if the constant
         # scan collects (and flips the flag) before the variable scan runs
         keys_hot = column_store(relation).scratch.get("keys_collected", False)
-        n_forms = len(self._constants) + len(self._variables)
-        if relation.rows and n_forms > 1 and parallel_enabled(parallel):
-            def scan_form(form):
-                if isinstance(form, ConstantCFD):
-                    return _scan_constants(
-                        relation, [form], collect_tuples, vectorize, keys_hot
-                    )
-                return _scan_variables(
-                    relation, [form], collect_tuples, vectorize, keys_hot
-                )
-
-            forms = list(self._constants) + list(self._variables)
-            return ViolationReport.union(
-                parallel_map(scan_form, forms, workers=parallel)
-            )
         report = _scan_constants(
             relation, self._constants, collect_tuples, vectorize, keys_hot
         )
@@ -546,7 +522,6 @@ def fused_detect(
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
     vectorize: bool | None = None,
-    parallel: int | bool | None = None,
 ) -> ViolationReport:
     """One-shot fused detection (compile Σ, then :meth:`FusedDetector.detect`)."""
-    return FusedDetector(cfds).detect(relation, collect_tuples, vectorize, parallel)
+    return FusedDetector(cfds).detect(relation, collect_tuples, vectorize)

@@ -121,10 +121,10 @@ def sort_patterns_by_generality(
     )
 
 
-#: guards the LRU reorder/evict mutations below — the thread scheduler
-#: calls these memos from workers, and a hit must never make the entry
-#: momentarily invisible to a concurrent reader (which would recompute
-#: exactly what the memo exists to remember).  The critical sections are
+#: guards the LRU reorder/evict mutations below — the resident service's
+#: request threads call these memos concurrently, and a hit must never
+#: make the entry momentarily invisible to a concurrent reader (which
+#: would recompute exactly what the memo exists to remember).  The critical sections are
 #: a few dict operations, far from any hot per-row path.
 _MEMO_LOCK = threading.Lock()
 
@@ -292,8 +292,7 @@ class PatternIndex:
 
 #: value-keyed memo of :func:`pattern_index` (same rationale and LRU
 #: bounding as the :func:`normalize` memo: one trie per distinct tableau,
-#: shared by every site, worker and repeat detection that partitions with
-#: it).
+#: shared by every site and repeat detection that partitions with it).
 _INDEX_MEMO: dict[tuple, PatternIndex] = {}
 _INDEX_MEMO_CAP = 512
 
@@ -302,8 +301,7 @@ def pattern_index(patterns: tuple[tuple[object, ...], ...]) -> PatternIndex:
     """The (memoized) :class:`PatternIndex` of a pattern tableau.
 
     Pattern rows are immutable value tuples, so the σ trie is a pure
-    function of them; the memo also lets the parallel scheduler's worker
-    processes rebuild each trie once and reuse it across work orders.
+    function of them.
     """
     cached = _memo_get(_INDEX_MEMO, patterns)
     if cached is not None:

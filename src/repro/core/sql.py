@@ -679,7 +679,7 @@ class SQLRelationHandle:
     """A relation loaded once into a database, ready for repeated detection.
 
     Holds the connection, the compiled-statement cache and a lock (the
-    detection scheduler calls engines from worker threads).  Obtained via
+    resident service calls engines from request threads).  Obtained via
     :func:`sql_handle`, which keeps a small LRU of live handles so repeat
     detections on the same relation skip the load entirely.
     """
@@ -887,7 +887,6 @@ def detect_violations_sql(
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
     backend: str | None = None,
-    parallel: int | bool | None = None,
 ) -> ViolationReport:
     """``Vioπ(Σ, D)`` plus tuple keys, computed inside a SQL database.
 
@@ -897,12 +896,7 @@ def detect_violations_sql(
     ``Q_V`` GROUP BYs — see the module docstring for the exact NULL and
     typing contract) and decodes result rows back into a
     :class:`ViolationReport` bit-identical to the reference engine.
-
-    ``parallel`` is accepted for dispatcher signature parity; intra-query
-    parallelism belongs to the database (duckdb runs with ``PRAGMA
-    threads``), and the answer never depends on it.
     """
-    del parallel  # the database parallelizes internally
     if isinstance(cfds, CFD):
         cfds = [cfds]
     cfds = list(cfds)

@@ -14,23 +14,18 @@ All three single-CFD algorithms follow the same skeleton:
 This module implements the skeleton; the algorithm modules plug in their
 coordinator-selection strategies.
 
-Since PR 3 the skeleton executes on two subsystems layered over the
-columnar backend:
+The sites' parallelism is *modelled* (:mod:`repro.distributed.cost`
+takes the max over sites), not executed: step 2 runs one
+:func:`partition_fragment_summary` per site through :func:`scan_sites`,
+one site after another in site order.
 
-* **Parallel fragment scans** — step 2 runs one
-  :func:`partition_fragment_summary` per site through
-  :func:`repro.core.parallel.map_fragments`, concurrently when
-  ``REPRO_WORKERS`` asks for it (threads by default,
-  ``REPRO_PARALLEL=process`` for fragment-resident worker processes).
-  Results come back in site order, so parallel runs are bit-identical to
-  serial ones.
-* **Shared dictionaries** — each cluster keeps one
-  :class:`~repro.relational.shareddict.SharedPairDictionary` per variable
-  CFD.  A fragment's scan returns its *local* distinct ``X ∪ A``
-  combinations once (the local dictionary, shipped like the ``lstat``
-  control traffic); afterwards every bucket crosses sites as ``(x_code,
-  y_code)`` int pairs, and :func:`coordinator_check` detects conflicts
-  directly on the code pairs, decoding only the violating ``X`` values.
+Shipments are dictionary-coded: each cluster keeps one
+:class:`~repro.relational.shareddict.SharedPairDictionary` per variable
+CFD.  A fragment's scan returns its *local* distinct ``X ∪ A``
+combinations once (the local dictionary, shipped like the ``lstat``
+control traffic); afterwards every bucket crosses sites as ``(x_code,
+y_code)`` int pairs, and :func:`coordinator_check` detects conflicts
+directly on the code pairs, decoding only the violating ``X`` values.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from ..core import (
     normalize,
     pattern_index,
 )
-from ..core.parallel import map_fragments
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -129,6 +123,11 @@ def ship_projection_schema(schema: Schema, variable: VariableCFD) -> Schema:
     return schema.project(variable.attributes)
 
 
+def scan_sites(fragments: Sequence[Relation], fn, tasks) -> list:
+    """The site-local step: ``fn(fragments[i], *args)`` per ``(i, args)`` task."""
+    return [fn(fragments[i], *args) for i, args in tasks]
+
+
 def group_occupancy(fragment: Relation, attributes: Sequence[str]) -> list[int]:
     """Rows per distinct combination of ``attributes`` (cached per store).
 
@@ -163,7 +162,7 @@ def partition_fragment_summary(
 ):
     """σ-partition one fragment into dictionary-coded bucket summaries.
 
-    The worker-side scan of step 2: the fragment's cached composite key
+    The site-local scan of step 2: the fragment's cached composite key
     column assigns each row the ordinal of its distinct ``X ∪ A``
     combination, σ is probed once per *distinct* combination, and each
     bucket is summarized as (row count, distinct local codes present).
@@ -171,8 +170,7 @@ def partition_fragment_summary(
     Returns ``(counts, bucket_codes, values)`` where ``values`` is the
     fragment's local dictionary (distinct combinations, first-seen order)
     when ``need_values`` — the coordinator asks for it only the first time
-    it sees this fragment; afterwards codes suffice.  Runs unchanged in a
-    thread, in a fragment-resident worker process, or inline.
+    it sees this fragment; afterwards codes suffice.
     """
     n_patterns = len(variable.patterns)
     counts = [0] * n_patterns
@@ -180,8 +178,7 @@ def partition_fragment_summary(
     if not fragment.rows:
         return counts, bucket_codes, [] if need_values else None
     if index is None:
-        # memoized per tableau — worker processes build each σ trie once
-        # and reuse it across work orders
+        # memoized per tableau: every site's scan reuses one σ trie
         index = pattern_index(variable.patterns)
     key = column_store(fragment).key_column(variable.attributes)
     occupancy = group_occupancy(fragment, variable.attributes)
@@ -205,16 +202,12 @@ def partition_fragment_summary(
 def partition_cluster(
     cluster: Cluster, variable: VariableCFD
 ) -> tuple[list[SitePartition], PatternIndex]:
-    """Run the σ scan at every site of the cluster, concurrently if asked.
+    """Run the σ scan at every participating site of the cluster.
 
-    The per-site scans go through
-    :func:`repro.core.parallel.map_fragments` (honouring
-    ``REPRO_WORKERS`` / ``REPRO_PARALLEL``); translation into the
-    cluster's shared dictionary happens coordinator-side afterwards, in
-    site order, so codes — and therefore reports — are identical whatever
-    the concurrency.  The dictionary (and each site's translation) is
-    cached on the cluster, so only the first detection of a variable CFD
-    pays the interning pass.
+    Translation into the cluster's shared dictionary happens
+    coordinator-side after the scans, in site order.  The dictionary
+    (and each site's translation) is cached on the cluster, so only the
+    first detection of a variable CFD pays the interning pass.
     """
     index = pattern_index(variable.patterns)
     shared: SharedPairDictionary = shared_dict_on(
@@ -227,16 +220,12 @@ def partition_cluster(
     participating = [
         i for i, site in enumerate(sites) if applicable_patterns(site, variable)
     ]
-    # the σ trie is not shipped to workers: they rebuild it once from the
-    # (memoized) tableau, keeping the per-task payload small
     tasks = [
         (i, (variable, shared.pairs_for(i) is None))
         for i in participating
     ]
     fragments = [site.fragment for site in sites]
-    results = map_fragments(
-        cluster, fragments, partition_fragment_summary, tasks
-    )
+    results = scan_sites(fragments, partition_fragment_summary, tasks)
 
     by_site = dict(zip(participating, results))
     partitions: list[SitePartition] = []

@@ -10,8 +10,7 @@ tuple matching several member CFDs is thus shipped once per cluster rather
 than once per CFD, which is where CLUSTDETECT's savings over SEQDETECT come
 from.
 
-Shipping strategy: the fragment scans run concurrently under
-``REPRO_WORKERS`` and each shipped row crosses the network as a *single*
+Shipping strategy: each shipped row crosses the network as a *single*
 int — its combination's code in the CFD cluster's
 :class:`~repro.relational.shareddict.SharedComboDictionary` (the
 coordinator needs whole combinations back, because every member CFD
@@ -49,7 +48,6 @@ from ..core.incremental import (
     commit_counters,
     counters_report,
 )
-from ..core.parallel import map_fragments
 from ..distributed import Cluster, CostBreakdown, DetectionOutcome, ShipmentLog
 from ..relational import (
     Relation,
@@ -146,8 +144,7 @@ def cluster_fragment_summary(
     the per-member matching counts used for check-cost accounting.
     ``need_values`` additionally returns the fragment's local dictionary
     (its distinct combinations), which the coordinator requests only once
-    per fragment.  Module-level and self-contained so the parallel
-    scheduler can run it in a fragment-resident worker process.
+    per fragment.
     """
     n_buckets = len(group.projected)
     n_members = len(group.members)
@@ -242,8 +239,8 @@ def clust_detect(
             (i, (group, shared.codes_for(i) is None))
             for i in range(len(fragments))
         ]
-        summaries = map_fragments(
-            cluster, fragments, cluster_fragment_summary, tasks
+        summaries = base.scan_sites(
+            fragments, cluster_fragment_summary, tasks
         )
         site_results = []
         for i, (counts, bucket_codes, member_counts, values) in enumerate(
@@ -357,8 +354,7 @@ def scan_clust_delta_summary(
     summary (cancelled combinations dropped), the row-event count and the
     signed row-count change.  ``fragment`` supplies only the schema — the
     scan never touches resident rows, which keeps the update cost
-    independent of ``|D_i|``.  Module-level and self-contained so the
-    parallel scheduler can run it in a fragment-resident worker process.
+    independent of ``|D_i|``.
     """
     schema = fragment.schema
     n_buckets = len(group.projected)
@@ -575,8 +571,8 @@ class IncrementalClustDetector:
                 (i, (group, shared.codes_for(i) is None))
                 for i in range(len(fragments))
             ]
-            summaries = map_fragments(
-                cluster, fragments, cluster_fragment_summary, tasks
+            summaries = base.scan_sites(
+                fragments, cluster_fragment_summary, tasks
             )
             site_results = []
             for i, (counts, bucket_codes, member_counts, values) in enumerate(
@@ -689,8 +685,8 @@ class IncrementalClustDetector:
 
         Mirrors
         :meth:`~repro.detect.incremental.IncrementalHorizontalDetector.apply_updates`:
-        only the deltas are scanned (through the parallel scheduler),
-        shipped — as signed ``(combo_code, count)`` pairs, recorded with
+        only the deltas are scanned, shipped — as signed
+        ``(combo_code, count)`` pairs, recorded with
         ``n_codes = 2·|changed combinations|`` — and folded into the
         resident per-member GROUP-BY states.
         """
@@ -700,11 +696,13 @@ class IncrementalClustDetector:
             raise ValueError("run detect() before applying updates")
         cluster = self.cluster
         model = cluster.cost_model
-        self._violations.begin()
-        self._keys.begin()
         update_log = ShipmentLog()
 
+        # all-or-nothing fragment step first: a round it rejects leaves
+        # no open counter batch behind
         batches = apply_fragment_updates(self.fragments, updates)
+        self._violations.begin()
+        self._keys.begin()
         if not batches:
             return IncrementalUpdate(
                 self._commit(), self.report, update_log, base.stage(0, 0, 0)
@@ -724,7 +722,7 @@ class IncrementalClustDetector:
                         _resolve_vectorize(None, batch),
                     )
 
-        # clusters: σ-scan the deltas through the scheduler, site-parallel
+        # clusters: σ-scan each updated site's delta
         received_events: dict[int, int] = {}
         site_fragments = [site.fragment for site in cluster.sites]
         for state in self._states:
@@ -732,8 +730,8 @@ class IncrementalClustDetector:
                 (index, (state.group, inserted, removed))
                 for index, inserted, removed in batches
             ]
-            results = map_fragments(
-                cluster, site_fragments, scan_clust_delta_summary, tasks
+            results = base.scan_sites(
+                site_fragments, scan_clust_delta_summary, tasks
             )
             for (index, _args), (combo_deltas, row_events, net_rows) in zip(
                 tasks, results

@@ -11,9 +11,8 @@ existing machinery:
    ``n_codes`` in the shipment log), where the region's
    ``π_{X ∪ A}(D_region[Tp[X]])`` projection is assembled by key join.
    Regions whose predicate contradicts every pattern (``F_i ∧ F_φ``) are
-   skipped outright; the remaining gathers are independent and run
-   concurrently under ``REPRO_WORKERS``, with shipment logs merged in
-   region order so the outcome stays deterministic.
+   skipped outright; the remaining gathers are independent, and their
+   shipment logs merge in region order.
 
 2. **Horizontal detection (across regions).**  The gather sites now hold a
    horizontal partition of the matching tuples, so the σ-based per-pattern
@@ -37,7 +36,6 @@ from ..core import (
     detect_constants,
     normalize,
 )
-from ..core.parallel import parallel_map
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -81,9 +79,8 @@ def _gather_region(
     this region's intra-region shipments, the shipment log of those
     shipments, and the gather *plan* — which holder fragment ships which
     attributes — which the incremental session replays per update batch).
-    The log is returned rather than merged in place so the per-region
-    gathers can run concurrently and still merge deterministically, in
-    region order, at the caller.
+    The log is returned rather than merged in place: the caller merges
+    the per-region logs in region order.
     """
     region = cluster.regions[region_index]
     vertical = region.vertical
@@ -177,20 +174,15 @@ def hybrid_detect(
                 )
 
         for variable in normalized.variables:
-            # Phase 1: vertical gathers, region by region — independent, so
-            # they run through the parallel scheduler; logs merge in region
-            # order to keep the run deterministic.
-            applicable_regions = [
-                r
+            # Phase 1: vertical gathers, region by region; logs merge in
+            # region order.
+            gathers = [
+                _gather_region(
+                    cluster, r, variable.attributes, variable.source
+                )
                 for r, region in enumerate(cluster.regions)
                 if _region_applicable(region, variable)
             ]
-            gathers = parallel_map(
-                lambda r: _gather_region(
-                    cluster, r, variable.attributes, variable.source
-                ),
-                applicable_regions,
-            )
             gathered_sites: list[int] = []
             gathered_fragments: list[Relation] = []
             transfers = []
@@ -429,12 +421,12 @@ class IncrementalHybridDetector:
                 for r, region in enumerate(cluster.regions)
                 if _region_applicable(region, variable)
             ]
-            gathers = parallel_map(
-                lambda r: _gather_region(
+            gathers = [
+                _gather_region(
                     cluster, r, variable.attributes, variable.source
-                ),
-                applicable,
-            )
+                )
+                for r in applicable
+            ]
             gathered_sites: list[int] = []
             gathered_fragments: list[Relation] = []
             gather_plans: list[dict] = []
@@ -593,13 +585,15 @@ class IncrementalHybridDetector:
                         f"inserted row {row!r} does not satisfy region "
                         f"{region_obj.name}'s predicate"
                     )
-        self._violations.begin()
-        self._keys.begin()
         update_log = ShipmentLog()
 
+        # all-or-nothing fragment step first: a batch it rejects leaves
+        # no open counter batch behind
         batches = apply_fragment_updates(
             self.regions_data, {region: (inserted, list(deleted))}
         )
+        self._violations.begin()
+        self._keys.begin()
         if not batches:
             return IncrementalUpdate(
                 self._commit(), self.report, update_log, base.stage(0, 0, 0)

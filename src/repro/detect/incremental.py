@@ -8,9 +8,7 @@ of ``y_code``\\ s it takes, with row counts — stays resident, and a batch
 of inserts/deletes at some sites is absorbed by shipping only the **coded
 delta** of the affected ``(X, A)`` combinations:
 
-1. every updated site σ-partitions *its delta rows only* (fanned out
-   through the PR 3 scheduler, :func:`repro.core.parallel.map_fragments`,
-   so concurrent sites scan concurrently) into per-pattern
+1. every updated site σ-partitions *its delta rows only* into per-pattern
    ``(x, y) → ±count`` summaries — inserts and deletes of the same
    combination cancel site-side and never cross the wire;
 2. new values intern into the cluster's append-only
@@ -52,7 +50,6 @@ from ..core.incremental import (
     counters_report,
 )
 from ..core.normalize import VariableCFD, pattern_index
-from ..core.parallel import map_fragments
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -80,10 +77,12 @@ def apply_fragment_updates(
     consumed provenance pruned, so a long session holds one live row list
     per site.  Returns ``(site, inserted_rows, removed_rows)`` for every
     site whose fragment actually changed — the delta streams every
-    resident session folds.  Shared by the horizontal, CLUSTDETECT and
-    hybrid sessions.
+    resident session folds.  All-or-nothing: when any site's batch
+    raises (a wrong-width row, an invalid delete), no entry of
+    ``fragments`` has been replaced.  Shared by the horizontal,
+    CLUSTDETECT and hybrid sessions.
     """
-    batches: list[tuple[int, list, list]] = []
+    staged: list[tuple[int, Relation, list, list]] = []
     for index in sorted(updates):
         inserted, deleted = updates[index]
         version = fragments[index]
@@ -98,8 +97,11 @@ def apply_fragment_updates(
         inserted = [tuple(row) for row in inserted]
         if inserted:
             version = version.insert(inserted)
-        if version is fragments[index]:
-            continue
+        if version is not fragments[index]:
+            staged.append((index, version, inserted, removed))
+    # every site's new version derived cleanly: only now install them
+    batches: list[tuple[int, list, list]] = []
+    for index, version, inserted, removed in staged:
         # sever consumed provenance so a long session holds one live
         # row list per site, not one per absorbed batch
         prune_delta_history(version.delta_parent)
@@ -131,15 +133,14 @@ def scan_delta_summary(
     inserted: Sequence[tuple],
     deleted: Sequence[tuple],
 ):
-    """One site's σ scan of its *delta rows* (worker-side, O(|ΔD_i|)).
+    """One site's σ scan of its *delta rows* (site-local, O(|ΔD_i|)).
 
     For each variable CFD returns ``(pair_deltas, row_events, net_rows)``
     per pattern: the signed ``(x, y) → count`` summary (cancelled
     combinations dropped), how many row events (inserts + deletes) hit
     the bucket, and the signed row-count change.  ``fragment`` supplies
     only the schema — the scan never touches the resident rows, which is
-    what makes the update cost independent of |D_i|.  Runs unchanged in a
-    thread, a resident worker process, or inline.
+    what makes the update cost independent of |D_i|.
     """
     schema = fragment.schema
     out = []
@@ -310,7 +311,7 @@ class IncrementalHorizontalDetector:
     ``algorithm`` selects the wrapped coordinator strategy (``"ctr"``,
     ``"pat-s"``, ``"pat-rt"``) or pass any
     :data:`~repro.detect.pat.Strategy` callable.  :meth:`detect` runs the
-    one-shot algorithm once (through the ordinary parallel scan path) and
+    one-shot algorithm once (through the ordinary scan path) and
     keeps its merged state; :meth:`update` / :meth:`apply_updates` absorb
     batches in O(|ΔD|).  :attr:`fragments` tracks the current version of
     every site's fragment (the cluster object itself stays immutable).
@@ -495,10 +496,9 @@ class IncrementalHorizontalDetector:
         traffic/cost.
 
         All-or-nothing: if any part of the round fails — a schema error,
-        an invalid delete, a typed scheduler failure surfacing with
-        ``REPRO_POOL_DEGRADE=0`` — the session (fragment versions,
-        coordinator group tables, counters, cost log) rolls back to the
-        state before this call and the exception propagates.
+        an invalid delete — the session (fragment versions, coordinator
+        group tables, counters, cost log) rolls back to the state before
+        this call and the exception propagates.
         """
         with self._session_lock:
             return self._apply_updates_locked(updates)
@@ -540,8 +540,7 @@ class IncrementalHorizontalDetector:
                             _resolve_vectorize(None, batch),
                         )
 
-            # variables: σ-scan the deltas through the scheduler,
-            # site-parallel
+            # variables: σ-scan each updated site's delta
             variables = [state.variable for state in self._variables]
             received_events: dict[int, int] = {}
             if variables:
@@ -550,8 +549,8 @@ class IncrementalHorizontalDetector:
                     (index, (variables, inserted, removed))
                     for index, inserted, removed in batches
                 ]
-                results = map_fragments(
-                    cluster, site_fragments, scan_delta_summary, tasks
+                results = base.scan_sites(
+                    site_fragments, scan_delta_summary, tasks
                 )
                 for (index, _args), per_variable in zip(tasks, results):
                     for state, (pair_deltas, row_events, net_rows) in zip(

@@ -5,8 +5,7 @@ each fragment with the σ function induced by the generality ordering of
 the pattern tableau (Lemma 6) and designate a coordinator *per pattern
 tuple*, distributing the detection work across sites; σ buckets cross the
 network as shared-dictionary ``(x_code, y_code)`` pairs (see
-:mod:`repro.relational.shareddict`) and the fragment scans run
-concurrently under ``REPRO_WORKERS``.  The two differ only in the
+:mod:`repro.relational.shareddict`).  The two differ only in the
 coordinator-selection rule:
 
 * ``PATDETECTS`` minimizes total shipment: the coordinator of pattern

@@ -6,9 +6,8 @@ increase parallelism and reduce response time").  The per-pattern skeleton
 of PATDETECTS, upgraded to exploit replicas:
 
 1. each fragment is scanned (σ-partitioned) at one replica, chosen to
-   balance the per-site scan load — replication buys scan parallelism
-   (and the simulation scans fragments concurrently under
-   ``REPRO_WORKERS``, like the σ scans of the other algorithms);
+   balance the per-site scan load — replication buys (modelled) scan
+   parallelism;
 2. pattern coordinators are chosen by *availability*: the statistic of
    site ``s`` for pattern ``l`` counts the matching tuples of every
    fragment replicated at ``s``, so fragments co-located with the
@@ -30,7 +29,6 @@ from ..core import (
     detect_constants,
     normalize,
 )
-from ..core.parallel import map_fragments
 from ..distributed import CostBreakdown, DetectionOutcome, ShipmentLog
 from ..distributed.replication import ReplicatedCluster
 from ..relational import SharedPairDictionary, shared_dict_on
@@ -63,9 +61,9 @@ def replicated_pat_detect(
         n_patterns = len(variable.patterns)
 
         # 1. balanced scans: per-site load = Σ sizes of fragments it scans.
-        # Fragments are summarized concurrently (REPRO_WORKERS) and their
-        # distinct projections interned into the cluster's shared
-        # dictionary, cached across detections.
+        # Fragments are summarized and their distinct projections
+        # interned into the cluster's shared dictionary, cached across
+        # detections.
         shared: SharedPairDictionary = shared_dict_on(
             cluster,
             ("pairs", variable),
@@ -76,8 +74,8 @@ def replicated_pat_detect(
             (f, (variable, shared.pairs_for(f) is None))
             for f in range(len(fragments))
         ]
-        summaries = map_fragments(
-            cluster, fragments, base.partition_fragment_summary, tasks
+        summaries = base.scan_sites(
+            fragments, base.partition_fragment_summary, tasks
         )
         fragment_counts: list[list[int]] = []
         fragment_coded: list[tuple[list[list[int]], list[tuple[int, int]]]] = []

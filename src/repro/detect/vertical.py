@@ -16,10 +16,7 @@ Shipping strategy: whole keyed columns, at most once per attribute, with
 the payload accounted as dictionary codes (``n_codes`` — each shipped cell
 is one int against the source fragment's column dictionary; the
 dictionaries themselves travel once, like control traffic).  Per-CFD plans
-are independent, so the planning loop runs through
-:func:`repro.core.parallel.parallel_map` when ``REPRO_WORKERS`` asks for
-concurrency; results merge in CFD order, keeping the outcome identical to
-a serial run.
+are independent; their results merge in CFD order.
 
 Each needed attribute column is shipped at most once: for every attribute
 outside the coordinator's fragment we pick one source site holding it.
@@ -39,7 +36,6 @@ from typing import Iterable
 
 from ..core import CFD, ViolationReport, detect_violations, is_wildcard, normalize
 from ..core.incremental import ViolationDelta
-from ..core.parallel import parallel_map
 from ..distributed import (
     CostBreakdown,
     DetectionOutcome,
@@ -192,11 +188,8 @@ def vertical_detect(
             },
         }
 
-    # Per-CFD plans are independent; run them concurrently when asked and
-    # merge in CFD order so the outcome matches a serial run exactly.
-    for cfd, (cfd_report, cfd_stage, stage_log, plan) in zip(
-        cfds, parallel_map(plan_cfd, cfds)
-    ):
+    for cfd in cfds:
+        cfd_report, cfd_stage, stage_log, plan = plan_cfd(cfd)
         report.merge(cfd_report)
         stages.append(cfd_stage)
         if stage_log is not None:

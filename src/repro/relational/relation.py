@@ -37,9 +37,7 @@ class Relation:
     contract is what lets each relation lazily grow a cached columnar view
     (:func:`repro.relational.column_store`) that ``group_by``, ``join``,
     ``HashIndex``, the fused detection engines and the distributed
-    detectors' σ scans all share without invalidation — and what lets the
-    parallel scheduler hand fragments to threads or resident worker
-    processes without copies or locks.
+    detectors' σ scans all share without invalidation.
 
     The constructor validates and copies ``rows`` by default; pass
     ``copy=False`` for rows you own and will not mutate (the operators

@@ -38,15 +38,13 @@ Three granularities, one idea:
   combination back.
 
 All interning is deterministic (site order, then local first-seen order),
-so parallel and serial detection produce identical codes — and identical
-reports.
+so repeat detections produce identical codes — and identical reports.
 
 Thread-safety contract: every shared table is mutated under a
 per-dictionary lock (the same discipline ``normalize.py`` applies to its
 parse memos with ``_MEMO_LOCK``).  Interning is a check-then-act sequence,
-so without the lock two racing threads — concurrent fragment scans under
-``REPRO_PARALLEL=thread``, or concurrent sessions of the resident service
-— can assign two codes to one value or append one value twice, silently
+so without the lock two racing threads — concurrent sessions of the
+resident service — can assign two codes to one value or append one value twice, silently
 corrupting every coded shipment that follows.  Reads stay lock-free: the
 tables are append-only and a published entry never changes, so a
 ``code_of`` hit is final (entries are published values-first, making

@@ -184,6 +184,45 @@ def test_cli_bad_scale_env_exits_2(value, tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_stale_scheduler_surface_exits_2(emp_csv, capsys, monkeypatch):
+    """The scheduler's fault kinds and flags are gone, loudly."""
+    monkeypatch.setenv("REPRO_FAULTS", "crash@0")
+    assert main(["sql", "--cfd", "([a] -> [b])"]) == 2
+    error = capsys.readouterr().err
+    assert "unknown fault kind 'crash'" in error
+    assert len(error.strip().splitlines()) == 1
+    monkeypatch.delenv("REPRO_FAULTS")
+    with pytest.raises(SystemExit) as exit_info:  # argparse's own exit
+        main([
+            "detect", "--data", emp_csv, "--cfd", "([a] -> [b])",
+            "--workers", "4",
+        ])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+
+
+def test_readme_knob_table_matches_the_knobs_src_reads():
+    """A knob cannot be added or removed without its README row."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    documented = set(
+        re.findall(
+            r"^\| `(REPRO_[A-Z_]+)` \|",
+            (root / "README.md").read_text(),
+            re.MULTILINE,
+        )
+    )
+    read = {
+        name
+        for source in (root / "src").rglob("*.py")
+        # the lookahead skips glob mentions such as ``REPRO_SERVE_*``
+        for name in re.findall(r"REPRO_[A-Z_]+(?![A-Z_*])", source.read_text())
+    }
+    assert read and documented == read
+
+
 def test_cli_unknown_sql_backend_exits_2(emp_csv, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SQL_BACKEND", "bogus")
     code = main(["check", "--data", emp_csv, "--cfd", "([a] -> [b])"])

@@ -1,16 +1,11 @@
-"""Chaos suite: deterministic fault injection and transactional sessions.
+"""Chaos suite: deterministic fault plans and transactional sessions.
 
-The robustness contract under test: **any single injected fault at any
-order position yields either bit-identical violations after recovery or
-one typed error — never a hang, never silent corruption** — and a failed
-update batch leaves a resident session exactly as it was (rollback is
-all-or-nothing, and ``matches_full_recompute`` still holds afterwards).
-
-The suite runs under both scheduler modes (the CI chaos job matrixes
-``REPRO_PARALLEL=thread|process``); the process legs pin tiny clusters
-and short ``REPRO_POOL_TIMEOUT`` so dropped orders recover in
-milliseconds, and every test runs under pytest's session timeout — a
-wedged pipe fails loudly instead of hanging CI.
+The robustness contract under test: an injected fault fires exactly where
+the plan says (and only once), a stale or malformed ``REPRO_FAULTS`` spec
+fails loudly, and a failed update batch leaves a resident session exactly
+as it was (rollback is all-or-nothing, and ``matches_full_recompute``
+still holds afterwards).  The disk and serve fault kinds are driven end
+to end in ``test_serve_durability.py`` / ``test_serve_governor.py``.
 """
 
 import os
@@ -24,21 +19,17 @@ from repro.core import (
     FaultPlan,
     FaultSpecError,
     PatternTuple,
-    STATS,
     TransitionCounter,
     WILDCARD,
-    WorkerCrashError,
-    WorkerFailure,
     active_plan,
+    detect_violations_reference,
     fault_plan,
     install_fault_plan,
 )
 from repro.core.incremental import incremental_detect
-from repro.core.parallel import _POOLS, FragmentPool, map_fragments
-from repro.detect import pat_detect_s
-from repro.detect.incremental import incremental_pat_s
+from repro.detect import incremental_clust, incremental_pat_s
 from repro.partition import partition_uniform
-from repro.relational import Relation, Schema
+from repro.relational import Relation, Schema, SchemaError
 
 SCHEMA = Schema("R", ("id", "a", "b", "c"), key=("id",))
 
@@ -51,41 +42,42 @@ def _relation(n=30):
     )
 
 
-def _fragment_len(fragment):
-    return len(fragment)
-
-
-class _Owner:
-    """A stand-in cluster: just something to hang a cached pool off."""
-
-
 # -- the plan itself ----------------------------------------------------------
 
 
 def test_fault_plan_parse_round_trip():
-    plan = FaultPlan.parse("crash@3,corrupt@7,slow@2,drop@11,latency=0.005")
-    assert plan.crash == {3}
-    assert plan.corrupt == {7}
-    assert plan.slow == {2}
-    assert plan.drop == {11}
-    assert plan.latency == 0.005
-    assert "crash@3" in repr(plan)
-    seeded = FaultPlan.parse("seed=13,rate=0.05,kinds=crash|drop")
-    assert seeded.seed == 13
-    assert seeded.rate == 0.05
-    assert seeded.kinds == ("crash", "drop")
+    spec = "torn-write@2, bit-flip@0,fsync-fail@5,fold-fail@3,verify-drift@1"
+    plan = FaultPlan.parse(spec)
+    assert plan.disk == {
+        "torn-write": {2}, "bit-flip": {0}, "fsync-fail": {5}
+    }
+    assert plan.serve == {"fold-fail": {3}, "verify-drift": {1}}
+    assert "fold-fail@3" in repr(plan)
+    # the repr is the spec, kinds in declaration order
+    again = FaultPlan.parse(repr(plan)[len("FaultPlan("):-1])
+    assert (again.disk, again.serve) == (plan.disk, plan.serve)
+    assert repr(FaultPlan.parse("")) == "FaultPlan(empty)"
 
 
 @pytest.mark.parametrize(
     "spec",
     [
         "explode@3",            # unknown kind
-        "crash@three",          # non-integer order
-        "rate=often",           # non-float option
-        "kinds=crash|explode",  # unknown kind in kinds
-        "rate=1.5",             # out of range
-        "crash",                # neither kind@order nor option=value
-        "volume=11",            # unknown option
+        "torn-write@three",     # non-integer order
+        "crash",                # not kind@order
+        "volume=11",            # not kind@order
+        # the scheduler's grammar went with the scheduler: a stale spec
+        # fails loudly instead of silently injecting nothing
+        "crash@0",
+        "crash@three",
+        "slow@1",
+        "seed=13",
+        "rate=0.05",
+        "rate=often",
+        "rate=1.5",
+        "latency=0.01",
+        "kinds=crash",
+        "kinds=crash|explode",
     ],
 )
 def test_fault_plan_rejects_bad_specs(spec):
@@ -94,17 +86,17 @@ def test_fault_plan_rejects_bad_specs(spec):
 
 
 def test_fault_plan_disk_kinds_parse_on_their_own_counter():
-    plan = FaultPlan.parse("torn-write@2,bit-flip@0,fsync-fail@5,crash@3")
-    assert plan.disk["torn-write"] == {2}
-    assert plan.disk["bit-flip"] == {0}
-    assert plan.disk["fsync-fail"] == {5}
-    assert plan.crash == {3}
-    assert "torn-write@2" in repr(plan)
-    # disk orders are an independent sequence from scheduler orders
-    assert plan.next_order() == 0
+    plan = FaultPlan.parse("torn-write@2,fold-fail@2,verify-drift@2")
+    # disk orders are an independent sequence from the serve orders
+    assert plan.next_fold_order() == 0
     assert plan.next_disk_order() == 0
     assert plan.next_disk_order() == 1
-    assert plan.next_order() == 1
+    assert plan.next_fold_order() == 1
+    assert plan.next_verify_order() == 0
+    # ...so one order number fires once per family, not once per plan
+    assert plan.disk_fault_for(2) == "torn-write"
+    assert plan.fold_fault_for(2) is True
+    assert plan.verify_fault_for(2) is True
 
 
 def test_fault_plan_disk_entries_fire_once():
@@ -125,219 +117,34 @@ def test_fault_plan_disk_entries_fire_once():
 def test_fault_plan_rejects_unknown_disk_kinds():
     with pytest.raises(FaultSpecError):
         FaultPlan(disk={"head-crash": [1]})
+    with pytest.raises(FaultSpecError):
+        FaultPlan(serve={"fold-crash": [1]})
 
 
 def test_fault_plan_explicit_entries_fire_once():
-    plan = FaultPlan(crash=[2])
-    assert plan.fault_for(0) is None
-    assert plan.fault_for(2) == ("crash", plan.latency)
-    # one-shot: the retried order (a fresh sequence number anyway) and
-    # even a re-probe of the same number succeed
-    assert plan.fault_for(2) is None
+    plan = FaultPlan.parse("fold-fail@2,verify-drift@0")
+    assert plan.fold_fault_for(0) is False
+    assert plan.fold_fault_for(2) is True
+    # one-shot: the retried fold (a fresh order number anyway) and even a
+    # re-probe of the same number succeed
+    assert plan.fold_fault_for(2) is False
+    assert plan.verify_fault_for(0) is True
+    assert plan.verify_fault_for(0) is False
     plan.reset()
-    assert plan.fault_for(2) is not None
-
-
-def test_fault_plan_seeded_random_is_deterministic():
-    draws = [
-        [FaultPlan(rate=0.3, seed=13).fault_for(order) for order in range(200)]
-        for _ in range(2)
-    ]
-    assert draws[0] == draws[1]
-    fired = [fault for fault in draws[0] if fault is not None]
-    assert fired  # rate 0.3 over 200 orders certainly fires
-    other = [
-        FaultPlan(rate=0.3, seed=14).fault_for(order) for order in range(200)
-    ]
-    assert other != draws[0]
+    assert plan.fold_fault_for(2) is True
 
 
 def test_active_plan_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     install_fault_plan(None)
     assert active_plan() is None
-    monkeypatch.setenv("REPRO_FAULTS", "crash@5")
+    monkeypatch.setenv("REPRO_FAULTS", "torn-write@5")
     env_plan = active_plan()
-    assert env_plan.crash == {5}
+    assert env_plan.disk["torn-write"] == {5}
     assert active_plan() is env_plan  # cached: plan state must persist
-    with fault_plan(FaultPlan(drop=[1])) as api_plan:
+    with fault_plan(FaultPlan(disk={"bit-flip": [1]})) as api_plan:
         assert active_plan() is api_plan  # API plan wins
     assert active_plan() is env_plan  # restored
-
-
-# -- supervised process pool --------------------------------------------------
-
-
-def _pool(n_fragments=2, workers=2):
-    fragments = [
-        Relation(SCHEMA, [(f * 10 + j, 0, 0, 0) for j in range(f + 1)])
-        for f in range(n_fragments)
-    ]
-    return FragmentPool(fragments, workers=workers)
-
-
-def test_pool_recovers_from_worker_crash():
-    pool = _pool()
-    try:
-        with fault_plan(FaultPlan(crash=[0])):
-            assert pool.run(_fragment_len, [(0, ()), (1, ())]) == [1, 2]
-        assert pool.stats["respawns"] >= 1
-        assert not pool.poisoned
-        # the respawned worker keeps serving (fragments were re-placed)
-        assert pool.run(_fragment_len, [(0, ()), (1, ())]) == [1, 2]
-    finally:
-        pool.close()
-
-
-def test_pool_corruption_triggers_single_rerequest():
-    pool = _pool()
-    try:
-        with fault_plan(FaultPlan(corrupt=[0])):
-            assert pool.run(_fragment_len, [(0, ()), (1, ())]) == [1, 2]
-        assert pool.stats["re_requests"] == 1
-        assert pool.stats["respawns"] == 0  # the wire lied, not the worker
-    finally:
-        pool.close()
-
-
-def test_pool_timeout_recovers_dropped_order(monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_TIMEOUT", "0.3")
-    pool = _pool()
-    try:
-        with fault_plan(FaultPlan(drop=[0])):
-            assert pool.run(_fragment_len, [(0, ()), (1, ())]) == [1, 2]
-        assert pool.stats["timeouts"] >= 1
-        assert pool.stats["respawns"] >= 1
-    finally:
-        pool.close()
-
-
-def test_pool_slow_fault_only_delays():
-    pool = _pool()
-    try:
-        with fault_plan(FaultPlan(slow=[0], latency=0.05)):
-            assert pool.run(_fragment_len, [(0, ()), (1, ())]) == [1, 2]
-        assert pool.stats["retries"] == 0
-    finally:
-        pool.close()
-
-
-def test_exhausted_retries_raise_typed_error_and_evict(monkeypatch):
-    """Satellite regression: a pool whose run() raised an infrastructure
-    failure must leave every cache — no reuse of desynchronized pipes."""
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PARALLEL", "process")
-    monkeypatch.setenv("REPRO_POOL_RETRIES", "1")
-    monkeypatch.setenv("REPRO_POOL_DEGRADE", "0")
-    owner = _Owner()
-    fragments = [Relation(SCHEMA, [(i, 0, 0, 0)]) for i in range(2)]
-    tasks = [(0, ()), (1, ())]
-    # the worker dies on the first order *and* on both recovery attempts
-    with fault_plan(FaultPlan(crash=[0, 1, 2, 3])):
-        with pytest.raises(WorkerCrashError):
-            map_fragments(owner, fragments, _fragment_len, tasks)
-    pool = getattr(owner, "_fragment_pool", None)
-    assert pool is None or pool.poisoned
-    assert all(not p.poisoned for p in _POOLS)
-    # the next detection builds a clean pool and succeeds
-    assert map_fragments(owner, fragments, _fragment_len, tasks) == [1, 1]
-    assert owner._fragment_pool in _POOLS
-
-
-def test_map_fragments_degrades_to_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PARALLEL", "process")
-    monkeypatch.setenv("REPRO_POOL_RETRIES", "0")
-    owner = _Owner()
-    fragments = [Relation(SCHEMA, [(i, 0, 0, 0)]) for i in range(2)]
-    tasks = [(0, ()), (1, ())]
-    before = STATS["degraded_runs"]
-    with fault_plan(FaultPlan(crash=[0, 1])):
-        assert map_fragments(owner, fragments, _fragment_len, tasks) == [1, 1]
-    assert STATS["degraded_runs"] == before + 1
-    assert getattr(owner, "_fragment_pool", None) is None  # evicted
-
-
-def test_thread_mode_supervision_ladder(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PARALLEL", "thread")
-    owner = _Owner()
-    fragments = [Relation(SCHEMA, [(i, 0, 0, 0)]) for i in range(2)]
-    tasks = [(0, ()), (1, ())]
-    # bounded retry recovers in place
-    with fault_plan(FaultPlan(crash=[0])):
-        assert map_fragments(owner, fragments, _fragment_len, tasks) == [1, 1]
-    # exhausted budget degrades to serial by default...
-    monkeypatch.setenv("REPRO_POOL_RETRIES", "0")
-    before = STATS["degraded_runs"]
-    with fault_plan(FaultPlan(crash=[0, 1])):
-        assert map_fragments(owner, fragments, _fragment_len, tasks) == [1, 1]
-    assert STATS["degraded_runs"] == before + 1
-    # ...and surfaces the typed failure when degradation is off
-    monkeypatch.setenv("REPRO_POOL_DEGRADE", "0")
-    with fault_plan(FaultPlan(drop=[0, 1])):
-        with pytest.raises(WorkerFailure):
-            map_fragments(owner, fragments, _fragment_len, tasks)
-
-
-# -- the chaos property: any single fault, any position -----------------------
-
-
-def _serial_baseline(relation, cfd):
-    outcome = pat_detect_s(partition_uniform(relation, 3), cfd)
-    return outcome.report.violations, outcome.report.tuple_keys
-
-
-@pytest.mark.parametrize("kind", ["crash", "drop", "corrupt", "slow"])
-def test_single_fault_recovers_bit_identical_process(kind, monkeypatch):
-    """Process mode: every fault kind at several positions → identical."""
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    monkeypatch.setenv("REPRO_PARALLEL", "process")
-    monkeypatch.setenv("REPRO_POOL_TIMEOUT", "0.4")
-    relation = _relation(24)
-    monkeypatch.setenv("REPRO_PARALLEL", "off")
-    violations, keys = _serial_baseline(relation, CFD_AB)
-    monkeypatch.setenv("REPRO_PARALLEL", "process")
-    for position in (0, 1, 2):
-        with fault_plan(FaultPlan(**{kind: [position]})):
-            outcome = pat_detect_s(
-                partition_uniform(relation, 3), CFD_AB
-            )
-        assert outcome.report.violations == violations, (kind, position)
-        assert outcome.report.tuple_keys == keys, (kind, position)
-
-
-@pytest.mark.parametrize("kind", ["crash", "drop", "corrupt", "slow"])
-def test_single_fault_recovers_bit_identical_thread(kind, monkeypatch):
-    """Thread mode: the same contract, across more positions."""
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    monkeypatch.setenv("REPRO_PARALLEL", "thread")
-    relation = _relation(24)
-    monkeypatch.setenv("REPRO_PARALLEL", "off")
-    violations, keys = _serial_baseline(relation, CFD_AB)
-    monkeypatch.setenv("REPRO_PARALLEL", "thread")
-    for position in range(6):
-        with fault_plan(FaultPlan(**{kind: [position]})):
-            outcome = pat_detect_s(
-                partition_uniform(relation, 3), CFD_AB
-            )
-        assert outcome.report.violations == violations, (kind, position)
-        assert outcome.report.tuple_keys == keys, (kind, position)
-
-
-def test_seeded_random_chaos_still_bit_identical(monkeypatch):
-    """A 20% seeded fault rate over a whole detection changes nothing."""
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    monkeypatch.setenv("REPRO_PARALLEL", "thread")
-    relation = _relation(24)
-    monkeypatch.setenv("REPRO_PARALLEL", "off")
-    violations, keys = _serial_baseline(relation, CFD_AB)
-    monkeypatch.setenv("REPRO_PARALLEL", "thread")
-    for seed in range(3):
-        with fault_plan(FaultPlan(rate=0.2, seed=seed, latency=0.0)):
-            outcome = pat_detect_s(partition_uniform(relation, 3), CFD_AB)
-        assert outcome.report.violations == violations, seed
-        assert outcome.report.tuple_keys == keys, seed
 
 
 # -- transactional sessions ---------------------------------------------------
@@ -417,9 +224,49 @@ def test_failed_update_rolls_back_session(initial, batch, fuse):
     assert detector.verify() is True
 
 
-def test_failed_update_rolls_back_horizontal_session():
-    relation = _relation(30)
-    session = incremental_pat_s(partition_uniform(relation, 3), CFD_AB)
+def _horizontal_session(kind):
+    cluster = partition_uniform(_relation(30), 3)
+    if kind == "clust":
+        return incremental_clust(cluster, [CFD_AB])
+    return incremental_pat_s(cluster, CFD_AB)
+
+
+def _matches_reference(session):
+    """The maintained report ≡ the reference engine over the resident rows."""
+    rows = [row for fragment in session.fragments for row in fragment.rows]
+    expected = detect_violations_reference(
+        Relation(SCHEMA, rows, copy=False), CFD_AB, collect_tuples=False
+    )
+    return set(session.report.violations) == set(expected.violations)
+
+
+@pytest.mark.parametrize("kind", ["pat-s", "clust"])
+def test_failed_update_rolls_back_horizontal_session(kind):
+    """A round whose *second* site is rejected leaves the first site's
+    rows out too: fragments, report and cost log are all pre-round."""
+    session = _horizontal_session(kind)
+    session.apply_updates({0: ([(100, 0, 3, 0), (101, 0, 2, 1)], [])})
+    before = set(session.report.violations)
+    before_fragments = list(session.fragments)
+    before_stages = len(session._cost.stages)
+
+    # a fresh a-value with two b-values: folding it adds a violation
+    good = {1: ([(200, 7, 3, 0), (201, 7, 2, 1)], [])}
+    with pytest.raises(SchemaError):
+        session.apply_updates({**good, 2: ([(300, 1, 3)], [])})
+
+    assert session.fragments == before_fragments
+    assert set(session.report.violations) == before
+    assert len(session._cost.stages) == before_stages  # no half cost entry
+    assert _matches_reference(session)
+    # the session is still live: the valid half of the round applies cleanly
+    update = session.apply_updates(good)
+    assert len(update.delta.added.violations) == 1
+    assert _matches_reference(session)
+
+
+def test_mid_fold_failure_rolls_back_pat_session():
+    session = _horizontal_session("pat-s")
     session.apply_updates({0: ([(100, 0, 3, 0), (101, 0, 2, 1)], [])})
     before = (set(session.report.violations), set(session.report.tuple_keys))
     before_fragments = list(session.fragments)

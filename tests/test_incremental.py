@@ -5,8 +5,7 @@ batches — including values the shared dictionaries have never seen — the
 incrementally maintained state after N updates is **identical** to a full
 recompute on the final relation: violations, violating tuple keys, and
 (for the distributed sessions) the coordinator GROUP-BY state a fresh run
-would rebuild.  Driven across all three engines, serial and with the
-``REPRO_WORKERS=4`` scheduler active.
+would rebuild.  Driven across every engine.
 """
 
 import hypothesis.strategies as st
@@ -126,38 +125,6 @@ def test_incremental_equals_full_recompute_all_engines(rows, sigma, script):
         assert sorted(map(repr, detector.relation.rows)) == sorted(
             map(repr, final_rows)
         )
-
-
-@settings(deadline=None, max_examples=20)
-@given(
-    rows_strategy(),
-    st.lists(cfds(), min_size=1, max_size=2),
-    update_scripts(),
-)
-def test_incremental_equals_full_recompute_with_workers(
-    monkeypatch_workers, rows, sigma, script
-):
-    relation = Relation(SCHEMA, rows)
-    detector = IncrementalDetector(sigma)
-    detector.attach(relation)
-    final_rows = run_script(
-        lambda ins, dels: detector.update(inserted=ins, deleted=dels),
-        rows,
-        script,
-        None,
-    )
-    oracle = detect_violations_reference(Relation(SCHEMA, final_rows), sigma)
-    assert detector.report.violations == oracle.violations
-    assert detector.report.tuple_keys == oracle.tuple_keys
-
-
-@pytest.fixture(scope="module")
-def monkeypatch_workers():
-    patcher = pytest.MonkeyPatch()
-    patcher.setenv("REPRO_WORKERS", "4")
-    patcher.setenv("REPRO_PARALLEL", "thread")
-    yield
-    patcher.undo()
 
 
 @settings(deadline=None, max_examples=25)

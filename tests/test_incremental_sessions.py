@@ -9,8 +9,7 @@ deployment: violations, tuple keys, and (for CLUSTDETECT) the patched
 coordinator state a fresh cluster rebuild would produce.  The module
 opts into the engine-matrix fixture, so every property runs once per
 detection engine (the sessions' local constant folds and member GROUP-BY
-states honour ``REPRO_ENGINE``), and the CI ``REPRO_WORKERS=4`` leg runs
-the same properties through the parallel scheduler.
+states honour ``REPRO_ENGINE``).
 """
 
 import hypothesis.strategies as st

@@ -2,8 +2,7 @@
 
 The cluster-scoped interning tables (:mod:`repro.relational.shareddict`)
 are mutated from concurrent request threads once a resident service keeps
-many sessions alive over one cluster — and, under ``REPRO_PARALLEL=thread``
-with ``REPRO_WORKERS>1``, from concurrent fragment scans.  Interning is a
+many sessions alive over one cluster.  Interning is a
 check-then-act sequence (probe ``code_of``, read ``len(values)``, publish
 both), so without per-dictionary locks two threads can assign **two codes
 to one value** or **one code to two values** — silently corrupting every
@@ -23,7 +22,7 @@ maximize interleavings) and then asserts the **bijectivity contract**:
   value.
 
 These tests demonstrably fail on the pre-lock implementation (PRs 3-6)
-and must stay green forever after; they run in the CI chaos matrix.
+and must stay green forever after; they run in the CI chaos job.
 """
 
 from __future__ import annotations
