@@ -338,6 +338,15 @@ def counters_report(
     )
 
 
+def counters_size(
+    violations: TransitionCounter, keys: TransitionCounter
+) -> tuple[int, int]:
+    """``(len(report.violations), len(report.tuple_keys))`` of
+    :func:`counters_report`, without building the report: the counters
+    never keep a non-positive count, so the sizes are two ``len()``\\ s."""
+    return len(violations.counts), len(keys.counts)
+
+
 # -- constant normal forms ----------------------------------------------------
 
 
@@ -1455,7 +1464,11 @@ class IncrementalDetector:
 
     @property
     def report(self) -> ViolationReport:
-        """The full current report (a fresh copy, safe to merge/mutate)."""
+        """The full current report (a fresh copy, safe to merge/mutate).
+
+        Building the copy is O(|report|); callers that only need the
+        counts read :meth:`report_size` instead.
+        """
         with self._session_lock:
             if self._recompute_mode:
                 source = self._reference_report or ViolationReport()
@@ -1463,6 +1476,14 @@ class IncrementalDetector:
             return counters_report(
                 self._violations, self._keys, self._wrap_keys
             )
+
+    def report_size(self) -> tuple[int, int]:
+        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
+        with self._session_lock:
+            if self._recompute_mode:
+                source = self._reference_report or ViolationReport()
+                return len(source.violations), len(source.tuple_keys)
+            return counters_size(self._violations, self._keys)
 
     def verify(self, sample: int | None = None, seed: int = 8) -> bool:
         """Invariant check of the maintained state against ``reference``.

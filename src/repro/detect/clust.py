@@ -47,6 +47,7 @@ from ..core.incremental import (
     VariableGroupState,
     commit_counters,
     counters_report,
+    counters_size,
 )
 from ..distributed import Cluster, CostBreakdown, DetectionOutcome, ShipmentLog
 from ..relational import (
@@ -787,6 +788,10 @@ class IncrementalClustDetector:
     def report(self) -> ViolationReport:
         """The full current report (fresh copy)."""
         return counters_report(self._violations, self._keys, self._wrap_keys)
+
+    def report_size(self) -> tuple[int, int]:
+        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
+        return counters_size(self._violations, self._keys)
 
     @property
     def shipments(self) -> ShipmentLog:

@@ -48,6 +48,7 @@ from ..core.incremental import (
     ViolationDelta,
     commit_counters,
     counters_report,
+    counters_size,
 )
 from ..core.normalize import VariableCFD, pattern_index
 from ..distributed import (
@@ -629,6 +630,11 @@ class IncrementalHorizontalDetector:
             return counters_report(
                 self._violations, self._keys, self._wrap_keys
             )
+
+    def report_size(self) -> tuple[int, int]:
+        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
+        with self._session_lock:
+            return counters_size(self._violations, self._keys)
 
     def verify(self, sample: int | None = None, seed: int = 8) -> bool:
         """Invariant check against the ``reference`` engine.

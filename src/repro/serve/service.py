@@ -302,18 +302,23 @@ def _reconcile(tickets: Sequence[_Ticket], key_of) -> tuple[list, list]:
     order effects cancel: a delete arriving *after* a pending insert of
     the same key must erase that insert (and still delete the key's
     resident rows), while an insert after a delete keeps both (the
-    delete-then-insert order already matches the fold).  O(tickets ×
-    rows) with a per-key index — the queues are bounded and small.
+    delete-then-insert order already matches the fold).  O(rows): a
+    key → positions index finds the pending inserts a delete erases,
+    erased entries are tombstoned in place and compacted once at the
+    end, so insertion order survives exactly.
     """
     deleted: dict = {}
-    inserted: list = []  # (key, row), insertion order preserved
+    inserted: list = []  # rows in insertion order; None once erased
+    pending: dict = {}  # key -> positions in `inserted` not yet erased
     for ticket in tickets:
         for key in ticket.deleted:
-            inserted = [entry for entry in inserted if entry[0] != key]
+            for position in pending.pop(key, ()):
+                inserted[position] = None
             deleted[key] = None
         for row in ticket.inserted:
-            inserted.append((key_of(row), row))
-    return list(deleted), [row for _key, row in inserted]
+            pending.setdefault(key_of(row), []).append(len(inserted))
+            inserted.append(row)
+    return list(deleted), [row for row in inserted if row is not None]
 
 
 class ManagedSession:
@@ -736,10 +741,11 @@ class ManagedSession:
                 ticket.settle(result=self._result(coalesced=1))
 
     def _result(self, coalesced: int) -> dict:
-        report = self._detector.report
+        # counts only: the ack must not cost O(|report|) per update
+        violations, tuple_keys = self._detector.report_size()
         return {
-            "violations": len(report.violations),
-            "tuple_keys": len(report.tuple_keys),
+            "violations": violations,
+            "tuple_keys": tuple_keys,
             "coalesced": coalesced,
         }
 
@@ -804,7 +810,6 @@ class ManagedSession:
                     [list(row) for row in fragment.rows]
                     for fragment in detector.fragments
                 ]
-            report = detector.report
             return {
                 "tenant": self.tenant,
                 "name": self.name,
@@ -821,7 +826,7 @@ class ManagedSession:
                 },
                 "fragments": fragments,
                 "n_rows": sum(len(rows) for rows in fragments),
-                "n_violations": len(report.violations),
+                "n_violations": detector.report_size()[0],
                 "stats": dict(self.stats),
             }
 
