@@ -47,9 +47,9 @@ from .cfd import CFD
 from .normalize import (
     ConstantCFD,
     NormalizedCFD,
-    PatternIndex,
     VariableCFD,
     normalize_all,
+    pattern_index,
 )
 from .violations import Violation, ViolationReport
 
@@ -99,7 +99,7 @@ def detect_variable(
     lhs_pos = schema.positions(variable.lhs)
     rhs_pos = schema.positions(variable.rhs)
     key_pos = schema.key_positions()
-    index = PatternIndex(variable.patterns)
+    index = pattern_index(variable.patterns)
 
     # x-value -> (first rhs tuple, conflicting?)  plus optional member keys
     groups: dict[tuple, list] = {}

@@ -72,6 +72,7 @@ from .normalize import (
     PatternIndex,
     VariableCFD,
     normalize_all,
+    pattern_index,
 )
 from .violations import Violation, ViolationReport
 
@@ -446,25 +447,6 @@ def detect_constants(
     )
 
 
-def detect_variables(
-    relation: Relation,
-    variables: Sequence[VariableCFD],
-    collect_tuples: bool = True,
-    vectorize: bool | None = None,
-) -> ViolationReport:
-    """Violations of several variable normal forms, over the columnar store.
-
-    ``vectorize`` picks the fold implementation (``None`` auto-selects, see
-    :func:`_resolve_vectorize`).
-    """
-    return _scan_variables(
-        relation,
-        [(variable, PatternIndex(variable.patterns)) for variable in variables],
-        collect_tuples,
-        _resolve_vectorize(vectorize, relation),
-    )
-
-
 class FusedDetector:
     """Σ compiled once — normal forms and σ pattern indexes — then evaluated
     against any number of relations.
@@ -484,7 +466,7 @@ class FusedDetector:
             constant for nf in self.normalized for constant in nf.constants
         ]
         self._variables = [
-            (variable, PatternIndex(variable.patterns))
+            (variable, pattern_index(variable.patterns))
             for nf in self.normalized
             for variable in nf.variables
         ]

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .cfd import CFD, PatternTuple, WILDCARD, is_wildcard, matches, tuple_matches
 from .epatterns import is_predicate
@@ -238,6 +239,20 @@ def normalize_all(cfds: Iterable[CFD]) -> list[NormalizedCFD]:
     return [normalize(cfd) for cfd in cfds]
 
 
+def projector(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``values → tuple(values[p] for p in positions)``, compiled once.
+
+    Several positions project in C (``itemgetter``); ``itemgetter`` yields
+    a bare value for one position and rejects none, hence the lambdas.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda values: (values[p],)
+    return lambda values: ()
+
+
 class PatternIndex:
     """First-match lookup ``σ: t[X] → pattern ordinal`` (Section IV-B).
 
@@ -266,15 +281,16 @@ class PatternIndex:
             key = tuple(row[i] for i in const_positions)
             table.setdefault(key, ordinal)  # keep the most specific (first)
         self._buckets = [
-            (positions, table) for positions, table in buckets.items()
+            (projector(positions), table)
+            for positions, table in buckets.items()
         ]
         self._predicate_rows = predicate_rows
 
     def first_match(self, values: Sequence[object]) -> int | None:
         """Ordinal of the first pattern whose LHS matches, or ``None``."""
         best: int | None = None
-        for positions, table in self._buckets:
-            ordinal = table.get(tuple(values[i] for i in positions))
+        for project, table in self._buckets:
+            ordinal = table.get(project(values))
             if ordinal is not None and (best is None or ordinal < best):
                 best = ordinal
         for ordinal, row in self._predicate_rows:
@@ -301,7 +317,10 @@ def pattern_index(patterns: tuple[tuple[object, ...], ...]) -> PatternIndex:
     """The (memoized) :class:`PatternIndex` of a pattern tableau.
 
     Pattern rows are immutable value tuples, so the σ trie is a pure
-    function of them.
+    function of them.  This is the one place in ``src/`` that calls the
+    :class:`PatternIndex` constructor: every engine, detector and session
+    gets its index here, so a tableau is compiled once per process however
+    many sites, buckets or repeat detections probe it.
     """
     cached = _memo_get(_INDEX_MEMO, patterns)
     if cached is not None:

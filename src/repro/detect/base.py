@@ -31,27 +31,18 @@ directly on the code pairs, decoding only the violating ``X`` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..core import (
     ConstantCFD,
-    CFD,
     PatternIndex,
     VariableCFD,
     Violation,
     ViolationReport,
     detect_constants,
-    normalize,
     pattern_index,
 )
-from ..distributed import (
-    Cluster,
-    CostBreakdown,
-    CostModel,
-    ShipmentLog,
-    Site,
-    StageTimes,
-)
+from ..distributed import Cluster, CostModel, ShipmentLog, Site
 from ..relational import (
     Relation,
     Schema,
@@ -305,16 +296,18 @@ def ship_buckets(
     return merged
 
 
-def conflicting_x_codes(pairs: Sequence[tuple[int, int]]) -> set[int]:
+def conflicting_x_codes(pairs: Iterable[tuple]) -> set:
     """``x`` codes taking at least two distinct ``y`` codes in ``pairs``.
 
     The coordinator-side merge: one pass over the received code pairs, no
     value materialization.  Equal values carry equal codes cluster-wide
     (the shared-dictionary invariant), so this is exactly the GROUP BY
-    conflict test of the centralized detector.
+    conflict test of the centralized detector.  Any hashable ``x`` / ``y``
+    work: CLUSTDETECT passes the ``(X, A)`` projections of its distinct
+    combinations.
     """
-    first: dict[int, int] = {}
-    conflicts: set[int] = set()
+    first: dict = {}
+    conflicts: set = set()
     for x, y in pairs:
         f = first.setdefault(x, y)
         if f != y:
@@ -386,16 +379,3 @@ def coordinator_check(
         (model.check_time(ops) for ops in ops_per_site.values()), default=0.0
     )
     return report, check_time
-
-
-def normalize_for_detection(cfd: CFD):
-    """Normalize and sanity-check a CFD for the distributed algorithms."""
-    return normalize(cfd)
-
-
-def empty_outcome_parts() -> tuple[ShipmentLog, CostBreakdown]:
-    return ShipmentLog(), CostBreakdown()
-
-
-def stage(scan: float, transfer: float, check: float) -> StageTimes:
-    return StageTimes(scan=scan, transfer=transfer, check=check)

@@ -13,31 +13,38 @@ from.
 Shipping strategy: each shipped row crosses the network as a *single*
 int — its combination's code in the CFD cluster's
 :class:`~repro.relational.shareddict.SharedComboDictionary` (the
-coordinator needs whole combinations back, because every member CFD
-projects them differently).  Coordinators dedupe the received codes and
-run the members' GROUP BY queries over the distinct decoded combinations
-— conflict existence is multiplicity-free, so this is exactly the
-row-level answer.
+coordinator needs whole combinations, because every member CFD projects
+them differently).  A coordinator *site* dedupes the codes of all the
+buckets it coordinates and runs one GROUP BY per member CFD over them: the
+distinct combinations are projected onto the member's ``X`` and RHS, the
+``X`` carrying two distinct RHS projections conflict, and those matching
+the member's own tableau are reported — conflict existence is
+multiplicity-free, so this is exactly the row-level answer, and equal
+combinations carry equal codes cluster-wide, so nothing is re-encoded.
 
 Correctness: tuples agreeing on a member's full LHS ``X'`` also agree on
 ``X ∩ X' ⊆ X'``, hence land at the same coordinator, so every violating
-pair is co-located (the Lemma 6 argument, applied per member).
+pair is co-located (the Lemma 6 argument, applied per member).  Read the
+other way, the bucket ordinal is a function of ``t[X ∩ X']`` and hence of
+``t[X']``: two combinations in different buckets never agree on a
+member's LHS, so merging a site's buckets before the GROUP BY can neither
+add nor lose a conflict.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..core import (
     CFD,
-    PatternIndex,
     VariableCFD,
+    Violation,
     ViolationReport,
-    detect_variables,
-    is_wildcard,
     normalize,
     pattern_index,
+    projector,
     sort_patterns_by_generality,
 )
 from ..core.fused import _resolve_vectorize
@@ -49,7 +56,13 @@ from ..core.incremental import (
     counters_report,
     counters_size,
 )
-from ..distributed import Cluster, CostBreakdown, DetectionOutcome, ShipmentLog
+from ..distributed import (
+    Cluster,
+    CostBreakdown,
+    DetectionOutcome,
+    ShipmentLog,
+    StageTimes,
+)
 from ..relational import (
     Relation,
     SharedComboDictionary,
@@ -70,10 +83,6 @@ class CFDCluster:
     projected: tuple[tuple[object, ...], ...]
     attributes: tuple[str, ...]
     name: str
-
-    @property
-    def member_names(self) -> list[str]:
-        return [member.source for member in self.members]
 
 
 def _overlapping(a: VariableCFD, b: VariableCFD) -> bool:
@@ -133,6 +142,43 @@ def cluster_cfds(
     return clusters
 
 
+def _combo_router(group: CFDCluster):
+    """Compile the cluster's σ routing over its attribute-union combinations.
+
+    Returns ``route(combo) → (ordinal, matched)``: the member CFDs whose
+    tableau the combination's LHS projection matches, and the projected
+    pattern (bucket) its shared-attribute projection falls in — ``None``
+    when no member matches, i.e. the tuple is not shipped at all.
+    """
+    attr_pos = {attr: i for i, attr in enumerate(group.attributes)}
+    member_probes = [
+        (
+            projector([attr_pos[a] for a in member.lhs]),
+            pattern_index(member.patterns).first_match,
+        )
+        for member in group.members
+    ]
+    shared_of = projector([attr_pos[a] for a in group.shared])
+    bucket_of = pattern_index(group.projected).first_match
+
+    def route(combo: tuple) -> tuple[int | None, list[int]]:
+        matched = [
+            m
+            for m, (x_of, first_match) in enumerate(member_probes)
+            if first_match(x_of(combo)) is not None
+        ]
+        if not matched:
+            return None, matched
+        ordinal = bucket_of(shared_of(combo))
+        if ordinal is None:  # cannot happen: member match ⇒ projected match
+            raise AssertionError(
+                "tuple matched a member CFD but no projected pattern"
+            )
+        return ordinal, matched
+
+    return route
+
+
 def cluster_fragment_summary(
     fragment: Relation, group: CFDCluster, need_values: bool = True
 ):
@@ -155,38 +201,48 @@ def cluster_fragment_summary(
     if not fragment.rows:
         return counts, bucket_codes, member_counts, [] if need_values else None
 
-    projected_index = pattern_index(group.projected)
     key = column_store(fragment).key_column(group.attributes)
     occupancy = base.group_occupancy(fragment, group.attributes)
-    attr_pos = {attr: i for i, attr in enumerate(group.attributes)}
-    member_data = [
-        (
-            tuple(attr_pos[a] for a in member.lhs),
-            pattern_index(member.patterns),
-        )
-        for member in group.members
-    ]
-    shared_positions = tuple(attr_pos[a] for a in group.shared)
+    route = _combo_router(group)
     for g, combo in enumerate(key.values):
-        matched = [
-            m
-            for m, (positions, index) in enumerate(member_data)
-            if index.matches_any(tuple(combo[p] for p in positions))
-        ]
-        if not matched:
+        ordinal, matched = route(combo)
+        if ordinal is None:
             continue
-        xc = tuple(combo[p] for p in shared_positions)
-        ordinal = projected_index.first_match(xc)
-        if ordinal is None:  # cannot happen: member match ⇒ projected match
-            raise AssertionError(
-                "tuple matched a member CFD but no projected pattern"
-            )
         n = occupancy[g]
         counts[ordinal] += n
         bucket_codes[ordinal].append(g)
         for m in matched:
             member_counts[ordinal][m] += n
     return counts, bucket_codes, member_counts, key.values if need_values else None
+
+
+def _scan_cluster(cluster: Cluster, group: CFDCluster):
+    """Every site's scan for one CFD cluster, translated to global codes.
+
+    Returns the cluster's shared combination dictionary — one per CFD
+    cluster, cached on the data cluster so repeat detections reuse the
+    interned codes — each site's ``(counts, bucket_codes, codes,
+    member_counts)`` and the modelled scan time (slowest site).
+    """
+    shared: SharedComboDictionary = shared_dict_on(
+        cluster, ("combo",) + tuple(group.members), SharedComboDictionary
+    )
+    fragments = [site.fragment for site in cluster.sites]
+    tasks = [
+        (i, (group, shared.codes_for(i) is None))
+        for i in range(len(fragments))
+    ]
+    site_results = []
+    for i, (counts, bucket_codes, member_counts, values) in enumerate(
+        base.scan_sites(fragments, cluster_fragment_summary, tasks)
+    ):
+        codes = shared.codes_for(i)
+        if codes is None:
+            codes = shared.translate(i, values)
+        site_results.append((counts, bucket_codes, codes, member_counts))
+    scan_time = cluster.cost_model.scan_time
+    scan = max((scan_time(len(fragment)) for fragment in fragments), default=0.0)
+    return shared, site_results, scan
 
 
 def _resolve_strategy(cluster: Cluster, strategy: str | Strategy) -> Strategy:
@@ -228,33 +284,7 @@ def clust_detect(
     chosen: dict[str, list[int]] = {}
 
     for group in groups:
-        # one shared combination dictionary per CFD cluster, cached on the
-        # data cluster so repeat detections reuse the interned codes
-        shared: SharedComboDictionary = shared_dict_on(
-            cluster,
-            ("combo",) + tuple(group.members),
-            SharedComboDictionary,
-        )
-        fragments = [site.fragment for site in cluster.sites]
-        tasks = [
-            (i, (group, shared.codes_for(i) is None))
-            for i in range(len(fragments))
-        ]
-        summaries = base.scan_sites(
-            fragments, cluster_fragment_summary, tasks
-        )
-        site_results = []
-        for i, (counts, bucket_codes, member_counts, values) in enumerate(
-            summaries
-        ):
-            codes = shared.codes_for(i)
-            if codes is None:
-                codes = shared.translate(i, values)
-            site_results.append((counts, bucket_codes, codes, member_counts))
-        scan = max(
-            (model.scan_time(len(site.fragment)) for site in cluster.sites),
-            default=0.0,
-        )
+        shared, site_results, scan = _scan_cluster(cluster, group)
         base.exchange_statistics(cluster, log)
 
         lstat = [counts for counts, _codes, _pairs, _mc in site_results]
@@ -264,11 +294,9 @@ def clust_detect(
         width = len(group.attributes)
         stage_log = ShipmentLog()
         merged_rows = [0] * len(group.projected)
-        # distinct global combination codes per bucket, deduped across
-        # sites in site order (the coordinator's working set)
-        merged_codes: list[dict[int, None]] = [
-            {} for _ in group.projected
-        ]
+        # distinct global combination codes per coordinator *site*, deduped
+        # across its buckets and the sending sites (its working set)
+        received: defaultdict[int, set[int]] = defaultdict(set)
         total_counts = [
             [0] * len(group.members) for _ in group.projected
         ]
@@ -290,45 +318,50 @@ def clust_detect(
                         n_codes=count,
                     )
                 merged_rows[ordinal] += count
-                bucket = merged_codes[ordinal]
-                for g in bucket_codes[ordinal]:
-                    bucket[codes[g]] = None
+                received[dest].update(
+                    map(codes.__getitem__, bucket_codes[ordinal])
+                )
                 for m in range(len(group.members)):
                     total_counts[ordinal][m] += member_counts[ordinal][m]
         transfer = model.transfer_time(stage_log.outgoing_by_source())
         log.merge(stage_log)
 
+        # one GROUP BY per member CFD per coordinator site, over the
+        # site's distinct combinations (see the module docstring for why
+        # merging its buckets is sound)
         schema = cluster.schema.project(group.attributes)
-        decode = shared.values
+        working_sets = [
+            [shared.values[code] for code in codes]
+            for codes in received.values()
+        ]
+        for member in group.members:
+            x_of = projector(schema.positions(member.lhs))
+            y_of = projector(schema.positions(member.rhs))
+            matches = pattern_index(member.patterns).matches_any
+            for combos in working_sets:
+                for x in base.conflicting_x_codes(
+                    zip(map(x_of, combos), map(y_of, combos))
+                ):
+                    if matches(x):
+                        report.add(Violation(member.source, member.lhs, x))
+
+        # the cost model charges each bucket's full row counts: a routing
+        # scan of the received rows, then one GROUP BY per member over its
+        # own matching tuples
         ops_per_site: dict[int, float] = {}
         for ordinal, rows in enumerate(merged_rows):
             if not rows:
                 continue
-            # decode the distinct combinations and run every member's GROUP
-            # BY over them — conflict existence is multiplicity-free, so
-            # the distinct working set answers exactly like the full rows
-            relation = Relation(
-                schema,
-                [decode[code] for code in merged_codes[ordinal]],
-                copy=False,
-            )
-            site_index = coordinators[ordinal]
-            # Routing scan of the received bucket, then one GROUP BY per member
-            # over its own matching tuples.
             ops = float(rows)
-            for m, member in enumerate(group.members):
-                report.merge(
-                    detect_variables(relation, [member], collect_tuples=False)
-                )
-                ops += model.check_ops(total_counts[ordinal][m])
+            for matching in total_counts[ordinal]:
+                ops += model.check_ops(matching)
+            site_index = coordinators[ordinal]
             ops_per_site[site_index] = ops_per_site.get(site_index, 0.0) + ops
         check = max(
             (model.check_time(ops) for ops in ops_per_site.values()),
             default=0.0,
         )
-        cost_stages.append(base.stage(scan, transfer, check))
-
-    from ..distributed import CostBreakdown
+        cost_stages.append(StageTimes(scan, transfer, check))
 
     return DetectionOutcome(
         algorithm="CLUSTDETECT",
@@ -364,33 +397,15 @@ def scan_clust_delta_summary(
     net_rows = [0] * n_buckets
     if not inserted and not deleted:
         return combo_deltas, row_events, net_rows
-    projected_index = pattern_index(group.projected)
-    attr_pos = schema.positions(group.attributes)
-    combo_pos = {attr: i for i, attr in enumerate(group.attributes)}
-    member_data = [
-        (
-            tuple(combo_pos[a] for a in member.lhs),
-            pattern_index(member.patterns),
-        )
-        for member in group.members
-    ]
-    shared_positions = tuple(combo_pos[a] for a in group.shared)
+    combo_of = projector(schema.positions(group.attributes))
+    route = _combo_router(group)
     match_cache: dict[tuple, int | None] = {}
     for sign, rows in ((-1, deleted), (1, inserted)):
         for row in rows:
-            combo = tuple(row[p] for p in attr_pos)
+            combo = combo_of(row)
             ordinal = match_cache.get(combo, -1)
             if ordinal == -1:
-                if any(
-                    index.matches_any(tuple(combo[p] for p in positions))
-                    for positions, index in member_data
-                ):
-                    ordinal = projected_index.first_match(
-                        tuple(combo[p] for p in shared_positions)
-                    )
-                else:
-                    ordinal = None
-                match_cache[combo] = ordinal
+                ordinal = match_cache[combo] = route(combo)[0]
             if ordinal is None:
                 continue
             deltas = combo_deltas[ordinal]
@@ -562,36 +577,7 @@ class IncrementalClustDetector:
             )
 
         for group in self._groups:
-            shared: SharedComboDictionary = shared_dict_on(
-                cluster,
-                ("combo",) + tuple(group.members),
-                SharedComboDictionary,
-            )
-            fragments = [site.fragment for site in cluster.sites]
-            tasks = [
-                (i, (group, shared.codes_for(i) is None))
-                for i in range(len(fragments))
-            ]
-            summaries = base.scan_sites(
-                fragments, cluster_fragment_summary, tasks
-            )
-            site_results = []
-            for i, (counts, bucket_codes, member_counts, values) in enumerate(
-                summaries
-            ):
-                codes = shared.codes_for(i)
-                if codes is None:
-                    codes = shared.translate(i, values)
-                site_results.append(
-                    (counts, bucket_codes, codes, member_counts)
-                )
-            scan = max(
-                (
-                    model.scan_time(len(site.fragment))
-                    for site in cluster.sites
-                ),
-                default=0.0,
-            )
+            shared, site_results, scan = _scan_cluster(cluster, group)
             base.exchange_statistics(cluster, self._log)
 
             lstat = [counts for counts, _codes, _pairs, _mc in site_results]
@@ -659,7 +645,7 @@ class IncrementalClustDetector:
                 (model.check_time(ops) for ops in ops_per_site.values()),
                 default=0.0,
             )
-            self._cost.stages.append(base.stage(scan, transfer, check))
+            self._cost.stages.append(StageTimes(scan, transfer, check))
             self._states.append(state)
 
         self._detected = True
@@ -706,7 +692,7 @@ class IncrementalClustDetector:
         self._keys.begin()
         if not batches:
             return IncrementalUpdate(
-                self._commit(), self.report, update_log, base.stage(0, 0, 0)
+                self._commit(), self.report, update_log, StageTimes(0, 0, 0)
             )
 
         # constants: fold each site's delta locally (Proposition 5)
@@ -774,7 +760,7 @@ class IncrementalClustDetector:
             ),
             default=0.0,
         )
-        stage = base.stage(scan, transfer, check)
+        stage = StageTimes(scan, transfer, check)
         self._cost.stages.append(stage)
         self._log.merge(update_log)
         return IncrementalUpdate(self._commit(), self.report, update_log, stage)

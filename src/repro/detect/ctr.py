@@ -13,8 +13,14 @@ Each tuple is shipped at most once.
 
 from __future__ import annotations
 
-from ..core import CFD, Violation
-from ..distributed import Cluster, DetectionOutcome, ShipmentLog
+from ..core import CFD, Violation, normalize
+from ..distributed import (
+    Cluster,
+    CostBreakdown,
+    DetectionOutcome,
+    ShipmentLog,
+    StageTimes,
+)
 from . import base
 
 
@@ -29,8 +35,8 @@ def _pick_central_coordinator(totals: list[int]) -> int:
 
 def ctr_detect(cluster: Cluster, cfd: CFD) -> DetectionOutcome:
     """Detect ``Vioπ(φ, D)`` with a single coordinator site."""
-    normalized = base.normalize_for_detection(cfd)
-    log, cost = base.empty_outcome_parts()
+    normalized = normalize(cfd)
+    log, cost = ShipmentLog(), CostBreakdown()
     report = base.local_constant_checks(cluster, normalized.constants)
     coordinators_chosen: dict[str, int] = {}
 
@@ -85,7 +91,7 @@ def ctr_detect(cluster: Cluster, cfd: CFD) -> DetectionOutcome:
         check = cluster.cost_model.check_time(
             cluster.cost_model.check_ops(merged_rows)
         )
-        cost.stages.append(base.stage(scan, transfer, check))
+        cost.stages.append(StageTimes(scan, transfer, check))
 
     if not normalized.variables:
         # Constant-only CFD: a pure local pass, modelled as one scan stage.
@@ -93,7 +99,7 @@ def ctr_detect(cluster: Cluster, cfd: CFD) -> DetectionOutcome:
             (cluster.cost_model.scan_time(len(site.fragment)) for site in cluster.sites),
             default=0.0,
         )
-        cost.stages.append(base.stage(scan, 0.0, 0.0))
+        cost.stages.append(StageTimes(scan, 0.0, 0.0))
 
     return DetectionOutcome(
         algorithm="CTRDETECT",

@@ -42,6 +42,7 @@ from ..distributed import (
     DetectionOutcome,
     ShipmentLog,
     Site,
+    StageTimes,
 )
 from ..distributed.hybrid import HybridCluster
 from ..relational import Relation, compatible_with_bindings
@@ -168,7 +169,7 @@ def hybrid_detect(
                         cluster, r, needed, constant.source
                     )
                     log.merge(stage_log)
-                    stages.append(base.stage(0.0, transfer, 0.0))
+                    stages.append(StageTimes(0.0, transfer, 0.0))
                 report.merge(
                     detect_constants(gathered, [constant], collect_tuples=False)
                 )
@@ -203,7 +204,7 @@ def hybrid_detect(
                 ),
                 default=0.0,
             )
-            stages.append(base.stage(0.0, gather_transfer, join_check))
+            stages.append(StageTimes(0.0, gather_transfer, join_check))
 
             # Phase 2: horizontal σ detection across the gather sites.
             synthetic = Cluster(
@@ -256,7 +257,7 @@ def hybrid_detect(
                 synthetic, variable, coordinators, merged, partitions[0].shared
             )
             report.merge(stage_report)
-            stages.append(base.stage(scan, transfer, check))
+            stages.append(StageTimes(scan, transfer, check))
 
     return DetectionOutcome(
         algorithm="HYBRIDDETECT",
@@ -404,7 +405,7 @@ class IncrementalHybridDetector:
                         cluster, r, needed, constant.source
                     )
                     self._log.merge(stage_log)
-                    self._cost.stages.append(base.stage(0.0, transfer, 0.0))
+                    self._cost.stages.append(StageTimes(0.0, transfer, 0.0))
                     self._constant_gathers.append((constant.source, r, plan))
             batch = self.regions_data[r]
             folds.fold(
@@ -450,7 +451,7 @@ class IncrementalHybridDetector:
                 default=0.0,
             )
             self._cost.stages.append(
-                base.stage(0.0, gather_transfer, join_check)
+                StageTimes(0.0, gather_transfer, join_check)
             )
 
             synthetic = Cluster(
@@ -524,7 +525,7 @@ class IncrementalHybridDetector:
                 ),
                 default=0.0,
             )
-            self._cost.stages.append(base.stage(scan, transfer, check))
+            self._cost.stages.append(StageTimes(scan, transfer, check))
             self._variables.append(
                 _HybridVariableState(
                     variable,
@@ -596,7 +597,7 @@ class IncrementalHybridDetector:
         self._keys.begin()
         if not batches:
             return IncrementalUpdate(
-                self._commit(), self.report, update_log, base.stage(0, 0, 0)
+                self._commit(), self.report, update_log, StageTimes(0, 0, 0)
             )
         _index, inserted, removed = batches[0]
         delta_rows = len(inserted) + len(removed)
@@ -697,7 +698,7 @@ class IncrementalHybridDetector:
             ),
             default=0.0,
         )
-        stage = base.stage(scan, transfer, check)
+        stage = StageTimes(scan, transfer, check)
         self._cost.stages.append(stage)
         self._log.merge(update_log)
         return IncrementalUpdate(self._commit(), self.report, update_log, stage)

@@ -50,7 +50,7 @@ from ..core.incremental import (
     counters_report,
     counters_size,
 )
-from ..core.normalize import VariableCFD, pattern_index
+from ..core.normalize import VariableCFD, normalize, pattern_index
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -333,7 +333,7 @@ class IncrementalHorizontalDetector:
     ) -> None:
         self.cluster = cluster
         self.cfd = cfd
-        self.normalized = base.normalize_for_detection(cfd)
+        self.normalized = normalize(cfd)
         if callable(algorithm):
             self.algorithm = getattr(algorithm, "__name__", "custom") + "+Δ"
             self._strategy = algorithm
@@ -455,7 +455,7 @@ class IncrementalHorizontalDetector:
                 (model.check_time(ops) for ops in ops_per_site.values()),
                 default=0.0,
             )
-            self._cost.stages.append(base.stage(scan, transfer, check))
+            self._cost.stages.append(StageTimes(scan, transfer, check))
 
         if not self.normalized.variables:
             scan = max(
@@ -465,7 +465,7 @@ class IncrementalHorizontalDetector:
                 ),
                 default=0.0,
             )
-            self._cost.stages.append(base.stage(scan, 0.0, 0.0))
+            self._cost.stages.append(StageTimes(scan, 0.0, 0.0))
 
         self._detected = True
         return DetectionOutcome(
@@ -524,7 +524,7 @@ class IncrementalHorizontalDetector:
             if not batches:
                 return IncrementalUpdate(
                     self._commit(), self.report, update_log,
-                    base.stage(0, 0, 0),
+                    StageTimes(0, 0, 0),
                 )
 
             # constants: fold each site's delta locally (Proposition 5)
@@ -611,7 +611,7 @@ class IncrementalHorizontalDetector:
             self._violations.rollback()
             self._keys.rollback()
             raise
-        stage = base.stage(scan, transfer, check)
+        stage = StageTimes(scan, transfer, check)
         self._cost.stages.append(stage)
         self._log.merge(update_log)
         return IncrementalUpdate(self._commit(), self.report, update_log, stage)

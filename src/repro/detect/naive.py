@@ -13,9 +13,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core import CFD, detect_violations
-from ..distributed import Cluster, CostBreakdown, DetectionOutcome, ShipmentLog
+from ..distributed import (
+    Cluster,
+    CostBreakdown,
+    DetectionOutcome,
+    ShipmentLog,
+    StageTimes,
+)
 from ..relational import Relation
-from . import base
 
 
 def naive_detect(
@@ -54,7 +59,7 @@ def naive_detect(
     report = detect_violations(relation, cfds, collect_tuples=True)
     check = model.check_time(model.check_ops(len(rows), n_queries=len(cfds)))
 
-    cost = CostBreakdown(stages=[base.stage(0.0, transfer, check)])
+    cost = CostBreakdown(stages=[StageTimes(0.0, transfer, check)])
     return DetectionOutcome(
         algorithm="NAIVE",
         report=report,

@@ -26,8 +26,14 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from ..core import CFD
-from ..distributed import Cluster, DetectionOutcome
+from ..core import CFD, normalize
+from ..distributed import (
+    Cluster,
+    CostBreakdown,
+    DetectionOutcome,
+    ShipmentLog,
+    StageTimes,
+)
 from . import base
 
 #: a strategy maps (cluster, per-site lstat matrix) -> coordinator per pattern
@@ -163,8 +169,8 @@ def _pat_detect(
     strategy: Strategy,
     algorithm: str,
 ) -> DetectionOutcome:
-    normalized = base.normalize_for_detection(cfd)
-    log, cost = base.empty_outcome_parts()
+    normalized = normalize(cfd)
+    log, cost = ShipmentLog(), CostBreakdown()
     report = base.local_constant_checks(cluster, normalized.constants)
     chosen: dict[str, list[int]] = {}
 
@@ -178,8 +184,6 @@ def _pat_detect(
         chosen[variable.source] = coordinators
 
         schema = base.ship_projection_schema(cluster.schema, variable)
-        from ..distributed import ShipmentLog
-
         stage_log = ShipmentLog()
         merged = base.ship_buckets(
             cluster, partitions, coordinators, stage_log, variable.source,
@@ -194,14 +198,14 @@ def _pat_detect(
             cluster, variable, coordinators, merged, partitions[0].shared
         )
         report.merge(stage_report)
-        cost.stages.append(base.stage(scan, transfer, check))
+        cost.stages.append(StageTimes(scan, transfer, check))
 
     if not normalized.variables:
         scan = max(
             (cluster.cost_model.scan_time(len(site.fragment)) for site in cluster.sites),
             default=0.0,
         )
-        cost.stages.append(base.stage(scan, 0.0, 0.0))
+        cost.stages.append(StageTimes(scan, 0.0, 0.0))
 
     return DetectionOutcome(
         algorithm=algorithm,

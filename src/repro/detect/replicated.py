@@ -29,7 +29,7 @@ from ..core import (
     detect_constants,
     normalize,
 )
-from ..distributed import CostBreakdown, DetectionOutcome, ShipmentLog
+from ..distributed import CostBreakdown, DetectionOutcome, ShipmentLog, StageTimes
 from ..distributed.replication import ReplicatedCluster
 from ..relational import SharedPairDictionary, shared_dict_on
 from . import base
@@ -174,13 +174,13 @@ def replicated_pat_detect(
             (model.check_time(ops) for ops in ops_per_site.values()),
             default=0.0,
         )
-        stages.append(base.stage(scan, transfer, check))
+        stages.append(StageTimes(scan, transfer, check))
 
     if not normalized.variables:
         scan = max(
             (model.scan_time(len(f)) for f in cluster.fragments), default=0.0
         )
-        stages.append(base.stage(scan, 0.0, 0.0))
+        stages.append(StageTimes(scan, 0.0, 0.0))
 
     return DetectionOutcome(
         algorithm="REPLICATEDPATDETECT",

@@ -40,10 +40,10 @@ from ..distributed import (
     CostBreakdown,
     DetectionOutcome,
     ShipmentLog,
+    StageTimes,
     VerticalCluster,
 )
 from ..relational import Relation
-from . import base
 
 
 def locally_checkable_vertical(
@@ -124,7 +124,7 @@ def vertical_detect(
             fragment = site.fragment
             cfd_report = detect_violations(fragment, cfd, collect_tuples=True)
             check = model.check_time(model.check_ops(len(fragment)))
-            return cfd_report, base.stage(0.0, 0.0, check), None, {
+            return cfd_report, StageTimes(0.0, 0.0, check), None, {
                 "local": site.name
             }
 
@@ -181,7 +181,7 @@ def vertical_detect(
         check = model.check_time(
             model.check_ops(len(joined), n_queries=1 + len(sources))
         )
-        return cfd_report, base.stage(0.0, transfer, check), stage_log, {
+        return cfd_report, StageTimes(0.0, transfer, check), stage_log, {
             "coordinator": coord_site.name,
             "shipped_from": {
                 cluster.sites[i].name: attrs for i, attrs in sources.items()
@@ -287,7 +287,7 @@ class IncrementalVerticalDetector:
                 detector = self._detector_factory(cfd, engine=self._engine)
                 detector.attach(site.fragment)
                 check = model.check_time(model.check_ops(len(site.fragment)))
-                self._cost.stages.append(base.stage(0.0, 0.0, check))
+                self._cost.stages.append(StageTimes(0.0, 0.0, check))
                 self._plans.append(
                     _VerticalPlan(cfd, detector, site.index, None, {})
                 )
@@ -338,7 +338,7 @@ class IncrementalVerticalDetector:
             check = model.check_time(
                 model.check_ops(len(joined), n_queries=1 + len(sources))
             )
-            self._cost.stages.append(base.stage(0.0, transfer, check))
+            self._cost.stages.append(StageTimes(0.0, transfer, check))
             self._plans.append(
                 _VerticalPlan(cfd, detector, None, coordinator, sources)
             )
@@ -443,7 +443,7 @@ class IncrementalVerticalDetector:
             ),
             default=0.0,
         )
-        stage = base.stage(scan, transfer, check)
+        stage = StageTimes(scan, transfer, check)
         self._cost.stages.append(stage)
         self._log.merge(update_log)
         return IncrementalUpdate(merged, self.report, update_log, stage)

@@ -34,8 +34,8 @@ Three granularities, one idea:
   pair regardless of attribute width.  Used by the horizontal detectors.
 * :class:`SharedComboDictionary` — whole-combination interner (one code
   per distinct ``X ∪ A`` union row).  Used by CLUSTDETECT, whose
-  coordinators re-run several member CFDs and therefore need the full
-  combination back.
+  coordinators group the same received codes once per member CFD, each
+  under a different ``(X, A)`` projection of the combination.
 
 All interning is deterministic (site order, then local first-seen order),
 so repeat detections produce identical codes — and identical reports.
@@ -285,11 +285,12 @@ class SharedComboDictionary:
     """Global codes for whole attribute-union combinations (CLUSTDETECT).
 
     One code per distinct combination over the CFD cluster's attribute
-    union; :attr:`values` decodes.  Coordinators dedupe the received codes
-    and run the member CFDs' GROUP BY detection over the *distinct*
-    decoded combinations — conflict existence does not depend on
-    multiplicity, so the merge stays proportional to distinct combinations
-    while the shipment accounting keeps honest row counts.
+    union; :attr:`values` decodes (a list index returning the interned
+    tuple).  A coordinator site dedupes the codes of every bucket it
+    coordinates and, per member CFD, groups their ``X`` projections by RHS
+    projection — conflict existence does not depend on multiplicity, so
+    the check stays proportional to distinct combinations while the
+    shipment accounting keeps honest row counts.
     """
 
     __slots__ = ("values", "code_of", "_site_codes", "_lock")
