@@ -13,10 +13,11 @@ distributed half lives in :mod:`repro.detect.incremental`):
   :class:`~repro.core.fused.FusedDetector` and caches per-normal-form
   state between updates:
 
-  - **constant forms** keep nothing but the compiled plan: a single tuple
-    witnesses (or stops witnessing) a constant violation on its own, so a
-    batch folds in O(|ΔD|) — inserted rows count hits in, deleted rows
-    count them back out (:class:`ConstantFolds`);
+  - **constant forms** keep nothing but a router compiled once per
+    session: a single tuple witnesses (or stops witnessing) a constant
+    violation on its own, so a batch folds in O(|ΔD|) — inserted rows
+    count hits in, deleted rows count them back out
+    (:class:`ConstantFolds`);
   - **variable forms** keep, per σ-matched ``X`` group, the multiset of
     RHS combinations and of member tuple keys
     (:class:`VariableGroupState`).  A batch touches only the groups its
@@ -31,12 +32,11 @@ distributed half lives in :mod:`repro.detect.incremental`):
 Engine semantics follow the rest of the library: ``reference`` recomputes
 the full report per update and diffs it — the executable spec the
 property suites compare against; ``fused`` and ``fused-numpy`` run true
-delta folds.  The numpy engine vectorizes both form kinds over the
-batch: constant-form code tests become boolean masks, and the
-variable-form fold encodes the batch once through its columnar key
-columns and scatters signed counts per distinct ``(x_code, y_code)``
-combination instead of flipping multisets row by row
-(:meth:`VariableGroupState.fold`).  Updates arrive either as
+delta folds.  The numpy engine vectorizes the variable-form fold over
+the batch: it codes the batch once through the state's session
+dictionaries and scatters signed counts per distinct
+``(x_code, y_code)`` combination instead of flipping multisets row by
+row (:meth:`VariableGroupState.fold`).  Updates arrive either as
 :class:`~repro.relational.delta.DeltaRelation` versions (``apply``) or as
 explicit row batches (``update``, which builds the versions itself).
 """
@@ -46,22 +46,16 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from ..relational import Relation, column_store, numpy_enabled
-from .cfd import CFD
+from ..relational import Relation, SchemaError, numpy_enabled
+from .cfd import CFD, matches, tuple_matches
 from .detection import ENGINES, detect_violations_reference
-from .fused import (
-    FusedDetector,
-    _compile_constant,
-    _constant_hits_numpy,
-    _constant_hits_python,
-    _np,
-    _project_rows,
-    group_segments,
-)
-from .normalize import ConstantCFD, VariableCFD, pattern_index
+from .epatterns import is_predicate
+from .fused import FusedDetector, _np, _project_rows, group_segments
+from .normalize import ConstantCFD, VariableCFD, pattern_index, projector
 from .violations import Violation, ViolationReport
 
 
@@ -133,6 +127,16 @@ class ViolationDelta:
             f"+{len(self.added.tuple_keys)} / "
             f"-{len(self.removed.tuple_keys)} keys)"
         )
+
+
+def _restore_counts(counts: dict, journal: dict) -> None:
+    """Put every journalled entry of a count table back to its prior
+    count (the rollback half of a first-touch ``entry -> prior`` journal)."""
+    for key, prior in journal.items():
+        if prior > 0:
+            counts[key] = prior
+        else:
+            counts.pop(key, None)
 
 
 class TransitionCounter:
@@ -266,14 +270,8 @@ class TransitionCounter:
         self._undo = None
         self._went_up = None
         self._went_down = None
-        if undo is None:
-            return
-        counts = self.counts
-        for item, prior in undo.items():
-            if prior > 0:
-                counts[item] = prior
-            else:
-                counts.pop(item, None)
+        if undo is not None:
+            _restore_counts(self.counts, undo)
 
     def positive(self):
         """All items with a positive count (counts are never kept at 0)."""
@@ -353,20 +351,49 @@ def counters_size(
 class ConstantFolds:
     """Delta folds for a set of constant normal forms.
 
-    Stateless between batches (a constant violation is a per-row fact):
-    folding a batch compiles each form against the *batch's own* columnar
-    store — O(|ΔD|), reusing the fused engine's plan compiler and both
-    fold implementations — and pushes ``sign``-ed witness counts into the
-    shared counters.
+    Stateless between batches (a constant violation is a per-row fact),
+    and routed once per session: the forms compile against the *schema*,
+    not against each batch.  Forms sharing an ``lhs`` attribute list share
+    one projection; within it the predicate-free patterns hash on their
+    constants — one C-level projection and one ``dict.get`` per row answer
+    all of them — and patterns carrying eCFD predicates are probed
+    linearly.  A batch then folds in O(|ΔD|), pushing ``sign``-ed witness
+    counts into the shared counters.  Hashing the projection gives the
+    dictionary encoder's equality (``1 == 1.0 == True`` conflate), so the
+    hits are those of the one-shot engines' code tests.
     """
 
-    __slots__ = ("constants", "collect_tuples")
+    __slots__ = ("constants", "collect_tuples", "_schema", "_routes")
 
     def __init__(
         self, constants: Sequence[ConstantCFD], collect_tuples: bool = True
     ) -> None:
         self.constants = list(constants)
         self.collect_tuples = collect_tuples
+        self._schema = None
+        #: per distinct ``lhs``: (row -> lhs values, lhs values -> forms)
+        self._routes: list = []
+
+    def _route(self, schema) -> None:
+        """Compile the router: every position resolved, every form filed
+        under its ``lhs`` as ``(form, rhs position, report projector)``."""
+        by_lhs: dict[tuple, tuple[dict, list]] = {}
+        for constant in self.constants:
+            hashed, probed = by_lhs.setdefault(constant.lhs, ({}, []))
+            form = (
+                constant,
+                schema.position(constant.rhs_attr),
+                projector(schema.positions(constant.report_lhs)),
+            )
+            if any(map(is_predicate, constant.values)):
+                probed.append(form)
+            else:
+                hashed.setdefault(constant.values, []).append(form)
+        self._schema = schema
+        self._routes = [
+            (projector(schema.positions(lhs)), _form_lookup(hashed, probed))
+            for lhs, (hashed, probed) in by_lhs.items()
+        ]
 
     def fold(
         self,
@@ -374,46 +401,83 @@ class ConstantFolds:
         sign: int,
         violations: TransitionCounter,
         keys: TransitionCounter,
-        vectorize: bool = False,
     ) -> None:
         """Fold every row of ``relation`` (a batch) with weight ``sign``."""
         rows = relation.rows
         if not rows or not self.constants:
             return
-        store = column_store(relation)
-        schema = relation.schema
-        key_pos = schema.key_positions()
-        for constant in self.constants:
-            plan = _compile_constant(store, constant)
-            if plan is None:
-                continue
-            if vectorize:
-                hits = _constant_hits_numpy(*plan).tolist()
-            else:
-                hits = _constant_hits_python(*plan)
-            if not hits:
-                continue
-            report_pos = schema.positions(constant.report_lhs)
-            for values in _project_rows(rows, hits, report_pos):
-                violations.add(
-                    Violation(
-                        cfd=constant.source,
-                        lhs_attributes=constant.report_lhs,
-                        lhs_values=values,
-                    ),
-                    sign,
-                )
-            if self.collect_tuples:
-                keys.add_bulk(
-                    list(_project_keys(rows, hits, key_pos)), sign
-                )
+        if relation.schema is not self._schema:
+            self._route(relation.schema)
+        found: list[Violation] = []
+        hit_rows: list[tuple] = []  # one entry per (row, violated form)
+        for project, lookup in self._routes:
+            for row, forms in zip(rows, map(lookup, map(project, rows))):
+                if not forms:
+                    continue
+                for constant, rhs_pos, report in forms:
+                    if not matches(row[rhs_pos], constant.rhs_value):
+                        found.append(
+                            Violation(
+                                cfd=constant.source,
+                                lhs_attributes=constant.report_lhs,
+                                lhs_values=report(row),
+                            )
+                        )
+                        hit_rows.append(row)
+        if not found:
+            return
+        violations.add_bulk(found, sign)
+        if self.collect_tuples:
+            keys.add_bulk(
+                list(
+                    _project_keys(
+                        hit_rows,
+                        range(len(hit_rows)),
+                        self._schema.key_positions(),
+                    )
+                ),
+                sign,
+            )
+
+
+def _form_lookup(hashed: dict, probed: list):
+    """``lhs values -> the forms whose pattern they match`` for one route:
+    the hash probe alone unless some pattern carries a predicate."""
+    if not probed:
+        return hashed.get
+
+    def lookup(values):
+        return [
+            *hashed.get(values, ()),
+            *(f for f in probed if tuple_matches(values, f[0].values)),
+        ]
+
+    return lookup
 
 
 # -- variable normal forms ----------------------------------------------------
 
 
+def _bump(counts: dict, key, n: int, journal: dict | None = None) -> None:
+    prior = counts.get(key, 0)
+    if journal is not None:
+        journal.setdefault(key, prior)
+    count = prior + n
+    if count > 0:
+        counts[key] = count
+    elif count == 0:
+        del counts[key]
+    else:
+        raise ValueError("deleted a row that is not in the group")
+
+
 class _Group:
-    """One σ-matched ``X`` group's live state."""
+    """One σ-matched ``X`` group's live state (the list fold's layout).
+
+    Both tables are bumped in place, so the undo entry of an open batch is
+    a pair of journals — prior count per entry the batch changes, recorded
+    on first touch, like :class:`TransitionCounter`'s.
+    """
 
     __slots__ = ("y_counts", "key_counts", "conflicting")
 
@@ -422,15 +486,13 @@ class _Group:
         self.key_counts: dict[tuple, int] = {}
         self.conflicting = False
 
+    def snapshot(self) -> tuple:
+        return self.conflicting, {}, {}
 
-def _bump(counts: dict, key, n: int) -> None:
-    count = counts.get(key, 0) + n
-    if count > 0:
-        counts[key] = count
-    elif count == 0:
-        del counts[key]
-    else:
-        raise ValueError("deleted a row that is not in the group")
+    def restore(self, saved: tuple) -> None:
+        self.conflicting, y_journal, key_journal = saved
+        _restore_counts(self.y_counts, y_journal)
+        _restore_counts(self.key_counts, key_journal)
 
 
 class _CodeGroup:
@@ -441,6 +503,15 @@ class _CodeGroup:
     ``dels``) — the per-row residue of a batch is then a C-level
     ``list.extend``, and the logs fold into the multiset only when a
     conflict flip actually needs the membership (or the logs outgrow it).
+
+    **Rollback relies on this invariant:** ``key_counts`` is *replaced*,
+    never mutated in place; ``adds`` / ``dels`` only grow between
+    compactions, and a compaction (:meth:`membership`) replaces all three
+    with fresh objects.  The undo entry of an open batch therefore holds
+    the three pre-batch objects by reference plus the two log lengths —
+    O(1), whatever the group's size — and :meth:`restore` reinstates the
+    references and truncates the logs.  ``y_counts`` is bumped in place,
+    so it gets the same prior-count journal as :class:`_Group`'s tables.
     """
 
     __slots__ = ("y_counts", "key_counts", "adds", "dels", "conflicting")
@@ -451,6 +522,18 @@ class _CodeGroup:
         self.adds: list = []
         self.dels: list = []
         self.conflicting = False
+
+    def snapshot(self) -> tuple:
+        adds, dels = self.adds, self.dels
+        logs = (self.key_counts, adds, len(adds), dels, len(dels))
+        return self.conflicting, {}, logs
+
+    def restore(self, saved: tuple) -> None:
+        self.conflicting, y_journal, logs = saved
+        _restore_counts(self.y_counts, y_journal)
+        self.key_counts, self.adds, n_adds, self.dels, n_dels = logs
+        del self.adds[n_adds:]
+        del self.dels[n_dels:]
 
     def membership(self) -> dict:
         """The compacted member-key multiset (folds the event logs in)."""
@@ -471,6 +554,11 @@ class _CodeGroup:
             self.adds = []
             self.dels = []
         return self.key_counts
+
+
+#: :meth:`VariableGroupState._touch`'s answer when no batch is open or
+#: the batch itself created the group: nothing to journal
+_NO_JOURNAL = (False, None, None)
 
 
 class VariableGroupState:
@@ -523,21 +611,24 @@ class VariableGroupState:
         self._y_code_of: dict = {}
         self._y_values: list = []
         self._code_groups: dict[int, _CodeGroup] = {}
-        # transactional batches: group key -> pre-batch snapshot (None =
-        # the group did not exist), recorded on first touch; see begin()
+        # transactional batches: group key -> (group, its undo entry),
+        # or None when the group did not exist; recorded on first touch
         self._undo: dict | None = None
 
     # -- transactional batches --------------------------------------------
 
     def begin(self) -> None:
-        """Open a transactional batch: snapshot groups on first touch.
+        """Open a transactional batch: journal groups on first touch.
 
-        A snapshot copies only the touched group's own dictionaries —
-        O(|group|) per *touched* group, never a copy of the whole table —
-        so a failed fold can :meth:`rollback` to the exact pre-batch
-        state.  The session interning dictionaries (``_x_code_of`` …) are
-        append-only and stay grown across a rollback: codes assigned
-        during a doomed batch are simply never referenced again.
+        An undo entry never copies a container whose size depends on the
+        group — references and lengths in the code-indexed layout, prior
+        counts of the entries the batch changes in the list layout (see
+        :class:`_CodeGroup` / :class:`_Group`) — so arming, filling and
+        dropping the log is O(|ΔD|) and a failed fold can still
+        :meth:`rollback` to the exact pre-batch state.  The session
+        interning dictionaries (``_x_code_of`` …) are append-only and
+        stay grown across a rollback: codes assigned during a doomed
+        batch are simply never referenced again.
         """
         self._undo = {}
 
@@ -545,54 +636,43 @@ class VariableGroupState:
         """Close the batch, discarding its undo log."""
         self._undo = None
 
-    def _snapshot(self, group):
-        if group is None:
-            return None
-        if type(group) is _Group:
-            return (
-                dict(group.y_counts),
-                dict(group.key_counts),
-                group.conflicting,
+    def _touch(self, key, group) -> tuple:
+        """Journal ``key``'s group (``None``: absent) on its first touch
+        under an open batch; returns its ``(conflicting, y journal,
+        rest)`` undo entry for the fold to journal into."""
+        undo = self._undo
+        if undo is None:
+            return _NO_JOURNAL
+        if key in undo:
+            entry = undo[key]
+        else:
+            entry = undo[key] = (
+                None if group is None else (group, group.snapshot())
             )
-        return (
-            dict(group.y_counts),
-            dict(group.key_counts),
-            list(group.adds),
-            list(group.dels),
-            group.conflicting,
-        )
+        return _NO_JOURNAL if entry is None else entry[1]
 
     def rollback(self) -> None:
-        """Restore every touched group to its pre-batch snapshot.
+        """Restore every touched group to its pre-batch state.
 
         A no-op when no batch is open.  Groups created during the batch
-        disappear; groups deleted during it come back; groups mutated in
-        place get their tables swapped back to the snapshot copies.
+        disappear; groups deleted during it come back (the same object);
+        groups mutated in place are restored from their undo entries.
         """
         undo = self._undo
         self._undo = None
         if undo is None:
             return
-        for key, snap in undo.items():
-            if snap is None:
+        for key, entry in undo.items():
+            if entry is None:
                 self.groups.pop(key, None)
                 self._code_groups.pop(key, None)
-            elif len(snap) == 3:
-                group = self.groups.get(key)
-                if group is None:
-                    group = self.groups[key] = _Group()
-                group.y_counts, group.key_counts, group.conflicting = snap
+                continue
+            group, saved = entry
+            group.restore(saved)
+            if type(group) is _Group:
+                self.groups[key] = group
             else:
-                group = self._code_groups.get(key)
-                if group is None:
-                    group = self._code_groups[key] = _CodeGroup()
-                (
-                    group.y_counts,
-                    group.key_counts,
-                    group.adds,
-                    group.dels,
-                    group.conflicting,
-                ) = snap
+                self._code_groups[key] = group
 
     def _violation(self, x: tuple) -> Violation:
         return Violation(
@@ -800,7 +880,6 @@ class VariableGroupState:
         # phase A — net (x, y) counts into the y tables; conflict flips
         # are *not* evaluated yet (phase B reads the pre-batch flags)
         touched: list[tuple[int, _CodeGroup]] = []
-        undo = self._undo
         n_pairs = len(pair_x)
         at = 0
         while at < n_pairs:
@@ -808,8 +887,7 @@ class VariableGroupState:
             group = groups.get(gx)
             # every distinct x of the stream appears in pair_x, so this
             # single touch also covers the phase B/C mutations below
-            if undo is not None and gx not in undo:
-                undo[gx] = self._snapshot(group)
+            _, y_journal, _ = self._touch(gx, group)
             if group is None:
                 group = groups[gx] = _CodeGroup()
             touched.append((gx, group))
@@ -818,7 +896,7 @@ class VariableGroupState:
                 count = net_counts[at]
                 if count:
                     try:
-                        _bump(y_counts, pair_y[at], count)
+                        _bump(y_counts, pair_y[at], count, y_journal)
                     except ValueError:
                         raise ValueError(
                             "deleted a row of X group "
@@ -862,9 +940,7 @@ class VariableGroupState:
             )
             conflict_keys: list = []
             for gx, s, e in zip(first_codes, starts, ends):
-                group = groups.get(gx)
-                if group is None:
-                    group = groups[gx] = _CodeGroup()
+                group = groups[gx]  # phase A created it
                 seg = stream_keys[s:e]
                 if sign > 0:
                     group.adds.extend(seg)
@@ -912,13 +988,11 @@ class VariableGroupState:
 
     def _insert(self, x, y, key, violations, keys) -> None:
         group = self.groups.get(x)
-        undo = self._undo
-        if undo is not None and x not in undo:
-            undo[x] = self._snapshot(group)
+        _, y_journal, key_journal = self._touch(x, group)
         if group is None:
             group = self.groups[x] = _Group()
-        _bump(group.y_counts, y, 1)
-        _bump(group.key_counts, key, 1)
+        _bump(group.y_counts, y, 1, y_journal)
+        _bump(group.key_counts, key, 1, key_journal)
         if group.conflicting:
             if self.collect_tuples:
                 keys.add(key, 1)
@@ -935,13 +1009,11 @@ class VariableGroupState:
             raise ValueError(
                 f"deleted a row of X group {x!r} that is not in the state"
             )
-        undo = self._undo
-        if undo is not None and x not in undo:
-            undo[x] = self._snapshot(group)
+        _, y_journal, key_journal = self._touch(x, group)
         if group.conflicting and self.collect_tuples:
             keys.add(key, -1)
-        _bump(group.y_counts, y, -1)
-        _bump(group.key_counts, key, -1)
+        _bump(group.y_counts, y, -1, y_journal)
+        _bump(group.key_counts, key, -1, key_journal)
         if group.conflicting and len(group.y_counts) < 2:
             group.conflicting = False
             violations.add(self._violation(x), -1)
@@ -1162,9 +1234,7 @@ class IncrementalDetector:
             return self.report
 
     def _fold(self, batch: Relation, sign: int) -> None:
-        self._constants.fold(
-            batch, sign, self._violations, self._keys, self._vectorize
-        )
+        self._constants.fold(batch, sign, self._violations, self._keys)
         for state in self._variables:
             state.fold(
                 batch, sign, self._violations, self._keys, self._vectorize
@@ -1181,15 +1251,13 @@ class IncrementalDetector:
         anything); the list engine folds per stream.
         """
         if self._vectorize:
-            if self._constants.constants:
-                for rows, sign in batches:
-                    self._constants.fold(
-                        Relation(schema, rows, copy=False),
-                        sign,
-                        self._violations,
-                        self._keys,
-                        True,
-                    )
+            for rows, sign in batches:
+                self._constants.fold(
+                    Relation(schema, rows, copy=False),
+                    sign,
+                    self._violations,
+                    self._keys,
+                )
             for state in self._variables:
                 state.fold_signed(
                     schema, batches, self._violations, self._keys
@@ -1329,10 +1397,6 @@ class IncrementalDetector:
             raise ValueError("attach() a relation before applying updates")
         if callable(deleted) or hasattr(deleted, "evaluate"):
             return self._update_via_versions(inserted, deleted)
-        from itertools import repeat
-
-        from ..relational.schema import SchemaError
-
         schema = self.schema
         key_pos = schema.key_positions()
         width = len(schema)

@@ -47,7 +47,6 @@ from ..core import (
     projector,
     sort_patterns_by_generality,
 )
-from ..core.fused import _resolve_vectorize
 from ..core.incremental import (
     ConstantFolds,
     TransitionCounter,
@@ -568,13 +567,7 @@ class IncrementalClustDetector:
 
         for site, folds in zip(cluster.sites, self._constants):
             batch = site.fragment
-            folds.fold(
-                batch,
-                1,
-                self._violations,
-                self._keys,
-                _resolve_vectorize(None, batch),
-            )
+            folds.fold(batch, 1, self._violations, self._keys)
 
         for group in self._groups:
             shared, site_results, scan = _scan_cluster(cluster, group)
@@ -701,13 +694,7 @@ class IncrementalClustDetector:
             for sign, rows in ((-1, removed), (1, inserted)):
                 if rows:
                     batch = Relation(cluster.schema, rows, copy=False)
-                    folds.fold(
-                        batch,
-                        sign,
-                        self._violations,
-                        self._keys,
-                        _resolve_vectorize(None, batch),
-                    )
+                    folds.fold(batch, sign, self._violations, self._keys)
 
         # clusters: σ-scan each updated site's delta
         received_events: dict[int, int] = {}

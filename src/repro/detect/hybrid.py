@@ -375,7 +375,6 @@ class IncrementalHybridDetector:
 
     def detect(self) -> DetectionOutcome:
         """The full two-phase run; builds the resident state."""
-        from ..core.fused import _resolve_vectorize
         from ..core.incremental import ConstantFolds  # noqa: F401 (doc aid)
         from . import base
         from .incremental import _VariableState
@@ -408,13 +407,7 @@ class IncrementalHybridDetector:
                     self._cost.stages.append(StageTimes(0.0, transfer, 0.0))
                     self._constant_gathers.append((constant.source, r, plan))
             batch = self.regions_data[r]
-            folds.fold(
-                batch,
-                1,
-                self._violations,
-                self._keys,
-                _resolve_vectorize(None, batch),
-            )
+            folds.fold(batch, 1, self._violations, self._keys)
 
         for variable in self._variable_cfds:
             applicable = [
@@ -559,7 +552,6 @@ class IncrementalHybridDetector:
         the gather sites, signed coded triples onward to the pattern
         coordinators.
         """
-        from ..core.fused import _resolve_vectorize
         from . import base
         from .incremental import (
             IncrementalUpdate,
@@ -607,13 +599,7 @@ class IncrementalHybridDetector:
         for sign, rows in ((-1, removed), (1, inserted)):
             if rows:
                 batch = Relation(schema, rows, copy=False)
-                folds.fold(
-                    batch,
-                    sign,
-                    self._violations,
-                    self._keys,
-                    _resolve_vectorize(None, batch),
-                )
+                folds.fold(batch, sign, self._violations, self._keys)
         key_width = len(schema.key)
         for _tag, r, plan in self._constant_gathers:
             if r != region:

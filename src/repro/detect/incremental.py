@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..core import CFD, Violation, ViolationReport
-from ..core.fused import _resolve_vectorize
 from ..core.incremental import (
     ConstantFolds,
     TransitionCounter,
@@ -400,13 +399,7 @@ class IncrementalHorizontalDetector:
 
         for site, folds in zip(cluster.sites, self._constants):
             batch = site.fragment
-            folds.fold(
-                batch,
-                1,
-                self._violations,
-                self._keys,
-                _resolve_vectorize(None, batch),
-            )
+            folds.fold(batch, 1, self._violations, self._keys)
 
         for variable in self.normalized.variables:
             partitions, _index = base.partition_cluster(cluster, variable)
@@ -533,13 +526,7 @@ class IncrementalHorizontalDetector:
                 for sign, rows in ((-1, removed), (1, inserted)):
                     if rows:
                         batch = Relation(cluster.schema, rows, copy=False)
-                        folds.fold(
-                            batch,
-                            sign,
-                            self._violations,
-                            self._keys,
-                            _resolve_vectorize(None, batch),
-                        )
+                        folds.fold(batch, sign, self._violations, self._keys)
 
             # variables: σ-scan each updated site's delta
             variables = [state.variable for state in self._variables]
