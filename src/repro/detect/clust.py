@@ -29,6 +29,13 @@ other way, the bucket ordinal is a function of ``t[X ∩ X']`` and hence of
 ``t[X']``: two combinations in different buckets never agree on a
 member's LHS, so merging a site's buckets before the GROUP BY can neither
 add nor lose a conflict.
+
+The resident session (:class:`IncrementalClustDetector`) is the shared
+skeleton of :mod:`repro.detect.incremental` with this module's seed and
+absorb steps: coordinators keep each bucket's resident count per
+combination code, and one GROUP BY kernel per member CFD over the
+*distinct* resident combinations — the same argument again: equal ``X``
+means one bucket, so one table per member serves them all.
 """
 
 from __future__ import annotations
@@ -47,14 +54,7 @@ from ..core import (
     projector,
     sort_patterns_by_generality,
 )
-from ..core.incremental import (
-    ConstantFolds,
-    TransitionCounter,
-    VariableGroupState,
-    commit_counters,
-    counters_report,
-    counters_size,
-)
+from ..core.incremental import TransitionCounter, _restore_counts
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -66,10 +66,10 @@ from ..relational import (
     Relation,
     SharedComboDictionary,
     column_store,
-    compatible_with_bindings,
     shared_dict_on,
 )
 from . import base
+from .incremental import _forward, _ResidentSession, _VariableState
 from .pat import Strategy, make_select_min_response, select_max_stat
 
 
@@ -385,8 +385,10 @@ def scan_clust_delta_summary(
     The incremental counterpart of :func:`cluster_fragment_summary`: for
     each projected pattern returns the signed ``combination → ±count``
     summary (cancelled combinations dropped), the row-event count and the
-    signed row-count change.  ``fragment`` supplies only the schema — the
-    scan never touches resident rows, which keeps the update cost
+    signed row-count change; last, ``combination → (bucket, member CFDs
+    it σ-matches)`` for every delta combination, so the coordinator need
+    not probe the tableaux again.  ``fragment`` supplies only the schema
+    — the scan never touches resident rows, which keeps the update cost
     independent of ``|D_i|``.
     """
     schema = fragment.schema
@@ -394,17 +396,18 @@ def scan_clust_delta_summary(
     combo_deltas: list[dict] = [{} for _ in range(n_buckets)]
     row_events = [0] * n_buckets
     net_rows = [0] * n_buckets
+    routed: dict[tuple, tuple] = {}
     if not inserted and not deleted:
-        return combo_deltas, row_events, net_rows
+        return combo_deltas, row_events, net_rows, routed
     combo_of = projector(schema.positions(group.attributes))
     route = _combo_router(group)
-    match_cache: dict[tuple, int | None] = {}
     for sign, rows in ((-1, deleted), (1, inserted)):
         for row in rows:
             combo = combo_of(row)
-            ordinal = match_cache.get(combo, -1)
-            if ordinal == -1:
-                ordinal = match_cache[combo] = route(combo)[0]
+            hit = routed.get(combo)
+            if hit is None:
+                hit = routed[combo] = route(combo)
+            ordinal = hit[0]
             if ordinal is None:
                 continue
             deltas = combo_deltas[ordinal]
@@ -415,20 +418,30 @@ def scan_clust_delta_summary(
                 del deltas[combo]
             row_events[ordinal] += 1
             net_rows[ordinal] += sign
-    return combo_deltas, row_events, net_rows
+    return combo_deltas, row_events, net_rows, routed
 
 
 class _ClusterGroupState:
-    """One CFD cluster's resident coordinator state."""
+    """One CFD cluster's resident coordinator state.
+
+    Per projected pattern, the resident row count of every global
+    combination code; per member CFD, one GROUP BY kernel over the
+    *distinct* resident combinations (conflict existence is
+    multiplicity-free, exactly like the one-shot coordinator).  Equal
+    ``X`` always lands in one bucket (``shared ⊆ member.lhs``), so one
+    table per member serves all of the cluster's buckets.
+    """
 
     __slots__ = (
         "group",
         "shared",
         "coordinators",
         "combo_counts",
-        "member_states",
+        "members",
         "bucket_rows",
-        "schema",
+        "_probes",
+        "_undo_combos",
+        "_undo_buckets",
     )
 
     def __init__(self, group, shared, coordinators, schema) -> None:
@@ -439,73 +452,119 @@ class _ClusterGroupState:
         self.combo_counts: list[dict[int, int]] = [
             {} for _ in group.projected
         ]
-        #: per projected pattern, per member CFD: the GROUP-BY state over
-        #: the bucket's *distinct* combinations (conflict existence is
-        #: multiplicity-free, exactly like the one-shot coordinator)
-        self.member_states: list[list[VariableGroupState]] = [
-            [
-                VariableGroupState(member, collect_tuples=False)
-                for member in group.members
-            ]
-            for _ in group.projected
-        ]
+        self.members = [_VariableState(member) for member in group.members]
         self.bucket_rows = [0] * len(group.projected)
-        self.schema = schema
+        #: per member: combination -> X, combination -> RHS
+        self._probes = [
+            (
+                projector(schema.positions(member.lhs)),
+                projector(schema.positions(member.rhs)),
+            )
+            for member in group.members
+        ]
+        # transactional batches: bucket ordinal -> {code: prior count},
+        # each entry recorded on first touch
+        self._undo_combos: dict | None = None
+        self._undo_buckets: list | None = None
+
+    def begin(self) -> None:
+        """Open a transactional batch, here and in every member kernel."""
+        self._undo_combos = {}
+        self._undo_buckets = list(self.bucket_rows)
+        for member in self.members:
+            member.begin()
+
+    def commit(self) -> None:
+        """Close the batch, discarding its undo log."""
+        self._undo_combos = None
+        self._undo_buckets = None
+        for member in self.members:
+            member.commit()
+
+    def rollback(self) -> None:
+        """Restore every touched combination count, the bucket row counts
+        and the member kernels.  A no-op when no batch is open."""
+        undo = self._undo_combos
+        self._undo_combos = None
+        if undo is not None:
+            for ordinal, journal in undo.items():
+                _restore_counts(self.combo_counts[ordinal], journal)
+        if self._undo_buckets is not None:
+            self.bucket_rows = self._undo_buckets
+            self._undo_buckets = None
+        for member in self.members:
+            member.rollback()
+
+    def cross(
+        self, combo: tuple, matched: Sequence[int], sign: int, touched: list[set]
+    ) -> None:
+        """A combination entered (+1) or left (−1) the distinct working
+        set: patch the kernel of each ``matched`` member CFD — those whose
+        tableau it σ-matches."""
+        for m in matched:
+            x_of, y_of = self._probes[m]
+            x = x_of(combo)
+            self.members[m].add_rows(x, y_of(combo), sign)
+            touched[m].add(x)
 
     def patch(
         self,
         ordinal: int,
         deltas: Mapping[tuple, int],
-        violations: TransitionCounter,
-        keys: TransitionCounter,
+        routed: Mapping[tuple, tuple],
+        touched: list[set],
     ) -> None:
         """Apply one site's signed combination counts to one bucket."""
         counts = self.combo_counts[ordinal]
+        undo = self._undo_combos
+        journal = None if undo is None else undo.setdefault(ordinal, {})
         intern = self.shared.intern
-        entered: list[tuple] = []
-        left: list[tuple] = []
         for combo, count in deltas.items():
             code = intern(combo)
-            new = counts.get(code, 0) + count
-            if new > 0:
-                counts[code] = new
-                if new == count:
-                    entered.append(combo)
-            elif new == 0:
-                del counts[code]
-                left.append(combo)
-            else:
+            prior = counts.get(code, 0)
+            if journal is not None:
+                journal.setdefault(code, prior)
+            new = prior + count
+            if new < 0:
                 raise ValueError(
                     "coordinator state underflow: a site deleted rows it "
                     "never reported"
                 )
-        for sign, combos in ((-1, left), (1, entered)):
-            if not combos:
-                continue
-            batch = Relation(self.schema, combos, copy=False)
-            for state in self.member_states[ordinal]:
-                state.fold(batch, sign, violations, keys)
+            if new:
+                counts[code] = new
+            else:
+                del counts[code]
+            # a combination's conflict contribution changes exactly when
+            # its resident count crosses zero
+            if not prior:
+                self.cross(combo, routed[combo][1], 1, touched)
+            elif not new:
+                self.cross(combo, routed[combo][1], -1, touched)
+
+    def settle(self, touched: list[set], violations: TransitionCounter) -> None:
+        """Re-derive the conflict status of every patched group."""
+        for member, seen in zip(self.members, touched):
+            for x in seen:
+                member.settle(x, violations)
 
 
-class IncrementalClustDetector:
+class IncrementalClustDetector(_ResidentSession):
     """A resident CLUSTDETECT session over one cluster and CFD set Σ.
 
     :meth:`detect` runs the one-shot LHS-overlap algorithm once and keeps
-    every coordinator's per-combination counts *and* per-member GROUP-BY
-    states resident; :meth:`update` / :meth:`apply_updates` then absorb
+    every coordinator's per-combination counts *and* per-member GROUP BY
+    kernels resident; :meth:`update` / :meth:`apply_updates` then absorb
     insert/delete batches in O(|ΔD|): each updated site σ-scans only its
     delta, new combinations intern append-only into the cluster's
     :class:`~repro.relational.shareddict.SharedComboDictionary` (codes
     from the initial run never move), and the coordinators receive signed
-    ``(combo_code, count)`` pairs — a combination's conflict contribution
-    changes exactly when its resident count crosses zero, which is when
-    it enters or leaves the distinct working set the member CFDs group
-    over.
-
-    Sessions are *single-writer* (no internal lock): concurrent callers
-    must serialize externally — the resident service does so with one
-    lock per managed session (see :mod:`repro.serve`).
+    ``(combo_code, count)`` pairs — ``n_codes = 2·|changed
+    combinations|`` — a combination's conflict contribution changing
+    exactly when its resident count crosses zero, which is when it enters
+    or leaves the distinct working set the member CFDs group over.
     """
+
+    algorithm = "CLUSTDETECT+Δ"
 
     def __init__(
         self,
@@ -513,62 +572,22 @@ class IncrementalClustDetector:
         cfds: Iterable[CFD],
         strategy: str | Strategy = "s",
     ) -> None:
-        self.cluster = cluster
-        self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
         self._pick = _resolve_strategy(cluster, strategy)
-        self.fragments: list[Relation] = [
-            site.fragment for site in cluster.sites
-        ]
-        self._wrap_keys = len(cluster.schema.key_positions()) == 1
-        self._violations = TransitionCounter()
-        self._keys = TransitionCounter()
-        variables: list[VariableCFD] = []
-        constants = []
-        for cfd in self.cfds:
-            normalized = normalize(cfd)
-            constants.extend(normalized.constants)
-            variables.extend(normalized.variables)
-        self._constants = [
-            ConstantFolds(
-                [
-                    constant
-                    for constant in constants
-                    if site.predicate is None
-                    or compatible_with_bindings(
-                        site.predicate, constant.condition()
-                    )
-                ]
-            )
-            for site in cluster.sites
-        ]
-        self._groups = cluster_cfds(variables, cluster.schema.attributes)
-        self._states: list[_ClusterGroupState] = []
-        self._log = ShipmentLog()
-        self._cost = CostBreakdown()
-        self._detected = False
+        super().__init__(
+            cluster, cfds, cluster.sites,
+            [site.fragment for site in cluster.sites],
+        )
+        self._groups = cluster_cfds(
+            self._variable_cfds, cluster.schema.attributes
+        )
 
-    # -- initial run ------------------------------------------------------
+    #: a round may span several sites
+    apply_updates = _ResidentSession._round
 
-    def detect(self) -> DetectionOutcome:
-        """The full one-shot run; builds the resident coordinator state.
-
-        One run per session, like the horizontal sessions: re-running
-        would fold stale rows on top of live counters.
-        """
-        if self._detected:
-            raise ValueError(
-                "detect() already ran for this session; updates are "
-                "absorbed via update()/apply_updates() — build a new "
-                "IncrementalClustDetector to re-detect from scratch"
-            )
+    def _seed(self) -> dict:
         cluster = self.cluster
         model = cluster.cost_model
         chosen: dict[str, list[int]] = {}
-
-        for site, folds in zip(cluster.sites, self._constants):
-            batch = site.fragment
-            folds.fold(batch, 1, self._violations, self._keys)
-
         for group in self._groups:
             shared, site_results, scan = _scan_cluster(cluster, group)
             base.exchange_statistics(cluster, self._log)
@@ -614,19 +633,15 @@ class IncrementalClustDetector:
             self._log.merge(stage_log)
 
             decode = shared.values
+            route = _combo_router(group)
+            touched = [set() for _ in group.members]
             ops_per_site: dict[int, float] = {}
             for ordinal, rows in enumerate(state.bucket_rows):
                 if not rows:
                     continue
-                batch = Relation(
-                    schema,
-                    [decode[code] for code in state.combo_counts[ordinal]],
-                    copy=False,
-                )
-                for member_state in state.member_states[ordinal]:
-                    member_state.fold(
-                        batch, 1, self._violations, self._keys
-                    )
+                for code in state.combo_counts[ordinal]:
+                    combo = decode[code]
+                    state.cross(combo, route(combo)[1], 1, touched)
                 site_index = coordinators[ordinal]
                 ops = float(rows)
                 for m in range(len(group.members)):
@@ -634,159 +649,39 @@ class IncrementalClustDetector:
                 ops_per_site[site_index] = (
                     ops_per_site.get(site_index, 0.0) + ops
                 )
-            check = max(
-                (model.check_time(ops) for ops in ops_per_site.values()),
-                default=0.0,
-            )
+            state.settle(touched, self._violations)
+            check = max(map(model.check_time, ops_per_site.values()), default=0.0)
             self._cost.stages.append(StageTimes(scan, transfer, check))
             self._states.append(state)
+        return {
+            "clusters": [group.name for group in self._groups],
+            "coordinators": chosen,
+        }
 
-        self._detected = True
-        return DetectionOutcome(
-            algorithm="CLUSTDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={
-                "clusters": [group.name for group in self._groups],
-                "coordinators": chosen,
-                "incremental": True,
-            },
-        )
-
-    # -- updates ----------------------------------------------------------
-
-    def update(self, site: int, inserted=(), deleted=()):
-        """Absorb one site's batch (see :meth:`apply_updates`)."""
-        return self.apply_updates({site: (inserted, deleted)})
-
-    def apply_updates(self, updates: Mapping[int, tuple]):
-        """Absorb insert/delete batches at several sites in one round.
-
-        Mirrors
-        :meth:`~repro.detect.incremental.IncrementalHorizontalDetector.apply_updates`:
-        only the deltas are scanned, shipped — as signed
-        ``(combo_code, count)`` pairs, recorded with
-        ``n_codes = 2·|changed combinations|`` — and folded into the
-        resident per-member GROUP-BY states.
-        """
-        from .incremental import IncrementalUpdate, apply_fragment_updates
-
-        if not self._detected:
-            raise ValueError("run detect() before applying updates")
-        cluster = self.cluster
-        model = cluster.cost_model
-        update_log = ShipmentLog()
-
-        # all-or-nothing fragment step first: a round it rejects leaves
-        # no open counter batch behind
-        batches = apply_fragment_updates(self.fragments, updates)
-        self._violations.begin()
-        self._keys.begin()
-        if not batches:
-            return IncrementalUpdate(
-                self._commit(), self.report, update_log, StageTimes(0, 0, 0)
-            )
-
-        # constants: fold each site's delta locally (Proposition 5)
-        for index, inserted, removed in batches:
-            folds = self._constants[index]
-            for sign, rows in ((-1, removed), (1, inserted)):
-                if rows:
-                    batch = Relation(cluster.schema, rows, copy=False)
-                    folds.fold(batch, sign, self._violations, self._keys)
-
-        # clusters: σ-scan each updated site's delta
+    def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
         received_events: dict[int, int] = {}
-        site_fragments = [site.fragment for site in cluster.sites]
         for state in self._states:
-            tasks = [
-                (index, (state.group, inserted, removed))
-                for index, inserted, removed in batches
-            ]
-            results = base.scan_sites(
-                site_fragments, scan_clust_delta_summary, tasks
-            )
-            for (index, _args), (combo_deltas, row_events, net_rows) in zip(
-                tasks, results
-            ):
+            group = state.group
+            touched = [set() for _ in group.members]
+            for index, inserted, removed in batches:
+                combo_deltas, row_events, net_rows, routed = (
+                    scan_clust_delta_summary(
+                        self.fragments[index], group, inserted, removed
+                    )
+                )
                 for ordinal, deltas in enumerate(combo_deltas):
                     if not deltas:
                         continue
-                    coordinator = state.coordinators[ordinal]
-                    if coordinator != index:
-                        update_log.ship(
-                            coordinator,
-                            index,
-                            row_events[ordinal],
-                            row_events[ordinal] * len(state.group.attributes),
-                            tag=f"{state.group.name}#p{ordinal}Δ",
-                            n_codes=2 * len(deltas),
-                        )
-                    received_events[coordinator] = (
-                        received_events.get(coordinator, 0)
-                        + row_events[ordinal]
+                    _forward(
+                        update_log, received_events,
+                        state.coordinators[ordinal], index,
+                        row_events[ordinal], len(group.attributes),
+                        f"{group.name}#p{ordinal}Δ", 2 * len(deltas),
                     )
-                    state.patch(
-                        ordinal, deltas, self._violations, self._keys
-                    )
+                    state.patch(ordinal, deltas, routed, touched)
                     state.bucket_rows[ordinal] += net_rows[ordinal]
-
-        scan = max(
-            (
-                model.scan_time(len(inserted) + len(removed))
-                for _index, inserted, removed in batches
-            ),
-            default=0.0,
-        )
-        transfer = model.transfer_time(update_log.outgoing_by_source())
-        check = max(
-            (
-                model.check_time(model.check_ops(events))
-                for events in received_events.values()
-            ),
-            default=0.0,
-        )
-        stage = StageTimes(scan, transfer, check)
-        self._cost.stages.append(stage)
-        self._log.merge(update_log)
-        return IncrementalUpdate(self._commit(), self.report, update_log, stage)
-
-    # -- results ----------------------------------------------------------
-
-    def _commit(self):
-        return commit_counters(self._violations, self._keys, self._wrap_keys)
-
-    @property
-    def report(self) -> ViolationReport:
-        """The full current report (fresh copy)."""
-        return counters_report(self._violations, self._keys, self._wrap_keys)
-
-    def report_size(self) -> tuple[int, int]:
-        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
-        return counters_size(self._violations, self._keys)
-
-    @property
-    def shipments(self) -> ShipmentLog:
-        """Cumulative traffic: the initial run plus every absorbed batch."""
-        return self._log
-
-    def outcome(self) -> DetectionOutcome:
-        """The session as a :class:`DetectionOutcome` (cumulative)."""
-        return DetectionOutcome(
-            algorithm="CLUSTDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={"incremental": True},
-        )
-
-    def __repr__(self) -> str:
-        total = sum(len(fragment) for fragment in self.fragments)
-        return (
-            f"IncrementalClustDetector({len(self.cfds)} CFDs, "
-            f"{len(self.fragments)} sites, {total} tuples)"
-        )
+            state.settle(touched, self._violations)
+        return received_events
 
 
 def incremental_clust(

@@ -24,6 +24,11 @@ existing machinery:
 
 Each tuple attribute crosses the network at most twice (once into its
 region's gather site, once to a pattern coordinator), and only when needed.
+
+The resident session (:class:`IncrementalHybridDetector`) is the shared
+skeleton of :mod:`repro.detect.incremental` with regions as its places:
+it keeps phase 1's gather plans and phase 2's coordinator kernels, and
+a region's batch replays both phases over the delta alone.
 """
 
 from __future__ import annotations
@@ -47,6 +52,12 @@ from ..distributed import (
 from ..distributed.hybrid import HybridCluster
 from ..relational import Relation, compatible_with_bindings
 from . import base
+from .incremental import (
+    IncrementalUpdate,
+    _ResidentSession,
+    _seed_variable,
+    scan_delta_summary,
+)
 from .pat import Strategy, make_select_min_response, select_max_stat
 
 
@@ -271,55 +282,24 @@ def hybrid_detect(
 # -- incremental sessions ------------------------------------------------------
 
 
-class _HybridVariableState:
-    """One variable CFD's resident phase-1 + phase-2 state."""
-
-    __slots__ = (
-        "variable",
-        "regions",
-        "gather_plans",
-        "synthetic",
-        "state",
-        "gathered_sites",
-        "schema",
-    )
-
-    def __init__(
-        self, variable, regions, gather_plans, synthetic, state,
-        gathered_sites, schema,
-    ) -> None:
-        self.variable = variable
-        #: applicable region indices, in region order — a region's
-        #: position here is its site index in the synthetic cluster
-        self.regions = regions
-        #: per applicable region: the recorded gather plan (which holder
-        #: fragment ships which attributes to which gather site)
-        self.gather_plans = gather_plans
-        self.synthetic = synthetic
-        self.state = state
-        self.gathered_sites = gathered_sites
-        self.schema = schema
-
-
-class IncrementalHybridDetector:
+class IncrementalHybridDetector(_ResidentSession):
     """A resident detection session over one hybrid cluster and Σ.
 
     :meth:`detect` runs the one-shot two-phase algorithm once and keeps,
     per variable CFD, both phases resident: the per-region gather plans
-    (phase 1) and the pattern coordinators' merged GROUP-BY state over
-    cluster-global code pairs (phase 2, the
-    :class:`~repro.detect.incremental._VariableState` machinery of the
-    horizontal sessions).  :meth:`update` absorbs a region's batch of
-    whole-tuple inserts and key deletes in O(|ΔD|): the delta's vertical
-    gather is just a projection (inserted tuples carry every attribute),
-    so each holder fragment ships only its delta's keyed column codes to
-    the region's gather site, which σ-scans the delta and forwards signed
+    (phase 1) and the pattern coordinators' merged GROUP BY over
+    cluster-global code pairs (phase 2, the horizontal sessions' kernel).
+    :meth:`update` absorbs a region's batch of whole-tuple inserts and
+    key deletes in O(|ΔD|): the delta's vertical gather is just a
+    projection (inserted tuples carry every attribute), so each holder
+    fragment ships only its delta's keyed column codes to the region's
+    gather site, which σ-scans the delta and forwards signed
     ``(x_code, y_code, count)`` triples to the resident coordinators.
-
-    Sessions are *single-writer* (no internal lock): concurrent callers
-    must serialize externally — the resident service does so with one
-    lock per managed session (see :mod:`repro.serve`).
     """
+
+    algorithm = "HYBRIDDETECT+Δ"
+    # matching the one-shot hybrid detector, which collects no keys
+    _collect_tuples = False
 
     def __init__(
         self,
@@ -327,70 +307,28 @@ class IncrementalHybridDetector:
         cfds: CFD | Iterable[CFD],
         strategy: str = "s",
     ) -> None:
-        from ..core.incremental import ConstantFolds, TransitionCounter
-
-        if isinstance(cfds, CFD):
-            cfds = [cfds]
-        self.cluster = cluster
-        self.cfds = list(cfds)
         if strategy not in {"s", "rt"}:
             raise ValueError(f"unknown strategy {strategy!r}; use 's' or 'rt'")
         self._strategy = strategy
+        super().__init__(
+            cluster, cfds, cluster.regions,
+            [region.vertical.reconstruct() for region in cluster.regions],
+        )
         #: per region: the current full-schema relation version
-        self.regions_data: list[Relation] = [
-            region.vertical.reconstruct() for region in cluster.regions
-        ]
-        self._violations = TransitionCounter()
-        self._keys = TransitionCounter()
-        constants = []
-        self._variable_cfds = []
-        for cfd in self.cfds:
-            normalized = normalize(cfd)
-            constants.extend(normalized.constants)
-            self._variable_cfds.extend(normalized.variables)
-        # constant forms check within each region (Prop. 5 lifted);
-        # keys are not collected, matching the one-shot hybrid detector
-        self._constants = [
-            ConstantFolds(
-                [
-                    constant
-                    for constant in constants
-                    if region.predicate is None
-                    or compatible_with_bindings(
-                        region.predicate, constant.condition()
-                    )
-                ],
-                collect_tuples=False,
-            )
-            for region in cluster.regions
-        ]
-        #: (constant tag, region index) -> gather plan, for delta traffic
+        self.regions_data = self.fragments
+        #: (constant tag, region index, gather plan), for delta traffic
         self._constant_gathers: list[tuple[str, int, dict]] = []
-        self._variables: list[_HybridVariableState] = []
-        self._log = ShipmentLog()
-        self._cost = CostBreakdown()
-        self._detected = False
+        #: per entry of ``_states``: applicable region -> its gather plan
+        #: (which holder fragment ships which attributes to which site)
+        self._gather_plans: list[dict[int, dict]] = []
 
-    # -- initial run ------------------------------------------------------
-
-    def detect(self) -> DetectionOutcome:
-        """The full two-phase run; builds the resident state."""
-        from ..core.incremental import ConstantFolds  # noqa: F401 (doc aid)
-        from . import base
-        from .incremental import _VariableState
-
-        if self._detected:
-            raise ValueError(
-                "detect() already ran for this session; updates are "
-                "absorbed via update() — build a new "
-                "IncrementalHybridDetector to re-detect from scratch"
-            )
+    def _seed(self) -> dict:
         cluster = self.cluster
         model = cluster.cost_model
         plans: dict[str, dict] = {}
 
-        # constants: fold each region's rows through its resident folds;
-        # account the same intra-region gathers as the one-shot run
+        # constants fold region-locally; account the same intra-region
+        # gathers as the one-shot run
         for r, (region, folds) in enumerate(
             zip(cluster.regions, self._constants)
         ):
@@ -398,55 +336,47 @@ class IncrementalHybridDetector:
                 needed = tuple(
                     dict.fromkeys(constant.report_lhs + (constant.rhs_attr,))
                 )
-                local = region.vertical.sites_with_attributes(needed)
-                if not local:
+                if not region.vertical.sites_with_attributes(needed):
                     _site, _g, transfer, stage_log, plan = _gather_region(
                         cluster, r, needed, constant.source
                     )
                     self._log.merge(stage_log)
                     self._cost.stages.append(StageTimes(0.0, transfer, 0.0))
                     self._constant_gathers.append((constant.source, r, plan))
-            batch = self.regions_data[r]
-            folds.fold(batch, 1, self._violations, self._keys)
 
         for variable in self._variable_cfds:
+            # phase 1: vertical gathers, region by region
             applicable = [
                 r
                 for r, region in enumerate(cluster.regions)
                 if _region_applicable(region, variable)
             ]
-            gathers = [
-                _gather_region(
-                    cluster, r, variable.attributes, variable.source
-                )
-                for r in applicable
-            ]
+            if not applicable:
+                continue
             gathered_sites: list[int] = []
             gathered_fragments: list[Relation] = []
-            gather_plans: list[dict] = []
+            gather_plans: dict[int, dict] = {}
             transfers = []
-            for site, fragment, transfer, stage_log, plan in gathers:
+            for r in applicable:
+                site, fragment, transfer, stage_log, plan = _gather_region(
+                    cluster, r, variable.attributes, variable.source
+                )
                 self._log.merge(stage_log)
                 gathered_sites.append(site)
                 gathered_fragments.append(
                     fragment.project(variable.attributes)
                 )
-                gather_plans.append(plan)
+                gather_plans[r] = plan
                 transfers.append(transfer)
-            if not gathered_fragments:
-                continue
-            gather_transfer = max(transfers, default=0.0)
             join_check = max(
-                (
-                    model.check_time(model.check_ops(len(fragment)))
-                    for fragment in gathered_fragments
-                ),
-                default=0.0,
+                model.check_time(model.check_ops(len(fragment)))
+                for fragment in gathered_fragments
             )
             self._cost.stages.append(
-                StageTimes(0.0, gather_transfer, join_check)
+                StageTimes(0.0, max(transfers), join_check)
             )
 
+            # phase 2: horizontal σ detection across the gather sites
             synthetic = Cluster(
                 [
                     Site(i, fragment)
@@ -454,34 +384,15 @@ class IncrementalHybridDetector:
                 ],
                 cost_model=model,
             )
-            pick: Strategy
-            if self._strategy == "s":
-                pick = select_max_stat
-            else:
-                pick = make_select_min_response(synthetic)
-
-            partitions, _ = base.partition_cluster(synthetic, variable)
-            scan = base.scan_stage_time(synthetic, partitions)
-            base.exchange_statistics(synthetic, self._log)
-            lstat = [part.lstat for part in partitions]
-            coordinators = pick(synthetic, lstat)
-            plans[variable.source] = {
-                "gather_sites": gathered_sites,
-                "coordinators": [gathered_sites[c] for c in coordinators],
-            }
-
-            schema = base.ship_projection_schema(synthetic.schema, variable)
-            stage_log = ShipmentLog()
-            base.ship_buckets(
-                synthetic,
-                partitions,
-                coordinators,
-                stage_log,
-                variable.source,
-                width=len(schema),
+            pick = (
+                select_max_stat
+                if self._strategy == "s"
+                else make_select_min_response(synthetic)
             )
-            transfer = model.transfer_time(stage_log.outgoing_by_source())
-            # remap synthetic site indices to global ids before merging
+            state, stage_log, scan, transfer = _seed_variable(
+                synthetic, variable, pick, self._log, self._violations
+            )
+            # synthetic site indices become global ids from here on
             for event in stage_log.events:
                 self._log.ship(
                     gathered_sites[event.dest],
@@ -491,25 +402,11 @@ class IncrementalHybridDetector:
                     tag=event.tag,
                     n_codes=event.n_codes,
                 )
-
-            state = _VariableState(
-                variable, partitions[0].shared, coordinators, len(schema)
-            )
-            for part in partitions:
-                if not part.participated:
-                    continue
-                fragment = part.site.fragment
-                occupancy = base.group_occupancy(
-                    fragment, variable.attributes
-                )
-                pairs = part.pairs
-                for ordinal, bucket in enumerate(part.buckets):
-                    for local_code in bucket.codes:
-                        x_code, y_code = pairs[local_code]
-                        state.add_rows(x_code, y_code, occupancy[local_code])
-                    state.bucket_rows[ordinal] += bucket.count
-            for x_code in list(state.pair_counts):
-                state.settle(x_code, self._violations)
+            state.coordinators = [gathered_sites[c] for c in state.coordinators]
+            plans[variable.source] = {
+                "gather_sites": gathered_sites,
+                "coordinators": list(state.coordinators),
+            }
             check = max(
                 (
                     model.check_time(model.check_ops(rows))
@@ -519,30 +416,32 @@ class IncrementalHybridDetector:
                 default=0.0,
             )
             self._cost.stages.append(StageTimes(scan, transfer, check))
-            self._variables.append(
-                _HybridVariableState(
-                    variable,
-                    applicable,
-                    gather_plans,
-                    synthetic,
-                    state,
-                    gathered_sites,
-                    schema,
+            self._states.append(state)
+            self._gather_plans.append(gather_plans)
+        return {"plans": plans}
+
+    def _check_round(self, updates):
+        cluster = self.cluster
+        checked = {}
+        for r, (inserted, deleted) in updates.items():
+            if callable(deleted) or hasattr(deleted, "evaluate"):
+                raise ValueError(
+                    "incremental hybrid sessions take key deletes, not "
+                    "predicates (a predicate needs a scan of the region)"
                 )
-            )
+            region = cluster.regions[r]
+            inserted = [tuple(row) for row in inserted]
+            if region.predicate is not None:
+                for row in inserted:
+                    if not region.predicate.evaluate(row, cluster.schema):
+                        raise ValueError(
+                            f"inserted row {row!r} does not satisfy region "
+                            f"{region.name}'s predicate"
+                        )
+            checked[r] = (inserted, list(deleted))
+        return checked
 
-        self._detected = True
-        return DetectionOutcome(
-            algorithm="HYBRIDDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={"plans": plans, "incremental": True},
-        )
-
-    # -- updates ----------------------------------------------------------
-
-    def update(self, region: int, inserted=(), deleted=()):
+    def update(self, region: int, inserted=(), deleted=()) -> IncrementalUpdate:
         """Absorb one region's batch of tuple inserts and key deletes.
 
         ``inserted`` rows are over the *original* schema and must satisfy
@@ -552,176 +451,48 @@ class IncrementalHybridDetector:
         the gather sites, signed coded triples onward to the pattern
         coordinators.
         """
-        from . import base
-        from .incremental import (
-            IncrementalUpdate,
-            apply_fragment_updates,
-            scan_delta_summary,
-        )
+        return self._round({region: (inserted, deleted)})
 
-        if not self._detected:
-            raise ValueError("run detect() before applying updates")
-        if callable(deleted) or hasattr(deleted, "evaluate"):
-            raise ValueError(
-                "incremental hybrid sessions take key deletes, not "
-                "predicates (a predicate needs a scan of the region)"
-            )
+    def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
         cluster = self.cluster
-        model = cluster.cost_model
-        region_obj = cluster.regions[region]
-        schema = cluster.schema
-        inserted = [tuple(row) for row in inserted]
-        if region_obj.predicate is not None:
-            for row in inserted:
-                if not region_obj.predicate.evaluate(row, schema):
-                    raise ValueError(
-                        f"inserted row {row!r} does not satisfy region "
-                        f"{region_obj.name}'s predicate"
-                    )
-        update_log = ShipmentLog()
-
-        # all-or-nothing fragment step first: a batch it rejects leaves
-        # no open counter batch behind
-        batches = apply_fragment_updates(
-            self.regions_data, {region: (inserted, list(deleted))}
-        )
-        self._violations.begin()
-        self._keys.begin()
-        if not batches:
-            return IncrementalUpdate(
-                self._commit(), self.report, update_log, StageTimes(0, 0, 0)
-            )
-        _index, inserted, removed = batches[0]
-        delta_rows = len(inserted) + len(removed)
-
-        # constants stay region-local; replay their gather plans' traffic
-        folds = self._constants[region]
-        for sign, rows in ((-1, removed), (1, inserted)):
-            if rows:
-                batch = Relation(schema, rows, copy=False)
-                folds.fold(batch, sign, self._violations, self._keys)
-        key_width = len(schema.key)
-        for _tag, r, plan in self._constant_gathers:
-            if r != region:
-                continue
-            for holder, attributes in sorted(plan["holders"].items()):
-                update_log.ship(
-                    plan["gather_site"],
-                    cluster.site_id(region, holder),
-                    delta_rows,
-                    delta_rows * (key_width + len(attributes)),
-                    tag=f"{_tag}@{region_obj.name}Δ",
-                    n_codes=delta_rows * (key_width + len(attributes)),
-                )
-
+        key_width = len(cluster.schema.key)
         received_events: dict[int, int] = {}
-        for entry in self._variables:
-            if region not in entry.regions:
-                continue  # F_i ∧ F_φ: the region never matches σ
-            ordinal_site = entry.regions.index(region)
-            variable = entry.variable
-            positions = schema.positions(variable.attributes)
-            ins_proj = [
-                tuple(row[p] for p in positions) for row in inserted
-            ]
-            del_proj = [
-                tuple(row[p] for p in positions) for row in removed
-            ]
-            # phase 1: holders ship the delta's keyed columns in
-            gather_plan = entry.gather_plans[ordinal_site]
-            for holder, attributes in sorted(gather_plan["holders"].items()):
-                update_log.ship(
-                    gather_plan["gather_site"],
-                    cluster.site_id(region, holder),
-                    delta_rows,
-                    delta_rows * (key_width + len(attributes)),
-                    tag=f"{variable.source}@{region_obj.name}Δ",
-                    n_codes=delta_rows * (key_width + len(attributes)),
-                )
-            # phase 2: σ-scan the delta at the gather site, forward the
-            # signed coded triples, patch the coordinator state in place
-            fragment = entry.synthetic.sites[ordinal_site].fragment
-            per_variable = scan_delta_summary(
-                fragment, [variable], ins_proj, del_proj
-            )
-            pair_deltas, row_events, net_rows = per_variable[0]
-            state = entry.state
-            shared = state.shared
-            touched: set[int] = set()
-            for ordinal, deltas in enumerate(pair_deltas):
-                if not deltas:
-                    continue
-                coordinator = state.coordinators[ordinal]
-                coordinator_site = entry.gathered_sites[coordinator]
-                if coordinator != ordinal_site:
+        for region, inserted, removed in batches:
+            delta_rows = len(inserted) + len(removed)
+            name = cluster.regions[region].name
+
+            def gather(tag: str, plan: dict) -> None:
+                # phase 1: holders ship the delta's keyed columns in
+                for holder, attributes in sorted(plan["holders"].items()):
+                    cells = delta_rows * (key_width + len(attributes))
                     update_log.ship(
-                        coordinator_site,
-                        gather_plan["gather_site"],
-                        row_events[ordinal],
-                        row_events[ordinal] * state.width,
-                        tag=f"{variable.source}#p{ordinal}Δ",
-                        n_codes=3 * len(deltas),
+                        plan["gather_site"],
+                        cluster.site_id(region, holder),
+                        delta_rows,
+                        cells,
+                        tag=f"{tag}@{name}Δ",
+                        n_codes=cells,
                     )
-                received_events[coordinator_site] = (
-                    received_events.get(coordinator_site, 0)
-                    + row_events[ordinal]
+
+            # constants stay region-local; replay their gathers' traffic
+            for tag, r, plan in self._constant_gathers:
+                if r == region:
+                    gather(tag, plan)
+            for state, plans in zip(self._states, self._gather_plans):
+                plan = plans.get(region)
+                if plan is None:
+                    continue  # F_i ∧ F_φ: the region never matches σ
+                gather(state.variable.source, plan)
+                # phase 2: σ-scan the delta at the gather site, forward
+                # the signed coded triples to the resident coordinators
+                (summary,) = scan_delta_summary(
+                    self.fragments[region], [state.variable], inserted, removed
                 )
-                for (x, y), count in deltas.items():
-                    x_code = shared.intern_x(x)
-                    y_code = shared.intern_y(y)
-                    state.add_rows(x_code, y_code, count)
-                    touched.add(x_code)
-                state.bucket_rows[ordinal] += net_rows[ordinal]
-            for x_code in touched:
-                state.settle(x_code, self._violations)
-
-        scan = model.scan_time(delta_rows)
-        transfer = model.transfer_time(update_log.outgoing_by_source())
-        check = max(
-            (
-                model.check_time(model.check_ops(events))
-                for events in received_events.values()
-            ),
-            default=0.0,
-        )
-        stage = StageTimes(scan, transfer, check)
-        self._cost.stages.append(stage)
-        self._log.merge(update_log)
-        return IncrementalUpdate(self._commit(), self.report, update_log, stage)
-
-    # -- results ----------------------------------------------------------
-
-    def _commit(self):
-        from ..core.incremental import commit_counters
-
-        return commit_counters(self._violations, self._keys)
-
-    @property
-    def report(self) -> ViolationReport:
-        """The full current report (fresh copy)."""
-        from ..core.incremental import counters_report
-
-        return counters_report(self._violations, self._keys)
-
-    @property
-    def shipments(self) -> ShipmentLog:
-        return self._log
-
-    def outcome(self) -> DetectionOutcome:
-        return DetectionOutcome(
-            algorithm="HYBRIDDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={"incremental": True},
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"IncrementalHybridDetector({len(self.cfds)} CFDs, "
-            f"{len(self.cluster.regions)} regions, "
-            f"{self.cluster.n_sites} sites)"
-        )
+                state.absorb(
+                    plan["gather_site"], summary, update_log, received_events,
+                    self._violations,
+                )
+        return received_events
 
 
 def incremental_hybrid(

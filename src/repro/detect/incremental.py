@@ -1,35 +1,39 @@
-"""Incremental distributed detection: maintain coordinator state over ΔD.
+"""Resident distributed sessions: maintain coordinator state over ΔD.
 
-The one-shot horizontal algorithms (CTRDETECT / PATDETECTS / PATDETECTRT)
-re-scan every fragment and re-ship every σ bucket per run.  This module
-keeps a detection *session* alive instead: after one full run, each
-coordinator's merged GROUP-BY state — per global ``x_code``, the multiset
-of ``y_code``\\ s it takes, with row counts — stays resident, and a batch
-of inserts/deletes at some sites is absorbed by shipping only the **coded
-delta** of the affected ``(X, A)`` combinations:
+The one-shot horizontal algorithms re-scan every fragment and re-ship
+every σ bucket per run.  A *session* keeps a detection alive instead:
+after one full run each coordinator's merged GROUP BY — per ``x``, the
+multiset of ``y`` it takes, with counts — stays resident, and a batch of
+inserts/deletes at some places is absorbed in O(|ΔD|).
 
-1. every updated site σ-partitions *its delta rows only* into per-pattern
-   ``(x, y) → ±count`` summaries — inserts and deletes of the same
-   combination cancel site-side and never cross the wire;
-2. new values intern into the cluster's append-only
-   :class:`~repro.relational.shareddict.SharedPairDictionary`, so every
-   code from the initial run stays valid (the invariant that makes
-   in-place patching sound);
-3. each pattern's coordinator receives its delta as signed
-   ``(x_code, y_code, count)`` triples — the
-   :class:`~repro.distributed.network.ShipmentLog` records them with
-   ``n_codes = 3·|distinct changed pairs|``, so
-   :meth:`~repro.distributed.cost.CostModel.payload_bytes` shows the
-   saving over a full re-shipment — and patches its counters in place; a
-   group flips between clean and conflicting exactly when its distinct
-   ``y_code`` count crosses two;
-4. constant normal forms stay purely local (Proposition 5): each updated
-   site folds its delta through :class:`~repro.core.incremental.ConstantFolds`.
+The paper's horizontal algorithms are one skeleton that differs in *who
+coordinates* and *what is shipped* (:mod:`repro.detect.base`), and so
+are their sessions.  :class:`_ResidentSession` is that skeleton — the
+per-place constant folds (Proposition 5: purely local), the all-or-
+nothing update round with its modelled stage times, reports and
+``verify`` — and :class:`_VariableState` the one coordinator kernel.  A
+family supplies how the initial run seeds coordinator state and where a
+round's signed deltas come from:
 
-Coordinators are chosen once, by the wrapped algorithm's strategy, during
-the initial run and then kept — re-electing them after every batch would
-force re-shipping state that already sits at the old coordinator.  The
-update's simulated response time follows the same three-stage model as a
+* :class:`IncrementalHorizontalDetector` (here; CTRDETECT / PATDETECTS /
+  PATDETECTRT) — each updated site σ-partitions *its delta rows only*
+  into per-pattern ``(x, y) → ±count`` summaries (inserts and deletes of
+  one combination cancel site-side and never cross the wire), new
+  values intern into the cluster's append-only
+  :class:`~repro.relational.shareddict.SharedPairDictionary` (so every
+  code from the initial run stays valid — the invariant that makes
+  in-place patching sound), and each pattern's coordinator receives
+  signed ``(x_code, y_code, count)`` triples, logged with
+  ``n_codes = 3·|changed pairs|``;
+* :class:`~repro.detect.clust.IncrementalClustDetector` — signed
+  ``(combo_code, count)`` pairs per CFD cluster, one kernel per member;
+* :class:`~repro.detect.hybrid.IncrementalHybridDetector` — keyed delta
+  columns into a region's gather site, then the horizontal triples.
+
+Coordinators are chosen once, by the family's strategy, during the
+initial run and then kept — re-electing them after every batch would
+force re-shipping state that already sits at the old coordinator.  A
+round's simulated response time follows the same three-stage model as a
 full run, with every stage driven by |ΔD| instead of |D|.
 """
 
@@ -38,13 +42,14 @@ from __future__ import annotations
 import threading
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core import CFD, Violation, ViolationReport
 from ..core.incremental import (
     ConstantFolds,
     TransitionCounter,
     ViolationDelta,
+    _restore_counts,
     commit_counters,
     counters_report,
     counters_size,
@@ -57,7 +62,7 @@ from ..distributed import (
     ShipmentLog,
     StageTimes,
 )
-from ..relational import Relation, column_store, compatible_with_bindings
+from ..relational import Relation, compatible_with_bindings
 from ..relational.delta import prune_delta_history
 from . import base
 from .ctr import _pick_central_coordinator
@@ -175,8 +180,41 @@ def scan_delta_summary(
     return out
 
 
+def _forward(
+    update_log: ShipmentLog,
+    received_events: dict[int, int],
+    coordinator: int,
+    source: int,
+    events: int,
+    width: int,
+    tag: str,
+    n_codes: int,
+) -> None:
+    """One bucket's delta reaches its coordinator.
+
+    Shipped unless the coordinator is the updated site itself; charged to
+    the coordinator either way — it re-checks its patched buckets whether
+    the delta crossed the wire or was local, mirroring the initial run,
+    which charges coordinators for their own rows too.
+    """
+    if coordinator != source:
+        update_log.ship(
+            coordinator, source, events, events * width,
+            tag=tag, n_codes=n_codes,
+        )
+    received_events[coordinator] = received_events.get(coordinator, 0) + events
+
+
 class _VariableState:
-    """One variable CFD's resident coordinator state."""
+    """One variable CFD's resident coordinator state: the GROUP BY kernel.
+
+    ``x → {y: count}`` merged across all sites, the ``x`` currently
+    conflicting, and the row count of every σ bucket.  Keys are anything
+    hashable: global ``(x_code, y_code)`` pairs of ``shared`` for the
+    horizontal and hybrid sessions, the ``X`` / RHS value tuples
+    themselves (``shared=None``) for a member CFD of a CLUSTDETECT
+    cluster — whose buckets belong to the cluster, so it has none here.
+    """
 
     __slots__ = (
         "variable",
@@ -190,22 +228,24 @@ class _VariableState:
         "_undo_buckets",
     )
 
-    def __init__(self, variable, shared, coordinators, width) -> None:
+    def __init__(self, variable, shared=None, coordinators=(), width=0) -> None:
         self.variable = variable
         self.shared = shared
+        #: per σ bucket: the (global) id of the site coordinating it
         self.coordinators = list(coordinators)
-        #: x_code -> {y_code: row count}, merged across all sites
-        self.pair_counts: dict[int, dict[int, int]] = {}
-        self.conflicting: set[int] = set()
-        self.bucket_rows = [0] * len(variable.patterns)
+        #: x -> {y: row count}, merged across all sites
+        self.pair_counts: dict = {}
+        self.conflicting: set = set()
+        self.bucket_rows = [0] * len(self.coordinators)
         self.width = width
-        # transactional batches: x_code -> (y-table copy | None, was
-        # conflicting), recorded on first touch; see begin()
+        # transactional batches: x -> {y: prior count}, each entry
+        # recorded on first touch (the journal shape of
+        # repro.core.incremental); see begin()
         self._undo_pairs: dict | None = None
         self._undo_buckets: list | None = None
 
     def begin(self) -> None:
-        """Open a transactional batch (first-touch group snapshots)."""
+        """Open a transactional batch (first-touch prior-count journal)."""
         self._undo_pairs = {}
         self._undo_buckets = list(self.bucket_rows)
 
@@ -214,19 +254,11 @@ class _VariableState:
         self._undo_pairs = None
         self._undo_buckets = None
 
-    def _touch(self, x_code: int) -> None:
-        undo = self._undo_pairs
-        if undo is None or x_code in undo:
-            return
-        ys = self.pair_counts.get(x_code)
-        undo[x_code] = (
-            None if ys is None else dict(ys),
-            x_code in self.conflicting,
-        )
-
     def rollback(self) -> None:
-        """Restore every touched group and the bucket row counts.
+        """Restore every touched count and the bucket row counts.
 
+        Every group was settled when the batch opened, so a restored
+        group's conflict status is re-derived from its restored counts.
         The shared dictionaries stay grown (append-only: codes interned
         during a doomed batch are simply never referenced again).  A
         no-op when no batch is open.
@@ -234,55 +266,140 @@ class _VariableState:
         undo = self._undo_pairs
         self._undo_pairs = None
         if undo is not None:
-            for x_code, (ys, was) in undo.items():
-                if ys is None:
-                    self.pair_counts.pop(x_code, None)
+            for x, journal in undo.items():
+                ys = self.pair_counts.setdefault(x, {})
+                _restore_counts(ys, journal)
+                if not ys:
+                    del self.pair_counts[x]
+                if len(ys) >= 2:
+                    self.conflicting.add(x)
                 else:
-                    self.pair_counts[x_code] = ys
-                if was:
-                    self.conflicting.add(x_code)
-                else:
-                    self.conflicting.discard(x_code)
+                    self.conflicting.discard(x)
         if self._undo_buckets is not None:
             self.bucket_rows = self._undo_buckets
             self._undo_buckets = None
 
-    def _violation(self, x_code: int) -> Violation:
+    def _violation(self, x) -> Violation:
         return Violation(
             cfd=self.variable.source,
             lhs_attributes=self.variable.lhs,
-            lhs_values=self.shared.x_values[x_code],
+            lhs_values=x if self.shared is None else self.shared.x_values[x],
         )
 
-    def add_rows(self, x_code: int, y_code: int, count: int) -> None:
+    def add_rows(self, x, y, count: int) -> None:
         """Patch one combination's row count (build and update path both)."""
-        self._touch(x_code)
-        ys = self.pair_counts.setdefault(x_code, {})
-        new = ys.get(y_code, 0) + count
+        ys = self.pair_counts.get(x)
+        if ys is None:
+            ys = self.pair_counts[x] = {}
+        prior = ys.get(y, 0)
+        undo = self._undo_pairs
+        if undo is not None:
+            journal = undo.get(x)
+            if journal is None:
+                journal = undo[x] = {}
+            journal.setdefault(y, prior)
+        new = prior + count
         if new > 0:
-            ys[y_code] = new
+            ys[y] = new
         elif new == 0:
-            del ys[y_code]
+            del ys[y]
             if not ys:
-                del self.pair_counts[x_code]
+                del self.pair_counts[x]
         else:
             raise ValueError(
                 "coordinator state underflow: a site deleted rows it never "
                 "reported"
             )
 
-    def settle(self, x_code: int, violations: TransitionCounter) -> None:
+    def settle(self, x, violations: TransitionCounter) -> None:
         """Re-derive one group's conflict status after patching it."""
-        self._touch(x_code)
-        ys = self.pair_counts.get(x_code)
+        ys = self.pair_counts.get(x)
         now = ys is not None and len(ys) >= 2
-        was = x_code in self.conflicting
+        was = x in self.conflicting
         if now and not was:
-            self.conflicting.add(x_code)
-            violations.add(self._violation(x_code), 1)
+            self.conflicting.add(x)
+            violations.add(self._violation(x), 1)
         elif was and not now:
-            self.conflicting.discard(x_code)
-            violations.add(self._violation(x_code), -1)
+            self.conflicting.discard(x)
+            violations.add(self._violation(x), -1)
+
+    def absorb(
+        self,
+        source: int,
+        summary,
+        update_log: ShipmentLog,
+        received_events: dict[int, int],
+        violations: TransitionCounter,
+    ) -> None:
+        """Fold one site's :func:`scan_delta_summary` entry for this CFD.
+
+        Each changed bucket reaches its coordinator as signed
+        ``(x_code, y_code, count)`` triples — ``n_codes = 3·|changed
+        pairs|`` — and patches the counters in place; new values intern
+        append-only into ``shared``.
+        """
+        pair_deltas, row_events, net_rows = summary
+        shared = self.shared
+        touched: set[int] = set()
+        for ordinal, deltas in enumerate(pair_deltas):
+            if not deltas:
+                continue
+            _forward(
+                update_log, received_events,
+                self.coordinators[ordinal], source,
+                row_events[ordinal], self.width,
+                f"{self.variable.source}#p{ordinal}Δ", 3 * len(deltas),
+            )
+            for (x, y), count in deltas.items():
+                x_code = shared.intern_x(x)
+                self.add_rows(x_code, shared.intern_y(y), count)
+                touched.add(x_code)
+            self.bucket_rows[ordinal] += net_rows[ordinal]
+        for x_code in touched:
+            self.settle(x_code, violations)
+
+
+def _seed_variable(
+    cluster: Cluster,
+    variable: VariableCFD,
+    pick: Callable,
+    log: ShipmentLog,
+    violations: TransitionCounter,
+):
+    """One variable CFD's initial run over a horizontal cluster.
+
+    The one-shot skeleton of :mod:`repro.detect.base` — σ scan, ``lstat``
+    exchange (control traffic, recorded on ``log``), coordinators chosen
+    by ``pick``, buckets shipped — except that the merged GROUP BY stays
+    resident.  Returns ``(state, stage_log, scan, transfer)``; the caller
+    merges ``stage_log`` (the hybrid session remaps its site ids first).
+    """
+    partitions, _index = base.partition_cluster(cluster, variable)
+    scan = base.scan_stage_time(cluster, partitions)
+    base.exchange_statistics(cluster, log)
+    coordinators = pick(cluster, [part.lstat for part in partitions])
+    width = len(base.ship_projection_schema(cluster.schema, variable))
+    stage_log = ShipmentLog()
+    base.ship_buckets(
+        cluster, partitions, coordinators, stage_log, variable.source,
+        width=width,
+    )
+    transfer = cluster.cost_model.transfer_time(stage_log.outgoing_by_source())
+
+    state = _VariableState(variable, partitions[0].shared, coordinators, width)
+    for part in partitions:
+        if not part.participated:
+            continue
+        occupancy = base.group_occupancy(part.site.fragment, variable.attributes)
+        pairs = part.pairs
+        for ordinal, bucket in enumerate(part.buckets):
+            for local_code in bucket.codes:
+                x_code, y_code = pairs[local_code]
+                state.add_rows(x_code, y_code, occupancy[local_code])
+            state.bucket_rows[ordinal] += bucket.count
+    for x_code in list(state.pair_counts):
+        state.settle(x_code, violations)
+    return state, stage_log, scan, transfer
 
 
 @dataclass
@@ -305,74 +422,88 @@ class IncrementalUpdate:
         return self.stage.total
 
 
-class IncrementalHorizontalDetector:
-    """A resident detection session over one horizontal cluster and CFD.
+class _ResidentSession:
+    """The skeleton every resident distributed session shares.
 
-    ``algorithm`` selects the wrapped coordinator strategy (``"ctr"``,
-    ``"pat-s"``, ``"pat-rt"``) or pass any
-    :data:`~repro.detect.pat.Strategy` callable.  :meth:`detect` runs the
-    one-shot algorithm once (through the ordinary scan path) and
-    keeps its merged state; :meth:`update` / :meth:`apply_updates` absorb
-    batches in O(|ΔD|).  :attr:`fragments` tracks the current version of
-    every site's fragment (the cluster object itself stays immutable).
+    A family (horizontal, CLUSTDETECT, hybrid) is the two things the
+    paper says it is: :meth:`_seed` — how the initial run chooses
+    coordinators and fills their state — and :meth:`_absorb` — where one
+    round's signed deltas come from and what crosses the wire.  The rest
+    is here, once: the per-place constant folds (Proposition 5), the
+    :meth:`detect` once-guard, the all-or-nothing round, the modelled
+    stage times of a round, reports, :meth:`verify` and the cost log.
 
-    Sessions are *single-writer*: fragment versions, coordinator group
-    tables, counters and the cost log assume one mutation at a time, so
-    every public entry point serializes on a per-session reentrant lock
-    (``apply_updates`` reads :attr:`report` while holding it).
-    Concurrent callers — the resident service's request threads — are
-    safe; they just take turns.
+    ``places`` are the cluster's horizontal units (sites, or the regions
+    of a hybrid cluster), each with a ``predicate``; ``fragments`` holds
+    the current full-schema relation version of each.  ``_states`` is the
+    family's resident coordinator state — anything with ``begin`` /
+    ``commit`` / ``rollback``.
+
+    Sessions are *single-writer*: fragment versions, coordinator tables,
+    counters and the cost log assume one mutation at a time, so every
+    public entry point serializes on a per-session reentrant lock (a
+    round reads :attr:`report` while holding it).  Concurrent callers —
+    the resident service's request threads — are safe; they take turns.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        cfd: CFD,
-        algorithm: str | Callable = "pat-s",
-    ) -> None:
+    #: display name of the session's algorithm
+    algorithm = ""
+    #: whether the constant forms' tuple keys are collected
+    _collect_tuples = True
+
+    def __init__(self, cluster, cfds: CFD | Iterable[CFD], places, fragments) -> None:
         self.cluster = cluster
-        self.cfd = cfd
-        self.normalized = normalize(cfd)
-        if callable(algorithm):
-            self.algorithm = getattr(algorithm, "__name__", "custom") + "+Δ"
-            self._strategy = algorithm
-        else:
-            try:
-                name, factory = _ALGORITHMS[algorithm]
-            except KeyError:
-                raise ValueError(
-                    f"unknown incremental algorithm {algorithm!r}; use one "
-                    f"of {sorted(_ALGORITHMS)} or pass a strategy callable"
-                ) from None
-            self.algorithm = name
-            self._strategy = factory(cluster)
-        self.fragments: list[Relation] = [
-            site.fragment for site in cluster.sites
-        ]
+        self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
+        self.fragments: list[Relation] = fragments
         # the constant folds carry single-attribute keys raw; the report
         # boundary wraps them back into the 1-tuple contract
         self._wrap_keys = len(cluster.schema.key_positions()) == 1
         self._violations = TransitionCounter()
         self._keys = TransitionCounter()
+        constants = []
+        self._variable_cfds: list[VariableCFD] = []
+        for cfd in self.cfds:
+            normalized = normalize(cfd)
+            constants.extend(normalized.constants)
+            self._variable_cfds.extend(normalized.variables)
         self._constants: list[ConstantFolds] = [
             ConstantFolds(
                 [
                     constant
-                    for constant in self.normalized.constants
-                    if site.predicate is None
+                    for constant in constants
+                    if place.predicate is None
                     or compatible_with_bindings(
-                        site.predicate, constant.condition()
+                        place.predicate, constant.condition()
                     )
-                ]
+                ],
+                collect_tuples=self._collect_tuples,
             )
-            for site in cluster.sites
+            for place in places
         ]
-        self._variables: list[_VariableState] = []
+        self._states: list = []
         self._log = ShipmentLog()
         self._cost = CostBreakdown()
         self._detected = False
         #: serializes every public entry point (single-writer contract)
         self._session_lock = threading.RLock()
+
+    # -- the two things a family is ---------------------------------------
+
+    def _seed(self) -> dict:
+        """The initial run's variable half: scans, coordinator choice,
+        initial shipments, ``_states`` filled, its ``StageTimes``
+        appended.  Returns the outcome's ``details``."""
+        raise NotImplementedError
+
+    def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
+        """One round's variable half: delta scan per updated place, the
+        family's shipments on ``update_log``, ``_states`` patched.
+        Returns ``coordinator site → row events it must re-check``."""
+        raise NotImplementedError
+
+    def _check_round(self, updates: Mapping[int, tuple]) -> Mapping[int, tuple]:
+        """Family validation of a round's input, before any state moves."""
+        return updates
 
     # -- initial run ------------------------------------------------------
 
@@ -384,231 +515,103 @@ class IncrementalHorizontalDetector:
         top of live counters — start a new session instead.
         """
         with self._session_lock:
-            return self._detect_locked()
-
-    def _detect_locked(self) -> DetectionOutcome:
-        if self._detected:
-            raise ValueError(
-                "detect() already ran for this session; updates are "
-                "absorbed via update()/apply_updates() — build a new "
-                "IncrementalHorizontalDetector to re-detect from scratch"
+            if self._detected:
+                raise ValueError(
+                    "detect() already ran for this session; updates are "
+                    "absorbed via update() — build a new "
+                    f"{type(self).__name__} to re-detect from scratch"
+                )
+            for fragment, folds in zip(self.fragments, self._constants):
+                folds.fold(fragment, 1, self._violations, self._keys)
+            details = self._seed()
+            self._detected = True
+            return DetectionOutcome(
+                algorithm=self.algorithm,
+                report=self.report,
+                shipments=self._log,
+                cost=self._cost,
+                details={**details, "incremental": True},
             )
-        cluster = self.cluster
-        model = cluster.cost_model
-        chosen: dict[str, list[int]] = {}
-
-        for site, folds in zip(cluster.sites, self._constants):
-            batch = site.fragment
-            folds.fold(batch, 1, self._violations, self._keys)
-
-        for variable in self.normalized.variables:
-            partitions, _index = base.partition_cluster(cluster, variable)
-            scan = base.scan_stage_time(cluster, partitions)
-            base.exchange_statistics(cluster, self._log)
-
-            lstat = [part.lstat for part in partitions]
-            coordinators = self._strategy(cluster, lstat)
-            chosen[variable.source] = list(coordinators)
-
-            schema = base.ship_projection_schema(cluster.schema, variable)
-            stage_log = ShipmentLog()
-            base.ship_buckets(
-                cluster, partitions, coordinators, stage_log,
-                variable.source, width=len(schema),
-            )
-            transfer = model.transfer_time(stage_log.outgoing_by_source())
-            self._log.merge(stage_log)
-
-            state = _VariableState(
-                variable, partitions[0].shared, coordinators, len(schema)
-            )
-            for part in partitions:
-                if not part.participated:
-                    continue
-                fragment = part.site.fragment
-                occupancy = base.group_occupancy(fragment, variable.attributes)
-                pairs = part.pairs
-                for ordinal, bucket in enumerate(part.buckets):
-                    for local_code in bucket.codes:
-                        x_code, y_code = pairs[local_code]
-                        state.add_rows(x_code, y_code, occupancy[local_code])
-                    state.bucket_rows[ordinal] += bucket.count
-            for x_code in list(state.pair_counts):
-                state.settle(x_code, self._violations)
-            self._variables.append(state)
-
-            ops_per_site: dict[int, float] = {}
-            for ordinal, rows in enumerate(state.bucket_rows):
-                if rows:
-                    site = coordinators[ordinal]
-                    ops_per_site[site] = ops_per_site.get(
-                        site, 0.0
-                    ) + model.check_ops(rows)
-            check = max(
-                (model.check_time(ops) for ops in ops_per_site.values()),
-                default=0.0,
-            )
-            self._cost.stages.append(StageTimes(scan, transfer, check))
-
-        if not self.normalized.variables:
-            scan = max(
-                (
-                    model.scan_time(len(site.fragment))
-                    for site in cluster.sites
-                ),
-                default=0.0,
-            )
-            self._cost.stages.append(StageTimes(scan, 0.0, 0.0))
-
-        self._detected = True
-        return DetectionOutcome(
-            algorithm=self.algorithm,
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={"coordinators": chosen, "incremental": True},
-        )
 
     # -- updates ----------------------------------------------------------
 
-    def update(
-        self, site: int, inserted=(), deleted=()
-    ) -> IncrementalUpdate:
-        """Absorb one site's batch (see :meth:`apply_updates`)."""
-        return self.apply_updates({site: (inserted, deleted)})
+    def update(self, site: int, inserted=(), deleted=()) -> IncrementalUpdate:
+        """Absorb one site's batch: a one-site round (see :meth:`_round`)."""
+        return self._round({site: (inserted, deleted)})
 
-    def apply_updates(
-        self, updates: Mapping[int, tuple]
-    ) -> IncrementalUpdate:
+    def _round(self, updates: Mapping[int, tuple]) -> IncrementalUpdate:
         """Absorb insert/delete batches at several sites in one round.
 
         ``updates`` maps site index to ``(inserted_rows, deleted)``, with
         ``deleted`` an iterable of keys or a predicate (the
         :meth:`Relation.delete` contract).  Only the deltas are scanned,
-        shipped (as signed coded triples) and folded; the returned
+        shipped (coded) and folded; the returned
         :class:`IncrementalUpdate` carries what changed and this batch's
-        traffic/cost.
+        traffic/cost — every modelled stage driven by |ΔD|, not |D|.
 
         All-or-nothing: if any part of the round fails — a schema error,
-        an invalid delete — the session (fragment versions, coordinator
-        group tables, counters, cost log) rolls back to the state before
-        this call and the exception propagates.
+        an invalid delete, an unhashable cell — the session (fragment
+        versions, coordinator tables, counters, cost log) rolls back to
+        the state before this call and the exception propagates.
         """
         with self._session_lock:
-            return self._apply_updates_locked(updates)
-
-    def _apply_updates_locked(
-        self, updates: Mapping[int, tuple]
-    ) -> IncrementalUpdate:
-        if not self._detected:
-            raise ValueError("run detect() before applying updates")
-        cluster = self.cluster
-        model = cluster.cost_model
-        self._violations.begin()
-        self._keys.begin()
-        for state in self._variables:
-            state.begin()
-        update_log = ShipmentLog()
-        prior_fragments = list(self.fragments)
-
-        try:
-            batches = apply_fragment_updates(self.fragments, updates)
-
-            if not batches:
-                return IncrementalUpdate(
-                    self._commit(), self.report, update_log,
-                    StageTimes(0, 0, 0),
-                )
-
-            # constants: fold each site's delta locally (Proposition 5)
-            for index, inserted, removed in batches:
-                folds = self._constants[index]
-                for sign, rows in ((-1, removed), (1, inserted)):
-                    if rows:
-                        batch = Relation(cluster.schema, rows, copy=False)
-                        folds.fold(batch, sign, self._violations, self._keys)
-
-            # variables: σ-scan each updated site's delta
-            variables = [state.variable for state in self._variables]
-            received_events: dict[int, int] = {}
-            if variables:
-                site_fragments = [site.fragment for site in cluster.sites]
-                tasks = [
-                    (index, (variables, inserted, removed))
-                    for index, inserted, removed in batches
-                ]
-                results = base.scan_sites(
-                    site_fragments, scan_delta_summary, tasks
-                )
-                for (index, _args), per_variable in zip(tasks, results):
-                    for state, (pair_deltas, row_events, net_rows) in zip(
-                        self._variables, per_variable
-                    ):
-                        shared = state.shared
-                        touched: set[int] = set()
-                        for ordinal, deltas in enumerate(pair_deltas):
-                            if not deltas:
-                                continue
-                            coordinator = state.coordinators[ordinal]
-                            if coordinator != index:
-                                update_log.ship(
-                                    coordinator,
-                                    index,
-                                    row_events[ordinal],
-                                    row_events[ordinal] * state.width,
-                                    tag=f"{state.variable.source}#p{ordinal}Δ",
-                                    n_codes=3 * len(deltas),
+            if not self._detected:
+                raise ValueError("run detect() before applying updates")
+            updates = self._check_round(updates)
+            schema = self.cluster.schema
+            model = self.cluster.cost_model
+            self._violations.begin()
+            self._keys.begin()
+            for state in self._states:
+                state.begin()
+            update_log = ShipmentLog()
+            stage = StageTimes(0, 0, 0)
+            prior_fragments = list(self.fragments)
+            try:
+                batches = apply_fragment_updates(self.fragments, updates)
+                if batches:
+                    # constants: fold each delta locally (Proposition 5)
+                    for index, inserted, removed in batches:
+                        folds = self._constants[index]
+                        for sign, rows in ((-1, removed), (1, inserted)):
+                            if rows:
+                                folds.fold(
+                                    Relation(schema, rows, copy=False),
+                                    sign, self._violations, self._keys,
                                 )
-                            # the coordinator re-checks its patched
-                            # buckets whether the delta crossed the wire
-                            # or was local — mirroring detect(), which
-                            # charges coordinators for their own rows too
-                            received_events[coordinator] = (
-                                received_events.get(coordinator, 0)
-                                + row_events[ordinal]
-                            )
-                            for (x, y), count in deltas.items():
-                                x_code = shared.intern_x(x)
-                                y_code = shared.intern_y(y)
-                                state.add_rows(x_code, y_code, count)
-                                touched.add(x_code)
-                            state.bucket_rows[ordinal] += net_rows[ordinal]
-                        for x_code in touched:
-                            state.settle(x_code, self._violations)
-
-            scan = max(
-                (
-                    model.scan_time(len(inserted) + len(removed))
-                    for _index, inserted, removed in batches
-                ),
-                default=0.0,
+                    received_events = self._absorb(batches, update_log)
+                    stage = StageTimes(
+                        max(
+                            model.scan_time(len(inserted) + len(removed))
+                            for _index, inserted, removed in batches
+                        ),
+                        model.transfer_time(update_log.outgoing_by_source()),
+                        max(
+                            (
+                                model.check_time(model.check_ops(events))
+                                for events in received_events.values()
+                            ),
+                            default=0.0,
+                        ),
+                    )
+            except BaseException:
+                self.fragments[:] = prior_fragments
+                for state in self._states:
+                    state.rollback()
+                self._violations.rollback()
+                self._keys.rollback()
+                raise
+            if batches:
+                self._cost.stages.append(stage)
+                self._log.merge(update_log)
+            for state in self._states:
+                state.commit()
+            delta = commit_counters(
+                self._violations, self._keys, self._wrap_keys
             )
-            transfer = model.transfer_time(update_log.outgoing_by_source())
-            check = max(
-                (
-                    model.check_time(model.check_ops(events))
-                    for events in received_events.values()
-                ),
-                default=0.0,
-            )
-        except BaseException:
-            self.fragments[:] = prior_fragments
-            for state in self._variables:
-                state.rollback()
-            self._violations.rollback()
-            self._keys.rollback()
-            raise
-        stage = StageTimes(scan, transfer, check)
-        self._cost.stages.append(stage)
-        self._log.merge(update_log)
-        return IncrementalUpdate(self._commit(), self.report, update_log, stage)
+            return IncrementalUpdate(delta, self.report, update_log, stage)
 
     # -- results ----------------------------------------------------------
-
-    def _commit(self) -> ViolationDelta:
-        for state in self._variables:
-            state.commit()
-        return commit_counters(self._violations, self._keys, self._wrap_keys)
 
     @property
     def report(self) -> ViolationReport:
@@ -637,32 +640,27 @@ class IncrementalHorizontalDetector:
         false-alarm-free corruption check for long-lived sessions.
 
         Only violations are compared: the distributed protocol ships
-        coded summaries, so (like the one-shot horizontal algorithms)
-        the session does not track per-row tuple keys of variable forms.
+        coded summaries, so (like the one-shot algorithms) the session
+        does not track per-row tuple keys of variable forms.
         """
         import random
 
         from ..core.detection import detect_violations_reference
 
         with self._session_lock:
-            rows = []
-            for fragment in self.fragments:
-                rows.extend(fragment.rows)
+            rows = [row for fragment in self.fragments for row in fragment.rows]
             maintained = set(self.report.violations)
-        if sample is not None and sample < len(rows):
+        sampled = sample is not None and sample < len(rows)
+        if sampled:
             rows = random.Random(seed).sample(rows, sample)
-            expected = detect_violations_reference(
+        expected = set(
+            detect_violations_reference(
                 Relation(self.cluster.schema, rows, copy=False),
-                self.cfd,
+                self.cfds,
                 collect_tuples=False,
-            )
-            return set(expected.violations) <= maintained
-        expected = detect_violations_reference(
-            Relation(self.cluster.schema, rows, copy=False),
-            self.cfd,
-            collect_tuples=False,
+            ).violations
         )
-        return set(expected.violations) == maintained
+        return expected <= maintained if sampled else expected == maintained
 
     @property
     def shipments(self) -> ShipmentLog:
@@ -683,9 +681,92 @@ class IncrementalHorizontalDetector:
     def __repr__(self) -> str:
         total = sum(len(fragment) for fragment in self.fragments)
         return (
-            f"IncrementalHorizontalDetector({self.algorithm}, "
-            f"{len(self.fragments)} sites, {total} tuples)"
+            f"{type(self).__name__}({self.algorithm}, {len(self.cfds)} CFDs, "
+            f"{len(self.fragments)} fragments, {total} tuples)"
         )
+
+
+class IncrementalHorizontalDetector(_ResidentSession):
+    """A resident CTRDETECT / PATDETECTS / PATDETECTRT session for one CFD.
+
+    ``algorithm`` selects the wrapped coordinator strategy (``"ctr"``,
+    ``"pat-s"``, ``"pat-rt"``) or pass any
+    :data:`~repro.detect.pat.Strategy` callable.  :meth:`detect` runs the
+    one-shot algorithm once and keeps its merged state;
+    :meth:`update` / :meth:`apply_updates` absorb batches in O(|ΔD|).
+    :attr:`fragments` tracks the current version of every site's
+    fragment (the cluster object itself stays immutable).
+    """
+
+    def __init__(
+        self,
+        cluster: Cluster,
+        cfd: CFD,
+        algorithm: str | Callable = "pat-s",
+    ) -> None:
+        if callable(algorithm):
+            self.algorithm = getattr(algorithm, "__name__", "custom") + "+Δ"
+            self._strategy = algorithm
+        else:
+            try:
+                name, factory = _ALGORITHMS[algorithm]
+            except KeyError:
+                raise ValueError(
+                    f"unknown incremental algorithm {algorithm!r}; use one "
+                    f"of {sorted(_ALGORITHMS)} or pass a strategy callable"
+                ) from None
+            self.algorithm = name
+            self._strategy = factory(cluster)
+        self.cfd = cfd
+        super().__init__(
+            cluster, cfd, cluster.sites,
+            [site.fragment for site in cluster.sites],
+        )
+
+    #: a round may span several sites
+    apply_updates = _ResidentSession._round
+
+    def _seed(self) -> dict:
+        cluster = self.cluster
+        model = cluster.cost_model
+        chosen: dict[str, list[int]] = {}
+        for variable in self._variable_cfds:
+            state, stage_log, scan, transfer = _seed_variable(
+                cluster, variable, self._strategy, self._log, self._violations
+            )
+            self._log.merge(stage_log)
+            self._states.append(state)
+            chosen[variable.source] = list(state.coordinators)
+
+            ops_per_site: dict[int, float] = {}
+            for site, rows in zip(state.coordinators, state.bucket_rows):
+                if rows:
+                    ops_per_site[site] = ops_per_site.get(
+                        site, 0.0
+                    ) + model.check_ops(rows)
+            check = max(map(model.check_time, ops_per_site.values()), default=0.0)
+            self._cost.stages.append(StageTimes(scan, transfer, check))
+
+        if not self._variable_cfds:
+            scan = max(
+                (model.scan_time(len(site.fragment)) for site in cluster.sites),
+                default=0.0,
+            )
+            self._cost.stages.append(StageTimes(scan, 0.0, 0.0))
+        return {"coordinators": chosen}
+
+    def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
+        received_events: dict[int, int] = {}
+        for index, inserted, removed in batches:
+            per_variable = scan_delta_summary(
+                self.fragments[index], self._variable_cfds, inserted, removed
+            )
+            for state, summary in zip(self._states, per_variable):
+                state.absorb(
+                    index, summary, update_log, received_events,
+                    self._violations,
+                )
+        return received_events
 
 
 def incremental_ctr(cluster: Cluster, cfd: CFD) -> IncrementalHorizontalDetector:

@@ -5,17 +5,15 @@ per (tenant, relation-id, Σ) and makes it safe and cheap to drive from
 many request threads at once:
 
 * **single-writer enforcement** — every fold runs under one per-session
-  lock, the external serialization the session detectors document
-  (``IncrementalDetector`` and the horizontal sessions also carry their
-  own reentrant lock; the clust/vertical/hybrid families rely on this
-  one);
+  lock, so a fold, its WAL append and the settling of its tickets are
+  one step (every hosted detector also carries its own reentrant lock);
 * **group commit** — tiny update batches coalesce before the delta
   fold: requests enqueue tickets, the first thread through the lock
   drains up to ``REPRO_SERVE_COALESCE`` of them, reconciles them
   key-level into one combined batch (a delete cancels the pending
   insert of the same key, so the fold is equivalent to replaying the
-  tickets serially) and folds once — the same amortization that makes
-  the 0.1 % bench leg absorb at ≈490×, applied to request overhead;
+  tickets serially) and folds once, amortizing the fixed per-batch cost
+  over the coalesced requests;
 * **admission control** — a session's pending queue is bounded by
   ``REPRO_SERVE_QUEUE``; an update stream that outruns its session gets
   :class:`Backpressure` (HTTP 429 + ``Retry-After``) instead of
@@ -42,7 +40,6 @@ from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from ..core import parse_cfd
-from ..core.detection import detect_violations_reference
 from ..core.faults import FoldFaultInjected, active_plan
 from ..core.incremental import IncrementalDetector
 from ..detect.clust import IncrementalClustDetector
@@ -420,6 +417,15 @@ class ManagedSession:
                 f"row of width {len(row)} does not fit schema "
                 f"{self.schema.name!r} of width {len(self.schema)}: {row!r}"
             )
+        try:
+            # one hash per row, not per cell: a JSON array or object in
+            # any cell is unhashable, and every fold groups by hashing
+            hash(row)
+        except TypeError:
+            raise BadSessionSpec(
+                f"row {row!r} holds a non-scalar cell (JSON array or "
+                "object); cells must be strings, numbers, booleans or null"
+            ) from None
         return row
 
     def _build(self, spec: Mapping, fragments: list[Relation] | None):
@@ -775,28 +781,10 @@ class ManagedSession:
         }
 
     def verify(self, sample: int | None = None, seed: int = 8) -> bool:
-        """Invariant check of the resident state (see the detectors').
-
-        Kinds without their own ``verify`` (clust) fall back to a full
-        reference recompute over the current fragment union, compared on
-        violations.
-        """
+        """Invariant check of the resident state (see the detectors')."""
         with self._lock:
             self.stats["verifies"] += 1
-            detector = self._detector
-            if hasattr(detector, "verify"):
-                return detector.verify(sample=sample, seed=seed)
-            rows = [
-                row
-                for fragment in detector.fragments
-                for row in fragment.rows
-            ]
-            expected = detect_violations_reference(
-                Relation(self.schema, rows, copy=False),
-                self.cfds,
-                collect_tuples=False,
-            )
-            return set(expected.violations) == set(detector.report.violations)
+            return self._detector.verify(sample=sample, seed=seed)
 
     def snapshot(self) -> dict:
         """The session's durable state: enough to rebuild an equivalent

@@ -27,9 +27,19 @@ from repro.core import (
     install_fault_plan,
 )
 from repro.core.incremental import incremental_detect
-from repro.detect import incremental_clust, incremental_pat_s
+from repro.detect import incremental_pat_s
 from repro.partition import partition_uniform
 from repro.relational import Relation, Schema, SchemaError
+
+# the per-family session builders of the state-machine suite: three sites
+# (or two regions split on ``c``), Σ with variable and constant forms
+from test_session_machine import (
+    FAMILIES,
+    apply_round as _apply,
+    build_session,
+    places_of as _places,
+    sigma_of,
+)
 
 SCHEMA = Schema("R", ("id", "a", "b", "c"), key=("id",))
 
@@ -224,79 +234,177 @@ def test_failed_update_rolls_back_session(initial, batch, fuse):
     assert detector.verify() is True
 
 
-def _horizontal_session(kind):
-    cluster = partition_uniform(_relation(30), 3)
-    if kind == "clust":
-        return incremental_clust(cluster, [CFD_AB])
-    return incremental_pat_s(cluster, CFD_AB)
+# -- a failed round is a no-op: every family, every stage ----------------------
 
 
-def _matches_reference(session):
-    """The maintained report ≡ the reference engine over the resident rows."""
-    rows = [row for fragment in session.fragments for row in fragment.rows]
-    expected = detect_violations_reference(
-        Relation(SCHEMA, rows, copy=False), CFD_AB, collect_tuples=False
+def _family_session(kind):
+    session, _initial = build_session(kind)
+    return session
+
+
+def _round_for(kind, session, poison=None):
+    """A round that deletes and inserts at place 1 (``c = 1`` rows, so a
+    hybrid session accepts them), plus a delete at place 2 where the
+    family takes multi-place rounds."""
+    places = _places(session)
+    inserted = [(200, 1, 3, 1), (201, 7, 2, 1), (202, 7, 1, 1)]
+    if poison is not None:
+        inserted[1] = poison
+    round_ = {1: (inserted, [places[1].rows[0][0]])}
+    if kind != "hybrid":
+        round_[2] = ([], [places[2].rows[0][0]])
+    return round_
+
+
+def _kernel_tables(session):
+    """Every resident coordinator table, decoded to values."""
+    tables = []
+    for state in session._states:
+        kernels = getattr(state, "members", [state])
+        for kernel in kernels:
+            shared = kernel.shared
+            x_of = (lambda x: x) if shared is None else shared.x_values.__getitem__
+            y_of = (lambda y: y) if shared is None else shared.y_values.__getitem__
+            tables.append(
+                (
+                    {
+                        (x_of(x), y_of(y)): n
+                        for x, ys in kernel.pair_counts.items()
+                        for y, n in ys.items()
+                    },
+                    {x_of(x) for x in kernel.conflicting},
+                    list(kernel.bucket_rows),
+                )
+            )
+        if hasattr(state, "combo_counts"):
+            tables.append(
+                (
+                    [
+                        {state.shared.values[c]: n for c, n in bucket.items()}
+                        for bucket in state.combo_counts
+                    ],
+                    list(state.bucket_rows),
+                )
+            )
+    return tables
+
+
+def _session_state(session):
+    report = session.report
+    return (
+        set(report.violations),
+        set(report.tuple_keys),
+        session.report_size(),
+        len(session._cost.stages),
+        len(session.shipments.events),
+        session.shipments.control_messages,
+        _kernel_tables(session),
     )
-    return set(session.report.violations) == set(expected.violations)
 
 
-@pytest.mark.parametrize("kind", ["pat-s", "clust"])
+def _assert_round_was_a_noop(session, before, before_places):
+    places = _places(session)
+    assert len(places) == len(before_places)
+    # identity, not equality: the pre-round versions are back in place
+    assert all(a is b for a, b in zip(places, before_places))
+    assert _session_state(session) == before
+    violations, tuple_keys = before[0], before[1]
+    assert session.report_size() == (len(violations), len(tuple_keys))
+    assert session.verify() is True
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
 def test_failed_update_rolls_back_horizontal_session(kind):
-    """A round whose *second* site is rejected leaves the first site's
-    rows out too: fragments, report and cost log are all pre-round."""
-    session = _horizontal_session(kind)
-    session.apply_updates({0: ([(100, 0, 3, 0), (101, 0, 2, 1)], [])})
-    before = set(session.report.violations)
-    before_fragments = list(session.fragments)
-    before_stages = len(session._cost.stages)
+    """A round the fragment step rejects — a wrong-width row at the last
+    place, after an earlier place's valid batch — leaves no trace."""
+    session = _family_session(kind)
+    _apply(session, {0: ([(100, 0, 3, 0), (101, 0, 2, 0)], [])})
+    before = _session_state(session)
+    before_places = list(_places(session))
 
     # a fresh a-value with two b-values: folding it adds a violation
-    good = {1: ([(200, 7, 3, 0), (201, 7, 2, 1)], [])}
+    good = [(200, 7, 3, 1), (201, 7, 2, 1)]
+    bad = (300, 1, 3, 1, 9)  # too wide; c = 1 so a region predicate passes
+    if kind == "hybrid":
+        rejected = {1: (good + [bad], [])}
+    else:
+        rejected = {1: (good, []), 2: ([bad], [])}
     with pytest.raises(SchemaError):
-        session.apply_updates({**good, 2: ([(300, 1, 3)], [])})
+        _apply(session, rejected)
+    _assert_round_was_a_noop(session, before, before_places)
 
-    assert session.fragments == before_fragments
-    assert set(session.report.violations) == before
-    assert len(session._cost.stages) == before_stages  # no half cost entry
-    assert _matches_reference(session)
     # the session is still live: the valid half of the round applies cleanly
-    update = session.apply_updates(good)
-    assert len(update.delta.added.violations) == 1
-    assert _matches_reference(session)
+    update = _apply(session, {1: (good, [])})
+    assert len(update.delta.added.violations) == len(sigma_of(kind))
+    assert session.verify() is True
 
 
-def test_mid_fold_failure_rolls_back_pat_session():
-    session = _horizontal_session("pat-s")
-    session.apply_updates({0: ([(100, 0, 3, 0), (101, 0, 2, 1)], [])})
-    before = (set(session.report.violations), set(session.report.tuple_keys))
-    before_fragments = list(session.fragments)
-    before_stages = len(session._cost.stages)
+def _raise_injected(*_args, **_kwargs):
+    raise RuntimeError("injected mid-batch failure")
 
+
+def _inject(mp, kind, stage):
+    """Arm a failure at one stage *after* the fragment step."""
+    from repro.core.incremental import ConstantFolds
+    from repro.detect import clust, hybrid, incremental
     from repro.detect.incremental import _VariableState
+
+    if stage == "constants":  # the deletes fold, the inserts fold raises
+        mp.setattr(ConstantFolds, "fold", _countdown(ConstantFolds.fold, 1))
+    elif stage == "scan":
+        mp.setattr(incremental, "scan_delta_summary", _raise_injected)
+        mp.setattr(hybrid, "scan_delta_summary", _raise_injected, raising=False)
+        mp.setattr(clust, "scan_clust_delta_summary", _raise_injected)
+    elif stage == "add_rows":  # for clust: inside the zero-crossing step
+        mp.setattr(
+            _VariableState, "add_rows", _countdown(_VariableState.add_rows, 1)
+        )
+    elif stage == "settle":
+        mp.setattr(_VariableState, "settle", _countdown(_VariableState.settle, 0))
+    elif stage == "patch":  # clust: a later bucket's patch, earlier ones applied
+        mp.setattr(
+            clust._ClusterGroupState,
+            "patch",
+            _countdown(clust._ClusterGroupState.patch, 1),
+        )
+
+
+STAGES = ["constants", "scan", "add_rows", "settle", "unhashable"]
+
+
+@pytest.mark.parametrize(
+    "kind,stage",
+    [(kind, stage) for kind in FAMILIES for stage in STAGES]
+    + [("clust", "patch")],
+)
+def test_mid_fold_failure_rolls_back_session(kind, stage):
+    """A round that raises after the fragment versions were installed —
+    at the delta constants fold, the delta scan, a kernel patch, a kernel
+    settle, or on a cell no fold can hash — is a no-op; the same round
+    then applies cleanly."""
+    session = _family_session(kind)
+    _apply(session, {0: ([(100, 0, 3, 0), (101, 0, 2, 0)], [])})
+    before = _session_state(session)
+    before_places = list(_places(session))
 
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(
-            _VariableState, "settle", _countdown(_VariableState.settle, 0)
-        )
-        with pytest.raises(RuntimeError, match="injected"):
-            session.apply_updates(
-                {1: ([(200, 1, 3, 0), (201, 1, 2, 1)], []), 2: ([], [2])}
-            )
+        if stage == "unhashable":
+            doomed = _round_for(kind, session, poison=(201, 1, ["x"], 1))
+            with pytest.raises(TypeError, match="unhashable"):
+                _apply(session, doomed)
+        else:
+            _inject(mp, kind, stage)
+            with pytest.raises(RuntimeError, match="injected"):
+                _apply(session, _round_for(kind, session))
     finally:
         mp.undo()
+    _assert_round_was_a_noop(session, before, before_places)
 
-    assert (
-        set(session.report.violations), set(session.report.tuple_keys)
-    ) == before
-    assert session.fragments == before_fragments  # versions rolled back
-    assert len(session._cost.stages) == before_stages  # no half cost entry
+    update = _apply(session, _round_for(kind, session))
+    assert update.delta.added.violations or update.delta.removed.violations
     assert session.verify() is True
-    # the session is still live: the same round applies cleanly
-    session.apply_updates(
-        {1: ([(200, 1, 3, 0), (201, 1, 2, 1)], []), 2: ([], [2])}
-    )
-    assert session.verify() is True
+    assert len(session._cost.stages) == before[3] + 1
 
 
 def test_verify_full_and_sampled():

@@ -171,7 +171,7 @@ def test_distributed_incremental_equals_fresh_run(
     # the patched coordinator state equals a from-scratch session's state
     rebuilt = IncrementalHorizontalDetector(fresh_cluster, cfd, algorithm)
     rebuilt.detect()
-    for live, scratch in zip(session._variables, rebuilt._variables):
+    for live, scratch in zip(session._states, rebuilt._states):
         decode = lambda state, counts: {
             (state.shared.x_values[x], state.shared.y_values[y]): n
             for x, ys in counts.items()

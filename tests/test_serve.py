@@ -412,3 +412,69 @@ def test_http_error_statuses(server):
     assert request(server, "GET", "/v1/stats")[1]["live"] >= 1
     assert request(server, "DELETE", "/v1/acme/sessions/dup")[0] == 200
     assert request(server, "DELETE", "/v1/acme/sessions/dup")[0] == 404
+
+
+ALL_KINDS = ["central", "ctr", "pat-s", "pat-rt", "clust"]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_http_rejects_non_scalar_cells(server, kind):
+    """A JSON array or object in a cell is a 400 naming the row — at
+    session create and at update — never an unhashable-type 500 from
+    inside the fold."""
+    path = f"/v1/acme/sessions/{kind}"
+    poisoned = base_rows(6) + [[900, 44, "Z1", ["x"]]]
+    status, body = request(server, "POST", path, spec(poisoned, kind=kind))
+    assert status == 400 and "900" in body["error"]
+    # the rejected create left nothing behind under the name
+    assert request(server, "POST", path, spec(base_rows(), kind=kind))[0] == 201
+
+    for cell in (["x"], {"x": 1}):
+        status, body = request(
+            server,
+            "POST",
+            path + "/update",
+            {"inserted": [[901, 44, "Z1", "A"], [902, 44, "Z1", cell]]},
+        )
+        assert status == 400 and "902" in body["error"]
+    assert request(server, "POST", path + "/verify", {})[1]["ok"]
+    # nothing of the rejected batch is resident: its clean row still inserts
+    status, _ = request(
+        server, "POST", path + "/update", {"inserted": [[901, 44, "Z1", "A"]]}
+    )
+    assert status == 200
+    assert request(server, "POST", path + "/verify", {})[1]["ok"]
+
+
+def test_http_clust_session_verifies_after_a_failed_update(server, monkeypatch):
+    """A clust update that fails past the boundary checks — here inside
+    the coordinator patch, after the fragment versions were installed —
+    is a 5xx that leaves the session exactly as it was."""
+    from repro.detect.clust import _ClusterGroupState
+
+    path = "/v1/acme/sessions/clust"
+    assert request(
+        server, "POST", path, spec(base_rows(), kind="clust")
+    )[0] == 201
+    before = request(server, "GET", path + "/detect")[1]
+
+    original = _ClusterGroupState.patch
+
+    def failing(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        raise RuntimeError("injected after the patch applied")
+
+    monkeypatch.setattr(_ClusterGroupState, "patch", failing)
+    # a fresh (CC=44, zip) group with two streets: folding it would add a
+    # violation, leaving its rows resident-but-unfolded drops one
+    fresh = [[910, 44, "Z-NEW", "A"], [911, 44, "Z-NEW", "B"]]
+    status, body = request(server, "POST", path + "/update", {"inserted": fresh})
+    assert status == 500 and "injected" in body["error"]
+    monkeypatch.undo()
+
+    assert request(server, "POST", path + "/verify", {})[1]["ok"]
+    assert request(server, "GET", path + "/detect")[1] == before
+    status, body = request(server, "POST", path + "/update", {"inserted": fresh})
+    assert status == 200
+    assert body["violations"] == before["n_violations"] + 1
+    assert request(server, "POST", path + "/verify", {})[1]["ok"]
