@@ -6,7 +6,8 @@ stored in zone C1 or C2"), negations ("non-discontinued items have a
 supplier") and ranges ("bulk lots have quantity ≥ 100") — the eCFD
 extension the paper's related work points to ([17]).  This example defines
 such rules in the extended notation, detects violations both distributedly
-and through the generated SQL (executed on sqlite3), and shows they agree.
+and through the generated SQL (executed as printed on sqlite3), and shows
+they agree.
 
 Run with::
 
@@ -86,9 +87,9 @@ def main() -> None:
         print(f"  {line}")
     print(f"Generated SQL on sqlite3 agrees: {sql_result == ours}")
 
-    print("\nOne generated query (cold-chain-zone):")
-    for query in violation_sql(RULES[0], "STOCK"):
-        print(f"  {query}")
+    print("\nGenerated statements for cold-chain-zone, one per normal form:")
+    for statement in violation_sql(RULES[0], "STOCK"):
+        print(f"  {statement};")
 
     # -- distributed detection --------------------------------------------------
     cluster = partition_by_attribute(stock, "depot")

@@ -15,9 +15,6 @@ setup(
         # fused-numpy detection engine; everything degrades gracefully to
         # the pure-Python paths without it
         "fast": ["numpy>=1.24"],
-        # optional database backend of the sql detection engine; stdlib
-        # sqlite3 always works, duckdb adds PRAGMA threads parallelism
-        "sql": ["duckdb>=0.9"],
     },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

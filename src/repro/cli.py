@@ -21,8 +21,10 @@ Commands
     tombstone path is exercisable, not just appends.
 
 ``sql``
-    Print the SQL detection queries of [2] for a CFD (runnable on any SQL
-    engine; see ``repro.core.sql``).
+    Print the SQL detection queries of [2] for a CFD: the statements the
+    ``sql`` engine runs, one per normal form, with the pattern values
+    inlined as literals (runnable as printed on sqlite3; see
+    ``repro.core.sql``).
 
 ``datagen``
     Generate an evaluation workload with known ground truth.  ``repro
@@ -36,9 +38,7 @@ Commands
 
 Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
-accept a scoped ``--engine`` override), ``REPRO_SQL_BACKEND`` (database
-behind the sql engine: ``sqlite``, ``duckdb`` or ``auto``; unknown or
-unavailable backends abort with exit code 2), ``REPRO_FAULTS``
+accept a scoped ``--engine`` override), ``REPRO_FAULTS``
 (deterministic disk/serve fault injection), ``REPRO_NUMPY`` (array
 backend opt-out),
 ``REPRO_INCREMENTAL`` (structural store sharing of delta relations),
@@ -151,8 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--engine", choices=ENGINES + ("auto",), default=None,
         help="per-fragment detection engine for this run (overrides "
-        "REPRO_ENGINE; 'sql' runs each scan on the configured "
-        "REPRO_SQL_BACKEND database)",
+        "REPRO_ENGINE; 'sql' runs each scan on sqlite3)",
     )
     detect.add_argument(
         "--updates", type=float, default=None, metavar="FRAC",
@@ -638,12 +637,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # same fail-loudly treatment for every other knob: surface the
         # typo before any data is loaded, not as a mid-detection traceback
         from .core import active_plan
-        from .core.sql import resolve_sql_backend
 
-        resolve_sql_backend()
         active_plan()  # a malformed REPRO_FAULTS raises FaultSpecError
 
-        from .core.sql import resolve_handle_cap
         from .serve.durability import resolve_checkpoint, resolve_fsync
         from .serve.governor import (
             resolve_breaker,
@@ -663,7 +659,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             resolve_timeout,
         )
 
-        resolve_handle_cap()
         resolve_max_sessions()
         resolve_queue_depth()
         resolve_coalesce()
@@ -686,9 +681,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .experiments.harness import scale
 
             scale()
-    except (ValueError, RuntimeError) as error:
-        # RuntimeError: REPRO_SQL_BACKEND=duckdb without the package —
-        # same exit code as a typo, the run could not have proceeded
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     args = _build_parser().parse_args(argv)

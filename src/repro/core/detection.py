@@ -22,10 +22,10 @@ Four engines implement the plan:
   constant tests, sorted group-reduce conflict detection).  Requires the
   optional numpy dependency (the ``fast`` extra);
 * the **sql** engine (:mod:`repro.core.sql`) — the paper's technique run
-  *literally*: the relation loaded once into a persistent sqlite3 (or
-  optional DuckDB, the ``sql`` extra) database and all of normalized Σ
-  compiled into one parameterized statement set, result rows decoded back
-  into a report.  Backend selection via ``REPRO_SQL_BACKEND``.
+  *literally*: the relation loaded once into a persistent stdlib sqlite3
+  database and all of normalized Σ compiled into one parameterized
+  statement set (the statements ``repro sql`` prints), result rows
+  decoded back into a report.
 
 :func:`detect_violations` dispatches between them: pass
 ``engine="reference" | "fused" | "fused-numpy" | "sql"``, or set the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..relational import Relation
 from .cfd import CFD
@@ -196,8 +196,8 @@ def detect_violations(
         evaluation of all of Σ, pure-Python folds), ``"fused-numpy"`` (the
         same pass with vectorized folds; raises ``RuntimeError`` when
         numpy is unavailable), ``"sql"`` (the plan compiled to
-        parameterized statements and run inside a persistent sqlite3 or
-        DuckDB database — see :mod:`repro.core.sql`), ``"reference"``
+        parameterized statements and run inside a persistent sqlite3
+        database — see :mod:`repro.core.sql`), ``"reference"``
         (one scan per normal form — the executable spec) or ``"auto"``.
         When ``None``, the
         ``REPRO_ENGINE`` environment variable decides, defaulting to

@@ -33,10 +33,6 @@ class PatternPredicate:
     def matches(self, value: object) -> bool:
         raise NotImplementedError
 
-    def sql_condition(self, column_sql: str, quote) -> str:
-        """Render ``column <op> ...`` for the generated detection SQL."""
-        raise NotImplementedError
-
 
 class OneOf(PatternPredicate):
     """Disjunction: the attribute takes one of the listed values."""
@@ -50,10 +46,6 @@ class OneOf(PatternPredicate):
 
     def matches(self, value: object) -> bool:
         return value in self.values
-
-    def sql_condition(self, column_sql: str, quote) -> str:
-        rendered = ", ".join(sorted(quote(v) for v in self.values))
-        return f"{column_sql} IN ({rendered})"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OneOf) and self.values == other.values
@@ -75,9 +67,6 @@ class NotValue(PatternPredicate):
 
     def matches(self, value: object) -> bool:
         return value != self.value
-
-    def sql_condition(self, column_sql: str, quote) -> str:
-        return f"{column_sql} <> {quote(self.value)}"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NotValue) and self.value == other.value
@@ -113,9 +102,6 @@ class Range(PatternPredicate):
             return _RANGE_OPS[self.op](value, self.bound)
         except TypeError:
             return False
-
-    def sql_condition(self, column_sql: str, quote) -> str:
-        return f"{column_sql} {self.op} {quote(self.bound)}"
 
     def __eq__(self, other: object) -> bool:
         return (

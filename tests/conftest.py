@@ -3,7 +3,7 @@
 The library carries four centralized detection engines — ``reference``
 (the executable spec), ``fused`` (single-pass columnar, pure-Python folds),
 ``fused-numpy`` (the same pass with vectorized folds) and ``sql`` (the
-plan compiled to parameterized statements inside a sqlite3/DuckDB
+plan compiled to parameterized statements inside a stdlib sqlite3
 database).  Rather than maintaining ad-hoc per-engine copies of behavioral
 tests, a test module opts into the matrix with::
 
@@ -15,16 +15,12 @@ which reruns every test in the module once per engine, with
 local checks (:mod:`repro.core.fused`) pick the engine up.  The
 ``fused-numpy`` leg skips automatically when numpy is not importable (or
 is disabled via ``REPRO_NUMPY=0``), so the suite passes unchanged on a
-numpy-less interpreter; the ``sql`` leg mirrors that pattern for its
-*optional* backend — it always runs on stdlib sqlite3, but skips when the
-environment forces ``REPRO_SQL_BACKEND=duckdb`` and duckdb is absent.
+numpy-less interpreter; every other leg runs on the standard library.
 """
-
-import os
 
 import pytest
 
-from repro.core import ENGINES, duckdb_enabled
+from repro.core import ENGINES
 from repro.relational import numpy_enabled
 
 
@@ -34,12 +30,6 @@ def detection_engine(request):
     engine = request.param
     if engine == "fused-numpy" and not numpy_enabled():
         pytest.skip("numpy not importable (or disabled via REPRO_NUMPY=0)")
-    if (
-        engine == "sql"
-        and os.environ.get("REPRO_SQL_BACKEND") == "duckdb"
-        and not duckdb_enabled()
-    ):
-        pytest.skip("REPRO_SQL_BACKEND=duckdb but duckdb is not importable")
     patcher = pytest.MonkeyPatch()
     patcher.setenv("REPRO_ENGINE", engine)
     yield engine

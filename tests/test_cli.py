@@ -111,7 +111,9 @@ def test_cli_sql(capsys):
     code = main(["sql", "--cfd", "([a=1] -> [b='x'])", "--table", "T"])
     output = capsys.readouterr().out
     assert code == 0
-    assert 'FROM "T"' in output and "NOT (" in output
+    assert 'FROM "T"' in output and "IS NOT TRUE" in output
+    assert "NOT (" not in output
+    assert output.count(";") == 1  # one statement per normal form
 
 
 # -- figures ----------------------------------------------------------------------
@@ -132,7 +134,7 @@ def test_cli_figures_unknown(capsys):
     assert "unknown figures" in capsys.readouterr().err
 
 
-# -- --engine / REPRO_SQL_BACKEND ---------------------------------------------
+# -- --engine -------------------------------------------------------------------
 
 
 def test_cli_check_engine_sql(emp_csv, capsys):
@@ -221,24 +223,6 @@ def test_readme_knob_table_matches_the_knobs_src_reads():
         for name in re.findall(r"REPRO_[A-Z_]+(?![A-Z_*])", source.read_text())
     }
     assert read and documented == read
-
-
-def test_cli_unknown_sql_backend_exits_2(emp_csv, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_SQL_BACKEND", "bogus")
-    code = main(["check", "--data", emp_csv, "--cfd", "([a] -> [b])"])
-    assert code == 2
-    assert "unknown SQL backend" in capsys.readouterr().err
-
-
-def test_cli_duckdb_backend_without_package_exits_2(capsys, monkeypatch):
-    from repro.core import duckdb_enabled
-
-    if duckdb_enabled():
-        pytest.skip("duckdb importable; the missing-package path is moot")
-    monkeypatch.setenv("REPRO_SQL_BACKEND", "duckdb")
-    code = main(["sql", "--cfd", "([a] -> [b])"])
-    assert code == 2
-    assert "duckdb" in capsys.readouterr().err
 
 
 # -- datagen ------------------------------------------------------------------

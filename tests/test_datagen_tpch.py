@@ -12,13 +12,7 @@ import json
 
 import pytest
 
-from repro.core import (
-    SQLEngineError,
-    close_sql_handles,
-    detect_violations,
-    detect_violations_sql,
-    duckdb_enabled,
-)
+from repro.core import close_sql_handles, detect_violations
 from repro.datagen import (
     TPCH_SCHEMAS,
     TPCH_TABLES,
@@ -84,23 +78,6 @@ def test_manifest_counts_match_detection_on_every_engine(workload):
                 ), (table, cfd.name, engine)
                 checked += 1
     assert checked >= 10 * len(engines())  # 10 families, every engine
-
-
-@pytest.mark.skipif(not duckdb_enabled(), reason="duckdb not importable")
-def test_manifest_counts_match_duckdb_backend(workload):
-    _clean, dirty, manifest = workload
-    for table, family in tpch_cfds().items():
-        for cfd in family:
-            expected = manifest["tables"][table]["families"][cfd.name]
-            try:
-                report = detect_violations_sql(
-                    dirty[table], cfd, backend="duckdb"
-                )
-            except SQLEngineError:
-                pytest.fail(f"{table} should be duckdb-typeable")
-            assert len(report.for_cfd(cfd.name)) == (
-                expected["expected_violations"]
-            ), (table, cfd.name)
 
 
 def test_some_family_actually_fires(workload):

@@ -6,6 +6,11 @@ matching, normal forms, centralized detection, the generated SQL on
 sqlite3, and the distributed algorithms — must agree with it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -226,6 +231,20 @@ def test_sqlite_matches_detector_extended(case):
     report = detect_violations(relation, cfd, collect_tuples=False)
     expected = {(v.cfd, v.lhs_values) for v in report.violations}
     assert run_detection_on_sqlite(relation, cfd) == expected
+
+
+def test_inventory_example_runs_and_agrees():
+    """``examples/inventory_rules.py`` end to end: the printed SQL, the
+    centralized engine and two distributed algorithms all agree."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, str(root / "examples" / "inventory_rules.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "agrees: True" in result.stdout
+    assert "agrees: False" not in result.stdout
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@
 
 The reference engine is the executable spec; the fused engine, its
 vectorized twin and the database-backed ``sql`` engine must reproduce it
-bit-for-bit — violations *and* collected tuple keys — on every input.
+bit-for-bit — violations *and* collected tuple keys — on every input, and
+the statements ``repro sql`` prints must return its ``Vioπ`` when run.
 This module drives all four engines over random relations and CFD sets
 covering the paths where the backends genuinely diverge in implementation:
 
@@ -19,9 +20,6 @@ covering the paths where the backends genuinely diverge in implementation:
 * relations with ``None`` cells — SQL three-valued logic vs the in-memory
   engines' "None is an ordinary value" contract (the null-safe compilation
   strategy is documented in :mod:`repro.core.sql`).
-
-The ``sql`` legs run on stdlib sqlite3 alone; when duckdb is importable
-they run again against it (and skip cleanly when it is not).
 
 ``VECTORIZE_MIN_ROWS`` is forced to 0 for the whole module so the
 hypothesis-sized relations actually take the vectorized encode and fold
@@ -41,10 +39,8 @@ from repro.core import (
     Range,
     WILDCARD,
     detect_violations,
-    detect_violations_sql,
-    duckdb_enabled,
+    run_detection_on_sqlite,
 )
-from repro.core import SQLEngineError
 from repro.partition import partition_by_attribute, partition_uniform
 from repro.relational import Relation, Schema, column_store, numpy_enabled
 from repro.relational import columnar
@@ -83,14 +79,10 @@ def assert_engines_agree(relation, sigma):
             report = detect_violations(relation, sigma, engine=engine)
             assert report.violations == expected.violations, engine
             assert report.tuple_keys == expected.tuple_keys, engine
-    if duckdb_enabled():
-        try:
-            report = detect_violations_sql(relation, sigma, backend="duckdb")
-        except SQLEngineError:
-            pass  # mixed-type columns duckdb cannot store; sqlite covered it
-        else:
-            assert report.violations == expected.violations, "sql/duckdb"
-            assert report.tuple_keys == expected.tuple_keys, "sql/duckdb"
+    # the printed statements, run as printed (values inlined as literals)
+    assert run_detection_on_sqlite(relation, sigma) == {
+        (v.cfd, v.lhs_values) for v in expected.violations
+    }, "printed sql"
 
 
 rows = st.lists(
@@ -264,6 +256,44 @@ def test_null_constant_rhs_violation():
     assert report.tuple_keys == {(0,)}
 
 
+#: one CFD per row: the cells where ``=``/``<>``/``NOT (…)``/``COUNT
+#: (DISTINCT) > 1`` SQL answers differently from the reference engine
+#: (the last instance, a None X group, is one plain GROUP BY already gets
+#: right)
+EDGE_INSTANCES = {
+    "fd-null-and-value-y": (
+        [("x", None), ("x", "y")], CFD(["a"], ["b"], name="phi")
+    ),
+    "null-under-constant-rhs": (
+        [(1, None)], CFD(["a"], ["b"], [PatternTuple((1,), ("x",))], name="phi")
+    ),
+    "null-lhs-pattern": (
+        [(None, "z")],
+        CFD(["a"], ["b"], [PatternTuple((None,), ("x",))], name="phi"),
+    ),
+    "not-value-over-null": (
+        [(None, "z")],
+        CFD(["a"], ["b"], [PatternTuple((NotValue("x"),), ("y",))], name="phi"),
+    ),
+    "range-over-mixed-column": (
+        [(2, "y"), ("z", "q"), ("w", "q")],
+        CFD(["a"], ["b"], [PatternTuple((Range(">", 1),), ("y",))], name="phi"),
+    ),
+    "null-x-group": (
+        [(None, "x"), (None, "y")], CFD(["a"], ["b"], name="phi")
+    ),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(EDGE_INSTANCES))
+def test_engines_and_printed_sql_agree_on_edge_cells(instance):
+    body, cfd = EDGE_INSTANCES[instance]
+    relation = Relation(
+        SCHEMA, [(i, a, b, 0, 0) for i, (a, b) in enumerate(body)]
+    )
+    assert_engines_agree(relation, [cfd])
+
+
 # -- deterministic edge cases -------------------------------------------------
 
 
@@ -289,6 +319,14 @@ def test_all_identical_columns():
     assert_engines_agree(broken, sigma)
     report = detect_violations(broken, sigma)
     assert report.tuple_keys == {(i,) for i in range(10)}
+    # 1 == 1.0 == True: one X group, one Y value under Python equality
+    lookalikes = [1, 1.0, True]
+    same = Relation(
+        SCHEMA,
+        [(i, lookalikes[i % 3], lookalikes[(i + 1) % 3], 1, 1) for i in range(9)],
+    )
+    assert_engines_agree(same, sigma)
+    assert detect_violations(same, sigma, engine="sql").is_clean()
 
 
 def test_absent_constant_drops_out():

@@ -2,13 +2,14 @@
 
 The generated queries must return exactly ``Vioπ(φ, D)`` as computed by
 the built-in detector — verified on the paper's running example and on
-random instances (hypothesis).  Since the display-path SQL now executes on
-the very table the ``sql`` engine loads (:func:`run_detection_on_sqlite`
-shares the engine's relation handle), these tests also pin the generation
-helpers and the engine to each other: drift in either fails here.
+random instances (hypothesis).  One compiler writes both the statements
+the engine binds parameters into and the ones ``repro sql`` prints with
+literals inlined; :func:`run_detection_on_sqlite` runs the printed ones on
+the engine's own table, so drift between the two fails here.
 """
 
 import math
+import sqlite3
 
 import hypothesis.strategies as st
 import pytest
@@ -22,20 +23,18 @@ from repro.core import (
     close_sql_handles,
     detect_violations,
     detect_violations_sql,
-    duckdb_enabled,
     parse_cfd,
-    resolve_sql_backend,
     sql_handle,
 )
+from repro.core import sql
 from repro.core.sql import (
-    constant_violation_sql,
+    _quote_value,
     create_table_sql,
     run_detection_on_sqlite,
-    variable_violation_sql,
     violation_sql,
 )
 from repro.datagen import emp_instance, emp_tableau_cfds, generate_cust, cust_street_cfd
-from repro.relational import Relation, Schema
+from repro.relational import Relation, Schema, columnar, numpy_enabled
 
 
 def vio_pi(relation, cfds) -> set:
@@ -55,18 +54,16 @@ def assert_sql_engine_matches_reference(relation, cfds):
 
 def test_fd_generates_only_group_by_query():
     fd = parse_cfd("([a, b] -> [c])")
-    assert constant_violation_sql(fd, "T") is None
-    variable = variable_violation_sql(fd, "T")
+    (variable,) = violation_sql(fd, "T")
     assert "GROUP BY" in variable and "HAVING" in variable
-    assert len(violation_sql(fd, "T")) == 1
+    assert "IS NOT TRUE" not in variable
 
 
 def test_constant_cfd_generates_only_scan_query():
     cfd = parse_cfd("([a=1] -> [b='x'])")
-    assert variable_violation_sql(cfd, "T") is None
-    constant = constant_violation_sql(cfd, "T")
-    assert "NOT (" in constant
-    assert len(violation_sql(cfd, "T")) == 1
+    (constant,) = violation_sql(cfd, "T")
+    assert "IS NOT TRUE" in constant and "NOT (" not in constant
+    assert "GROUP BY" not in constant
 
 
 def test_mixed_cfd_generates_both_queries():
@@ -75,7 +72,8 @@ def test_mixed_cfd_generates_both_queries():
         ["b", "c"],
         [PatternTuple((1,), ("x", WILDCARD))],
     )
-    assert len(violation_sql(cfd, "T")) == 2
+    constant, variable = violation_sql(cfd, "T")  # one per normal form
+    assert "IS NOT TRUE" in constant and "GROUP BY" in variable
 
 
 def test_identifiers_and_strings_quoted():
@@ -92,6 +90,66 @@ def test_create_table_declares_no_affinities():
     relation = Relation(schema, [(1, 2.5, "x")])
     ddl = create_table_sql(relation, "T")
     assert ddl == 'CREATE TABLE "T" ("i", "f", "s")'
+
+
+#: one of every value class the engine accepts, at the edges of its range
+LITERALS = [
+    None,
+    True,
+    False,
+    0,
+    2**63 - 1,
+    -(2**63 - 1),
+    -(2**63),
+    1.5,
+    -0.25,
+    1e300,
+    1e16,
+    float("inf"),
+    float("-inf"),
+    "",
+    "o'brien",
+    'say "hi"',
+    "what?",
+    "100%",
+    "'; DROP TABLE D; --",
+]
+
+
+@pytest.mark.parametrize("value", LITERALS, ids=repr)
+def test_literal_round_trips(value):
+    (back,) = sqlite3.connect(":memory:").execute(
+        f"SELECT {_quote_value(value)}"
+    ).fetchone()
+    assert back == value
+    expected_type = int if isinstance(value, bool) else type(value)
+    assert type(back) is expected_type
+
+
+def test_printed_sql_runs_as_printed(capsys):
+    """``repro sql``'s stdout, executed verbatim (comment lines included),
+    returns the reference Vioπ on a table holding None cells."""
+    from repro.cli import main
+
+    schema = Schema("T", ("id", "a", "b"), key=("id",))
+    relation = Relation(
+        schema,
+        [(0, 1, None), (1, 1, "x"), (2, None, "z"), (3, "x", None),
+         (4, "x", None), (5, 2, "y")],
+    )
+    connection = sqlite3.connect(":memory:")
+    connection.execute(create_table_sql(relation, "T"))
+    connection.executemany("INSERT INTO T VALUES (?, ?, ?)", relation.rows)
+    texts = ["([a] -> [b])", "([a=1] -> [b='x'])", "([a!='x'] -> [b='y'])"]
+    sigma, found = [], set()
+    for number, text in enumerate(texts):
+        sigma.append(parse_cfd(text, name=f"cfd{number}"))
+        assert main(["sql", "--table", "T", "--cfd", text]) == 0
+        for statement in filter(None, capsys.readouterr().out.split(";\n")):
+            found |= {(f"cfd{number}", row) for row in connection.execute(statement)}
+    expected = detect_violations(relation, sigma, engine="reference")
+    assert found == {(v.cfd, v.lhs_values) for v in expected.violations}
+    assert len(found) == 4  # three of them need the NULL contract
 
 
 # -- equivalence on the paper's example ------------------------------------
@@ -131,10 +189,10 @@ def test_engine_collect_tuples_false_reports_no_keys():
 
 def test_handle_is_cached_per_relation():
     d0 = emp_instance()
-    first = sql_handle(d0, backend="sqlite")
-    assert sql_handle(d0, backend="sqlite") is first
+    first = sql_handle(d0)
+    assert sql_handle(d0) is first
     other = emp_instance()
-    assert sql_handle(other, backend="sqlite") is not first
+    assert sql_handle(other) is not first
 
 
 def test_dispatcher_routes_sql_engine(monkeypatch):
@@ -145,41 +203,6 @@ def test_dispatcher_routes_sql_engine(monkeypatch):
     reference = detect_violations(d0, emp_tableau_cfds())
     assert via_env.violations == reference.violations
     assert via_env.tuple_keys == reference.tuple_keys
-
-
-# -- backend resolution ------------------------------------------------------
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown SQL backend"):
-        resolve_sql_backend("postgres")
-
-
-def test_unknown_backend_env_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_SQL_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="unknown SQL backend"):
-        resolve_sql_backend()
-
-
-def test_auto_backend_always_resolves():
-    assert resolve_sql_backend("auto") == "auto"
-    assert resolve_sql_backend("sqlite") == "sqlite"
-
-
-@pytest.mark.skipif(duckdb_enabled(), reason="duckdb importable here")
-def test_duckdb_backend_without_duckdb_fails_loudly():
-    with pytest.raises(RuntimeError, match="duckdb"):
-        resolve_sql_backend("duckdb")
-
-
-@pytest.mark.skipif(not duckdb_enabled(), reason="duckdb not importable")
-def test_duckdb_backend_matches_reference_on_emp():
-    d0 = emp_instance()
-    cfds = emp_tableau_cfds()
-    reference = detect_violations(d0, cfds, engine="reference")
-    report = detect_violations_sql(d0, cfds, backend="duckdb")
-    assert report.violations == reference.violations
-    assert report.tuple_keys == reference.tuple_keys
 
 
 # -- quoting / parameterization regressions ----------------------------------
@@ -246,28 +269,37 @@ def test_injection_shaped_values_stay_data():
 # -- unrepresentable values fail loudly --------------------------------------
 
 
-def test_nan_cells_rejected():
+def assert_only_sql_rejects(cells, match, monkeypatch):
+    """The in-memory engines answer like reference on ``cells``; the sql
+    engine and the printed statements raise :class:`SQLEngineError`."""
+    monkeypatch.setattr(columnar, "VECTORIZE_MIN_ROWS", 0)
     schema = Schema("R", ("id", "a"), key=("id",))
-    relation = Relation(schema, [(1, math.nan)])
+    relation = Relation(schema, [(i, cell) for i, cell in enumerate(cells)])
     fd = CFD(("a",), ("id",), [PatternTuple((WILDCARD,), (WILDCARD,))])
-    with pytest.raises(SQLEngineError, match="NaN"):
+    expected = detect_violations(relation, fd, engine="reference")
+    assert expected.violations  # the repeated cell is a conflicting X group
+    for engine in ["fused"] + (["fused-numpy"] if numpy_enabled() else []):
+        report = detect_violations(relation, fd, engine=engine)
+        assert report.violations == expected.violations, engine
+        assert report.tuple_keys == expected.tuple_keys, engine
+    with pytest.raises(SQLEngineError, match=match):
         detect_violations_sql(relation, fd)
+    with pytest.raises(SQLEngineError, match=match):
+        run_detection_on_sqlite(relation, fd)
 
 
-def test_oversized_integers_rejected():
-    schema = Schema("R", ("id", "a"), key=("id",))
-    relation = Relation(schema, [(1, 2**63)])
-    fd = CFD(("a",), ("id",), [PatternTuple((WILDCARD,), (WILDCARD,))])
-    with pytest.raises(SQLEngineError, match="64 bits"):
-        detect_violations_sql(relation, fd)
+def test_nan_cells_rejected(monkeypatch):
+    assert_only_sql_rejects([math.nan, math.nan, 0.5], "NaN", monkeypatch)
 
 
-def test_non_primitive_cells_rejected():
-    schema = Schema("R", ("id", "a"), key=("id",))
-    relation = Relation(schema, [(1, (2, 3))])
-    fd = CFD(("a",), ("id",), [PatternTuple((WILDCARD,), (WILDCARD,))])
-    with pytest.raises(SQLEngineError, match="not\\s+representable"):
-        detect_violations_sql(relation, fd)
+def test_oversized_integers_rejected(monkeypatch):
+    assert_only_sql_rejects([2**63, 2**63, 2**64 + 1], "64 bits", monkeypatch)
+
+
+def test_non_primitive_cells_rejected(monkeypatch):
+    assert_only_sql_rejects(
+        [(2, 3), (2, 3), (4, 5)], "not\\s+representable", monkeypatch
+    )
 
 
 # -- equivalence on random instances ----------------------------------------
@@ -323,13 +355,13 @@ def _tiny_relation(tag: int) -> Relation:
 
 
 def test_handle_cache_eviction_closes_the_connection(monkeypatch):
-    """Filling the cache past REPRO_SQL_HANDLES must evict LRU-first and
-    actually close the evicted database connection — a long-running host
-    cycling through relations must not leak file handles."""
+    """Filling the cache past its cap must evict LRU-first and actually
+    close the evicted database connection — a long-running host cycling
+    through relations must not leak file handles."""
     close_sql_handles()
-    monkeypatch.setenv("REPRO_SQL_HANDLES", "3")
+    monkeypatch.setattr(sql, "_HANDLES_CAP", 3)
     relations = [_tiny_relation(i) for i in range(5)]
-    handles = [sql_handle(relation, backend="sqlite") for relation in relations]
+    handles = [sql_handle(relation) for relation in relations]
     # the two oldest were evicted; their connections are closed for real
     for evicted in handles[:2]:
         with pytest.raises(Exception) as caught:
@@ -339,26 +371,12 @@ def test_handle_cache_eviction_closes_the_connection(monkeypatch):
     # hit (same object), not a rebuild
     for kept, relation in zip(handles[2:], relations[2:]):
         assert kept._connection.execute("SELECT 1") is not None
-        assert sql_handle(relation, backend="sqlite") is kept
+        assert sql_handle(relation) is kept
     # an evicted relation gets a *fresh* working handle on re-request
-    fresh = sql_handle(relations[0], backend="sqlite")
+    fresh = sql_handle(relations[0])
     assert fresh is not handles[0]
     assert fresh._connection.execute("SELECT 1") is not None
     close_sql_handles()
-
-
-def test_resolve_handle_cap_rejects_garbage(monkeypatch):
-    from repro.core.sql import resolve_handle_cap
-
-    assert resolve_handle_cap() == 8
-    monkeypatch.setenv("REPRO_SQL_HANDLES", "16")
-    assert resolve_handle_cap() == 16
-    monkeypatch.setenv("REPRO_SQL_HANDLES", "lots")
-    with pytest.raises(ValueError):
-        resolve_handle_cap()
-    monkeypatch.setenv("REPRO_SQL_HANDLES", "0")
-    with pytest.raises(ValueError):
-        resolve_handle_cap()
 
 
 def teardown_module(module):
