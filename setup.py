@@ -10,11 +10,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={
-        # optional array backend: vectorized columnar encoding and the
-        # fused-numpy detection engine; everything degrades gracefully to
-        # the pure-Python paths without it
-        "fast": ["numpy>=1.24"],
-    },
+    install_requires=["numpy>=1.24"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -39,8 +39,7 @@ Commands
 Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
 accept a scoped ``--engine`` override), ``REPRO_FAULTS``
-(deterministic disk/serve fault injection), ``REPRO_NUMPY`` (array
-backend opt-out),
+(deterministic disk/serve fault injection),
 ``REPRO_INCREMENTAL`` (structural store sharing of delta relations),
 ``REPRO_SCALE`` (dataset scale) — see the README's table.  Malformed
 knob values abort with exit code 2 before any data is loaded.

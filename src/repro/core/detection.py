@@ -8,19 +8,15 @@ violations of the variable normal forms.  This module is the same plan on
 our relational engine; it is both the baseline detector and the local
 checking step every distributed algorithm runs at coordinator sites.
 
-Four engines implement the plan:
+Three engines implement the plan:
 
 * the **reference** engine below — one scan per normal form, row tuples
   and hash tables rebuilt per query.  It is the executable spec every
-  other detector (fused, fused-numpy, distributed, SQL) is tested
-  against;
+  other detector (fused, distributed, SQL) is tested against;
 * the **fused** engine (:mod:`repro.core.fused`) — a single pass over the
   relation's cached columnar encoding evaluating all of Σ at once, with
-  pure-Python per-form folds;
-* the **fused-numpy** engine — the same single pass with the folds
-  vectorized over the store's ``int32`` code arrays (boolean-mask
-  constant tests, sorted group-reduce conflict detection).  Requires the
-  optional numpy dependency (the ``fast`` extra);
+  the per-form folds vectorized over the store's ``int32`` code arrays
+  (boolean-mask constant tests, group-reduce conflict detection);
 * the **sql** engine (:mod:`repro.core.sql`) — the paper's technique run
   *literally*: the relation loaded once into a persistent stdlib sqlite3
   database and all of normalized Σ compiled into one parameterized
@@ -28,12 +24,10 @@ Four engines implement the plan:
   decoded back into a report.
 
 :func:`detect_violations` dispatches between them: pass
-``engine="reference" | "fused" | "fused-numpy" | "sql"``, or set the
-``REPRO_ENGINE`` environment variable to the same values (the engine
-conformance matrix in the test suite does exactly that).  With neither
-given, detection auto-selects: fused-numpy when numpy is importable (and
-not disabled via ``REPRO_NUMPY=0``) and the relation is large enough to
-amortize array overhead, fused otherwise.
+``engine="reference" | "fused" | "sql"``, or set the ``REPRO_ENGINE``
+environment variable to the same values (the engine conformance matrix in
+the test suite does exactly that).  With neither given (``"auto"``),
+detection runs the fused engine.
 """
 
 from __future__ import annotations
@@ -176,7 +170,7 @@ def detect_violations_reference(
 
 
 #: engine names :func:`detect_violations` accepts (besides ``"auto"``).
-ENGINES = ("reference", "fused", "fused-numpy", "sql")
+ENGINES = ("reference", "fused", "sql")
 
 
 def detect_violations(
@@ -193,24 +187,19 @@ def detect_violations(
 
     ``engine``
         The execution backend: ``"fused"`` (single-pass columnar
-        evaluation of all of Σ, pure-Python folds), ``"fused-numpy"`` (the
-        same pass with vectorized folds; raises ``RuntimeError`` when
-        numpy is unavailable), ``"sql"`` (the plan compiled to
-        parameterized statements and run inside a persistent sqlite3
-        database — see :mod:`repro.core.sql`), ``"reference"``
-        (one scan per normal form — the executable spec) or ``"auto"``.
-        When ``None``, the
-        ``REPRO_ENGINE`` environment variable decides, defaulting to
-        ``"auto"`` — the fused engine with vectorized folds whenever numpy
-        is active and the relation is large enough for them to pay off.
+        evaluation of all of Σ with vectorized folds), ``"sql"`` (the plan
+        compiled to parameterized statements and run inside a persistent
+        sqlite3 database — see :mod:`repro.core.sql`), ``"reference"``
+        (one scan per normal form — the executable spec) or ``"auto"``
+        (the fused engine).  When ``None``, the ``REPRO_ENGINE``
+        environment variable decides, defaulting to ``"auto"``.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "auto")
-    if engine in ("auto", "fused", "fused-numpy"):
+    if engine in ("auto", "fused"):
         from .fused import fused_detect
 
-        vectorize = {"auto": None, "fused": False, "fused-numpy": True}[engine]
-        return fused_detect(relation, cfds, collect_tuples, vectorize)
+        return fused_detect(relation, cfds, collect_tuples)
     if engine == "reference":
         return detect_violations_reference(relation, cfds, collect_tuples)
     if engine == "sql":

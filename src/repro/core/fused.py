@@ -17,54 +17,36 @@ so each row tuple is *touched once*:
    ``join`` and ``HashIndex``, and across repeated detections, because the
    store is cached on the immutable relation.
 
-2. **Per-form folds over integer codes.**  Each constant normal form
-   compiles to per-column *code* tests (a pattern constant missing from a
-   column proves no row can match, so the form drops out entirely; an eCFD
-   predicate is evaluated once per distinct value, never per row).  Each
-   variable normal form probes its :class:`PatternIndex` once per distinct
-   X group — the shared σ trie of Section IV-B — and folds rows into
-   per-(CFD, X-group) conflict states: first RHS code seen, conflict flag,
-   member rows.  Per (row, matching form) the work is a couple of list
-   lookups — no tuple construction, no value hashing.
-
-Both folds come in two implementations sharing the compiled plans:
-
-* the **pure-Python** folds above (engine ``"fused"``) — per (row,
-  matching form) the work is a couple of list lookups; no dependency
-  beyond the standard library;
-* the **vectorized** folds (engine ``"fused-numpy"``) — constant-form
-  code tests become boolean masks over the store's cached ``int32`` code
-  arrays (one lookup table per referenced column), and variable-form
-  X-group conflict detection becomes a sort-free group-reduce: a scatter
-  elects one representative Y code per σ-matched X group, and a group
-  conflicts iff some of its rows disagrees with the representative.  On
-  repeat detections violating tuple keys are gathered through the
-  relation's key :class:`~repro.relational.columnar.KeyColumn`, whose
-  pre-built value tuples make the set-update allocation-free.
-
-``vectorize=None`` (the default everywhere) auto-selects: the vectorized
-folds when numpy is active (see
-:func:`repro.relational.columnar.numpy_enabled`) and the relation is large
-enough to amortize the array overhead, the Python folds otherwise; the
-``REPRO_ENGINE`` environment variable (``fused`` / ``fused-numpy``)
-overrides the choice, which is how the engine conformance matrix drives
-every detector — including the distributed ones, whose local checks land
-here — through each backend.
+2. **Per-form vectorized folds over integer codes.**  Each constant
+   normal form compiles to per-column *code* tests (a pattern constant
+   missing from a column proves no row can match, so the form drops out
+   entirely; an eCFD predicate is evaluated once per distinct value, never
+   per row), which become boolean masks over the store's cached ``int32``
+   code arrays — one lookup table per referenced column.  Each variable
+   normal form probes its :class:`PatternIndex` once per distinct X group
+   — the shared σ trie of Section IV-B — and finds the conflicting groups
+   by a sort-free group-reduce: a scatter elects one representative Y code
+   per σ-matched X group, and a group conflicts iff some of its rows
+   disagrees with the representative.  No tuple construction, no value
+   hashing.  On repeat detections violating tuple keys are gathered
+   through the relation's key
+   :class:`~repro.relational.columnar.KeyColumn`, whose pre-built value
+   tuples make the set-update allocation-free.
 
 The output is bit-for-bit the reference detector's :class:`ViolationReport`
 (violations *and* violating tuple keys), which the property-based suites
-assert on random relations and CFD sets across all three engines.
+assert on random relations and CFD sets across every engine.
 """
 
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from ..relational import Relation
-from ..relational import columnar
-from ..relational.columnar import ColumnStore, column_store, numpy_enabled
+from ..relational.columnar import ColumnStore, column_store
 from .cfd import CFD, matches
 from .epatterns import is_predicate
 from .normalize import (
@@ -75,47 +57,6 @@ from .normalize import (
     pattern_index,
 )
 from .violations import Violation, ViolationReport
-
-try:  # the vectorized folds are optional, like the columnar array backend
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
-    _np = None
-
-
-def _require_numpy() -> bool:
-    if not numpy_enabled():
-        raise RuntimeError(
-            "the fused-numpy engine needs numpy (install the 'fast' extra); "
-            "numpy is not importable or was disabled via REPRO_NUMPY=0"
-        )
-    return True
-
-
-def _resolve_vectorize(vectorize: bool | None, relation: Relation) -> bool:
-    """Decide whether to run the vectorized folds.
-
-    Explicit ``True``/``False`` wins (``True`` verifies numpy is active).
-    ``None`` defers to ``REPRO_ENGINE`` (``fused`` — and ``reference``,
-    so that matrix leg stays deterministic whether or not numpy is
-    installed — force the Python folds, ``fused-numpy`` the vectorized
-    ones); with no override the vectorized folds are picked when numpy is
-    active and the relation is at least
-    :data:`repro.relational.columnar.VECTORIZE_MIN_ROWS` rows, below which
-    per-call array overhead outweighs the fold speedup.
-    """
-    if vectorize is None:
-        env = os.environ.get("REPRO_ENGINE")
-        if env in ("fused", "reference"):
-            return False
-        if env == "fused-numpy":
-            return _require_numpy()
-        return (
-            numpy_enabled()
-            and len(relation.rows) >= columnar.VECTORIZE_MIN_ROWS
-        )
-    if vectorize:
-        return _require_numpy()
-    return False
 
 
 def _project_rows(
@@ -133,17 +74,6 @@ def _project_rows(
     return map(itemgetter(*positions), fetched)
 
 
-def _collect_keys(
-    report: ViolationReport,
-    rows: Sequence[tuple],
-    ids: Sequence[int],
-    key_pos: tuple[int, ...],
-) -> None:
-    """Add the key projections of the given violating rows to the report."""
-    if ids:
-        report.tuple_keys.update(_project_rows(rows, ids, key_pos))
-
-
 # -- constant normal forms ----------------------------------------------------
 
 
@@ -153,8 +83,7 @@ def _compile_constant(store: ColumnStore, constant: ConstantCFD):
     of the RHS column violates the pattern).
 
     Each check pairs a column with the set of codes its pattern entry
-    accepts; both fold implementations consume the same plan (list codes or
-    the cached code array).
+    accepts.
     """
     checks = []
     for attr, value in zip(constant.lhs, constant.values):
@@ -180,26 +109,6 @@ def _compile_constant(store: ColumnStore, constant: ConstantCFD):
     return checks, rhs_column, bad
 
 
-def _constant_hits_python(checks, rhs_column, bad) -> list[int]:
-    """Row ids violating one constant form, by the per-row code-test loop."""
-    rhs_codes = rhs_column.codes
-    if not checks:  # all-wildcard LHS: the pattern conditions every row
-        return [i for i, code in enumerate(rhs_codes) if code in bad]
-    hits: list[int] = []
-    first_codes, first_allowed = checks[0][0].codes, checks[0][1]
-    rest = [(column.codes, allowed) for column, allowed in checks[1:]]
-    for i, code in enumerate(first_codes):
-        if code not in first_allowed:
-            continue
-        for codes, allowed in rest:
-            if codes[i] not in allowed:
-                break
-        else:
-            if rhs_codes[i] in bad:
-                hits.append(i)
-    return hits
-
-
 def _code_mask(column, accepted: frozenset):
     """Boolean row mask "this column's code is in ``accepted``", via a
     per-column lookup table (cheaper than ``np.isin`` for dictionary-sized
@@ -213,7 +122,7 @@ def _code_mask(column, accepted: frozenset):
     return table[codes]
 
 
-def _constant_hits_numpy(checks, rhs_column, bad):
+def _constant_hits(checks, rhs_column, bad):
     """Row ids violating one constant form, as one boolean-mask conjunction."""
     mask = _code_mask(rhs_column, bad)
     for column, allowed in checks:
@@ -225,7 +134,6 @@ def _scan_constants(
     relation: Relation,
     constants: Sequence[ConstantCFD],
     collect_tuples: bool,
-    vectorize: bool = False,
     keys_hot: bool | None = None,
 ) -> ViolationReport:
     report = ViolationReport()
@@ -242,10 +150,7 @@ def _scan_constants(
         plan = _compile_constant(store, constant)
         if plan is None:
             continue
-        if vectorize:
-            hits = _constant_hits_numpy(*plan).tolist()
-        else:
-            hits = _constant_hits_python(*plan)
+        hits = _constant_hits(*plan).tolist()
         if not hits:
             continue
         report_pos = schema.positions(constant.report_lhs)
@@ -258,13 +163,8 @@ def _scan_constants(
                 )
             )
         if collect_tuples:
-            if vectorize:
-                _collect_keys_vectorized(
-                    report, store, rows, key_pos, hits, keys_hot
-                )
-                collected = True
-            else:
-                _collect_keys(report, rows, hits, key_pos)
+            _collect_keys(report, store, rows, key_pos, hits, keys_hot)
+            collected = True
     if collected:
         store.scratch["keys_collected"] = True
     return report
@@ -273,27 +173,7 @@ def _scan_constants(
 # -- variable normal forms ----------------------------------------------------
 
 
-def _variable_conflicts_python(x_key, y_key, matched):
-    """Conflicting X-group ordinals by the per-row fold over code lists."""
-    n_groups = x_key.n_groups
-    first_y = [-1] * n_groups
-    conflict = bytearray(n_groups)
-    y_codes = y_key.codes
-    for i, g in enumerate(x_key.codes):
-        if not matched[g]:
-            continue
-        y = y_codes[i]
-        f = first_y[g]
-        if f < 0:
-            first_y[g] = y
-        elif f != y:
-            conflict[g] = 1
-    if not any(conflict):
-        return []
-    return [g for g in range(n_groups) if conflict[g]]
-
-
-def _variable_conflicts_numpy(x_key, y_key, matched):
+def _variable_conflicts(x_key, y_key, matched):
     """Conflicting X-group ordinals by a sort-free group-reduce.
 
     One scatter (last write wins) elects a representative Y code per
@@ -335,7 +215,7 @@ def group_segments(codes):
     return order, [0, *edges], [*edges, len(ordered)]
 
 
-def _collect_keys_vectorized(
+def _collect_keys(
     report: ViolationReport,
     store: ColumnStore,
     rows: Sequence[tuple],
@@ -343,7 +223,8 @@ def _collect_keys_vectorized(
     ids,
     use_key_column: bool,
 ) -> None:
-    """Key collection for the vectorized folds, adapting to store reuse.
+    """Add the key projections of the violating rows ``ids`` to the report,
+    adapting to store reuse.
 
     Decoding through the key :class:`KeyColumn`'s pre-built value tuples
     makes repeat detections allocation-free, but building that column costs
@@ -360,19 +241,15 @@ def _collect_keys_vectorized(
             map(key_column.values.__getitem__, codes.tolist())
         )
     else:
-        _collect_keys(
-            report,
-            rows,
-            ids if isinstance(ids, list) else ids.tolist(),
-            key_pos,
-        )
+        if not isinstance(ids, list):
+            ids = ids.tolist()
+        report.tuple_keys.update(_project_rows(rows, ids, key_pos))
 
 
 def _scan_variables(
     relation: Relation,
     variables: Sequence[tuple[VariableCFD, PatternIndex]],
     collect_tuples: bool,
-    vectorize: bool = False,
     keys_hot: bool | None = None,
 ) -> ViolationReport:
     report = ViolationReport()
@@ -389,10 +266,7 @@ def _scan_variables(
         y_key = store.key_column(variable.rhs)
         # σ membership once per distinct X combination, not per row
         matched = [index.matches_any(values) for values in x_key.values]
-        if vectorize:
-            conflicting = _variable_conflicts_numpy(x_key, y_key, matched)
-        else:
-            conflicting = _variable_conflicts_python(x_key, y_key, matched)
+        conflicting = _variable_conflicts(x_key, y_key, matched)
         if not conflicting:
             continue
         for g in conflicting:
@@ -406,20 +280,11 @@ def _scan_variables(
         if not collect_tuples:
             continue
         # every member of a conflicting group is a violating tuple
-        if vectorize:
-            mask = _np.zeros(x_key.n_groups, dtype=bool)
-            mask[conflicting] = True
-            ids = _np.nonzero(mask[x_key.codes_array()])[0]
-            _collect_keys_vectorized(
-                report, store, rows, key_pos, ids, keys_hot
-            )
-            collected = True
-        else:
-            in_conflict = bytearray(x_key.n_groups)
-            for g in conflicting:
-                in_conflict[g] = 1
-            ids = [i for i, g in enumerate(x_key.codes) if in_conflict[g]]
-            _collect_keys(report, rows, ids, key_pos)
+        mask = _np.zeros(x_key.n_groups, dtype=bool)
+        mask[conflicting] = True
+        ids = _np.nonzero(mask[x_key.codes_array()])[0]
+        _collect_keys(report, store, rows, key_pos, ids, keys_hot)
+        collected = True
     if collected:
         store.scratch["keys_collected"] = True
     return report
@@ -432,19 +297,9 @@ def detect_constants(
     relation: Relation,
     constants: Sequence[ConstantCFD],
     collect_tuples: bool = True,
-    vectorize: bool | None = None,
 ) -> ViolationReport:
-    """Violations of several constant normal forms, over the columnar store.
-
-    ``vectorize`` picks the fold implementation (``None`` auto-selects, see
-    :func:`_resolve_vectorize`).
-    """
-    return _scan_constants(
-        relation,
-        constants,
-        collect_tuples,
-        _resolve_vectorize(vectorize, relation),
-    )
+    """Violations of several constant normal forms, over the columnar store."""
+    return _scan_constants(relation, constants, collect_tuples)
 
 
 class FusedDetector:
@@ -472,30 +327,19 @@ class FusedDetector:
         ]
 
     def detect(
-        self,
-        relation: Relation,
-        collect_tuples: bool = True,
-        vectorize: bool | None = None,
+        self, relation: Relation, collect_tuples: bool = True
     ) -> ViolationReport:
         """``Vioπ(Σ, D)`` plus violating tuple keys, fused over one encoding
-        pass of ``relation``.
-
-        ``vectorize`` selects the fold implementation: ``True`` the
-        numpy kernels, ``False`` the pure-Python ones, ``None`` (default)
-        auto-selects (see :func:`_resolve_vectorize`).
-        """
-        vectorize = _resolve_vectorize(vectorize, relation)
+        pass of ``relation``."""
         # resolve the key-collection breadcrumb once per call: both scans of
         # a first detection must take the one-shot path even if the constant
         # scan collects (and flips the flag) before the variable scan runs
         keys_hot = column_store(relation).scratch.get("keys_collected", False)
         report = _scan_constants(
-            relation, self._constants, collect_tuples, vectorize, keys_hot
+            relation, self._constants, collect_tuples, keys_hot
         )
         return report.merge(
-            _scan_variables(
-                relation, self._variables, collect_tuples, vectorize, keys_hot
-            )
+            _scan_variables(relation, self._variables, collect_tuples, keys_hot)
         )
 
 
@@ -503,7 +347,6 @@ def fused_detect(
     relation: Relation,
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
-    vectorize: bool | None = None,
 ) -> ViolationReport:
     """One-shot fused detection (compile Σ, then :meth:`FusedDetector.detect`)."""
-    return FusedDetector(cfds).detect(relation, collect_tuples, vectorize)
+    return FusedDetector(cfds).detect(relation, collect_tuples)

@@ -29,14 +29,14 @@ distributed half lives in :mod:`repro.detect.incremental`):
   (the same violation witnessed by two forms, or the same key by two
   rows, only disappears when the last witness does).
 
-Engine semantics follow the rest of the library: ``reference`` recomputes
-the full report per update and diffs it — the executable spec the
-property suites compare against; ``fused`` and ``fused-numpy`` run true
-delta folds.  The numpy engine vectorizes the variable-form fold over
-the batch: it codes the batch once through the state's session
-dictionaries and scatters signed counts per distinct
-``(x_code, y_code)`` combination instead of flipping multisets row by
-row (:meth:`VariableGroupState.fold`).  Updates arrive either as
+Engine semantics follow the rest of the library: ``reference`` (the
+executable spec the property suites compare against) and ``sql``
+recompute the full report per update and diff it; ``fused`` runs true
+delta folds.  Its variable-form fold is vectorized over the batch: it
+codes the batch once through the state's session dictionaries and
+scatters signed counts per distinct ``(x_code, y_code)`` combination
+instead of flipping multisets row by row
+(:meth:`VariableGroupState.fold_signed`).  Updates arrive either as
 :class:`~repro.relational.delta.DeltaRelation` versions (``apply``) or as
 explicit row batches (``update``, which builds the versions itself).
 """
@@ -50,11 +50,13 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from ..relational import Relation, SchemaError, numpy_enabled
+import numpy as _np
+
+from ..relational import Relation, SchemaError
 from .cfd import CFD, matches, tuple_matches
 from .detection import ENGINES, detect_violations_reference
 from .epatterns import is_predicate
-from .fused import FusedDetector, _np, _project_rows, group_segments
+from .fused import FusedDetector, _project_rows, group_segments
 from .normalize import ConstantCFD, VariableCFD, pattern_index, projector
 from .violations import Violation, ViolationReport
 
@@ -471,32 +473,8 @@ def _bump(counts: dict, key, n: int, journal: dict | None = None) -> None:
         raise ValueError("deleted a row that is not in the group")
 
 
-class _Group:
-    """One σ-matched ``X`` group's live state (the list fold's layout).
-
-    Both tables are bumped in place, so the undo entry of an open batch is
-    a pair of journals — prior count per entry the batch changes, recorded
-    on first touch, like :class:`TransitionCounter`'s.
-    """
-
-    __slots__ = ("y_counts", "key_counts", "conflicting")
-
-    def __init__(self) -> None:
-        self.y_counts: dict[tuple, int] = {}
-        self.key_counts: dict[tuple, int] = {}
-        self.conflicting = False
-
-    def snapshot(self) -> tuple:
-        return self.conflicting, {}, {}
-
-    def restore(self, saved: tuple) -> None:
-        self.conflicting, y_journal, key_journal = saved
-        _restore_counts(self.y_counts, y_journal)
-        _restore_counts(self.key_counts, key_journal)
-
-
 class _CodeGroup:
-    """One σ-matched ``X`` group in the vectorized (code-indexed) state.
+    """One σ-matched ``X`` group's live state, keyed by its ``X`` code.
 
     ``y_counts`` maps RHS *codes* to row counts.  Member keys are kept as
     a compacted multiset plus two append-only event logs (``adds`` /
@@ -511,7 +489,8 @@ class _CodeGroup:
     the three pre-batch objects by reference plus the two log lengths —
     O(1), whatever the group's size — and :meth:`restore` reinstates the
     references and truncates the logs.  ``y_counts`` is bumped in place,
-    so it gets the same prior-count journal as :class:`_Group`'s tables.
+    so its undo is a journal of the prior count of each entry the batch
+    changes, recorded on first touch like :class:`TransitionCounter`'s.
     """
 
     __slots__ = ("y_counts", "key_counts", "adds", "dels", "conflicting")
@@ -564,18 +543,17 @@ _NO_JOURNAL = (False, None, None)
 class VariableGroupState:
     """Cached GROUP-BY state of one variable normal form.
 
-    ``groups[x]`` exists for every σ-matched ``X`` combination with at
-    least one row and holds the multiset of RHS combinations and member
-    keys.  A batch touches only the groups of its own rows; conflict
-    status is maintained per row so a group's member keys enter/leave the
-    shared key counter exactly when the group flips.
+    Append-only session dictionaries intern every distinct ``X`` / ``Y``
+    projection ever seen, with the σ verdict per ``X`` code.  A
+    :class:`_CodeGroup` exists for every σ-matched ``X`` code with at
+    least one row and holds the multiset of RHS codes and member keys.  A
+    batch touches only the groups of its own rows; a group's member keys
+    enter/leave the shared key counter exactly when the group flips.
     """
 
     __slots__ = (
         "variable",
         "collect_tuples",
-        "groups",
-        "_match_cache",
         "_index",
         "_x_code_of",
         "_x_values",
@@ -587,23 +565,10 @@ class VariableGroupState:
         "_undo",
     )
 
-    #: σ-match memo bound — one entry per distinct ``X`` ever seen, so a
-    #: session under high-cardinality churn must not grow it forever;
-    #: clearing at the cap just re-probes the (cheap, memoized) σ trie.
-    MATCH_CACHE_CAP = 65536
-
     def __init__(self, variable: VariableCFD, collect_tuples: bool = True) -> None:
         self.variable = variable
         self.collect_tuples = collect_tuples
-        self.groups: dict[tuple, _Group] = {}
         self._index = pattern_index(variable.patterns)
-        self._match_cache: dict[tuple, bool] = {}
-        # code-indexed state of the vectorized fold (engine fused-numpy):
-        # append-only session dictionaries interning every distinct X / Y
-        # projection ever seen, the σ verdict per X code, and the group
-        # table keyed by (int) X code.  The list fold and the vectorized
-        # fold never share a session (the engine is fixed at attach), so
-        # only one of the two layouts is ever populated.
         self._x_code_of: dict[tuple, int] = {}
         self._x_values: list[tuple] = []
         self._x_matched: list[bool] = []
@@ -621,9 +586,8 @@ class VariableGroupState:
         """Open a transactional batch: journal groups on first touch.
 
         An undo entry never copies a container whose size depends on the
-        group — references and lengths in the code-indexed layout, prior
-        counts of the entries the batch changes in the list layout (see
-        :class:`_CodeGroup` / :class:`_Group`) — so arming, filling and
+        group — references, lengths and prior counts of the entries the
+        batch changes (see :class:`_CodeGroup`) — so arming, filling and
         dropping the log is O(|ΔD|) and a failed fold can still
         :meth:`rollback` to the exact pre-batch state.  The session
         interning dictionaries (``_x_code_of`` …) are append-only and
@@ -662,24 +626,14 @@ class VariableGroupState:
         self._undo = None
         if undo is None:
             return
+        groups = self._code_groups
         for key, entry in undo.items():
             if entry is None:
-                self.groups.pop(key, None)
-                self._code_groups.pop(key, None)
+                groups.pop(key, None)
                 continue
             group, saved = entry
             group.restore(saved)
-            if type(group) is _Group:
-                self.groups[key] = group
-            else:
-                self._code_groups[key] = group
-
-    def _violation(self, x: tuple) -> Violation:
-        return Violation(
-            cfd=self.variable.source,
-            lhs_attributes=self.variable.lhs,
-            lhs_values=x,
-        )
+            groups[key] = group
 
     def _code_violation(self, code: int) -> Violation:
         """The violation of one interned ``X`` code (single-attribute
@@ -687,55 +641,11 @@ class VariableGroupState:
         x = self._x_values[code]
         if len(self.variable.lhs) == 1:
             x = (x,)
-        return self._violation(x)
-
-    def fold(
-        self,
-        batch: Relation,
-        sign: int,
-        violations: TransitionCounter,
-        keys: TransitionCounter,
-        vectorize: bool = False,
-    ) -> None:
-        """Fold one update batch into the group states.
-
-        Two implementations of the same fold, selected by ``vectorize``
-        exactly like the one-shot engine's folds:
-
-        * the **list fold** (engine ``fused``) walks the batch row by
-          row — projections through C-speed ``itemgetter`` maps, σ probed
-          once per *distinct* ``X`` (memoized across batches), then a
-          handful of dictionary bumps per row;
-        * the **vectorized fold** (engine ``fused-numpy``) hands the
-          batch to :meth:`fold_signed` as a single-sign stream.
-
-        Either way the fold is proportional to the batch (and the state
-        it touches), never to ``D``.
-        """
-        if not batch.rows:
-            return
-        if vectorize:
-            self.fold_signed(
-                batch.schema, [(batch.rows, sign)], violations, keys
-            )
-            return
-        schema = batch.schema
-        rows = batch.rows
-        ids = range(len(rows))
-        xs = _project_rows(rows, ids, schema.positions(self.variable.lhs))
-        ys = _project_rows(rows, ids, schema.positions(self.variable.rhs))
-        row_keys = _project_keys(rows, ids, schema.key_positions())
-        match_cache = self._match_cache
-        if len(match_cache) > self.MATCH_CACHE_CAP:
-            match_cache.clear()
-        matches_any = self._index.matches_any
-        handle = self._insert if sign > 0 else self._delete
-        for x, y, key in zip(xs, ys, row_keys):
-            hit = match_cache.get(x)
-            if hit is None:
-                hit = match_cache[x] = matches_any(x)
-            if hit:
-                handle(x, y, key, violations, keys)
+        return Violation(
+            cfd=self.variable.source,
+            lhs_attributes=self.variable.lhs,
+            lhs_values=x,
+        )
 
     def _intern_projections(self, batches, positions, code_of, values):
         """Code every batch row's projection through a session dictionary.
@@ -790,7 +700,7 @@ class VariableGroupState:
         violations: TransitionCounter,
         keys: TransitionCounter,
     ) -> None:
-        """The vectorized delta fold: signed row streams → group tables.
+        """The delta fold: signed row streams → group tables.
 
         ``batches`` is a list of ``(rows, ±1)`` — typically one delete
         stream and one insert stream of the same update.  The whole
@@ -812,8 +722,6 @@ class VariableGroupState:
         steps is that an *invalid* delete cancelled by a matching insert
         in the same batch is no longer detected (the net is zero).
         """
-        if _np is None:
-            raise RuntimeError("the vectorized delta fold needs numpy")
         batches = [(rows, sign) for rows, sign in batches if rows]
         if not batches:
             return
@@ -986,43 +894,6 @@ class VariableGroupState:
             if not group.y_counts:
                 del groups[gx]
 
-    def _insert(self, x, y, key, violations, keys) -> None:
-        group = self.groups.get(x)
-        _, y_journal, key_journal = self._touch(x, group)
-        if group is None:
-            group = self.groups[x] = _Group()
-        _bump(group.y_counts, y, 1, y_journal)
-        _bump(group.key_counts, key, 1, key_journal)
-        if group.conflicting:
-            if self.collect_tuples:
-                keys.add(key, 1)
-        elif len(group.y_counts) >= 2:
-            group.conflicting = True
-            violations.add(self._violation(x), 1)
-            if self.collect_tuples:
-                for member, count in group.key_counts.items():
-                    keys.add(member, count)
-
-    def _delete(self, x, y, key, violations, keys) -> None:
-        group = self.groups.get(x)
-        if group is None:
-            raise ValueError(
-                f"deleted a row of X group {x!r} that is not in the state"
-            )
-        _, y_journal, key_journal = self._touch(x, group)
-        if group.conflicting and self.collect_tuples:
-            keys.add(key, -1)
-        _bump(group.y_counts, y, -1, y_journal)
-        _bump(group.key_counts, key, -1, key_journal)
-        if group.conflicting and len(group.y_counts) < 2:
-            group.conflicting = False
-            violations.add(self._violation(x), -1)
-            if self.collect_tuples:
-                for member, count in group.key_counts.items():
-                    keys.add(member, -count)
-        if not group.y_counts:
-            del self.groups[x]
-
 
 # -- the detector -------------------------------------------------------------
 
@@ -1049,9 +920,9 @@ class IncrementalDetector:
 
     ``engine`` follows :func:`~repro.core.detection.detect_violations`:
     ``reference`` (full recompute + diff per update — the executable
-    spec), ``fused``, ``fused-numpy``, or ``auto``/``None`` (the
-    ``REPRO_ENGINE`` environment, then numpy availability, decide —
-    resolved at :meth:`attach` time, when the state layout is fixed).
+    spec), ``sql`` (likewise, on sqlite3), ``fused`` (delta folds), or
+    ``auto``/``None`` (the ``REPRO_ENGINE`` environment decides, ``auto``
+    meaning ``fused``) — resolved at :meth:`attach` time.
 
     **Concurrency contract**: a session is *single-writer* — the keyed
     row store, undo logs and transition counters assume one mutation at
@@ -1168,23 +1039,13 @@ class IncrementalDetector:
         if engine is None:
             engine = os.environ.get("REPRO_ENGINE", "auto")
         if engine == "auto":
-            return "fused-numpy" if numpy_enabled() else "fused"
+            return "fused"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown detection engine {engine!r}; "
                 f"use one of {', '.join(ENGINES)} (or 'auto')"
             )
-        if engine == "fused-numpy" and not numpy_enabled():
-            raise RuntimeError(
-                "the fused-numpy engine needs numpy (install the 'fast' "
-                "extra); numpy is not importable or was disabled via "
-                "REPRO_NUMPY=0"
-            )
         return engine
-
-    @property
-    def _vectorize(self) -> bool:
-        return self.engine == "fused-numpy"
 
     @property
     def _recompute_mode(self) -> bool:
@@ -1230,41 +1091,28 @@ class IncrementalDetector:
                 VariableGroupState(variable, self.collect_tuples)
                 for variable, _index in self._fused._variables
             ]
-            self._fold(relation, 1)
+            self._fold_batches(relation.schema, [(relation.rows, 1)])
             return self.report
-
-    def _fold(self, batch: Relation, sign: int) -> None:
-        self._constants.fold(batch, sign, self._violations, self._keys)
-        for state in self._variables:
-            state.fold(
-                batch, sign, self._violations, self._keys, self._vectorize
-            )
 
     def _fold_batches(
         self, schema, batches: list[tuple[list, int]]
     ) -> None:
         """Fold one update's signed row streams through every form state.
 
-        Under the vectorized engine the whole list reaches each variable
-        state's :meth:`VariableGroupState.fold_signed` in one fused call
-        (a deleted and re-inserted combination cancels before it costs
-        anything); the list engine folds per stream.
+        Constant forms fold per stream; the whole list reaches each
+        variable state's :meth:`VariableGroupState.fold_signed` in one
+        call (a deleted and re-inserted combination cancels before it
+        costs anything).
         """
-        if self._vectorize:
-            for rows, sign in batches:
-                self._constants.fold(
-                    Relation(schema, rows, copy=False),
-                    sign,
-                    self._violations,
-                    self._keys,
-                )
-            for state in self._variables:
-                state.fold_signed(
-                    schema, batches, self._violations, self._keys
-                )
-        else:
-            for rows, sign in batches:
-                self._fold(Relation(schema, rows, copy=False), sign)
+        for rows, sign in batches:
+            self._constants.fold(
+                Relation(schema, rows, copy=False),
+                sign,
+                self._violations,
+                self._keys,
+            )
+        for state in self._variables:
+            state.fold_signed(schema, batches, self._violations, self._keys)
 
     # -- transactional batches --------------------------------------------
 

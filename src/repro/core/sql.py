@@ -525,7 +525,7 @@ def detect_violations_sql(
 ) -> ViolationReport:
     """``Vioπ(Σ, D)`` plus tuple keys, computed inside sqlite3.
 
-    The fourth engine (``REPRO_ENGINE=sql``): loads the relation once into
+    The third engine (``REPRO_ENGINE=sql``): loads the relation once into
     a persistent per-relation handle, compiles all of normalized Σ into
     one batched, parameterized statement set (see the module docstring
     for the exact NULL and typing contract) and decodes result rows back

@@ -28,7 +28,7 @@ The generator's contract is an *exact* manifest, not a statistical one:
   tuple.
 
 ``tests/test_datagen_tpch.py`` asserts the detected counts equal the
-manifest across all four engines, seeds and scale factors.
+manifest across all three engines, seeds and scale factors.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from .predicate import (
     compatible_with_bindings,
     satisfiable,
 )
-from .columnar import Column, ColumnStore, KeyColumn, column_store, numpy_enabled
+from .columnar import Column, ColumnStore, KeyColumn, column_store
 from .csvio import infer_column_types, load_csv, save_csv
 from .delta import (
     DeltaRelation,
@@ -68,7 +68,6 @@ __all__ = [
     "KeyColumn",
     "column_store",
     "incremental_enabled",
-    "numpy_enabled",
     "prune_delta_history",
     "SharedColumn",
     "SharedComboDictionary",

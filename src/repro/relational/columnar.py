@@ -22,53 +22,36 @@ so the caches never need invalidation):
   derived from a :class:`KeyColumn`; :class:`~repro.relational.index.HashIndex`,
   :meth:`Relation.group_by` and :meth:`Relation.join` all share it.
 
-Codes are canonically stored in plain lists: CPython indexes lists faster
-than it unboxes array elements, and nothing here *requires* numpy.  When
-numpy is importable (the optional ``fast`` extra; disable explicitly with
-``REPRO_NUMPY=0``) the store additionally acts as an **array backend**:
+Codes are stored twice, as plain lists (CPython indexes lists faster than
+it unboxes array elements, so the per-row loops of the delta engine, the
+group indexes and the distributed scans read those) and as cached
+``int32`` numpy arrays, which the fused detection engine's vectorized
+folds (:mod:`repro.core.fused`) consume through
+:meth:`Column.codes_array` / :meth:`KeyColumn.codes_array`.  numpy also
+speeds up the encoding pass itself:
 
-* the encoding pass itself is vectorized — ``np.unique(...,
-  return_inverse=True)`` replaces the per-row dictionary probe for
-  numeric columns, with the sorted codes remapped so the first-seen-order
-  contract of the list backend is preserved bit-for-bit (string, mixed
-  and NaN-carrying columns keep the dictionary loop, which beats a
-  wide-element sort there);
+* ``np.unique(..., return_inverse=True)`` replaces the per-row dictionary
+  probe for numeric columns, with the sorted codes remapped so the
+  first-seen-order contract of the dictionary encoder is preserved
+  bit-for-bit (string, mixed and NaN-carrying columns keep the dictionary
+  loop, which beats a wide-element sort there);
 * composite keys combine the per-attribute code arrays arithmetically in
-  one int64 mixed-radix pass instead of hashing row tuples;
-* :meth:`Column.codes_array` / :meth:`KeyColumn.codes_array` expose the
-  codes as cached ``int32`` ndarrays, which the vectorized folds of the
-  ``fused-numpy`` detection engine (:mod:`repro.core.fused`) consume.
+  one int64 mixed-radix pass instead of hashing row tuples.
 
-Both representations describe the same encoding, so every consumer — the
-pure-Python fused folds, ``HashIndex``, ``group_by``, ``join``, the
-distributed detectors — works unchanged whichever backend built the store.
-Vectorized encoding kicks in at :data:`VECTORIZE_MIN_ROWS` rows; below
-that the dictionary loop wins on constant factors.
+Both encoders produce the same encoding.  The vectorized one kicks in at
+:data:`VECTORIZE_MIN_ROWS` rows; below that the dictionary loop wins on
+constant factors.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-try:  # optional array backend — the library never requires numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
-    _np = None
+import numpy as _np
 
 #: below this many rows the dictionary loop beats ``np.unique`` on constant
 #: factors; tests force the vectorized path by patching this to 0.
 VECTORIZE_MIN_ROWS = 256
-
-
-def numpy_enabled() -> bool:
-    """Whether the optional numpy array backend is active.
-
-    True when numpy is importable and ``REPRO_NUMPY`` is not ``"0"`` — the
-    environment override exists so the pure-Python paths can be exercised
-    (and benchmarked) on machines that do have numpy installed.
-    """
-    return _np is not None and os.environ.get("REPRO_NUMPY", "1") != "0"
 
 
 def _first_seen_remap(sorted_values, first_index, inverse):
@@ -146,12 +129,12 @@ class Column:
         return len(self.values)
 
     def codes_array(self):
-        """The codes as a cached ``int32`` ndarray (``None`` without numpy).
+        """The codes as a cached ``int32`` ndarray.
 
         Built natively by the vectorized encoder; otherwise converted from
         the list on first use.  The two views describe the same encoding.
         """
-        if self._codes_np is None and numpy_enabled():
+        if self._codes_np is None:
             self._codes_np = _np.asarray(self.codes, dtype=_np.int32)
         return self._codes_np
 
@@ -193,7 +176,7 @@ class KeyColumn:
     def codes_array(self):
         """The group ordinals as a cached ``int32`` ndarray (see
         :meth:`Column.codes_array`)."""
-        if self._codes_np is None and numpy_enabled():
+        if self._codes_np is None:
             self._codes_np = _np.asarray(self.codes, dtype=_np.int32)
         return self._codes_np
 
@@ -266,7 +249,6 @@ class ColumnStore:
         if (
             self.rows
             and len(self.rows) >= VECTORIZE_MIN_ROWS
-            and numpy_enabled()
             # cheap prefilter on the first value: a string/object column
             # would only be rejected by the encoder after a throwaway
             # wide-dtype array conversion (full checks still run inside)
@@ -321,7 +303,7 @@ class ColumnStore:
             self._key_columns[attributes] = key
             return key
         columns = [self.column(a) for a in attributes]
-        if len(self.rows) >= VECTORIZE_MIN_ROWS and numpy_enabled():
+        if len(self.rows) >= VECTORIZE_MIN_ROWS:
             key = self._key_column_numpy(attributes, columns)
             if key is not None:
                 self._key_columns[attributes] = key

@@ -14,10 +14,10 @@ state structurally instead of re-encoding from scratch:
   encode of the child's rows.  Composite :class:`KeyColumn` views extend
   the same way through a rebuilt combo index (O(groups), not O(rows)).
 * **Deletes** keep a **tombstone mask** over the parent's rows.  Column
-  codes are filtered through the mask (one vectorized gather when numpy is
-  active); the value dictionaries are shared as-is — a value whose last
-  row died stays in the dictionary as a harmless stale entry (codes never
-  reference it, and every consumer treats ``values`` as decode-only).
+  codes are filtered through the mask (one vectorized gather); the value
+  dictionaries are shared as-is — a value whose last row died stays in
+  the dictionary as a harmless stale entry (codes never reference it, and
+  every consumer treats ``values`` as decode-only).
   Composite key columns *are* compacted (surviving groups renumbered in
   first-seen order) because group ordinals feed group indexes and σ
   partitions, where phantom empty groups would be observable.
@@ -37,8 +37,7 @@ re-encoding, re-hashing and re-grouping are only ever paid for the
 columns a consumer actually touches.
 
 ``REPRO_INCREMENTAL=0`` disables structural sharing (every insert/delete
-still returns a correct delta relation, but with cold caches) — the
-kill-switch mirror of ``REPRO_NUMPY``.
+still returns a correct delta relation, but with cold caches).
 """
 
 from __future__ import annotations
@@ -47,14 +46,11 @@ import operator
 import os
 from typing import Callable, Iterable, Sequence
 
-from .columnar import Column, ColumnStore, KeyColumn, numpy_enabled
+import numpy as _np
+
+from .columnar import Column, ColumnStore, KeyColumn
 from .relation import Relation
 from .schema import SchemaError
-
-try:  # optional, exactly like the columnar array backend
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in the no-numpy CI job
-    _np = None
 
 
 def incremental_enabled() -> bool:
@@ -173,7 +169,7 @@ def delete_rows(
         if not doomed:
             return parent
         doomed_mask = _doomed_mask_for_keys(parent, key_pos, doomed)
-    if isinstance(doomed_mask, _np.ndarray if _np is not None else ()):
+    if isinstance(doomed_mask, _np.ndarray):
         # vectorized path: C-speed compress over the raw mask bytes
         deleted = tuple(compress(rows, doomed_mask.tobytes()))
         if not deleted:
@@ -265,11 +261,9 @@ def _key_array(relation: Relation):
     parent's array through the tombstone mask or appends the inserted
     keys — O(|ΔD|) numpy work — so repeated delete-by-key batches never
     re-project the whole relation.  ``None`` (memoized as ``False`` in the
-    store's scratch) when numpy is off, the key is composite, or the key
-    values do not round-trip through an array dtype exactly.
+    store's scratch) when the key is composite or the key values do not
+    round-trip through an array dtype exactly.
     """
-    if _np is None or not numpy_enabled():
-        return None
     schema = relation.schema
     if len(schema.key) != 1:
         return None
@@ -422,7 +416,7 @@ class DerivedColumnStore(ColumnStore):
         return False
 
     def _survivor_mask_np(self):
-        if self._survivors_np is None and numpy_enabled():
+        if self._survivors_np is None:
             self._survivors_np = ~_np.asarray(self._doomed, dtype=bool)
         return self._survivors_np
 
@@ -474,25 +468,15 @@ class DerivedColumnStore(ColumnStore):
             appended.append(code)
         codes.extend(appended)
         codes_np = None
-        if parent._codes_np is not None and numpy_enabled():
+        if parent._codes_np is not None:
             codes_np = _np.concatenate(
                 [parent._codes_np, _np.asarray(appended, dtype=_np.int32)]
             )
         return Column(attribute, codes, values, code_of, codes_np)
 
     def _derive_column_delete(self, parent: Column, attribute: str) -> Column:
-        codes_np = None
-        # both the mask and the parent array must be live: codes_array()
-        # returns an already-cached array even after REPRO_NUMPY=0, while
-        # the mask builder respects the knob — guard on the mask
-        mask = self._survivor_mask_np()
-        if mask is not None:
-            parent_arr = parent.codes_array()
-            if parent_arr is not None:
-                codes_np = parent_arr[mask]
-                codes = codes_np.tolist()
-        if codes_np is None:
-            codes = [c for c, d in zip(parent.codes, self._doomed) if not d]
+        codes_np = parent.codes_array()[self._survivor_mask_np()]
+        codes = codes_np.tolist()
         # dictionaries are shared as-is: values whose last row died remain
         # as stale decode entries, which every consumer tolerates (codes
         # never reference them; constant-form pruning just prunes less)

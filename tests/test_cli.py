@@ -203,6 +203,23 @@ def test_cli_stale_scheduler_surface_exits_2(emp_csv, capsys, monkeypatch):
     assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
 
 
+def test_cli_removed_fused_numpy_engine_exits_2(emp_csv, capsys, monkeypatch):
+    """``fused-numpy`` folded into ``fused``; the old name is gone, loudly."""
+    monkeypatch.setenv("REPRO_ENGINE", "fused-numpy")
+    assert main(["sql", "--cfd", "([a] -> [b])"]) == 2
+    error = capsys.readouterr().err
+    assert "unknown REPRO_ENGINE 'fused-numpy'" in error
+    assert len(error.strip().splitlines()) == 1
+    monkeypatch.delenv("REPRO_ENGINE")
+    with pytest.raises(SystemExit) as exit_info:  # argparse's own exit
+        main([
+            "check", "--data", emp_csv, "--cfd", "([a] -> [b])",
+            "--engine", "fused-numpy",
+        ])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'fused-numpy'" in capsys.readouterr().err
+
+
 def test_readme_knob_table_matches_the_knobs_src_reads():
     """A knob cannot be added or removed without its README row."""
     import re

@@ -26,7 +26,7 @@ from repro.core import (
     normalize,
 )
 from repro.core.fused import detect_constants
-from repro.relational import Relation, Schema, numpy_enabled
+from repro.relational import Relation, Schema
 
 SCHEMA = Schema("R", ("id", "a", "b", "c"), key=("id",))
 
@@ -82,11 +82,10 @@ def test_router_matches_one_shot_engines(body, cfds):
     folds = ConstantFolds(forms)
     violations, keys = _fold(folds, rows, 1)
 
-    # violations and violating keys: both one-shot fold implementations
-    for vectorize in (False, True) if numpy_enabled() else (False,):
-        expected = detect_constants(relation, forms, vectorize=vectorize)
-        assert set(violations.counts) == expected.violations
-        assert {(key,) for key in keys.counts} == expected.tuple_keys
+    # violations and violating keys: the one-shot fold
+    expected = detect_constants(relation, forms)
+    assert set(violations.counts) == expected.violations
+    assert {(key,) for key in keys.counts} == expected.tuple_keys
 
     # multiplicities: one witness per (row, violated form)
     per_form = [

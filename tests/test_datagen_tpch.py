@@ -2,8 +2,8 @@
 
 The generator's contract is *exact*: the injection manifest records, per
 table and CFD family, how many ``Vioπ`` entries and violating tuples the
-corruption created, and every engine — reference, fused, fused-numpy and
-sql — must detect exactly those numbers, at multiple seeds and scale
+corruption created, and every engine — reference, fused and sql —
+must detect exactly those numbers, at multiple seeds and scale
 factors.  Also covers: clean-by-construction tables, deterministic
 regeneration, and the CSV/manifest writer behind ``repro datagen tpch``.
 """
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core import close_sql_handles, detect_violations
+from repro.core import ENGINES, close_sql_handles, detect_violations
 from repro.datagen import (
     TPCH_SCHEMAS,
     TPCH_TABLES,
@@ -23,20 +23,12 @@ from repro.datagen import (
     tpch_rows,
     write_tpch,
 )
-from repro.relational import load_csv, numpy_enabled
+from repro.relational import load_csv
 
 #: two seeds x two scale factors (the acceptance criterion); ratio high
 #: enough that most families inject more than one group
 CASES = [(0.002, 11), (0.005, 7)]
 RATIO = 0.1
-
-
-def engines():
-    names = ["reference", "fused"]
-    if numpy_enabled():
-        names.append("fused-numpy")
-    names.append("sql")
-    return names
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda c: f"sf{c[0]}-seed{c[1]}")
@@ -68,7 +60,7 @@ def test_manifest_counts_match_detection_on_every_engine(workload):
     for table, family in tpch_cfds().items():
         for cfd in family:
             expected = manifest["tables"][table]["families"][cfd.name]
-            for engine in engines():
+            for engine in ENGINES:
                 report = detect_violations(dirty[table], cfd, engine=engine)
                 assert len(report.for_cfd(cfd.name)) == (
                     expected["expected_violations"]
@@ -77,7 +69,7 @@ def test_manifest_counts_match_detection_on_every_engine(workload):
                     expected["expected_violating_tuples"]
                 ), (table, cfd.name, engine)
                 checked += 1
-    assert checked >= 10 * len(engines())  # 10 families, every engine
+    assert checked >= 10 * len(ENGINES)  # 10 families, every engine
 
 
 def test_some_family_actually_fires(workload):

@@ -217,26 +217,6 @@ def test_repro_incremental_zero_disables_derivation(monkeypatch):
     assert column_store(child).column("a").codes == fresh.column("a").codes
 
 
-def test_numpy_opt_out_matches_numpy_path(monkeypatch):
-    parent = base_relation()
-    warmed(parent)
-    with_numpy = column_store(parent.delete([2]).insert([(5, "w", 7)]))
-    snapshot = {
-        attr: (
-            list(with_numpy.column(attr).codes),
-            [with_numpy.column(attr).values[c] for c in with_numpy.column(attr).codes],
-        )
-        for attr in ("a", "b")
-    }
-    monkeypatch.setenv("REPRO_NUMPY", "0")
-    parent2 = base_relation()
-    warmed(parent2)
-    without = column_store(parent2.delete([2]).insert([(5, "w", 7)]))
-    for attr in ("a", "b"):
-        decoded = [without.column(attr).values[c] for c in without.column(attr).codes]
-        assert decoded == snapshot[attr][1]
-
-
 # -- shared (cluster-aware) stores --------------------------------------------
 
 

@@ -1,11 +1,11 @@
-"""Property-based differential suite: reference ≡ fused ≡ fused-numpy ≡ sql.
+"""Property-based differential suite: reference ≡ fused ≡ sql.
 
-The reference engine is the executable spec; the fused engine, its
-vectorized twin and the database-backed ``sql`` engine must reproduce it
-bit-for-bit — violations *and* collected tuple keys — on every input, and
-the statements ``repro sql`` prints must return its ``Vioπ`` when run.
-This module drives all four engines over random relations and CFD sets
-covering the paths where the backends genuinely diverge in implementation:
+The reference engine is the executable spec; the fused engine and the
+database-backed ``sql`` engine must reproduce it bit-for-bit — violations
+*and* collected tuple keys — on every input, and the statements
+``repro sql`` prints must return its ``Vioπ`` when run.  This module
+drives all three engines over random relations and CFD sets covering the
+paths where they genuinely diverge in implementation:
 
 * eCFD predicate entries (``OneOf`` / ``NotValue`` / ``Range``) on both
   sides of the pattern;
@@ -14,7 +14,7 @@ covering the paths where the backends genuinely diverge in implementation:
   dictionary loop;
 * both horizontal partition kinds, empty relations and fragments,
   single-row X-groups, and all-identical columns;
-* warm re-detection on a cached store (the vectorized folds switch their
+* warm re-detection on a cached store (the fused folds switch their
   tuple-key collection strategy on the second run; the sql engine reuses
   its per-relation database handle);
 * relations with ``None`` cells — SQL three-valued logic vs the in-memory
@@ -22,9 +22,9 @@ covering the paths where the backends genuinely diverge in implementation:
   strategy is documented in :mod:`repro.core.sql`).
 
 ``VECTORIZE_MIN_ROWS`` is forced to 0 for the whole module so the
-hypothesis-sized relations actually take the vectorized encode and fold
-paths; the columnar unit tests at the bottom pin the two encoders to the
-identical first-seen-order output.
+hypothesis-sized relations actually take the vectorized encoder; the
+columnar unit tests at the bottom pin the two encoders to the identical
+first-seen-order output.
 """
 
 import hypothesis.strategies as st
@@ -33,6 +33,7 @@ from hypothesis import given, settings
 
 from repro.core import (
     CFD,
+    ENGINES,
     NotValue,
     OneOf,
     PatternTuple,
@@ -42,7 +43,7 @@ from repro.core import (
     run_detection_on_sqlite,
 )
 from repro.partition import partition_by_attribute, partition_uniform
-from repro.relational import Relation, Schema, column_store, numpy_enabled
+from repro.relational import Relation, Schema, column_store
 from repro.relational import columnar
 
 ATTRS = ("a", "b", "c", "d")
@@ -55,24 +56,16 @@ VALUES = [0, 1, 2, "x", "y"]
 @pytest.fixture(scope="module", autouse=True)
 def vectorize_tiny_relations():
     """Drop the vectorization threshold so hypothesis-sized inputs hit the
-    numpy encode and fold paths instead of the small-relation shortcut."""
+    numpy encoder instead of the small-relation dictionary loop."""
     patcher = pytest.MonkeyPatch()
     patcher.setattr(columnar, "VECTORIZE_MIN_ROWS", 0)
     yield
     patcher.undo()
 
 
-def engines():
-    names = ["reference", "fused"]
-    if numpy_enabled():
-        names.append("fused-numpy")
-    names.append("sql")
-    return names
-
-
 def assert_engines_agree(relation, sigma):
     expected = detect_violations(relation, sigma, engine="reference")
-    for engine in engines()[1:]:
+    for engine in ENGINES[1:]:
         # twice per engine: the second run folds over a warm columnar
         # store (or, for sql, a warm per-relation database handle)
         for _ in range(2):
@@ -338,7 +331,7 @@ def test_absent_constant_drops_out():
 def test_large_int_float_mix_does_not_conflate():
     """An int/float mix upcasts to float64, where ints beyond 2**53 collapse
     onto the same float; the vectorized encoder must detect the lossy round
-    trip and fall back, or fused-numpy silently misses violations.  The
+    trip and fall back, or fused silently misses violations.  The
     float sits in the same column as the huge ints so the whole column
     upcasts, and the two ints differ only below float64 precision."""
     relation = Relation(
@@ -375,17 +368,6 @@ def test_mixed_type_key_columns():
     assert_engines_agree(relation, sigma)
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs numpy")
-def test_explicit_fused_numpy_requires_numpy(monkeypatch):
-    relation = Relation(SCHEMA, [(0, 1, 1, 0, 0)])
-    cfd = CFD(["a"], ["b"], name="phi")
-    monkeypatch.setenv("REPRO_NUMPY", "0")
-    with pytest.raises(RuntimeError):
-        detect_violations(relation, cfd, engine="fused-numpy")
-    # auto falls back to the Python folds instead of raising
-    detect_violations(relation, cfd, engine="auto")
-
-
 # -- columnar backend equivalence ---------------------------------------------
 
 
@@ -402,7 +384,6 @@ def both_stores(rows_, n_attrs=3):
     return vec, plain
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs numpy")
 def test_vectorized_encode_matches_dictionary_encode():
     rows_ = [(i, i % 7, (i * 3) % 5, i % 2) for i in range(500)]
     vec, plain = both_stores(rows_)
@@ -420,7 +401,6 @@ def test_vectorized_encode_matches_dictionary_encode():
     assert list(vec.group_index(("a", "b"))) == list(plain.group_index(("a", "b")))
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs numpy")
 def test_vectorized_encode_fallbacks():
     mixed = [(i, "s" if i % 2 else i, 1.5, float("nan")) for i in range(40)]
     vec, plain = both_stores(mixed)
@@ -432,7 +412,6 @@ def test_vectorized_encode_fallbacks():
     assert vec.column("a").codes_array().tolist() == vec.column("a").codes
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs numpy")
 def test_code_arrays_are_cached_and_int32():
     import numpy as np
 

@@ -437,9 +437,12 @@ def test_update_after_rollback_keeps_incremental_speed_path():
     assert detector.engine == "fused"
     mp = pytest.MonkeyPatch()
     try:
-        mp.setattr(
-            TransitionCounter, "add", _countdown(TransitionCounter.add, 0)
-        )
+        for name in ("add", "add_bulk"):
+            mp.setattr(
+                TransitionCounter,
+                name,
+                _countdown(getattr(TransitionCounter, name), 0),
+            )
         with pytest.raises(RuntimeError):
             detector.update(inserted=[(500, 0, 3, 1)])
     finally:

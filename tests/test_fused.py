@@ -176,21 +176,15 @@ def test_dispatcher_selects_engines(monkeypatch):
 
 
 def test_dispatcher_fused_numpy_engine(monkeypatch):
-    from repro.relational import numpy_enabled
-
+    """``fused-numpy`` folded into ``fused``: the old name is rejected,
+    by argument and by environment, instead of silently aliasing."""
     relation = small_relation()
     cfd = CFD(["a", "b"], ["d"], name="phi")
-    reference = detect_violations(relation, cfd, engine="reference")
-    if numpy_enabled():
-        vectorized = detect_violations(relation, cfd, engine="fused-numpy")
-        assert vectorized.violations == reference.violations
-        assert vectorized.tuple_keys == reference.tuple_keys
-        monkeypatch.setenv("REPRO_ENGINE", "fused-numpy")
-        via_env = detect_violations(relation, cfd)
-        assert via_env.violations == reference.violations
-    else:
-        with pytest.raises(RuntimeError):
-            detect_violations(relation, cfd, engine="fused-numpy")
+    with pytest.raises(ValueError, match="unknown detection engine"):
+        detect_violations(relation, cfd, engine="fused-numpy")
+    monkeypatch.setenv("REPRO_ENGINE", "fused-numpy")
+    with pytest.raises(ValueError, match="unknown detection engine"):
+        detect_violations(relation, cfd)
 
 
 # -- cached columnar index reuse ----------------------------------------------

@@ -25,7 +25,8 @@ def brute_force_implies(sigma, phi, domain):
 
     Sound and complete: CFD satisfaction is closed under sub-instances, so
     any violated instance contains a 1- or 2-tuple counterexample.  The
-    domain must be large enough to act "infinite" (more values than cells).
+    domain must hold every pattern constant plus two values outside them
+    (see :data:`DOMAIN`).
     """
     for values in itertools.product(domain, repeat=2 * len(ATTRS)):
         rows = [
@@ -116,7 +117,13 @@ def test_multi_pattern_tableau_needs_every_row():
 
 # -- oracle comparison ---------------------------------------------------------
 
-DOMAIN = [0, 1, 2, 3, 4, 5, 6, 7]  # > 2 * |ATTRS| cells: behaves "infinite"
+#: complete for ≤2-tuple counterexamples.  Pattern constants are drawn
+#: from {0, 1}, and CFD satisfaction only compares a cell with the other
+#: tuple's cell on the *same* attribute or with a constant.  Per attribute,
+#: each cell is therefore 0, 1 or a fresh value, with the two fresh values
+#: equal or not; {0, 1, 2, 3} realises every such case, so any
+#: counterexample over an infinite domain maps onto one over DOMAIN.
+DOMAIN = [0, 1, 2, 3]
 
 
 @st.composite

@@ -29,7 +29,7 @@ from repro.detect import (
 )
 from repro.distributed import Cluster
 from repro.partition import partition_uniform
-from repro.relational import Relation, Schema, numpy_enabled
+from repro.relational import Relation, Schema
 
 ATTRS = ("a", "b", "c")
 SCHEMA = Schema("R", ("id",) + ATTRS, key=("id",))
@@ -39,13 +39,6 @@ VALUES = [0, 1, 2, "x"]
 FRESH = ["Δ1", "Δ2", 99]
 
 ONE_SHOT = {"ctr": ctr_detect, "pat-s": pat_detect_s, "pat-rt": pat_detect_rt}
-
-
-def engines():
-    names = ["reference", "fused"]
-    if numpy_enabled():
-        names.append("fused-numpy")
-    return names
 
 
 @st.composite
@@ -109,7 +102,7 @@ def run_script(detector_update, current_rows, script, rng_keys):
 )
 def test_incremental_equals_full_recompute_all_engines(rows, sigma, script):
     relation = Relation(SCHEMA, rows)
-    for engine in engines():
+    for engine in ("reference", "fused"):
         detector = IncrementalDetector(sigma, engine=engine)
         detector.attach(relation)
         final_rows = run_script(

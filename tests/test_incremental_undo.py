@@ -2,8 +2,8 @@
 
 ``VariableGroupState`` undoes a failed batch from references, lengths and
 prior-count journals — never from a copy of a touched group (see
-``_CodeGroup`` / ``_Group`` in ``repro.core.incremental``).  Two things
-keep that honest:
+``_CodeGroup`` in ``repro.core.incremental``).  Two things keep that
+honest:
 
 * **rollback exactness where the undo is subtle** — groups of a few
   hundred rows with non-empty event logs, a doomed batch that fails
@@ -12,6 +12,8 @@ keep that honest:
   report-equal;
 * **a complexity guard with no clock in it** — the ``tracemalloc`` peak of
   one fixed update must not depend on the size of the groups it touches.
+
+Both run once per fused leg of the engine matrix (see ``conftest.py``).
 """
 
 import tracemalloc
@@ -21,31 +23,20 @@ import pytest
 
 from repro.core import CFD, PatternTuple, TransitionCounter, WILDCARD
 from repro.core.incremental import IncrementalDetector, incremental_detect
-from repro.relational import Relation, Schema, numpy_enabled
+from repro.relational import Relation, Schema
 
 SCHEMA = Schema("R", ("id", "a", "b"), key=("id",))
 CFD_AB = CFD(["a"], ["b"], [PatternTuple([WILDCARD], [WILDCARD])], name="phi")
 
-FOLD_ENGINES = [
-    "fused",
-    pytest.param(
-        "fused-numpy",
-        marks=pytest.mark.skipif(
-            not numpy_enabled(), reason="numpy not importable or disabled"
-        ),
-    ),
-]
+FUSED_LEGS = pytest.mark.parametrize(
+    "fused_leg", ["fused", "fused-numpy"], indirect=True
+)
 
 
 def _group_table(detector):
     """The variable form's group table by value, read without compacting:
     ``x -> (y_counts, member-key multiset, conflicting)``."""
     state = detector._variables[0]
-    if detector.engine == "fused":
-        return {
-            x: (dict(g.y_counts), dict(g.key_counts), g.conflicting)
-            for x, g in state.groups.items()
-        }
     table = {}
     for code, g in state._code_groups.items():
         members = Counter(g.key_counts)
@@ -86,9 +77,8 @@ class _Session:
         for _ in range(4):
             inserted, deleted = self.batch({0: (5, 3), 1: (5, 3), 2: (2, 1)})
             self.detector.update(inserted=inserted, deleted=deleted)
-        if engine == "fused-numpy":
-            groups = self.detector._variables[0]._code_groups.values()
-            assert all(g.adds and g.dels for g in groups)
+        groups = self.detector._variables[0]._code_groups.values()
+        assert all(g.adds and g.dels for g in groups)
 
     def batch(self, plan, commit=True):
         """``{a: (n inserts, n deletes)}`` -> ``(inserted rows, deleted
@@ -144,7 +134,7 @@ def _fail_update(detector, inserted, deleted, fuse):
 
 
 #: doomed batches: (a) no compaction inside it; (b) more than
-#: ``32 + 2·len(key_counts)`` rows on one group, so the code layout
+#: ``32 + 2·len(key_counts)`` rows on one group, so the group
 #: compacts mid-batch and replaces the objects the undo entry references;
 #: (c) one group created (``a=9``) and one emptied (``a=2``)
 DOOMED = {
@@ -156,16 +146,16 @@ DOOMED = {
 
 @pytest.mark.parametrize("fuse", ["end", 0, 1])
 @pytest.mark.parametrize("scenario", DOOMED)
-@pytest.mark.parametrize("engine", FOLD_ENGINES)
-def test_rollback_is_structurally_exact(engine, scenario, fuse):
-    session = _Session(engine)
+@FUSED_LEGS
+def test_rollback_is_structurally_exact(fused_leg, scenario, fuse):
+    session = _Session(fused_leg)
     detector = session.detector
     inserted, deleted = session.batch(DOOMED[scenario], commit=False)
-    if engine == "fused-numpy" and scenario == "after-forced-compaction":
+    if scenario == "after-forced-compaction":
         # the batch really does compact group a=0 (the first X interned:
         # code 0) while it is open: run cleanly on a twin session, it
         # leaves the group a different key table object
-        twin = _Session(engine)
+        twin = _Session(fused_leg)
         group = twin.detector._variables[0]._code_groups[0]
         key_counts = group.key_counts
         twin.detector.update(*twin.batch(DOOMED[scenario]))
@@ -215,14 +205,13 @@ def _update_peak(engine, group_rows):
     return peak
 
 
-@pytest.mark.parametrize("engine", FOLD_ENGINES)
-def test_update_allocation_is_flat_in_group_size(engine):
+@FUSED_LEGS
+def test_update_allocation_is_flat_in_group_size(fused_leg):
     """No clock: an update's peak allocation must not grow with the groups
-    it touches (6 KB vs 6 KB and 12 KB vs 13 KB here; 22 KB vs 603 KB
-    under both engines when every touched group's member keys were copied
-    on first touch).  The row counts keep every resident dict clear of a
-    resize during the measured update."""
-    small = _update_peak(engine, 100)
-    large = _update_peak(engine, 10_000)
+    it touches (12 KB vs 13 KB here; 22 KB vs 603 KB when every touched
+    group's member keys were copied on first touch).  The row counts keep
+    every resident dict clear of a resize during the measured update."""
+    small = _update_peak(fused_leg, 100)
+    large = _update_peak(fused_leg, 10_000)
     assert large <= 2 * small, (small, large)
     assert small <= 2 * large, (small, large)

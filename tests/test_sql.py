@@ -34,7 +34,7 @@ from repro.core.sql import (
     violation_sql,
 )
 from repro.datagen import emp_instance, emp_tableau_cfds, generate_cust, cust_street_cfd
-from repro.relational import Relation, Schema, columnar, numpy_enabled
+from repro.relational import Relation, Schema, columnar
 
 
 def vio_pi(relation, cfds) -> set:
@@ -278,10 +278,9 @@ def assert_only_sql_rejects(cells, match, monkeypatch):
     fd = CFD(("a",), ("id",), [PatternTuple((WILDCARD,), (WILDCARD,))])
     expected = detect_violations(relation, fd, engine="reference")
     assert expected.violations  # the repeated cell is a conflicting X group
-    for engine in ["fused"] + (["fused-numpy"] if numpy_enabled() else []):
-        report = detect_violations(relation, fd, engine=engine)
-        assert report.violations == expected.violations, engine
-        assert report.tuple_keys == expected.tuple_keys, engine
+    report = detect_violations(relation, fd, engine="fused")
+    assert report.violations == expected.violations
+    assert report.tuple_keys == expected.tuple_keys
     with pytest.raises(SQLEngineError, match=match):
         detect_violations_sql(relation, fd)
     with pytest.raises(SQLEngineError, match=match):
