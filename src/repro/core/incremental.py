@@ -962,6 +962,8 @@ class IncrementalDetector:
         self._constants = ConstantFolds(self._fused._constants, collect_tuples)
         self._variables: list[VariableGroupState] = []
         self._reference_report: ViolationReport | None = None
+        #: recompute-mode engines: the open batch's recomputed report
+        self._reference_next: ViolationReport | None = None
 
     @property
     def relation(self) -> Relation | None:
@@ -1156,6 +1158,7 @@ class IncrementalDetector:
                     store[key] = entry
         self._relation = self._relation_snapshot
         self._relation_snapshot = None
+        self._reference_next = None
 
     def apply(self, relation: Relation) -> ViolationDelta:
         """Advance to ``relation``, folding only its recorded delta.
@@ -1209,11 +1212,9 @@ class IncrementalDetector:
                     ):
                         self._store_add(key, row)
             if self._recompute_mode:
-                self.relation = relation
-                delta = self._reference_rediff()
-                self._end_batch()
-                return delta
-            self._fold_batches(schema, batches)
+                self._reference_next = self._recompute_report(relation)
+            else:
+                self._fold_batches(schema, batches)
             self.relation = relation
         except BaseException:
             self._rollback_batch()
@@ -1245,6 +1246,21 @@ class IncrementalDetector:
             raise ValueError("attach() a relation before applying updates")
         if callable(deleted) or hasattr(deleted, "evaluate"):
             return self._update_via_versions(inserted, deleted)
+        if not self._fold_open(inserted, deleted):
+            return ViolationDelta()
+        return self._commit()
+
+    def _fold_open(self, inserted, deleted) -> bool:
+        """Fold one explicit key batch, leaving the batch open.
+
+        Validates the batch, arms the undo logs, mutates the keyed row
+        store and folds every form (a recompute-mode engine recomputes
+        its report instead); if any of that raises, the batch is rolled
+        back and the exception propagates.  Returns whether a batch is
+        open — an empty batch opens none — which the caller then ends
+        with :meth:`_commit` or :meth:`_rollback_batch`, so several
+        detectors can fold one round and commit it together.
+        """
         schema = self.schema
         key_pos = schema.key_positions()
         width = len(schema)
@@ -1280,7 +1296,7 @@ class IncrementalDetector:
                     f"key {bad!r} does not fit key attributes {schema.key}"
                 )
         if not doomed and not batch:
-            return ViolationDelta()
+            return False
 
         self._begin_batch()
         try:
@@ -1319,19 +1335,18 @@ class IncrementalDetector:
             self._relation = None  # invalidate the cached snapshot
 
             if self._recompute_mode:
-                delta = self._reference_rediff()
-                self._end_batch()
-                return delta
-            batches: list[tuple[list, int]] = []
-            if removed:
-                batches.append((removed, -1))
-            if batch:
-                batches.append((batch, 1))
-            self._fold_batches(schema, batches)
+                self._reference_next = self._recompute_report(self.relation)
+            else:
+                batches: list[tuple[list, int]] = []
+                if removed:
+                    batches.append((removed, -1))
+                if batch:
+                    batches.append((batch, 1))
+                self._fold_batches(schema, batches)
         except BaseException:
             self._rollback_batch()
             raise
-        return self._commit()
+        return True
 
     def _update_via_versions(self, inserted, deleted) -> ViolationDelta:
         """The predicate-delete path: delta versions, then :meth:`apply`."""
@@ -1354,15 +1369,23 @@ class IncrementalDetector:
     # -- results ----------------------------------------------------------
 
     def _commit(self) -> ViolationDelta:
-        for state in self._variables:
-            state.commit()
+        """Close the open batch; returns what it changed."""
+        if self._recompute_mode:
+            delta = self._reference_rediff()
+        else:
+            for state in self._variables:
+                state.commit()
+            delta = commit_counters(
+                self._violations, self._keys, self._wrap_keys
+            )
         self._end_batch()
-        return commit_counters(self._violations, self._keys, self._wrap_keys)
+        return delta
 
     def _reference_rediff(self) -> ViolationDelta:
         previous = self._reference_report
-        current = self._recompute_report(self.relation)
+        current = self._reference_next
         self._reference_report = current
+        self._reference_next = None
         return ViolationDelta(
             added=ViolationReport(
                 current.violations - previous.violations,

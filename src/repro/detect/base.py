@@ -11,8 +11,14 @@ All three single-CFD algorithms follow the same skeleton:
    by an algorithm-specific rule, the ``(X, A)`` projections are shipped,
    and each coordinator runs the local GROUP BY detection.
 
-This module implements the skeleton; the algorithm modules plug in their
-coordinator-selection strategies.
+This module implements the skeleton; two *step* functions run steps 2–3
+up to the shipment for one variable form — :func:`repro.detect.pat.pat_step`
+(a coordinator per pattern) and :func:`repro.detect.ctr.ctr_step` (one
+coordinator) — each returning a :class:`VariableStep`.
+:func:`horizontal_detect` runs a step one-shot, then
+:func:`coordinator_check` on what each coordinator received; the resident
+sessions (:mod:`repro.detect.incremental`) run the same steps through
+:func:`run_steps` and fill their kernels from it instead.
 
 The sites' parallelism is *modelled* (:mod:`repro.distributed.cost`
 takes the max over sites), not executed: step 2 runs one
@@ -31,21 +37,32 @@ directly on the code pairs, decoding only the violating ``X`` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..core import (
+    CFD,
     ConstantCFD,
     PatternIndex,
     VariableCFD,
     Violation,
     ViolationReport,
     detect_constants,
+    normalize,
     pattern_index,
 )
-from ..distributed import Cluster, CostModel, ShipmentLog, Site
+from ..distributed import (
+    Cluster,
+    CostBreakdown,
+    CostModel,
+    DetectionOutcome,
+    ShipmentLog,
+    Site,
+    StageTimes,
+)
 from ..relational import (
     Relation,
-    Schema,
     SharedPairDictionary,
     column_store,
     compatible_with_bindings,
@@ -82,7 +99,8 @@ class SitePartition:
     ``σ(t) = l`` (``H_i^l`` in the paper); ``lstat[l] = |H_i^l|`` is the
     statistic the site broadcasts.  ``pairs`` maps the fragment's local
     combination codes to the cluster-global ``(x_code, y_code)`` pairs of
-    ``shared`` — the translation the coordinator applies when merging.
+    ``shared`` — the translation the coordinator applies when merging —
+    and ``occupancy`` the fragment's row count per local code.
     """
 
     site: Site
@@ -90,6 +108,7 @@ class SitePartition:
     participated: bool
     pairs: list[tuple[int, int]] = field(default_factory=list)
     shared: SharedPairDictionary | None = None
+    occupancy: list[int] = field(default_factory=list)
 
     @property
     def lstat(self) -> list[int]:
@@ -101,17 +120,29 @@ class MergedBucket:
     """One pattern's merged bucket ``⋃_i H_i^l`` as seen by its coordinator.
 
     ``rows`` counts the member tuples (what the check-cost model charges);
-    ``pairs`` holds the received distinct ``(x_code, y_code)`` pairs — the
-    code arrays the coordinator-side merge runs on.
+    ``pairs`` holds the received distinct ``(x_code, y_code)`` pairs of
+    each sending site — the code arrays the coordinator-side merge runs
+    on — and ``counts`` the rows behind each pair, which a resident
+    kernel seeds from.
     """
 
     rows: int = 0
     pairs: list[tuple[int, int]] = field(default_factory=list)
+    counts: list[int] = field(default_factory=list)
 
 
-def ship_projection_schema(schema: Schema, variable: VariableCFD) -> Schema:
-    """Schema of the shipped ``π_{X ∪ A}`` projection."""
-    return schema.project(variable.attributes)
+@dataclass
+class VariableStep:
+    """One variable form's step, as its coordinators left it: σ bucket
+    ``l`` went to ``coordinators[l]`` as ``merged[l]`` (coded against
+    ``shared``); ``chosen`` is what ``details["coordinators"]`` reports."""
+
+    variable: VariableCFD
+    shared: SharedPairDictionary
+    coordinators: list[int]
+    merged: list[MergedBucket]
+    stage: StageTimes
+    chosen: object
 
 
 def scan_sites(fragments: Sequence[Relation], fn, tasks) -> list:
@@ -132,15 +163,7 @@ def group_occupancy(fragment: Relation, attributes: Sequence[str]) -> list[int]:
     cached = store.scratch.get(cache_key)
     if cached is not None:
         return cached
-    codes_arr = key.codes_array()
-    if codes_arr is not None:
-        import numpy as np
-
-        occupancy = np.bincount(codes_arr, minlength=key.n_groups).tolist()
-    else:
-        occupancy = [0] * key.n_groups
-        for g in key.codes:
-            occupancy[g] += 1
+    occupancy = np.bincount(key.codes_array(), minlength=key.n_groups).tolist()
     store.scratch[cache_key] = occupancy
     return occupancy
 
@@ -149,7 +172,6 @@ def partition_fragment_summary(
     fragment: Relation,
     variable: VariableCFD,
     need_values: bool = True,
-    index: PatternIndex | None = None,
 ):
     """σ-partition one fragment into dictionary-coded bucket summaries.
 
@@ -168,13 +190,11 @@ def partition_fragment_summary(
     bucket_codes: list[list[int]] = [[] for _ in range(n_patterns)]
     if not fragment.rows:
         return counts, bucket_codes, [] if need_values else None
-    if index is None:
-        # memoized per tableau: every site's scan reuses one σ trie
-        index = pattern_index(variable.patterns)
     key = column_store(fragment).key_column(variable.attributes)
     occupancy = group_occupancy(fragment, variable.attributes)
     lhs_width = len(variable.lhs)
-    first_match = index.first_match
+    # memoized per tableau: every site's scan reuses one σ trie
+    first_match = pattern_index(variable.patterns).first_match
     for g, combo in enumerate(key.values):
         occ = occupancy[g]
         if not occ:
@@ -234,7 +254,10 @@ def partition_cluster(
             CodedBucket(count, codes)
             for count, codes in zip(counts, bucket_codes)
         ]
-        partitions.append(SitePartition(site, buckets, True, pairs, shared))
+        occupancy = group_occupancy(site.fragment, variable.attributes)
+        partitions.append(
+            SitePartition(site, buckets, True, pairs, shared, occupancy)
+        )
     return partitions, index
 
 
@@ -257,6 +280,23 @@ def exchange_statistics(cluster: Cluster, log: ShipmentLog) -> None:
     log.record_control(n * (n - 1))
 
 
+def merge_buckets(
+    partitions: Sequence[SitePartition], n_patterns: int
+) -> list[MergedBucket]:
+    """Every site's σ bucket ``l`` merged, in site order, into
+    ``merged[l]``: the coded ``⋃_i H_i^l`` its coordinator holds."""
+    merged = [MergedBucket() for _ in range(n_patterns)]
+    for part in partitions:
+        pairs, occupancy = part.pairs, part.occupancy
+        for target, bucket in zip(merged, part.buckets):
+            if not bucket.count:
+                continue
+            target.rows += bucket.count
+            target.pairs.extend(map(pairs.__getitem__, bucket.codes))
+            target.counts.extend(map(occupancy.__getitem__, bucket.codes))
+    return merged
+
+
 def ship_buckets(
     cluster: Cluster,
     partitions: Sequence[SitePartition],
@@ -267,21 +307,16 @@ def ship_buckets(
 ) -> list[MergedBucket]:
     """Ship every bucket to its pattern's coordinator; return merged data.
 
-    Returns ``merged[l]`` = the coded view of ``⋃_i H_i^l`` as available
-    at the coordinator of pattern ``l`` (local rows are not shipped, only
+    Returns :func:`merge_buckets` (local rows are not shipped, only
     counted into the merged bucket).  Shipments are dictionary-coded: a
     row crosses the wire as one ``(x_code, y_code)`` pair whatever its
     attribute width, which the log records via ``n_codes``.
     """
-    merged = [MergedBucket() for _ in coordinators]
     for part in partitions:
         source = part.site.index
-        pairs = part.pairs
         for ordinal, bucket in enumerate(part.buckets):
-            if not bucket.count:
-                continue
             dest = coordinators[ordinal]
-            if dest != source:
+            if bucket.count and dest != source:
                 log.ship(
                     dest,
                     source,
@@ -290,10 +325,7 @@ def ship_buckets(
                     tag=f"{tag}#p{ordinal}",
                     n_codes=2 * bucket.count,
                 )
-            target = merged[ordinal]
-            target.rows += bucket.count
-            target.pairs.extend(map(pairs.__getitem__, bucket.codes))
-    return merged
+    return merge_buckets(partitions, len(coordinators))
 
 
 def conflicting_x_codes(pairs: Iterable[tuple]) -> set:
@@ -339,6 +371,22 @@ def local_constant_checks(
     return report
 
 
+def check_stage_time(
+    model: CostModel,
+    coordinators: Sequence[int],
+    merged: Sequence[MergedBucket],
+) -> float:
+    """Check-stage time, one GROUP BY per received bucket: the busiest
+    coordinator's, charged for full row counts (the paper's model)."""
+    ops_per_site: dict[int, float] = {}
+    for site, bucket in zip(coordinators, merged):
+        if bucket.rows:
+            ops_per_site[site] = ops_per_site.get(site, 0.0) + model.check_ops(
+                bucket.rows
+            )
+    return max(map(model.check_time, ops_per_site.values()), default=0.0)
+
+
 def coordinator_check(
     cluster: Cluster,
     variable: VariableCFD,
@@ -352,30 +400,58 @@ def coordinator_check(
     reports the ``x`` codes carrying two distinct ``y`` codes — the
     centralized GROUP BY detection collapsed onto the shared dictionary's
     codes; only violating ``X`` values are decoded.  Returns the merged
-    report and the check-stage time: coordinators work in parallel, so the
-    stage lasts as long as the busiest site (charged for the full row
-    counts, not the coded distincts — the model follows the paper).
+    report and the check-stage time (:func:`check_stage_time`).
     """
-    model: CostModel = cluster.cost_model
     report = ViolationReport()
-    ops_per_site: dict[int, float] = {}
-    x_values = shared.x_values
-    for ordinal, bucket in enumerate(merged):
-        if not bucket.rows:
-            continue
+    for bucket in merged:
         for x_code in conflicting_x_codes(bucket.pairs):
             report.add(
-                Violation(
-                    cfd=variable.source,
-                    lhs_attributes=variable.lhs,
-                    lhs_values=x_values[x_code],
-                )
+                Violation(variable.source, variable.lhs, shared.x_values[x_code])
             )
-        site = coordinators[ordinal]
-        ops_per_site[site] = ops_per_site.get(site, 0.0) + model.check_ops(
-            bucket.rows
+    return report, check_stage_time(cluster.cost_model, coordinators, merged)
+
+
+#: a horizontal step: ``(cluster, variable form, log) -> VariableStep``
+Step = Callable[[Cluster, VariableCFD, ShipmentLog], VariableStep]
+
+
+def run_steps(
+    cluster: Cluster,
+    variables: Sequence[VariableCFD],
+    step: Step,
+    log: ShipmentLog,
+) -> tuple[list[VariableStep], list[StageTimes], dict]:
+    """The variable half of a horizontal run: ``step`` once per form.
+
+    Returns the steps, the run's stages (a constant-only CFD is a pure
+    local pass, modelled as one scan stage) and the outcome's details.
+    """
+    steps = [step(cluster, variable, log) for variable in variables]
+    stages = [done.stage for done in steps]
+    if not variables:
+        model = cluster.cost_model
+        scan = max(
+            (model.scan_time(len(site.fragment)) for site in cluster.sites),
+            default=0.0,
         )
-    check_time = max(
-        (model.check_time(ops) for ops in ops_per_site.values()), default=0.0
-    )
-    return report, check_time
+        stages.append(StageTimes(scan, 0.0, 0.0))
+    chosen = {done.variable.source: done.chosen for done in steps}
+    return steps, stages, {"coordinators": chosen}
+
+
+def horizontal_detect(
+    cluster: Cluster, cfd: CFD, step: Step, algorithm: str
+) -> DetectionOutcome:
+    """The one-shot horizontal run of ``step``: local constant checks,
+    the steps, then each coordinator's GROUP BY on what it received."""
+    normalized = normalize(cfd)
+    log = ShipmentLog()
+    report = local_constant_checks(cluster, normalized.constants)
+    steps, stages, details = run_steps(cluster, normalized.variables, step, log)
+    for done in steps:
+        # the step's stage already charges the check
+        found, _check = coordinator_check(
+            cluster, done.variable, done.coordinators, done.merged, done.shared
+        )
+        report.merge(found)
+    return DetectionOutcome(algorithm, report, log, CostBreakdown(stages), details)

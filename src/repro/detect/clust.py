@@ -30,12 +30,16 @@ other way, the bucket ordinal is a function of ``t[X ∩ X']`` and hence of
 member's LHS, so merging a site's buckets before the GROUP BY can neither
 add nor lose a conflict.
 
-The resident session (:class:`IncrementalClustDetector`) is the shared
-skeleton of :mod:`repro.detect.incremental` with this module's seed and
-absorb steps: coordinators keep each bucket's resident count per
-combination code, and one GROUP BY kernel per member CFD over the
-*distinct* resident combinations — the same argument again: equal ``X``
-means one bucket, so one table per member serves them all.
+:func:`clust_step` is the scan → pick → ship step for one CFD cluster,
+written once: :func:`clust_detect` runs the member GROUP BYs over what
+each coordinator received, and the resident session
+(:class:`IncrementalClustDetector`, the shared skeleton of
+:mod:`repro.detect.incremental` with this module's absorb step) seeds
+its kernels from the same received codes: coordinators keep each
+bucket's resident count per combination code, and one GROUP BY kernel
+per member CFD over the *distinct* resident combinations — the same
+argument again: equal ``X`` means one bucket, so one table per member
+serves them all.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from ..relational import (
 )
 from . import base
 from .incremental import _forward, _ResidentSession, _VariableState
-from .pat import Strategy, make_select_min_response, select_max_stat
+from .pat import Strategy, _resolve_strategy
 
 
 @dataclass
@@ -215,14 +219,31 @@ def cluster_fragment_summary(
     return counts, bucket_codes, member_counts, key.values if need_values else None
 
 
-def _scan_cluster(cluster: Cluster, group: CFDCluster):
-    """Every site's scan for one CFD cluster, translated to global codes.
+@dataclass
+class ClusterStep:
+    """One CFD cluster's step, as its coordinators left it: bucket ``l``
+    went to ``coordinators[l]``, ``rows[l]`` rows in all.  ``shipped``
+    holds, per site with matching rows, ``(counts, bucket_codes, codes,
+    occupancy)``: the ``counts[l]`` rows and local combinations
+    ``bucket_codes[l]`` it sent to bucket ``l``, and per local
+    combination ``g`` its global code ``codes[g]`` and row count
+    ``occupancy[g]``."""
 
-    Returns the cluster's shared combination dictionary — one per CFD
-    cluster, cached on the data cluster so repeat detections reuse the
-    interned codes — each site's ``(counts, bucket_codes, codes,
-    member_counts)`` and the modelled scan time (slowest site).
-    """
+    group: CFDCluster
+    shared: SharedComboDictionary
+    coordinators: list[int]
+    shipped: list[tuple[list[int], list[list[int]], list[int], list[int]]]
+    rows: list[int]
+    stage: StageTimes
+
+
+def clust_step(
+    cluster: Cluster, group: CFDCluster, pick: Strategy, log: ShipmentLog
+) -> ClusterStep:
+    """CLUSTDETECT's step for one CFD cluster: one scan per site for all
+    members, ``lstat`` exchange, a coordinator per projected pattern by
+    ``pick``, each bucket shipped as one combination code per row (the
+    cluster's dictionary is cached on the data cluster)."""
     shared: SharedComboDictionary = shared_dict_on(
         cluster, ("combo",) + tuple(group.members), SharedComboDictionary
     )
@@ -231,28 +252,67 @@ def _scan_cluster(cluster: Cluster, group: CFDCluster):
         (i, (group, shared.codes_for(i) is None))
         for i in range(len(fragments))
     ]
-    site_results = []
-    for i, (counts, bucket_codes, member_counts, values) in enumerate(
-        base.scan_sites(fragments, cluster_fragment_summary, tasks)
+    summaries = base.scan_sites(fragments, cluster_fragment_summary, tasks)
+    base.exchange_statistics(cluster, log)
+    coordinators = pick(cluster, [summary[0] for summary in summaries])
+
+    width = len(group.attributes)
+    n_buckets = len(group.projected)
+    shipped: list[tuple] = []
+    rows = [0] * n_buckets
+    member_rows = [[0] * len(group.members) for _ in range(n_buckets)]
+    stage_log = ShipmentLog()
+    for i, (site, (counts, bucket_codes, member_counts, values)) in enumerate(
+        zip(cluster.sites, summaries)
     ):
         codes = shared.codes_for(i)
         if codes is None:
             codes = shared.translate(i, values)
-        site_results.append((counts, bucket_codes, codes, member_counts))
-    scan_time = cluster.cost_model.scan_time
-    scan = max((scan_time(len(fragment)) for fragment in fragments), default=0.0)
-    return shared, site_results, scan
+        if not any(counts):
+            continue
+        occupancy = base.group_occupancy(site.fragment, group.attributes)
+        shipped.append((counts, bucket_codes, codes, occupancy))
+        for ordinal, count in enumerate(counts):
+            if not count:
+                continue
+            dest = coordinators[ordinal]
+            if dest != site.index:
+                # one combination code per row on the wire
+                stage_log.ship(
+                    dest, site.index, count, count * width,
+                    tag=f"{group.name}#p{ordinal}", n_codes=count,
+                )
+            rows[ordinal] += count
+            for m, matching in enumerate(member_counts[ordinal]):
+                member_rows[ordinal][m] += matching
+    log.merge(stage_log)
+
+    # the cost model charges each bucket's full row counts: a routing
+    # scan of the received rows, then one GROUP BY per member over its
+    # own matching tuples
+    model = cluster.cost_model
+    ops_per_site: dict[int, float] = {}
+    for ordinal, n in enumerate(rows):
+        if not n:
+            continue
+        ops = float(n)
+        for matching in member_rows[ordinal]:
+            ops += model.check_ops(matching)
+        site = coordinators[ordinal]
+        ops_per_site[site] = ops_per_site.get(site, 0.0) + ops
+    stage = StageTimes(
+        max((model.scan_time(len(fragment)) for fragment in fragments), default=0.0),
+        model.transfer_time(stage_log.outgoing_by_source()),
+        max(map(model.check_time, ops_per_site.values()), default=0.0),
+    )
+    return ClusterStep(group, shared, coordinators, shipped, rows, stage)
 
 
-def _resolve_strategy(cluster: Cluster, strategy: str | Strategy) -> Strategy:
-    """Coordinator-selection strategy: ``"s"``, ``"rt"`` or a callable."""
-    if isinstance(strategy, str):
-        if strategy == "s":
-            return select_max_stat
-        if strategy == "rt":
-            return make_select_min_response(cluster)
-        raise ValueError(f"unknown strategy {strategy!r}; use 's' or 'rt'")
-    return strategy
+def _details(steps: Sequence[ClusterStep]) -> dict:
+    return {
+        "clusters": [step.group.name for step in steps],
+        "coordinators": {step.group.name: step.coordinators for step in steps},
+    }
 
 
 def clust_detect(
@@ -266,9 +326,7 @@ def clust_detect(
     (max-stat, minimizing shipment) or ``"rt"`` (greedy response time), as
     in the single-CFD algorithms.
     """
-    cfds = list(cfds)
     pick = _resolve_strategy(cluster, strategy)
-
     report = ViolationReport()
     log = ShipmentLog()
     variables: list[VariableCFD] = []
@@ -277,61 +335,26 @@ def clust_detect(
         report.merge(base.local_constant_checks(cluster, normalized.constants))
         variables.extend(normalized.variables)
 
-    groups = cluster_cfds(variables, cluster.schema.attributes)
-    model = cluster.cost_model
-    cost_stages = []
-    chosen: dict[str, list[int]] = {}
-
-    for group in groups:
-        shared, site_results, scan = _scan_cluster(cluster, group)
-        base.exchange_statistics(cluster, log)
-
-        lstat = [counts for counts, _codes, _pairs, _mc in site_results]
-        coordinators = pick(cluster, lstat)
-        chosen[group.name] = coordinators
-
-        width = len(group.attributes)
-        stage_log = ShipmentLog()
-        merged_rows = [0] * len(group.projected)
+    steps = [
+        clust_step(cluster, group, pick, log)
+        for group in cluster_cfds(variables, cluster.schema.attributes)
+    ]
+    for step in steps:
+        group = step.group
         # distinct global combination codes per coordinator *site*, deduped
         # across its buckets and the sending sites (its working set)
-        received: defaultdict[int, set[int]] = defaultdict(set)
-        total_counts = [
-            [0] * len(group.members) for _ in group.projected
-        ]
-        for site, (counts, bucket_codes, codes, member_counts) in zip(
-            cluster.sites, site_results
-        ):
-            for ordinal, count in enumerate(counts):
-                if not count:
-                    continue
-                dest = coordinators[ordinal]
-                if dest != site.index:
-                    stage_log.ship(
-                        dest,
-                        site.index,
-                        count,
-                        count * width,
-                        tag=f"{group.name}#p{ordinal}",
-                        # one combination code per row on the wire
-                        n_codes=count,
-                    )
-                merged_rows[ordinal] += count
-                received[dest].update(
-                    map(codes.__getitem__, bucket_codes[ordinal])
-                )
-                for m in range(len(group.members)):
-                    total_counts[ordinal][m] += member_counts[ordinal][m]
-        transfer = model.transfer_time(stage_log.outgoing_by_source())
-        log.merge(stage_log)
-
+        working: defaultdict[int, set[int]] = defaultdict(set)
+        for counts, bucket_codes, codes, _occupancy in step.shipped:
+            for dest, count, local in zip(step.coordinators, counts, bucket_codes):
+                if count:
+                    working[dest].update(map(codes.__getitem__, local))
         # one GROUP BY per member CFD per coordinator site, over the
         # site's distinct combinations (see the module docstring for why
         # merging its buckets is sound)
         schema = cluster.schema.project(group.attributes)
         working_sets = [
-            [shared.values[code] for code in codes]
-            for codes in received.values()
+            [step.shared.values[code] for code in codes]
+            for codes in working.values()
         ]
         for member in group.members:
             x_of = projector(schema.positions(member.lhs))
@@ -344,33 +367,12 @@ def clust_detect(
                     if matches(x):
                         report.add(Violation(member.source, member.lhs, x))
 
-        # the cost model charges each bucket's full row counts: a routing
-        # scan of the received rows, then one GROUP BY per member over its
-        # own matching tuples
-        ops_per_site: dict[int, float] = {}
-        for ordinal, rows in enumerate(merged_rows):
-            if not rows:
-                continue
-            ops = float(rows)
-            for matching in total_counts[ordinal]:
-                ops += model.check_ops(matching)
-            site_index = coordinators[ordinal]
-            ops_per_site[site_index] = ops_per_site.get(site_index, 0.0) + ops
-        check = max(
-            (model.check_time(ops) for ops in ops_per_site.values()),
-            default=0.0,
-        )
-        cost_stages.append(StageTimes(scan, transfer, check))
-
     return DetectionOutcome(
         algorithm="CLUSTDETECT",
         report=report,
         shipments=log,
-        cost=CostBreakdown(stages=cost_stages),
-        details={
-            "clusters": [group.name for group in groups],
-            "coordinators": chosen,
-        },
+        cost=CostBreakdown(stages=[step.stage for step in steps]),
+        details=_details(steps),
     )
 
 
@@ -467,6 +469,35 @@ class _ClusterGroupState:
         self._undo_combos: dict | None = None
         self._undo_buckets: list | None = None
 
+    @classmethod
+    def seeded(
+        cls, step: ClusterStep, schema, violations: TransitionCounter
+    ) -> "_ClusterGroupState":
+        """The state a one-shot step leaves resident: per bucket the row
+        count of every combination code its coordinator received, and
+        every distinct combination crossed into its member kernels."""
+        group = step.group
+        state = cls(
+            group, step.shared, step.coordinators,
+            schema.project(group.attributes),
+        )
+        route = _combo_router(group)
+        touched = [set() for _ in group.members]
+        for counts, bucket_codes, codes, occupancy in step.shipped:
+            for bucket, count, local in zip(state.combo_counts, counts, bucket_codes):
+                if not count:
+                    continue
+                for g in local:
+                    code = codes[g]
+                    bucket[code] = bucket.get(code, 0) + occupancy[g]
+        state.bucket_rows = list(step.rows)
+        for bucket in state.combo_counts:
+            for code in bucket:
+                combo = step.shared.values[code]
+                state.cross(combo, route(combo)[1], 1, touched)
+        state.settle(touched, violations)
+        return state
+
     def begin(self) -> None:
         """Open a transactional batch, here and in every member kernel."""
         self._undo_combos = {}
@@ -551,17 +582,13 @@ class _ClusterGroupState:
 class IncrementalClustDetector(_ResidentSession):
     """A resident CLUSTDETECT session over one cluster and CFD set Σ.
 
-    :meth:`detect` runs the one-shot LHS-overlap algorithm once and keeps
-    every coordinator's per-combination counts *and* per-member GROUP BY
-    kernels resident; :meth:`update` / :meth:`apply_updates` then absorb
-    insert/delete batches in O(|ΔD|): each updated site σ-scans only its
-    delta, new combinations intern append-only into the cluster's
-    :class:`~repro.relational.shareddict.SharedComboDictionary` (codes
-    from the initial run never move), and the coordinators receive signed
-    ``(combo_code, count)`` pairs — ``n_codes = 2·|changed
-    combinations|`` — a combination's conflict contribution changing
-    exactly when its resident count crosses zero, which is when it enters
-    or leaves the distinct working set the member CFDs group over.
+    :meth:`detect` runs :func:`clust_step` once per CFD cluster and keeps
+    what each coordinator received resident; :meth:`update` /
+    :meth:`apply_updates` absorb batches in O(|ΔD|): each updated site
+    σ-scans only its delta, new combinations intern append-only, and the
+    coordinators receive signed ``(combo_code, count)`` pairs —
+    ``n_codes = 2·|changed combinations|`` — a combination's conflict
+    contribution changing exactly when its resident count crosses zero.
     """
 
     algorithm = "CLUSTDETECT+Δ"
@@ -585,78 +612,17 @@ class IncrementalClustDetector(_ResidentSession):
     apply_updates = _ResidentSession._round
 
     def _seed(self) -> dict:
-        cluster = self.cluster
-        model = cluster.cost_model
-        chosen: dict[str, list[int]] = {}
-        for group in self._groups:
-            shared, site_results, scan = _scan_cluster(cluster, group)
-            base.exchange_statistics(cluster, self._log)
-
-            lstat = [counts for counts, _codes, _pairs, _mc in site_results]
-            coordinators = self._pick(cluster, lstat)
-            chosen[group.name] = list(coordinators)
-
-            schema = cluster.schema.project(group.attributes)
-            state = _ClusterGroupState(group, shared, coordinators, schema)
-            width = len(group.attributes)
-            stage_log = ShipmentLog()
-            total_counts = [
-                [0] * len(group.members) for _ in group.projected
-            ]
-            for site, (counts, bucket_codes, codes, member_counts) in zip(
-                cluster.sites, site_results
-            ):
-                occupancy = base.group_occupancy(
-                    site.fragment, group.attributes
-                )
-                for ordinal, count in enumerate(counts):
-                    if not count:
-                        continue
-                    dest = coordinators[ordinal]
-                    if dest != site.index:
-                        stage_log.ship(
-                            dest,
-                            site.index,
-                            count,
-                            count * width,
-                            tag=f"{group.name}#p{ordinal}",
-                            n_codes=count,
-                        )
-                    state.bucket_rows[ordinal] += count
-                    bucket = state.combo_counts[ordinal]
-                    for g in bucket_codes[ordinal]:
-                        code = codes[g]
-                        bucket[code] = bucket.get(code, 0) + occupancy[g]
-                    for m in range(len(group.members)):
-                        total_counts[ordinal][m] += member_counts[ordinal][m]
-            transfer = model.transfer_time(stage_log.outgoing_by_source())
-            self._log.merge(stage_log)
-
-            decode = shared.values
-            route = _combo_router(group)
-            touched = [set() for _ in group.members]
-            ops_per_site: dict[int, float] = {}
-            for ordinal, rows in enumerate(state.bucket_rows):
-                if not rows:
-                    continue
-                for code in state.combo_counts[ordinal]:
-                    combo = decode[code]
-                    state.cross(combo, route(combo)[1], 1, touched)
-                site_index = coordinators[ordinal]
-                ops = float(rows)
-                for m in range(len(group.members)):
-                    ops += model.check_ops(total_counts[ordinal][m])
-                ops_per_site[site_index] = (
-                    ops_per_site.get(site_index, 0.0) + ops
-                )
-            state.settle(touched, self._violations)
-            check = max(map(model.check_time, ops_per_site.values()), default=0.0)
-            self._cost.stages.append(StageTimes(scan, transfer, check))
-            self._states.append(state)
-        return {
-            "clusters": [group.name for group in self._groups],
-            "coordinators": chosen,
-        }
+        steps = [
+            clust_step(self.cluster, group, self._pick, self._log)
+            for group in self._groups
+        ]
+        schema = self.cluster.schema
+        for step in steps:
+            self._states.append(
+                _ClusterGroupState.seeded(step, schema, self._violations)
+            )
+            self._cost.stages.append(step.stage)
+        return _details(steps)
 
     def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
         received_events: dict[int, int] = {}

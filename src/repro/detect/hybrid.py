@@ -25,18 +25,21 @@ existing machinery:
 Each tuple attribute crosses the network at most twice (once into its
 region's gather site, once to a pattern coordinator), and only when needed.
 
-The resident session (:class:`IncrementalHybridDetector`) is the shared
-skeleton of :mod:`repro.detect.incremental` with regions as its places:
-it keeps phase 1's gather plans and phase 2's coordinator kernels, and
-a region's batch replays both phases over the delta alone.
+Both phases are :func:`hybrid_step`: :func:`hybrid_detect` checks what it
+gathered and shipped, and the resident session
+(:class:`IncrementalHybridDetector`, the :mod:`repro.detect.incremental`
+skeleton with regions as places) keeps its gather plans and coordinator
+kernels; a region's batch replays both phases over the delta alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core import (
     CFD,
+    ConstantCFD,
     ViolationReport,
     detect_constants,
     normalize,
@@ -55,28 +58,11 @@ from . import base
 from .incremental import (
     IncrementalUpdate,
     _ResidentSession,
-    _seed_variable,
+    _VariableState,
     scan_delta_summary,
 )
-from .pat import Strategy, make_select_min_response, select_max_stat
-
-
-def _region_applicable(region, variable) -> bool:
-    """The F_i ∧ F_φ test lifted to a region's predicate."""
-    if region.predicate is None:
-        return True
-    from ..core import is_wildcard
-    from ..core.epatterns import is_predicate
-
-    for row in variable.patterns:
-        bindings = {
-            attr: value
-            for attr, value in zip(variable.lhs, row)
-            if not is_wildcard(value) and not is_predicate(value)
-        }
-        if compatible_with_bindings(region.predicate, bindings):
-            return True
-    return False
+from .local import applicable_patterns
+from .pat import Strategy, _resolve_strategy, pat_step
 
 
 def _gather_region(
@@ -84,15 +70,14 @@ def _gather_region(
     region_index: int,
     attributes: tuple[str, ...],
     tag: str,
-) -> tuple[int, Relation, float, ShipmentLog, dict]:
+    log: ShipmentLog,
+) -> tuple[Relation, float, dict]:
     """Phase 1 at one region: assemble π_{key ∪ attributes} at one site.
 
-    Returns (global gather-site id, gathered relation, transfer time of
-    this region's intra-region shipments, the shipment log of those
-    shipments, and the gather *plan* — which holder fragment ships which
-    attributes — which the incremental session replays per update batch).
-    The log is returned rather than merged in place: the caller merges
-    the per-region logs in region order.
+    Records the intra-region shipments on ``log``; returns the gathered
+    relation, their transfer time, and the gather *plan* — the global
+    gather-site id and which holder fragment ships which attributes —
+    which the incremental session replays per update batch.
     """
     region = cluster.regions[region_index]
     vertical = region.vertical
@@ -132,37 +117,49 @@ def _gather_region(
             n_codes=len(column) * len(column.schema),
         )
         joined = joined.join(column, on=key)
-    transfer = cluster.cost_model.transfer_time(stage_log.outgoing_by_source())
-    ordered = joined.project(tuple(key) + tuple(attributes))
-    plan = {"gather_site": gather_site, "holders": holders_plan}
-    return gather_site, ordered, transfer, stage_log, plan
+    log.merge(stage_log)
+    return (
+        joined.project(tuple(key) + tuple(attributes)),
+        cluster.cost_model.transfer_time(stage_log.outgoing_by_source()),
+        {"gather_site": gather_site, "holders": holders_plan},
+    )
 
 
-def hybrid_detect(
+@dataclass
+class HybridStep:
+    """Both phases of a hybrid run: per constant form and region, the
+    relation its check runs on and its gather plan (``None`` if a fragment
+    covers the form); per variable form, its phase-2 step (global site
+    ids) and gather plans by region; the stages and ``details["plans"]``.
+    """
+
+    constants: list[tuple[ConstantCFD, int, Relation, dict | None]] = field(
+        default_factory=list
+    )
+    variables: list[tuple[base.VariableStep, dict[int, dict]]] = field(
+        default_factory=list
+    )
+    stages: list[StageTimes] = field(default_factory=list)
+    plans: dict[str, dict] = field(default_factory=dict)
+
+
+def hybrid_step(
     cluster: HybridCluster,
-    cfds: CFD | Iterable[CFD],
-    strategy: str | Strategy = "s",
-) -> DetectionOutcome:
-    """Detect ``Vioπ(Σ, D)`` in a hybrid-fragmented relation."""
-    if isinstance(cfds, CFD):
-        cfds = [cfds]
-    cfds = list(cfds)
-    if isinstance(strategy, str):
-        if strategy not in {"s", "rt"}:
-            raise ValueError(f"unknown strategy {strategy!r}; use 's' or 'rt'")
+    cfds: Iterable[CFD],
+    pick: Strategy,
+    log: ShipmentLog,
+) -> HybridStep:
+    """Both phases for every form of ``cfds``, shipments on ``log``.
 
-    report = ViolationReport()
-    log = ShipmentLog()
-    stages = []
-    plans: dict[str, dict] = {}
+    Per CFD: each constant form is gathered within every applicable
+    region no single fragment covers (Prop. 5 lifted); then each variable
+    form is gathered region by region (phase 1) and PATDETECT's step runs
+    across the gather sites (phase 2), which keep their global ids.
+    """
     model = cluster.cost_model
-
+    step = HybridStep()
     for cfd in cfds:
         normalized = normalize(cfd)
-
-        # Constant CFDs: check within each region (Prop. 5 lifted; the
-        # region may still need an intra-region gather when the CFD's
-        # attributes span vertical fragments).
         for constant in normalized.constants:
             needed = tuple(
                 dict.fromkeys(constant.report_lhs + (constant.rhs_attr,))
@@ -174,108 +171,83 @@ def hybrid_detect(
                     continue
                 local = region.vertical.sites_with_attributes(needed)
                 if local:
-                    gathered = local[0].fragment
-                else:
-                    _site, gathered, transfer, stage_log, _plan = _gather_region(
-                        cluster, r, needed, constant.source
-                    )
-                    log.merge(stage_log)
-                    stages.append(StageTimes(0.0, transfer, 0.0))
-                report.merge(
-                    detect_constants(gathered, [constant], collect_tuples=False)
+                    step.constants.append((constant, r, local[0].fragment, None))
+                    continue
+                gathered, transfer, plan = _gather_region(
+                    cluster, r, needed, constant.source, log
                 )
+                step.stages.append(StageTimes(0.0, transfer, 0.0))
+                step.constants.append((constant, r, gathered, plan))
 
         for variable in normalized.variables:
-            # Phase 1: vertical gathers, region by region; logs merge in
-            # region order.
-            gathers = [
-                _gather_region(
-                    cluster, r, variable.attributes, variable.source
-                )
-                for r, region in enumerate(cluster.regions)
-                if _region_applicable(region, variable)
-            ]
-            gathered_sites: list[int] = []
-            gathered_fragments: list[Relation] = []
+            synthetic_sites: list[Site] = []
+            gather_plans: dict[int, dict] = {}
             transfers = []
-            for site, fragment, transfer, stage_log, _plan in gathers:
-                log.merge(stage_log)
-                gathered_sites.append(site)
-                gathered_fragments.append(
-                    fragment.project(variable.attributes)
+            for r, region in enumerate(cluster.regions):
+                # F_i ∧ F_φ: a region no pattern can match is skipped
+                if not applicable_patterns(region, variable):
+                    continue
+                fragment, transfer, plan = _gather_region(
+                    cluster, r, variable.attributes, variable.source, log
                 )
+                # phase 2's sites keep their global ids
+                fragment = fragment.project(variable.attributes)
+                synthetic_sites.append(Site(plan["gather_site"], fragment))
+                gather_plans[r] = plan
                 transfers.append(transfer)
-            if not gathered_fragments:
+            if not synthetic_sites:
                 continue
-            gather_transfer = max(transfers, default=0.0)
             join_check = max(
-                (
-                    model.check_time(model.check_ops(len(fragment)))
-                    for fragment in gathered_fragments
-                ),
-                default=0.0,
+                model.check_time(model.check_ops(len(site.fragment)))
+                for site in synthetic_sites
             )
-            stages.append(StageTimes(0.0, gather_transfer, join_check))
+            step.stages.append(StageTimes(0.0, max(transfers), join_check))
 
-            # Phase 2: horizontal σ detection across the gather sites.
-            synthetic = Cluster(
-                [
-                    Site(i, fragment)
-                    for i, fragment in enumerate(gathered_fragments)
+            gathered_sites = [site.index for site in synthetic_sites]
+            done = pat_step(
+                Cluster(synthetic_sites, cost_model=model),
+                variable,
+                log,
+                # the picker answers in site positions: map them to ids
+                lambda synthetic, lstat: [
+                    gathered_sites[c] for c in pick(synthetic, lstat)
                 ],
-                cost_model=model,
             )
-            pick: Strategy
-            if strategy == "s":
-                pick = select_max_stat
-            elif strategy == "rt":
-                pick = make_select_min_response(synthetic)
-            else:
-                pick = strategy
-
-            partitions, _ = base.partition_cluster(synthetic, variable)
-            scan = base.scan_stage_time(synthetic, partitions)
-            base.exchange_statistics(synthetic, log)
-            lstat = [part.lstat for part in partitions]
-            coordinators = pick(synthetic, lstat)
-            plans[variable.source] = {
+            step.stages.append(done.stage)
+            step.variables.append((done, gather_plans))
+            step.plans[variable.source] = {
                 "gather_sites": gathered_sites,
-                "coordinators": [gathered_sites[c] for c in coordinators],
+                "coordinators": done.coordinators,
             }
+    return step
 
-            schema = base.ship_projection_schema(synthetic.schema, variable)
-            stage_log = ShipmentLog()
-            merged = base.ship_buckets(
-                synthetic,
-                partitions,
-                coordinators,
-                stage_log,
-                variable.source,
-                width=len(schema),
-            )
-            transfer = model.transfer_time(stage_log.outgoing_by_source())
-            # remap synthetic site indices to global ids before merging
-            for event in stage_log.events:
-                log.ship(
-                    gathered_sites[event.dest],
-                    gathered_sites[event.src],
-                    event.n_tuples,
-                    event.n_cells,
-                    tag=event.tag,
-                    n_codes=event.n_codes,
-                )
-            stage_report, check = base.coordinator_check(
-                synthetic, variable, coordinators, merged, partitions[0].shared
-            )
-            report.merge(stage_report)
-            stages.append(StageTimes(scan, transfer, check))
 
+def hybrid_detect(
+    cluster: HybridCluster,
+    cfds: CFD | Iterable[CFD],
+    strategy: str | Strategy = "s",
+) -> DetectionOutcome:
+    """Detect ``Vioπ(Σ, D)`` in a hybrid-fragmented relation."""
+    if isinstance(cfds, CFD):
+        cfds = [cfds]
+    pick = _resolve_strategy(cluster, strategy)
+    log = ShipmentLog()
+    step = hybrid_step(cluster, cfds, pick, log)
+
+    report = ViolationReport()
+    for constant, _region, relation, _plan in step.constants:
+        report.merge(detect_constants(relation, [constant], collect_tuples=False))
+    for done, _plans in step.variables:
+        found, _check = base.coordinator_check(
+            cluster, done.variable, done.coordinators, done.merged, done.shared
+        )
+        report.merge(found)
     return DetectionOutcome(
         algorithm="HYBRIDDETECT",
         report=report,
         shipments=log,
-        cost=CostBreakdown(stages=stages),
-        details={"plans": plans},
+        cost=CostBreakdown(stages=step.stages),
+        details={"plans": step.plans},
     )
 
 
@@ -285,16 +257,13 @@ def hybrid_detect(
 class IncrementalHybridDetector(_ResidentSession):
     """A resident detection session over one hybrid cluster and Σ.
 
-    :meth:`detect` runs the one-shot two-phase algorithm once and keeps,
-    per variable CFD, both phases resident: the per-region gather plans
-    (phase 1) and the pattern coordinators' merged GROUP BY over
-    cluster-global code pairs (phase 2, the horizontal sessions' kernel).
-    :meth:`update` absorbs a region's batch of whole-tuple inserts and
-    key deletes in O(|ΔD|): the delta's vertical gather is just a
-    projection (inserted tuples carry every attribute), so each holder
-    fragment ships only its delta's keyed column codes to the region's
-    gather site, which σ-scans the delta and forwards signed
-    ``(x_code, y_code, count)`` triples to the resident coordinators.
+    :meth:`detect` runs :func:`hybrid_step` once and keeps, per variable
+    CFD, its gather plans and its coordinators' kernel (the horizontal
+    sessions').  :meth:`update` absorbs a region's batch of tuple inserts
+    and key deletes in O(|ΔD|): each holder fragment ships only its
+    delta's keyed column codes to the region's gather site, which
+    σ-scans the delta and forwards signed ``(x_code, y_code, count)``
+    triples to the resident coordinators.
     """
 
     algorithm = "HYBRIDDETECT+Δ"
@@ -305,11 +274,9 @@ class IncrementalHybridDetector(_ResidentSession):
         self,
         cluster: HybridCluster,
         cfds: CFD | Iterable[CFD],
-        strategy: str = "s",
+        strategy: str | Strategy = "s",
     ) -> None:
-        if strategy not in {"s", "rt"}:
-            raise ValueError(f"unknown strategy {strategy!r}; use 's' or 'rt'")
-        self._strategy = strategy
+        self._pick = _resolve_strategy(cluster, strategy)
         super().__init__(
             cluster, cfds, cluster.regions,
             [region.vertical.reconstruct() for region in cluster.regions],
@@ -323,102 +290,18 @@ class IncrementalHybridDetector(_ResidentSession):
         self._gather_plans: list[dict[int, dict]] = []
 
     def _seed(self) -> dict:
-        cluster = self.cluster
-        model = cluster.cost_model
-        plans: dict[str, dict] = {}
-
-        # constants fold region-locally; account the same intra-region
-        # gathers as the one-shot run
-        for r, (region, folds) in enumerate(
-            zip(cluster.regions, self._constants)
-        ):
-            for constant in folds.constants:
-                needed = tuple(
-                    dict.fromkeys(constant.report_lhs + (constant.rhs_attr,))
-                )
-                if not region.vertical.sites_with_attributes(needed):
-                    _site, _g, transfer, stage_log, plan = _gather_region(
-                        cluster, r, needed, constant.source
-                    )
-                    self._log.merge(stage_log)
-                    self._cost.stages.append(StageTimes(0.0, transfer, 0.0))
-                    self._constant_gathers.append((constant.source, r, plan))
-
-        for variable in self._variable_cfds:
-            # phase 1: vertical gathers, region by region
-            applicable = [
-                r
-                for r, region in enumerate(cluster.regions)
-                if _region_applicable(region, variable)
-            ]
-            if not applicable:
-                continue
-            gathered_sites: list[int] = []
-            gathered_fragments: list[Relation] = []
-            gather_plans: dict[int, dict] = {}
-            transfers = []
-            for r in applicable:
-                site, fragment, transfer, stage_log, plan = _gather_region(
-                    cluster, r, variable.attributes, variable.source
-                )
-                self._log.merge(stage_log)
-                gathered_sites.append(site)
-                gathered_fragments.append(
-                    fragment.project(variable.attributes)
-                )
-                gather_plans[r] = plan
-                transfers.append(transfer)
-            join_check = max(
-                model.check_time(model.check_ops(len(fragment)))
-                for fragment in gathered_fragments
-            )
-            self._cost.stages.append(
-                StageTimes(0.0, max(transfers), join_check)
-            )
-
-            # phase 2: horizontal σ detection across the gather sites
-            synthetic = Cluster(
-                [
-                    Site(i, fragment)
-                    for i, fragment in enumerate(gathered_fragments)
-                ],
-                cost_model=model,
-            )
-            pick = (
-                select_max_stat
-                if self._strategy == "s"
-                else make_select_min_response(synthetic)
-            )
-            state, stage_log, scan, transfer = _seed_variable(
-                synthetic, variable, pick, self._log, self._violations
-            )
-            # synthetic site indices become global ids from here on
-            for event in stage_log.events:
-                self._log.ship(
-                    gathered_sites[event.dest],
-                    gathered_sites[event.src],
-                    event.n_tuples,
-                    event.n_cells,
-                    tag=event.tag,
-                    n_codes=event.n_codes,
-                )
-            state.coordinators = [gathered_sites[c] for c in state.coordinators]
-            plans[variable.source] = {
-                "gather_sites": gathered_sites,
-                "coordinators": list(state.coordinators),
-            }
-            check = max(
-                (
-                    model.check_time(model.check_ops(rows))
-                    for rows in state.bucket_rows
-                    if rows
-                ),
-                default=0.0,
-            )
-            self._cost.stages.append(StageTimes(scan, transfer, check))
-            self._states.append(state)
+        # constants fold region-locally; their gathers' plans are kept
+        step = hybrid_step(self.cluster, self.cfds, self._pick, self._log)
+        self._constant_gathers = [
+            (constant.source, r, plan)
+            for constant, r, _relation, plan in step.constants
+            if plan is not None
+        ]
+        for done, gather_plans in step.variables:
+            self._states.append(_VariableState.seeded(done, self._violations))
             self._gather_plans.append(gather_plans)
-        return {"plans": plans}
+        self._cost.stages.extend(step.stages)
+        return {"plans": step.plans}
 
     def _check_round(self, updates):
         cluster = self.cluster
@@ -498,7 +381,7 @@ class IncrementalHybridDetector(_ResidentSession):
 def incremental_hybrid(
     cluster: HybridCluster,
     cfds: CFD | Iterable[CFD],
-    strategy: str = "s",
+    strategy: str | Strategy = "s",
 ) -> IncrementalHybridDetector:
     """An attached incremental hybrid session (initial run included)."""
     detector = IncrementalHybridDetector(cluster, cfds, strategy)

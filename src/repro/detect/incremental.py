@@ -6,6 +6,13 @@ after one full run each coordinator's merged GROUP BY — per ``x``, the
 multiset of ``y`` it takes, with counts — stays resident, and a batch of
 inserts/deletes at some places is absorbed in O(|ΔD|).
 
+That full run *is* the family's one-shot step: a session's seed calls
+the step function its one-shot detector runs (:func:`~repro.detect.ctr.ctr_step`,
+:func:`~repro.detect.pat.pat_step`, :func:`~repro.detect.clust.clust_step`,
+:func:`~repro.detect.hybrid.hybrid_step`) — so shipments, stage times and
+``details`` are the one-shot's — then fills its kernel from what the
+step's coordinators received.
+
 The paper's horizontal algorithms are one skeleton that differs in *who
 coordinates* and *what is shipped* (:mod:`repro.detect.base`), and so
 are their sessions.  :class:`_ResidentSession` is that skeleton — the
@@ -42,6 +49,7 @@ from __future__ import annotations
 import threading
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core import CFD, Violation, ViolationReport
@@ -65,8 +73,8 @@ from ..distributed import (
 from ..relational import Relation, compatible_with_bindings
 from ..relational.delta import prune_delta_history
 from . import base
-from .ctr import _pick_central_coordinator
-from .pat import make_select_min_response, select_max_stat
+from .ctr import ctr_step
+from .pat import make_select_min_response, pat_step, select_max_stat
 
 
 def apply_fragment_updates(
@@ -116,19 +124,17 @@ def apply_fragment_updates(
     return batches
 
 
-def _select_central(cluster: Cluster, lstat: Sequence[Sequence[int]]) -> list[int]:
-    """CTRDETECT as a per-pattern strategy: one coordinator for every bucket."""
-    site_totals = [sum(per_site) for per_site in lstat]
-    coordinator = _pick_central_coordinator(site_totals)
-    n_patterns = len(lstat[0]) if lstat else 0
-    return [coordinator] * n_patterns
-
-
-#: algorithm name -> (display name, strategy factory taking the cluster)
-_ALGORITHMS: dict[str, tuple[str, Callable]] = {
-    "ctr": ("CTRDETECT+Δ", lambda cluster: _select_central),
-    "pat-s": ("PATDETECTS+Δ", lambda cluster: select_max_stat),
-    "pat-rt": ("PATDETECTRT+Δ", make_select_min_response),
+#: algorithm name -> (display name, step factory taking the cluster)
+_ALGORITHMS: dict[str, tuple[str, Callable[[Cluster], base.Step]]] = {
+    "ctr": ("CTRDETECT+Δ", lambda cluster: ctr_step),
+    "pat-s": (
+        "PATDETECTS+Δ",
+        lambda cluster: partial(pat_step, pick=select_max_stat),
+    ),
+    "pat-rt": (
+        "PATDETECTRT+Δ",
+        lambda cluster: partial(pat_step, pick=make_select_min_response(cluster)),
+    ),
 }
 
 
@@ -228,7 +234,7 @@ class _VariableState:
         "_undo_buckets",
     )
 
-    def __init__(self, variable, shared=None, coordinators=(), width=0) -> None:
+    def __init__(self, variable, shared=None, coordinators=()) -> None:
         self.variable = variable
         self.shared = shared
         #: per σ bucket: the (global) id of the site coordinating it
@@ -237,12 +243,28 @@ class _VariableState:
         self.pair_counts: dict = {}
         self.conflicting: set = set()
         self.bucket_rows = [0] * len(self.coordinators)
-        self.width = width
+        #: attributes per shipped row
+        self.width = len(variable.attributes)
         # transactional batches: x -> {y: prior count}, each entry
         # recorded on first touch (the journal shape of
         # repro.core.incremental); see begin()
         self._undo_pairs: dict | None = None
         self._undo_buckets: list | None = None
+
+    @classmethod
+    def seeded(
+        cls, step: base.VariableStep, violations: TransitionCounter
+    ) -> "_VariableState":
+        """The kernel a one-shot step leaves resident: what each
+        coordinator received, with row counts, and its conflicts."""
+        state = cls(step.variable, step.shared, step.coordinators)
+        for ordinal, bucket in enumerate(step.merged):
+            for (x_code, y_code), rows in zip(bucket.pairs, bucket.counts):
+                state.add_rows(x_code, y_code, rows)
+            state.bucket_rows[ordinal] = bucket.rows
+        for x_code in list(state.pair_counts):
+            state.settle(x_code, violations)
+        return state
 
     def begin(self) -> None:
         """Open a transactional batch (first-touch prior-count journal)."""
@@ -359,49 +381,6 @@ class _VariableState:
             self.settle(x_code, violations)
 
 
-def _seed_variable(
-    cluster: Cluster,
-    variable: VariableCFD,
-    pick: Callable,
-    log: ShipmentLog,
-    violations: TransitionCounter,
-):
-    """One variable CFD's initial run over a horizontal cluster.
-
-    The one-shot skeleton of :mod:`repro.detect.base` — σ scan, ``lstat``
-    exchange (control traffic, recorded on ``log``), coordinators chosen
-    by ``pick``, buckets shipped — except that the merged GROUP BY stays
-    resident.  Returns ``(state, stage_log, scan, transfer)``; the caller
-    merges ``stage_log`` (the hybrid session remaps its site ids first).
-    """
-    partitions, _index = base.partition_cluster(cluster, variable)
-    scan = base.scan_stage_time(cluster, partitions)
-    base.exchange_statistics(cluster, log)
-    coordinators = pick(cluster, [part.lstat for part in partitions])
-    width = len(base.ship_projection_schema(cluster.schema, variable))
-    stage_log = ShipmentLog()
-    base.ship_buckets(
-        cluster, partitions, coordinators, stage_log, variable.source,
-        width=width,
-    )
-    transfer = cluster.cost_model.transfer_time(stage_log.outgoing_by_source())
-
-    state = _VariableState(variable, partitions[0].shared, coordinators, width)
-    for part in partitions:
-        if not part.participated:
-            continue
-        occupancy = base.group_occupancy(part.site.fragment, variable.attributes)
-        pairs = part.pairs
-        for ordinal, bucket in enumerate(part.buckets):
-            for local_code in bucket.codes:
-                x_code, y_code = pairs[local_code]
-                state.add_rows(x_code, y_code, occupancy[local_code])
-            state.bucket_rows[ordinal] += bucket.count
-    for x_code in list(state.pair_counts):
-        state.settle(x_code, violations)
-    return state, stage_log, scan, transfer
-
-
 @dataclass
 class IncrementalUpdate:
     """The result of absorbing one update batch.
@@ -490,9 +469,10 @@ class _ResidentSession:
     # -- the two things a family is ---------------------------------------
 
     def _seed(self) -> dict:
-        """The initial run's variable half: scans, coordinator choice,
-        initial shipments, ``_states`` filled, its ``StageTimes``
-        appended.  Returns the outcome's ``details``."""
+        """The initial run's variable half: the family's one-shot step
+        (scans, coordinator choice, shipments, ``StageTimes`` appended),
+        then ``_states`` filled from what its coordinators received.
+        Returns the outcome's ``details``."""
         raise NotImplementedError
 
     def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
@@ -689,10 +669,10 @@ class _ResidentSession:
 class IncrementalHorizontalDetector(_ResidentSession):
     """A resident CTRDETECT / PATDETECTS / PATDETECTRT session for one CFD.
 
-    ``algorithm`` selects the wrapped coordinator strategy (``"ctr"``,
-    ``"pat-s"``, ``"pat-rt"``) or pass any
-    :data:`~repro.detect.pat.Strategy` callable.  :meth:`detect` runs the
-    one-shot algorithm once and keeps its merged state;
+    ``algorithm`` selects the wrapped step (``"ctr"``, ``"pat-s"``,
+    ``"pat-rt"``) or pass any :data:`~repro.detect.pat.Strategy` callable
+    for PATDETECT's step under it.  :meth:`detect` runs the one-shot
+    step once and keeps what its coordinators received;
     :meth:`update` / :meth:`apply_updates` absorb batches in O(|ΔD|).
     :attr:`fragments` tracks the current version of every site's
     fragment (the cluster object itself stays immutable).
@@ -706,7 +686,7 @@ class IncrementalHorizontalDetector(_ResidentSession):
     ) -> None:
         if callable(algorithm):
             self.algorithm = getattr(algorithm, "__name__", "custom") + "+Δ"
-            self._strategy = algorithm
+            self._step = partial(pat_step, pick=algorithm)
         else:
             try:
                 name, factory = _ALGORITHMS[algorithm]
@@ -716,7 +696,7 @@ class IncrementalHorizontalDetector(_ResidentSession):
                     f"of {sorted(_ALGORITHMS)} or pass a strategy callable"
                 ) from None
             self.algorithm = name
-            self._strategy = factory(cluster)
+            self._step = factory(cluster)
         self.cfd = cfd
         super().__init__(
             cluster, cfd, cluster.sites,
@@ -727,33 +707,14 @@ class IncrementalHorizontalDetector(_ResidentSession):
     apply_updates = _ResidentSession._round
 
     def _seed(self) -> dict:
-        cluster = self.cluster
-        model = cluster.cost_model
-        chosen: dict[str, list[int]] = {}
-        for variable in self._variable_cfds:
-            state, stage_log, scan, transfer = _seed_variable(
-                cluster, variable, self._strategy, self._log, self._violations
-            )
-            self._log.merge(stage_log)
-            self._states.append(state)
-            chosen[variable.source] = list(state.coordinators)
-
-            ops_per_site: dict[int, float] = {}
-            for site, rows in zip(state.coordinators, state.bucket_rows):
-                if rows:
-                    ops_per_site[site] = ops_per_site.get(
-                        site, 0.0
-                    ) + model.check_ops(rows)
-            check = max(map(model.check_time, ops_per_site.values()), default=0.0)
-            self._cost.stages.append(StageTimes(scan, transfer, check))
-
-        if not self._variable_cfds:
-            scan = max(
-                (model.scan_time(len(site.fragment)) for site in cluster.sites),
-                default=0.0,
-            )
-            self._cost.stages.append(StageTimes(scan, 0.0, 0.0))
-        return {"coordinators": chosen}
+        steps, stages, details = base.run_steps(
+            self.cluster, self._variable_cfds, self._step, self._log
+        )
+        self._cost.stages.extend(stages)
+        self._states.extend(
+            _VariableState.seeded(step, self._violations) for step in steps
+        )
+        return details
 
     def _absorb(self, batches, update_log: ShipmentLog) -> dict[int, int]:
         received_events: dict[int, int] = {}

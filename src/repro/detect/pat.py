@@ -19,21 +19,20 @@ coordinator-selection rule:
 Each tuple attribute is shipped at most once (tuples of different patterns
 go to different coordinators, but each tuple belongs to exactly one σ
 bucket).
+
+:func:`pat_step` is the per-pattern step for one variable form under any
+coordinator rule: the one-shot detectors here run it, and so do the
+resident sessions' seeds and the hybrid detector's phase 2.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Sequence
 
-from ..core import CFD, normalize
-from ..distributed import (
-    Cluster,
-    CostBreakdown,
-    DetectionOutcome,
-    ShipmentLog,
-    StageTimes,
-)
+from ..core import CFD, VariableCFD
+from ..distributed import Cluster, DetectionOutcome, ShipmentLog, StageTimes
 from . import base
 
 #: a strategy maps (cluster, per-site lstat matrix) -> coordinator per pattern
@@ -163,67 +162,55 @@ def select_min_stat(
     return coordinators
 
 
-def _pat_detect(
+def _resolve_strategy(cluster: Cluster, strategy: str | Strategy) -> Strategy:
+    """Coordinator-selection strategy: ``"s"``, ``"rt"`` or a callable."""
+    if isinstance(strategy, str):
+        if strategy == "s":
+            return select_max_stat
+        if strategy == "rt":
+            return make_select_min_response(cluster)
+        raise ValueError(f"unknown strategy {strategy!r}; use 's' or 'rt'")
+    return strategy
+
+
+def pat_step(
     cluster: Cluster,
-    cfd: CFD,
-    strategy: Strategy,
-    algorithm: str,
-) -> DetectionOutcome:
-    normalized = normalize(cfd)
-    log, cost = ShipmentLog(), CostBreakdown()
-    report = base.local_constant_checks(cluster, normalized.constants)
-    chosen: dict[str, list[int]] = {}
-
-    for variable in normalized.variables:
-        partitions, _index = base.partition_cluster(cluster, variable)
-        scan = base.scan_stage_time(cluster, partitions)
-        base.exchange_statistics(cluster, log)
-
-        lstat = [part.lstat for part in partitions]
-        coordinators = strategy(cluster, lstat)
-        chosen[variable.source] = coordinators
-
-        schema = base.ship_projection_schema(cluster.schema, variable)
-        stage_log = ShipmentLog()
-        merged = base.ship_buckets(
-            cluster, partitions, coordinators, stage_log, variable.source,
-            width=len(schema),
-        )
-        transfer = cluster.cost_model.transfer_time(
-            stage_log.outgoing_by_source()
-        )
-        log.merge(stage_log)
-
-        stage_report, check = base.coordinator_check(
-            cluster, variable, coordinators, merged, partitions[0].shared
-        )
-        report.merge(stage_report)
-        cost.stages.append(StageTimes(scan, transfer, check))
-
-    if not normalized.variables:
-        scan = max(
-            (cluster.cost_model.scan_time(len(site.fragment)) for site in cluster.sites),
-            default=0.0,
-        )
-        cost.stages.append(StageTimes(scan, 0.0, 0.0))
-
-    return DetectionOutcome(
-        algorithm=algorithm,
-        report=report,
-        shipments=log,
-        cost=cost,
-        details={"coordinators": chosen},
+    variable: VariableCFD,
+    log: ShipmentLog,
+    pick: Strategy,
+) -> base.VariableStep:
+    """PATDETECT's step for one variable form: σ scan, ``lstat``
+    exchange, a coordinator per pattern chosen by ``pick``, every bucket
+    shipped to its coordinator, one GROUP BY per bucket charged."""
+    partitions, _index = base.partition_cluster(cluster, variable)
+    base.exchange_statistics(cluster, log)
+    coordinators = pick(cluster, [part.lstat for part in partitions])
+    stage_log = ShipmentLog()
+    merged = base.ship_buckets(
+        cluster, partitions, coordinators, stage_log, variable.source,
+        width=len(variable.attributes),
+    )
+    log.merge(stage_log)
+    model = cluster.cost_model
+    stage = StageTimes(
+        base.scan_stage_time(cluster, partitions),
+        model.transfer_time(stage_log.outgoing_by_source()),
+        base.check_stage_time(model, coordinators, merged),
+    )
+    return base.VariableStep(
+        variable, partitions[0].shared, coordinators, merged, stage,
+        coordinators,
     )
 
 
 def pat_detect_s(cluster: Cluster, cfd: CFD) -> DetectionOutcome:
     """PATDETECTS: per-pattern coordinators minimizing total shipment."""
-    return _pat_detect(cluster, cfd, select_max_stat, "PATDETECTS")
+    return pat_detect_with_strategy(cluster, cfd, select_max_stat, "PATDETECTS")
 
 
 def pat_detect_rt(cluster: Cluster, cfd: CFD) -> DetectionOutcome:
     """PATDETECTRT: per-pattern coordinators minimizing response time."""
-    return _pat_detect(
+    return pat_detect_with_strategy(
         cluster, cfd, make_select_min_response(cluster), "PATDETECTRT"
     )
 
@@ -232,4 +219,6 @@ def pat_detect_with_strategy(
     cluster: Cluster, cfd: CFD, strategy: Strategy, name: str = "PATDETECT*"
 ) -> DetectionOutcome:
     """Run the PATDETECT skeleton with a custom coordinator strategy."""
-    return _pat_detect(cluster, cfd, strategy, name)
+    return base.horizontal_detect(
+        cluster, cfd, partial(pat_step, pick=strategy), name
+    )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from ..core import (
     CFD,
-    Violation,
     ViolationReport,
     detect_constants,
     normalize,
@@ -121,8 +120,7 @@ def replicated_pat_detect(
         details[variable.source] = coordinators
 
         # 3. ship only what the coordinator lacks, from the laziest replica
-        schema = base.ship_projection_schema(cluster.schema, variable)
-        width = len(schema)
+        width = len(variable.attributes)
         outgoing = [0] * cluster.n_sites
         stage_log = ShipmentLog()
         merged = [base.MergedBucket() for _ in range(n_patterns)]
@@ -152,28 +150,11 @@ def replicated_pat_detect(
         transfer = model.transfer_time(stage_log.outgoing_by_source())
         log.merge(stage_log)
 
-        # 4. per-coordinator checks, as in the unreplicated algorithms:
-        # one conflict scan over each merged bucket's code pairs
-        ops_per_site: dict[int, float] = {}
-        for l, bucket in enumerate(merged):
-            if not bucket.rows:
-                continue
-            for x_code in base.conflicting_x_codes(bucket.pairs):
-                report.add(
-                    Violation(
-                        cfd=variable.source,
-                        lhs_attributes=variable.lhs,
-                        lhs_values=shared.x_values[x_code],
-                    )
-                )
-            site = coordinators[l]
-            ops_per_site[site] = ops_per_site.get(site, 0.0) + model.check_ops(
-                bucket.rows
-            )
-        check = max(
-            (model.check_time(ops) for ops in ops_per_site.values()),
-            default=0.0,
+        # 4. per-coordinator checks, as in the unreplicated algorithms
+        found, check = base.coordinator_check(
+            cluster, variable, coordinators, merged, shared
         )
+        report.merge(found)
         stages.append(StageTimes(scan, transfer, check))
 
     if not normalized.variables:

@@ -28,10 +28,15 @@ admit everything).  Any tuple matching a full pattern matches its
 projection at every site, so pruning never loses violations; it simply
 avoids shipping rows the coordinator's join would discard anyway — the
 semijoin idea of [25] the paper points at for the vertical case.
+
+:func:`vertical_step` is one CFD's plan and key join: :func:`vertical_detect`
+runs the centralized detector on the relation it leaves at the plan's
+site; the resident session attaches an incremental detector there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core import CFD, ViolationReport, detect_violations, is_wildcard, normalize
@@ -43,7 +48,8 @@ from ..distributed import (
     StageTimes,
     VerticalCluster,
 )
-from ..relational import Relation
+from ..relational import Relation, SchemaError
+from .incremental import IncrementalUpdate, apply_fragment_updates
 
 
 def locally_checkable_vertical(
@@ -59,26 +65,24 @@ def _pattern_projections(cfd: CFD, attributes: list[str]) -> list[dict[str, obje
     Only LHS entries matter for matching ``D[Tp[X]]``; RHS constants are
     checked by the detection query itself.
     """
-    projections = []
-    for normalized in [normalize(cfd)]:
-        rows = [
-            dict(zip(variable.lhs, row))
-            for variable in normalized.variables
-            for row in variable.patterns
-        ]
-        rows.extend(
-            dict(zip(constant.lhs, constant.values))
-            for constant in normalized.constants
-        )
-    for row in rows:
-        projections.append(
-            {
-                attr: value
-                for attr, value in row.items()
-                if attr in attributes and not is_wildcard(value)
-            }
-        )
-    return projections
+    normalized = normalize(cfd)
+    rows = [
+        dict(zip(variable.lhs, row))
+        for variable in normalized.variables
+        for row in variable.patterns
+    ]
+    rows.extend(
+        dict(zip(constant.lhs, constant.values))
+        for constant in normalized.constants
+    )
+    return [
+        {
+            attr: value
+            for attr, value in row.items()
+            if attr in attributes and not is_wildcard(value)
+        }
+        for row in rows
+    ]
 
 
 def _prune_rows(relation: Relation, projections: list[dict[str, object]]) -> Relation:
@@ -98,6 +102,94 @@ def _prune_rows(relation: Relation, projections: list[dict[str, object]]) -> Rel
     return Relation(schema, rows, copy=False)
 
 
+@dataclass
+class _VerticalPlan:
+    """One CFD's plan: a local check or a coordinator key-join.
+
+    ``details`` is what ``details["plans"]`` reports for the CFD,
+    ``sources`` maps source site -> attributes it ships (joins only),
+    ``detector`` is a resident session's state over the plan's relation.
+    """
+
+    cfd: CFD
+    stage: StageTimes
+    details: dict
+    coordinator: int | None = None
+    sources: dict[int, list[str]] = field(default_factory=dict)
+    detector: object = None
+
+
+def vertical_step(
+    cluster: VerticalCluster, cfd: CFD, log: ShipmentLog, prune: bool = False
+) -> tuple[_VerticalPlan, Relation]:
+    """One CFD's plan, its shipments on ``log``, and the relation its
+    check runs on: a covering fragment, else the coordinator's key join
+    of the shipped (with ``prune``, filtered) columns."""
+    model = cluster.cost_model
+    needed = cfd.attributes
+    local_sites = cluster.sites_with_attributes(needed)
+    if local_sites:
+        site = local_sites[0]
+        check = model.check_time(model.check_ops(len(site.fragment)))
+        plan = _VerticalPlan(cfd, StageTimes(0.0, 0.0, check), {"local": site.name})
+        return plan, site.fragment
+
+    # Coordinator: the site covering the most needed attributes.
+    coverage = [
+        sum(1 for a in needed if a in site.fragment.schema)
+        for site in cluster.sites
+    ]
+    coordinator = max(range(len(coverage)), key=coverage.__getitem__)
+    coord_site = cluster.sites[coordinator]
+    have = [a for a in needed if a in coord_site.fragment.schema]
+
+    # One source site per missing attribute (attribute shipped once).
+    sources: dict[int, list[str]] = {}
+    for attribute in needed:
+        if attribute in have:
+            continue
+        holders = cluster.sites_with_attributes([attribute])
+        if not holders:
+            raise ValueError(f"no fragment holds attribute {attribute!r}")
+        sources.setdefault(holders[0].index, []).append(attribute)
+
+    key = tuple(cluster.original_schema.key)
+    stage_log = ShipmentLog()
+    joined = coord_site.fragment.project(key + tuple(have))
+    if prune:
+        joined = _prune_rows(joined, _pattern_projections(cfd, have))
+    for source_index, attributes in sorted(sources.items()):
+        column = cluster.sites[source_index].fragment.project(key + tuple(attributes))
+        if prune:
+            column = _prune_rows(column, _pattern_projections(cfd, attributes))
+        stage_log.ship(
+            coordinator,
+            source_index,
+            len(column),
+            len(column) * len(column.schema),
+            tag=cfd.name,
+            # keyed columns ship dictionary-coded: one int per cell
+            n_codes=len(column) * len(column.schema),
+        )
+        joined = joined.join(column, on=key)
+    log.merge(stage_log)
+    # Join + GROUP BY at the coordinator.
+    stage = StageTimes(
+        0.0,
+        model.transfer_time(stage_log.outgoing_by_source()),
+        model.check_time(
+            model.check_ops(len(joined), n_queries=1 + len(sources))
+        ),
+    )
+    details = {
+        "coordinator": coord_site.name,
+        "shipped_from": {
+            cluster.sites[i].name: attrs for i, attrs in sources.items()
+        },
+    }
+    return _VerticalPlan(cfd, stage, details, coordinator, sources), joined
+
+
 def vertical_detect(
     cluster: VerticalCluster,
     cfds: CFD | Iterable[CFD],
@@ -106,128 +198,31 @@ def vertical_detect(
     """Detect ``Vioπ(Σ, D)`` in a vertical partition."""
     if isinstance(cfds, CFD):
         cfds = [cfds]
-    cfds = list(cfds)
-
-    model = cluster.cost_model
-    key = cluster.original_schema.key
     report = ViolationReport()
     log = ShipmentLog()
-    stages = []
-    plans: dict[str, dict] = {}
-
-    def plan_cfd(cfd: CFD):
-        """One CFD's plan: (report, stage, stage log or None, plan dict)."""
-        needed = cfd.attributes
-        local_sites = cluster.sites_with_attributes(needed)
-        if local_sites:
-            site = local_sites[0]
-            fragment = site.fragment
-            cfd_report = detect_violations(fragment, cfd, collect_tuples=True)
-            check = model.check_time(model.check_ops(len(fragment)))
-            return cfd_report, StageTimes(0.0, 0.0, check), None, {
-                "local": site.name
-            }
-
-        # Coordinator: the site covering the most needed attributes.
-        coverage = [
-            sum(1 for a in needed if a in site.fragment.schema)
-            for site in cluster.sites
-        ]
-        coordinator = max(range(len(coverage)), key=coverage.__getitem__)
-        coord_site = cluster.sites[coordinator]
-        have = [
-            a for a in needed if a in coord_site.fragment.schema
-        ]
-        missing = [a for a in needed if a not in have]
-
-        # One source site per missing attribute (attribute shipped once).
-        sources: dict[int, list[str]] = {}
-        for attribute in missing:
-            holders = cluster.sites_with_attributes([attribute])
-            if not holders:
-                raise ValueError(
-                    f"no fragment holds attribute {attribute!r}"
-                )
-            holder = holders[0]
-            sources.setdefault(holder.index, []).append(attribute)
-
-        stage_log = ShipmentLog()
-        joined = coord_site.fragment.project(tuple(key) + tuple(have))
-        if prune:
-            joined = _prune_rows(
-                joined, _pattern_projections(cfd, have)
-            )
-        for source_index, attributes in sorted(sources.items()):
-            source = cluster.sites[source_index]
-            column = source.fragment.project(tuple(key) + tuple(attributes))
-            if prune:
-                column = _prune_rows(
-                    column, _pattern_projections(cfd, list(attributes))
-                )
-            stage_log.ship(
-                coordinator,
-                source_index,
-                len(column),
-                len(column) * len(column.schema),
-                tag=cfd.name,
-                # keyed columns ship dictionary-coded: one int per cell
-                n_codes=len(column) * len(column.schema),
-            )
-            joined = joined.join(column, on=key)
-        transfer = model.transfer_time(stage_log.outgoing_by_source())
-
-        cfd_report = detect_violations(joined, cfd, collect_tuples=True)
-        # Join + GROUP BY at the coordinator.
-        check = model.check_time(
-            model.check_ops(len(joined), n_queries=1 + len(sources))
-        )
-        return cfd_report, StageTimes(0.0, transfer, check), stage_log, {
-            "coordinator": coord_site.name,
-            "shipped_from": {
-                cluster.sites[i].name: attrs for i, attrs in sources.items()
-            },
-        }
-
+    plans = []
     for cfd in cfds:
-        cfd_report, cfd_stage, stage_log, plan = plan_cfd(cfd)
-        report.merge(cfd_report)
-        stages.append(cfd_stage)
-        if stage_log is not None:
-            log.merge(stage_log)
-        plans[cfd.name] = plan
-
+        plan, relation = vertical_step(cluster, cfd, log, prune)
+        report.merge(detect_violations(relation, cfd, collect_tuples=True))
+        plans.append(plan)
     return DetectionOutcome(
         algorithm="VERTICALDETECT",
         report=report,
         shipments=log,
-        cost=CostBreakdown(stages=stages),
-        details={"plans": plans},
+        cost=CostBreakdown(stages=[plan.stage for plan in plans]),
+        details={"plans": {plan.cfd.name: plan.details for plan in plans}},
     )
 
 
 # -- incremental sessions ------------------------------------------------------
 
 
-class _VerticalPlan:
-    """One CFD's resident plan: a local check or a coordinator key-join."""
-
-    __slots__ = ("cfd", "detector", "local_site", "coordinator", "sources")
-
-    def __init__(self, cfd, detector, local_site, coordinator, sources) -> None:
-        self.cfd = cfd
-        self.detector = detector
-        self.local_site = local_site
-        self.coordinator = coordinator
-        #: source site index -> attributes it ships (join plans only)
-        self.sources = sources
-
-
 class IncrementalVerticalDetector:
     """A resident detection session over one vertical cluster and Σ.
 
-    :meth:`detect` runs the one-shot vertical plan once per CFD — local
-    check where a fragment covers the CFD, otherwise keyed columns ship
-    to a coordinator and join — and leaves an attached
+    :meth:`detect` runs the one-shot :func:`vertical_step` once per CFD
+    — local check where a fragment covers the CFD, otherwise keyed
+    columns ship to a coordinator and join — and leaves an attached
     :class:`~repro.core.incremental.IncrementalDetector` behind at each
     plan's site, holding that plan's relation (the covering fragment or
     the joined projection) as resident GROUP-BY state.
@@ -237,7 +232,11 @@ class IncrementalVerticalDetector:
     *delta's* key join is just a projection — each source site ships only
     its delta's keyed column codes, and the coordinator patches its
     join-side state in place instead of re-joining ``D``.  Deletes travel
-    as bare keys (the joined state indexes by key already).
+    as bare keys (the joined state indexes by key already).  A round is
+    all-or-nothing: every plan folds with its batch left open and only
+    then do all of them commit, so a round that raises leaves the
+    fragment versions, every plan's state, the cost log and the
+    shipments as they were.
 
     Sessions are *single-writer* (no internal lock): concurrent callers
     must serialize externally — the resident service does so with one
@@ -274,81 +273,16 @@ class IncrementalVerticalDetector:
                 "absorbed via update() — build a new "
                 "IncrementalVerticalDetector to re-detect from scratch"
             )
-        cluster = self.cluster
-        model = cluster.cost_model
-        key = cluster.original_schema.key
-        plans: dict[str, dict] = {}
-
+        key = tuple(self.cluster.original_schema.key)
         for cfd in self.cfds:
-            needed = cfd.attributes
-            local_sites = cluster.sites_with_attributes(needed)
-            if local_sites:
-                site = local_sites[0]
-                detector = self._detector_factory(cfd, engine=self._engine)
-                detector.attach(site.fragment)
-                check = model.check_time(model.check_ops(len(site.fragment)))
-                self._cost.stages.append(StageTimes(0.0, 0.0, check))
-                self._plans.append(
-                    _VerticalPlan(cfd, detector, site.index, None, {})
-                )
-                plans[cfd.name] = {"local": site.name}
-                continue
-
-            coverage = [
-                sum(1 for a in needed if a in site.fragment.schema)
-                for site in cluster.sites
-            ]
-            coordinator = max(range(len(coverage)), key=coverage.__getitem__)
-            coord_site = cluster.sites[coordinator]
-            have = [a for a in needed if a in coord_site.fragment.schema]
-            missing = [a for a in needed if a not in have]
-            sources: dict[int, list[str]] = {}
-            for attribute in missing:
-                holders = cluster.sites_with_attributes([attribute])
-                if not holders:
-                    raise ValueError(
-                        f"no fragment holds attribute {attribute!r}"
-                    )
-                sources.setdefault(holders[0].index, []).append(attribute)
-
-            stage_log = ShipmentLog()
-            joined = coord_site.fragment.project(tuple(key) + tuple(have))
-            for source_index, attributes in sorted(sources.items()):
-                source = cluster.sites[source_index]
-                column = source.fragment.project(
-                    tuple(key) + tuple(attributes)
-                )
-                stage_log.ship(
-                    coordinator,
-                    source_index,
-                    len(column),
-                    len(column) * len(column.schema),
-                    tag=cfd.name,
-                    n_codes=len(column) * len(column.schema),
-                )
-                joined = joined.join(column, on=key)
-            transfer = model.transfer_time(stage_log.outgoing_by_source())
-            self._log.merge(stage_log)
-            # canonical attribute order, so delta projections align
-            joined = joined.project(
-                tuple(dict.fromkeys(tuple(key) + tuple(needed)))
-            )
-            detector = self._detector_factory(cfd, engine=self._engine)
-            detector.attach(joined)
-            check = model.check_time(
-                model.check_ops(len(joined), n_queries=1 + len(sources))
-            )
-            self._cost.stages.append(StageTimes(0.0, transfer, check))
-            self._plans.append(
-                _VerticalPlan(cfd, detector, None, coordinator, sources)
-            )
-            plans[cfd.name] = {
-                "coordinator": coord_site.name,
-                "shipped_from": {
-                    cluster.sites[i].name: attrs
-                    for i, attrs in sources.items()
-                },
-            }
+            plan, relation = vertical_step(self.cluster, cfd, self._log)
+            if plan.coordinator is not None:
+                # canonical attribute order, so delta projections align
+                relation = relation.project(tuple(dict.fromkeys(key + cfd.attributes)))
+            plan.detector = self._detector_factory(cfd, engine=self._engine)
+            plan.detector.attach(relation)
+            self._cost.stages.append(plan.stage)
+            self._plans.append(plan)
 
         self._detected = True
         return DetectionOutcome(
@@ -356,7 +290,10 @@ class IncrementalVerticalDetector:
             report=self.report,
             shipments=self._log,
             cost=self._cost,
-            details={"plans": plans, "incremental": True},
+            details={
+                "plans": {plan.cfd.name: plan.details for plan in self._plans},
+                "incremental": True,
+            },
         )
 
     # -- updates ----------------------------------------------------------
@@ -370,8 +307,6 @@ class IncrementalVerticalDetector:
         deletes would need a full scan of ``D`` and are rejected — run a
         predicate against your own copy and pass the keys.
         """
-        from .incremental import IncrementalUpdate, apply_fragment_updates
-
         if not self._detected:
             raise ValueError("run detect() before applying updates")
         if callable(deleted) or hasattr(deleted, "evaluate"):
@@ -386,14 +321,11 @@ class IncrementalVerticalDetector:
         inserted = [tuple(row) for row in inserted]
         for row in inserted:
             if len(row) != width:
-                from ..relational.schema import SchemaError
-
                 raise SchemaError(
                     f"row of width {len(row)} does not fit schema "
                     f"{schema.name!r} of width {width}: {row!r}"
                 )
         deleted = list(deleted)
-        update_log = ShipmentLog()
         delta_rows = len(inserted) + len(deleted)
 
         # advance every fragment version by its projection of the batch
@@ -404,33 +336,38 @@ class IncrementalVerticalDetector:
                 [tuple(row[p] for p in positions) for row in inserted],
                 deleted,
             )
-        apply_fragment_updates(self.fragments, fragment_updates)
-
+        prior_fragments = list(self.fragments)
+        folded = []
+        try:
+            apply_fragment_updates(self.fragments, fragment_updates)
+            # every plan folds with its batch open; all commit below
+            for plan in self._plans:
+                positions = schema.positions(plan.detector.schema.attributes)
+                projected = [tuple(row[p] for p in positions) for row in inserted]
+                if plan.detector._fold_open(projected, deleted):
+                    folded.append(plan.detector)
+        except BaseException:
+            for detector in folded:
+                detector._rollback_batch()
+            self.fragments[:] = prior_fragments
+            raise
         merged = ViolationDelta()
-        for plan in self._plans:
-            plan_schema = plan.detector.schema
-            positions = schema.positions(plan_schema.attributes)
-            projected = [
-                tuple(row[p] for p in positions) for row in inserted
-            ]
-            if plan.sources:
-                # the delta key-join: sources ship only their delta's
-                # keyed column codes; the coordinator's join-side state
-                # is patched in place by the resident detector
-                for source_index, attributes in sorted(plan.sources.items()):
-                    if delta_rows:
-                        update_log.ship(
-                            plan.coordinator,
-                            source_index,
-                            delta_rows,
-                            delta_rows * (len(schema.key) + len(attributes)),
-                            tag=f"{plan.cfd.name}Δ",
-                            n_codes=delta_rows
-                            * (len(schema.key) + len(attributes)),
-                        )
-            delta = plan.detector.update(inserted=projected, deleted=deleted)
+        for detector in folded:
+            delta = detector._commit()
             merged.added.merge(delta.added)
             merged.removed.merge(delta.removed)
+
+        # the delta key-join: sources ship only their delta's keyed column
+        # codes; the coordinator's join-side state was patched in place
+        update_log = ShipmentLog()
+        for plan in self._plans:
+            for source_index, attributes in sorted(plan.sources.items()):
+                if delta_rows:
+                    cells = delta_rows * (len(schema.key) + len(attributes))
+                    update_log.ship(
+                        plan.coordinator, source_index, delta_rows, cells,
+                        tag=f"{plan.cfd.name}Δ", n_codes=cells,
+                    )
 
         scan = model.scan_time(delta_rows)
         transfer = model.transfer_time(update_log.outgoing_by_source())

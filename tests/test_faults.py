@@ -407,6 +407,82 @@ def test_mid_fold_failure_rolls_back_session(kind, stage):
     assert len(session._cost.stages) == before[3] + 1
 
 
+# -- the vertical session's round is all-or-nothing too -------------------------
+
+
+def _vertical_session():
+    """10 rows split into ``(id, a, b)`` + ``(id, c)``: ``p: a → b`` is a
+    local plan, ``q: a → c`` a join plan."""
+    from repro.detect import IncrementalVerticalDetector
+    from repro.partition import vertical_partition
+
+    sigma = [
+        CFD(["a"], ["b"], [PatternTuple([WILDCARD], [WILDCARD])], name="p"),
+        CFD(["a"], ["c"], [PatternTuple([WILDCARD], [WILDCARD])], name="q"),
+    ]
+    cluster = vertical_partition(_relation(10), [("id", "a", "b"), ("id", "c")])
+    session = IncrementalVerticalDetector(cluster, sigma)
+    session.detect()
+    return session, sigma
+
+
+def _vertical_state(session):
+    report = session.report
+    return (
+        [sorted(plan.detector.relation.rows) for plan in session._plans],
+        set(report.violations),
+        set(report.tuple_keys),
+        list(session._cost.stages),
+        list(session.shipments.events),
+    )
+
+
+@pytest.mark.parametrize("stage", ["unhashable", "mid-fold"])
+def test_failed_vertical_round_is_a_noop(stage, monkeypatch):
+    """A round that raises after plan ``p`` folded — ``q``'s fold meets an
+    unhashable cell, or fails mid-fold — leaves the fragment versions,
+    every plan's rows, the report, the cost log and the shipments as
+    they were; the same kind of round then applies cleanly."""
+    from repro.core.incremental import VariableGroupState
+    from repro.detect import vertical_detect
+    from repro.partition import vertical_partition
+
+    # the fold the injection arms is the fused engine's
+    monkeypatch.setenv("REPRO_ENGINE", "fused")
+    session, sigma = _vertical_session()
+    before = _vertical_state(session)
+    before_fragments = list(session.fragments)
+    assert [len(rows) for rows in before[0]] == [10, 10]
+
+    mp = pytest.MonkeyPatch()
+    try:
+        if stage == "unhashable":
+            with pytest.raises(TypeError):
+                session.update(inserted=[(10, 1, 3, ["x"])])
+        else:
+            mp.setattr(
+                VariableGroupState,
+                "fold_signed",
+                _countdown(VariableGroupState.fold_signed, 1),
+            )
+            with pytest.raises(RuntimeError, match="injected"):
+                session.update(inserted=[(10, 1, 3, 0)], deleted=[0])
+    finally:
+        mp.undo()
+    assert all(a is b for a, b in zip(session.fragments, before_fragments))
+    assert _vertical_state(session) == before
+
+    session.update(inserted=[(10, 1, 3, 0)], deleted=[0])
+    rows = [row for row in _relation(10).rows if row[0] != 0] + [(10, 1, 3, 0)]
+    fresh = vertical_detect(
+        vertical_partition(Relation(SCHEMA, rows), [("id", "a", "b"), ("id", "c")]),
+        sigma,
+    )
+    assert session.report.violations == fresh.report.violations
+    assert session.report.tuple_keys == fresh.report.tuple_keys
+    assert len(session._cost.stages) == len(before[3]) + 1
+
+
 def test_verify_full_and_sampled():
     # pinned to a fold engine: the test corrupts the transition counters,
     # which recompute-mode engines (reference, sql) do not maintain

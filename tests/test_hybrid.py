@@ -12,8 +12,9 @@ from repro.datagen import (
     emp_vertical_attribute_sets,
 )
 from repro.distributed import HybridCluster
-from repro.detect import hybrid_detect
+from repro.detect import IncrementalHybridDetector, hybrid_detect, select_balanced
 from repro.relational import Eq, Relation, Schema
+from seed_oracle import assert_seed_equals_one_shot
 
 # every test in this module runs once per detection engine (see conftest)
 pytestmark = pytest.mark.usefixtures("detection_engine")
@@ -154,3 +155,20 @@ def test_hybrid_rejects_unknown_strategy():
     _relation, cluster = make_hybrid(rows_over(4))
     with pytest.raises(ValueError):
         hybrid_detect(cluster, parse_cfd("([a] -> [b])"), strategy="bogus")
+
+
+@pytest.mark.parametrize("strategy", ["s", "rt", "balanced"])
+def test_hybrid_session_takes_every_one_shot_strategy(strategy):
+    """The session seeds through the one-shot's own step, so it accepts
+    what ``hybrid_detect`` accepts — a strategy callable included — and
+    its initial run is that one-shot run."""
+    pick = select_balanced if strategy == "balanced" else strategy
+    cfds = [
+        parse_cfd("([a, b] -> [c])", name="ab"),
+        parse_cfd("([b] -> [d]) with (1 || _), (_ || _)", name="b"),
+    ]
+    _relation, cluster = make_hybrid(rows_over(18))
+    session = IncrementalHybridDetector(cluster, cfds, strategy=pick)
+    assert_seed_equals_one_shot(
+        session.detect(), hybrid_detect(cluster, cfds, strategy=pick)
+    )

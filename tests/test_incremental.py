@@ -30,6 +30,7 @@ from repro.detect import (
 from repro.distributed import Cluster
 from repro.partition import partition_uniform
 from repro.relational import Relation, Schema
+from seed_oracle import assert_seed_equals_one_shot
 
 ATTRS = ("a", "b", "c")
 SCHEMA = Schema("R", ("id",) + ATTRS, key=("id",))
@@ -137,10 +138,7 @@ def test_distributed_incremental_equals_fresh_run(
     initial = session.detect()
 
     one_shot = ONE_SHOT[algorithm](partition_uniform(relation, n_sites), cfd)
-    assert initial.report.violations == one_shot.report.violations
-    assert initial.report.tuple_keys == one_shot.report.tuple_keys
-    assert initial.shipments.tuples_shipped == one_shot.shipments.tuples_shipped
-    assert initial.shipments.codes_shipped == one_shot.shipments.codes_shipped
+    assert_seed_equals_one_shot(initial, one_shot)
 
     site = 0
     for step, (inserted, delete_ratio) in enumerate(script):

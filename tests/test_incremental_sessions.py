@@ -28,6 +28,7 @@ from repro.detect import (
 from repro.distributed import Cluster, HybridCluster
 from repro.partition import partition_uniform, vertical_partition
 from repro.relational import Eq, Relation, Schema
+from seed_oracle import assert_seed_equals_one_shot
 
 # every test in this module runs once per detection engine (see conftest)
 pytestmark = pytest.mark.usefixtures("detection_engine")
@@ -98,10 +99,7 @@ def test_clust_session_equals_fresh_rebuild(rows, sigma, script, n_sites):
     initial = session.detect()
 
     one_shot = clust_detect(partition_uniform(relation, n_sites), sigma)
-    assert initial.report.violations == one_shot.report.violations
-    assert initial.report.tuple_keys == one_shot.report.tuple_keys
-    assert initial.shipments.tuples_shipped == one_shot.shipments.tuples_shipped
-    assert initial.shipments.codes_shipped == one_shot.shipments.codes_shipped
+    assert_seed_equals_one_shot(initial, one_shot)
 
     site = 0
     for inserted, delete_ratio in script:
@@ -156,9 +154,7 @@ def test_vertical_session_equals_fresh_rebuild(rows, sigma, script):
     initial = session.detect()
 
     one_shot = vertical_detect(vertical_partition(relation, VSETS), sigma)
-    assert initial.report.violations == one_shot.report.violations
-    assert initial.report.tuple_keys == one_shot.report.tuple_keys
-    assert initial.shipments.tuples_shipped == one_shot.shipments.tuples_shipped
+    assert_seed_equals_one_shot(initial, one_shot)
 
     current = list(rows)
     for inserted, delete_ratio in script:
@@ -201,10 +197,7 @@ def test_hybrid_session_equals_fresh_rebuild(rows, sigma, script):
     one_shot = hybrid_detect(
         HybridCluster.from_partitions(relation, HPREDICATES, HSETS), sigma
     )
-    assert initial.report.violations == one_shot.report.violations
-    assert initial.report.tuple_keys == one_shot.report.tuple_keys
-    assert initial.shipments.tuples_shipped == one_shot.shipments.tuples_shipped
-    assert initial.shipments.codes_shipped == one_shot.shipments.codes_shipped
+    assert_seed_equals_one_shot(initial, one_shot)
 
     region = 0
     for step, (inserted, delete_ratio) in enumerate(script):
