@@ -486,7 +486,8 @@ def _run_incremental_detect(args: argparse.Namespace, cluster, cfds) -> int:
             f"{update.shipments.codes_shipped} delta codes shipped, "
             f"response {update.response_time:.3f}s"
         )
-        if update.report:
+        violations, _keys = detector.report_size()
+        if violations:
             exit_code = 1
     return exit_code
 

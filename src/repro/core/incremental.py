@@ -38,7 +38,8 @@ scatters signed counts per distinct ``(x_code, y_code)`` combination
 instead of flipping multisets row by row
 (:meth:`VariableGroupState.fold_signed`).  Updates arrive either as
 :class:`~repro.relational.delta.DeltaRelation` versions (``apply``) or as
-explicit row batches (``update``, which builds the versions itself).
+explicit row batches (``update``, which changes the session's
+:class:`~repro.relational.rowstore.KeyedRows` store in place).
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as _np
 
-from ..relational import Relation, SchemaError
+from ..relational import Relation
+from ..relational.rowstore import KeyedRows
 from .cfd import CFD, matches, tuple_matches
 from .detection import ENGINES, detect_violations_reference
 from .epatterns import is_predicate
@@ -909,14 +910,15 @@ class IncrementalDetector:
     full current report; every ``apply``/``update`` additionally returns
     the :class:`ViolationDelta` of that batch.
 
-    Alongside the fold state the session keeps a **keyed row store** —
-    key projection → resident row(s), a DBMS-style heap + primary index.
-    A :meth:`update` batch of keys and rows mutates the store in
-    O(|ΔD|): no delta-relation version, no O(|D|) row-list copy, no
-    tombstone mask.  :attr:`relation` stays available as a lazily
-    materialized (and cached) snapshot; predicate deletes and explicit
-    :meth:`apply` chains still run through delta-relation versions, which
-    the store absorbs at O(|ΔD|) per step.
+    Alongside the fold state the session keeps its rows in a
+    :class:`~repro.relational.rowstore.KeyedRows` store — key projection
+    → resident row(s), a DBMS-style heap + primary index.  An
+    :meth:`update` batch of keys and rows mutates the store in O(|ΔD|):
+    no delta-relation version, no O(|D|) row-list copy, no tombstone mask
+    (a predicate delete scans the store once).  :attr:`relation` stays
+    available as the store's lazily materialized (and cached) snapshot;
+    explicit :meth:`apply` chains of delta-relation versions are absorbed
+    into the store at O(|ΔD|) per step.
 
     ``engine`` follows :func:`~repro.core.detection.detect_violations`:
     ``reference`` (full recompute + diff per update — the executable
@@ -930,8 +932,8 @@ class IncrementalDetector:
     ``update`` / ``verify`` / ``report``) therefore serializes on a
     per-session reentrant lock: concurrent callers (the resident
     service's request threads) are safe, they just take turns.  The lock
-    is reentrant because ``update`` can nest into ``apply`` on the
-    predicate-delete path.
+    is reentrant because public entry points call one another (``update``
+    reads :attr:`relation` in the recompute-mode engines).
     """
 
     def __init__(
@@ -947,14 +949,8 @@ class IncrementalDetector:
         self._session_lock = threading.RLock()
         self._requested_engine = engine
         self.engine: str | None = None
-        self._relation: Relation | None = None
-        #: key projection -> row tuple, or a list of rows for bag
-        #: duplicates; ``None`` until attach()
-        self._store: dict | None = None
-        #: open-batch undo log of the store (key -> pre-batch entry copy,
-        #: ``None`` for "absent"), plus the pre-batch snapshot cache
-        self._store_undo: dict | None = None
-        self._relation_snapshot: Relation | None = None
+        #: the resident rows; ``None`` until attach()
+        self._rows: KeyedRows | None = None
         self.schema = None
         self._wrap_keys = False
         self._violations = TransitionCounter()
@@ -970,69 +966,8 @@ class IncrementalDetector:
         """The current relation version (materialized lazily after
         store-level updates; the object is cached until the next update,
         so :meth:`apply` chains can anchor on it)."""
-        if self._relation is None and self._store is not None:
-            with self._session_lock:
-                if self._relation is None:
-                    rows: list = []
-                    for entry in self._store.values():
-                        if type(entry) is list:
-                            rows.extend(entry)
-                        else:
-                            rows.append(entry)
-                    self._relation = Relation(self.schema, rows, copy=False)
-        return self._relation
-
-    @relation.setter
-    def relation(self, value: Relation | None) -> None:
-        self._relation = value
-
-    # -- the keyed row store ----------------------------------------------
-
-    def _build_store(self, relation: Relation) -> None:
-        key_pos = relation.schema.key_positions()
-        store: dict = {}
-        for key, row in zip(
-            _project_keys(relation.rows, range(len(relation.rows)), key_pos),
-            relation.rows,
-        ):
-            entry = store.get(key)
-            if entry is None:
-                store[key] = row
-            elif type(entry) is list:
-                entry.append(row)
-            else:
-                store[key] = [entry, row]
-        self._store = store
-
-    def _store_touch(self, key) -> None:
-        """Record ``key``'s pre-batch entry in the open undo log (copying
-        list entries, which later store ops mutate in place)."""
-        undo = self._store_undo
-        if undo is None or key in undo:
-            return
-        entry = self._store.get(key)
-        undo[key] = list(entry) if type(entry) is list else entry
-
-    def _store_add(self, key: tuple, row: tuple) -> None:
-        self._store_touch(key)
-        entry = self._store.get(key)
-        if entry is None:
-            self._store[key] = row
-        elif type(entry) is list:
-            entry.append(row)
-        else:
-            self._store[key] = [entry, row]
-
-    def _store_remove_row(self, key: tuple, row: tuple) -> None:
-        """Remove one specific resident row (delta-version sync path)."""
-        self._store_touch(key)
-        entry = self._store.get(key)
-        if type(entry) is list:
-            entry.remove(row)
-            if len(entry) == 1:
-                self._store[key] = entry[0]
-        elif entry is not None:
-            del self._store[key]
+        with self._session_lock:
+            return None if self._rows is None else self._rows.relation
 
     # -- engine resolution ------------------------------------------------
 
@@ -1077,13 +1012,12 @@ class IncrementalDetector:
         """Build (or rebuild) the cached state with one full fold of ``D``."""
         with self._session_lock:
             self.engine = self._resolve_engine()
-            self.relation = relation
             self.schema = relation.schema
             # single-attribute keys travel raw through the folds and the
             # key counters (no per-row 1-tuple); the report boundary
             # re-wraps them
             self._wrap_keys = len(relation.schema.key_positions()) == 1
-            self._build_store(relation)
+            self._rows = KeyedRows(relation)
             if self._recompute_mode:
                 self._reference_report = self._recompute_report(relation)
                 return self.report
@@ -1120,8 +1054,7 @@ class IncrementalDetector:
 
     def _begin_batch(self) -> None:
         """Open one all-or-nothing update: arm every undo log."""
-        self._store_undo = {}
-        self._relation_snapshot = self._relation
+        self._rows.begin()
         if not self._recompute_mode:
             self._violations.begin()
             self._keys.begin()
@@ -1130,8 +1063,7 @@ class IncrementalDetector:
 
     def _end_batch(self) -> None:
         """Close a successful update: drop the undo logs."""
-        self._store_undo = None
-        self._relation_snapshot = None
+        self._rows.commit()
 
     def _rollback_batch(self) -> None:
         """Restore the exact pre-batch session state.
@@ -1147,17 +1079,7 @@ class IncrementalDetector:
             state.rollback()
         self._violations.rollback()
         self._keys.rollback()
-        undo = self._store_undo
-        self._store_undo = None
-        if undo:
-            store = self._store
-            for key, entry in undo.items():
-                if entry is None:
-                    store.pop(key, None)
-                else:
-                    store[key] = entry
-        self._relation = self._relation_snapshot
-        self._relation_snapshot = None
+        self._rows.rollback()
         self._reference_next = None
 
     def apply(self, relation: Relation) -> ViolationDelta:
@@ -1191,8 +1113,6 @@ class IncrementalDetector:
             chain.append(version)
             version = parent
         chain.reverse()
-        schema = relation.schema
-        key_pos = schema.key_positions()
         self._begin_batch()
         try:
             batches: list[tuple[list, int]] = []
@@ -1200,22 +1120,16 @@ class IncrementalDetector:
                 if version.delta_deleted:
                     rows = list(version.delta_deleted)
                     batches.append((rows, -1))
-                    for key, row in zip(
-                        _project_keys(rows, range(len(rows)), key_pos), rows
-                    ):
-                        self._store_remove_row(key, row)
+                    self._rows.remove(rows)
                 if version.delta_inserted:
                     rows = list(version.delta_inserted)
                     batches.append((rows, 1))
-                    for key, row in zip(
-                        _project_keys(rows, range(len(rows)), key_pos), rows
-                    ):
-                        self._store_add(key, row)
+                    self._rows.insert(rows)
             if self._recompute_mode:
                 self._reference_next = self._recompute_report(relation)
             else:
-                self._fold_batches(schema, batches)
-            self.relation = relation
+                self._fold_batches(relation.schema, batches)
+            self._rows.relation = relation
         except BaseException:
             self._rollback_batch()
             raise
@@ -1228,30 +1142,25 @@ class IncrementalDetector:
     ) -> ViolationDelta:
         """Absorb one explicit batch: ``deleted`` first, then ``inserted``.
 
-        With ``deleted`` an iterable of keys (bare values accepted for
-        single-attribute keys; unknown keys are no-ops, matching
-        :meth:`Relation.delete`), the batch goes straight through the
-        session's keyed row store — O(|ΔD|) dictionary operations, no
-        relation version, no O(|D|) row-list copy.  A predicate
-        ``deleted`` needs a scan of ``D``, so that path still mints
-        :class:`~repro.relational.delta.DeltaRelation` versions and
-        :meth:`apply`\\ s them (their provenance is pruned afterwards, so
-        session memory stays bounded either way).
+        ``deleted`` is an iterable of keys (bare values accepted for
+        single-attribute keys; unknown keys are no-ops) or a predicate —
+        the :meth:`Relation.delete` contract.  The batch goes straight
+        through the session's keyed row store: O(|ΔD|) dictionary
+        operations, no relation version, no O(|D|) row-list copy (a
+        predicate costs one scan of the store).
         """
         with self._session_lock:
             return self._update_locked(inserted, deleted)
 
     def _update_locked(self, inserted, deleted) -> ViolationDelta:
-        if self._store is None:
+        if self._rows is None:
             raise ValueError("attach() a relation before applying updates")
-        if callable(deleted) or hasattr(deleted, "evaluate"):
-            return self._update_via_versions(inserted, deleted)
         if not self._fold_open(inserted, deleted):
             return ViolationDelta()
         return self._commit()
 
     def _fold_open(self, inserted, deleted) -> bool:
-        """Fold one explicit key batch, leaving the batch open.
+        """Fold one explicit batch, leaving the batch open.
 
         Validates the batch, arms the undo logs, mutates the keyed row
         store and folds every form (a recompute-mode engine recomputes
@@ -1261,110 +1170,28 @@ class IncrementalDetector:
         with :meth:`_commit` or :meth:`_rollback_batch`, so several
         detectors can fold one round and commit it together.
         """
-        schema = self.schema
-        key_pos = schema.key_positions()
-        width = len(schema)
-        key_width = len(key_pos)
-        batch = [tuple(row) for row in inserted]
-        if set(map(len, batch)) - {width}:
-            bad = next(row for row in batch if len(row) != width)
-            raise SchemaError(
-                f"row of width {len(bad)} does not fit schema "
-                f"{schema.name!r} of width {width}: {bad!r}"
-            )
-        doomed = deleted if type(deleted) is list else list(deleted)
-        if key_width == 1:
-            # raw store keys: unwrap 1-tuples, keep bare values
-            if tuple in set(map(type, doomed)):
-                doomed = [
-                    key[0] if type(key) is tuple and len(key) == 1 else key
-                    for key in doomed
-                ]
-                if any(type(key) is tuple for key in doomed):
-                    bad = next(k for k in doomed if type(k) is tuple)
-                    raise SchemaError(
-                        f"key {bad!r} does not fit key attributes "
-                        f"{schema.key}"
-                    )
-        else:
-            doomed = [
-                key if isinstance(key, tuple) else (key,) for key in doomed
-            ]
-            if set(map(len, doomed)) - {key_width}:
-                bad = next(k for k in doomed if len(k) != key_width)
-                raise SchemaError(
-                    f"key {bad!r} does not fit key attributes {schema.key}"
-                )
+        rows = self._rows
+        batch, doomed = rows.check(inserted, deleted)
         if not doomed and not batch:
             return False
 
         self._begin_batch()
         try:
-            store = self._store
-            undo = self._store_undo
-            removed: list[tuple] = []
-            if doomed:
-                for key in doomed:
-                    self._store_touch(key)
-                # unknown keys are no-ops, like Relation.delete
-                entries = map(store.pop, doomed, repeat(None))
-                removed = [entry for entry in entries if entry is not None]
-                if list in set(map(type, removed)):
-                    flat: list[tuple] = []
-                    for entry in removed:
-                        if type(entry) is list:
-                            flat.extend(entry)
-                        else:
-                            flat.append(entry)
-                    removed = flat
-            if batch:
-                fresh_keys = list(
-                    _project_keys(batch, range(len(batch)), key_pos)
-                )
-                if len(set(fresh_keys)) == len(fresh_keys) and store.keys(
-                ).isdisjoint(fresh_keys):
-                    # the C fast path; keys are absent from the store, so
-                    # their undo entries are plain "absent" markers
-                    for key in fresh_keys:
-                        if key not in undo:
-                            undo[key] = None
-                    store.update(zip(fresh_keys, batch))
-                else:
-                    for key, row in zip(fresh_keys, batch):
-                        self._store_add(key, row)
-            self._relation = None  # invalidate the cached snapshot
-
+            removed = rows.delete(doomed)
+            rows.insert(batch)
             if self._recompute_mode:
-                self._reference_next = self._recompute_report(self.relation)
+                self._reference_next = self._recompute_report(rows.relation)
             else:
                 batches: list[tuple[list, int]] = []
                 if removed:
                     batches.append((removed, -1))
                 if batch:
                     batches.append((batch, 1))
-                self._fold_batches(schema, batches)
+                self._fold_batches(self.schema, batches)
         except BaseException:
             self._rollback_batch()
             raise
         return True
-
-    def _update_via_versions(self, inserted, deleted) -> ViolationDelta:
-        """The predicate-delete path: delta versions, then :meth:`apply`."""
-        from ..relational.delta import prune_delta_history
-
-        version = self.relation
-        version = version.delete(deleted)
-        inserted = list(inserted)
-        if inserted:
-            version = version.insert(inserted)
-        if version is self.relation:
-            return ViolationDelta()
-        delta = self.apply(version)
-        # prune oldest-first so each step can still derive its key array
-        # from the (already materialized) link below it
-        prune_delta_history(version.delta_parent)
-        prune_delta_history(version)
-        return delta
 
     # -- results ----------------------------------------------------------
 

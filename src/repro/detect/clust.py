@@ -632,7 +632,8 @@ class IncrementalClustDetector(_ResidentSession):
             for index, inserted, removed in batches:
                 combo_deltas, row_events, net_rows, routed = (
                     scan_clust_delta_summary(
-                        self.fragments[index], group, inserted, removed
+                        self._initial_fragments[index], group,
+                        inserted, removed,
                     )
                 )
                 for ordinal, deltas in enumerate(combo_deltas):

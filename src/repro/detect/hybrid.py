@@ -281,13 +281,16 @@ class IncrementalHybridDetector(_ResidentSession):
             cluster, cfds, cluster.regions,
             [region.vertical.reconstruct() for region in cluster.regions],
         )
-        #: per region: the current full-schema relation version
-        self.regions_data = self.fragments
         #: (constant tag, region index, gather plan), for delta traffic
         self._constant_gathers: list[tuple[str, int, dict]] = []
         #: per entry of ``_states``: applicable region -> its gather plan
         #: (which holder fragment ships which attributes to which site)
         self._gather_plans: list[dict[int, dict]] = []
+
+    @property
+    def regions_data(self) -> list[Relation]:
+        """Per region: its current full-schema rows (:attr:`fragments`)."""
+        return self.fragments
 
     def _seed(self) -> dict:
         # constants fold region-locally; their gathers' plans are kept
@@ -369,7 +372,8 @@ class IncrementalHybridDetector(_ResidentSession):
                 # phase 2: σ-scan the delta at the gather site, forward
                 # the signed coded triples to the resident coordinators
                 (summary,) = scan_delta_summary(
-                    self.fragments[region], [state.variable], inserted, removed
+                    self._initial_fragments[region], [state.variable],
+                    inserted, removed,
                 )
                 state.absorb(
                     plan["gather_site"], summary, update_log, received_events,

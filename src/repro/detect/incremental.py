@@ -72,6 +72,7 @@ from ..distributed import (
 )
 from ..relational import Relation, compatible_with_bindings
 from ..relational.delta import prune_delta_history
+from ..relational.rowstore import KeyedRows
 from . import base
 from .ctr import ctr_step
 from .pat import make_select_min_response, pat_step, select_max_stat
@@ -84,16 +85,20 @@ def apply_fragment_updates(
 
     ``updates`` maps site index to ``(inserted_rows, deleted)`` with
     ``deleted`` an iterable of keys or a predicate (the
-    :meth:`Relation.delete` contract).  Each updated entry of
+    :meth:`Relation.delete` contract).  Each updated entry of the list
     ``fragments`` is replaced by its new
     :class:`~repro.relational.delta.DeltaRelation` version with the
-    consumed provenance pruned, so a long session holds one live row list
-    per site.  Returns ``(site, inserted_rows, removed_rows)`` for every
-    site whose fragment actually changed — the delta streams every
-    resident session folds.  All-or-nothing: when any site's batch
-    raises (a wrong-width row, an invalid delete), no entry of
-    ``fragments`` has been replaced.  Shared by the horizontal,
-    CLUSTDETECT and hybrid sessions.
+    consumed provenance pruned; the relations themselves are immutable
+    values, so nothing but that list changes.  Returns ``(site,
+    inserted_rows, removed_rows)`` for every site whose fragment actually
+    changed.  All-or-nothing: when any site's batch raises (a wrong-width
+    row, an invalid delete), no entry of ``fragments`` has been replaced.
+
+    The vertical session's fragment path.  The sessions built on
+    :class:`_ResidentSession` keep their places in
+    :class:`~repro.relational.rowstore.KeyedRows` stores instead, so a
+    caller may run this on ``list(session.fragments)`` to price the
+    versioned path without touching the session.
     """
     staged: list[tuple[int, Relation, list, list]] = []
     for index in sorted(updates):
@@ -385,14 +390,16 @@ class _VariableState:
 class IncrementalUpdate:
     """The result of absorbing one update batch.
 
-    ``delta`` is what changed; ``report`` the full post-update report;
-    ``shipments`` only this batch's traffic (the detector's cumulative
-    log keeps growing separately); ``stage`` the batch's simulated
-    scan/transfer/check times.
+    ``delta`` is what changed; ``report_size`` the post-update
+    ``(len(report.violations), len(report.tuple_keys))``, taken in O(1)
+    at commit (a caller who wants the full report reads the session's
+    ``report``); ``shipments`` only this batch's traffic (the detector's
+    cumulative log keeps growing separately); ``stage`` the batch's
+    simulated scan/transfer/check times.
     """
 
     delta: ViolationDelta
-    report: ViolationReport
+    report_size: tuple[int, int]
     shipments: ShipmentLog
     stage: StageTimes
 
@@ -413,16 +420,21 @@ class _ResidentSession:
     stage times of a round, reports, :meth:`verify` and the cost log.
 
     ``places`` are the cluster's horizontal units (sites, or the regions
-    of a hybrid cluster), each with a ``predicate``; ``fragments`` holds
-    the current full-schema relation version of each.  ``_states`` is the
-    family's resident coordinator state — anything with ``begin`` /
-    ``commit`` / ``rollback``.
+    of a hybrid cluster), each with a ``predicate``.  Each place keeps its
+    full-schema rows in one :class:`~repro.relational.rowstore.KeyedRows`
+    store — built from the place's initial fragment when a round first
+    touches it — which a round changes in O(|ΔD|) under the same journal
+    and rollback as the kernels; :attr:`fragments` shows them as
+    relations, and the delta scans read only the initial fragment's
+    schema.
+    ``_states`` is the family's resident coordinator state — anything
+    with ``begin`` / ``commit`` / ``rollback``.
 
-    Sessions are *single-writer*: fragment versions, coordinator tables,
+    Sessions are *single-writer*: row stores, coordinator tables,
     counters and the cost log assume one mutation at a time, so every
-    public entry point serializes on a per-session reentrant lock (a
-    round reads :attr:`report` while holding it).  Concurrent callers —
-    the resident service's request threads — are safe; they take turns.
+    public entry point serializes on a per-session reentrant lock.
+    Concurrent callers — the resident service's request threads — are
+    safe; they take turns.
     """
 
     #: display name of the session's algorithm
@@ -433,7 +445,10 @@ class _ResidentSession:
     def __init__(self, cluster, cfds: CFD | Iterable[CFD], places, fragments) -> None:
         self.cluster = cluster
         self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
-        self.fragments: list[Relation] = fragments
+        #: per place: the fragment the session starts from, and its keyed
+        #: row store, built when a round first touches the place
+        self._initial_fragments: list[Relation] = list(fragments)
+        self._rows: list[KeyedRows | None] = [None] * len(fragments)
         # the constant folds carry single-attribute keys raw; the report
         # boundary wraps them back into the 1-tuple contract
         self._wrap_keys = len(cluster.schema.key_positions()) == 1
@@ -465,6 +480,17 @@ class _ResidentSession:
         self._detected = False
         #: serializes every public entry point (single-writer contract)
         self._session_lock = threading.RLock()
+
+    @property
+    def fragments(self) -> list[Relation]:
+        """Each place's current rows as a :class:`Relation`: materialized
+        lazily per place and cached until that place's next successful
+        round (a failed round keeps the cached object)."""
+        with self._session_lock:
+            return [
+                fragment if rows is None else rows.relation
+                for fragment, rows in zip(self._initial_fragments, self._rows)
+            ]
 
     # -- the two things a family is ---------------------------------------
 
@@ -524,31 +550,49 @@ class _ResidentSession:
 
         ``updates`` maps site index to ``(inserted_rows, deleted)``, with
         ``deleted`` an iterable of keys or a predicate (the
-        :meth:`Relation.delete` contract).  Only the deltas are scanned,
-        shipped (coded) and folded; the returned
-        :class:`IncrementalUpdate` carries what changed and this batch's
-        traffic/cost — every modelled stage driven by |ΔD|, not |D|.
+        :meth:`Relation.delete` contract).  Each updated place's row store
+        takes the batch in O(|ΔD|) (a predicate scans that place once);
+        only the deltas are scanned, shipped (coded) and folded; the
+        returned :class:`IncrementalUpdate` carries what changed and this
+        batch's traffic/cost — every modelled stage driven by |ΔD|, not
+        |D|.
 
-        All-or-nothing: if any part of the round fails — a schema error,
-        an invalid delete, an unhashable cell — the session (fragment
-        versions, coordinator tables, counters, cost log) rolls back to
-        the state before this call and the exception propagates.
+        All-or-nothing: a wrong-width row or key at any place raises
+        before any state moves, and if a later part of the round fails —
+        an unhashable cell, a failing fold — the session (row stores,
+        coordinator tables, counters, cost log) rolls back to the state
+        before this call and the exception propagates.
         """
         with self._session_lock:
             if not self._detected:
                 raise ValueError("run detect() before applying updates")
             updates = self._check_round(updates)
+            # every place's batch is checked before any state moves
+            checked = []
+            for index in sorted(updates):
+                rows = self._rows[index]
+                if rows is None:
+                    rows = self._rows[index] = KeyedRows(
+                        self._initial_fragments[index]
+                    )
+                checked.append((index, rows, *rows.check(*updates[index])))
             schema = self.cluster.schema
             model = self.cluster.cost_model
             self._violations.begin()
             self._keys.begin()
             for state in self._states:
                 state.begin()
+            for _index, rows, _inserted, _doomed in checked:
+                rows.begin()
             update_log = ShipmentLog()
             stage = StageTimes(0, 0, 0)
-            prior_fragments = list(self.fragments)
             try:
-                batches = apply_fragment_updates(self.fragments, updates)
+                batches = []
+                for index, rows, inserted, doomed in checked:
+                    removed = rows.delete(doomed)
+                    rows.insert(inserted)
+                    if inserted or removed:
+                        batches.append((index, inserted, removed))
                 if batches:
                     # constants: fold each delta locally (Proposition 5)
                     for index, inserted, removed in batches:
@@ -575,7 +619,8 @@ class _ResidentSession:
                         ),
                     )
             except BaseException:
-                self.fragments[:] = prior_fragments
+                for _index, rows, _inserted, _doomed in checked:
+                    rows.rollback()
                 for state in self._states:
                     state.rollback()
                 self._violations.rollback()
@@ -584,12 +629,19 @@ class _ResidentSession:
             if batches:
                 self._cost.stages.append(stage)
                 self._log.merge(update_log)
+            for _index, rows, _inserted, _doomed in checked:
+                rows.commit()
             for state in self._states:
                 state.commit()
             delta = commit_counters(
                 self._violations, self._keys, self._wrap_keys
             )
-            return IncrementalUpdate(delta, self.report, update_log, stage)
+            return IncrementalUpdate(
+                delta,
+                counters_size(self._violations, self._keys),
+                update_log,
+                stage,
+            )
 
     # -- results ----------------------------------------------------------
 
@@ -674,8 +726,8 @@ class IncrementalHorizontalDetector(_ResidentSession):
     for PATDETECT's step under it.  :meth:`detect` runs the one-shot
     step once and keeps what its coordinators received;
     :meth:`update` / :meth:`apply_updates` absorb batches in O(|ΔD|).
-    :attr:`fragments` tracks the current version of every site's
-    fragment (the cluster object itself stays immutable).
+    :attr:`fragments` shows every site's current rows (the cluster
+    object itself stays immutable).
     """
 
     def __init__(
@@ -720,7 +772,8 @@ class IncrementalHorizontalDetector(_ResidentSession):
         received_events: dict[int, int] = {}
         for index, inserted, removed in batches:
             per_variable = scan_delta_summary(
-                self.fragments[index], self._variable_cfds, inserted, removed
+                self._initial_fragments[index], self._variable_cfds,
+                inserted, removed,
             )
             for state, summary in zip(self._states, per_variable):
                 state.absorb(

@@ -36,11 +36,18 @@ site; the resident session attaches an incremental detector there.
 
 from __future__ import annotations
 
+import threading
+
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core import CFD, ViolationReport, detect_violations, is_wildcard, normalize
-from ..core.incremental import ViolationDelta
+from ..core.incremental import (
+    TransitionCounter,
+    commit_counters,
+    counters_report,
+    counters_size,
+)
 from ..distributed import (
     CostBreakdown,
     DetectionOutcome,
@@ -238,9 +245,14 @@ class IncrementalVerticalDetector:
     fragment versions, every plan's state, the cost log and the
     shipments as they were.
 
-    Sessions are *single-writer* (no internal lock): concurrent callers
-    must serialize externally — the resident service does so with one
-    lock per managed session (see :mod:`repro.serve`).
+    The session's report is the union of the plans' reports, kept as two
+    :class:`~repro.core.incremental.TransitionCounter`\\ s (a violation
+    or key counts once per plan that reports it) fed by each committed
+    plan delta, so :meth:`report_size` is O(1) and an update's ``delta``
+    is exactly what changed in :attr:`report`.
+
+    Sessions are *single-writer*: every public entry point serializes on
+    a per-session reentrant lock, so concurrent callers take turns.
     """
 
     def __init__(
@@ -262,11 +274,19 @@ class IncrementalVerticalDetector:
         self._log = ShipmentLog()
         self._cost = CostBreakdown()
         self._detected = False
+        self._violations = TransitionCounter()
+        self._keys = TransitionCounter()
+        #: serializes every public entry point (single-writer contract)
+        self._session_lock = threading.RLock()
 
     # -- initial run ------------------------------------------------------
 
     def detect(self) -> DetectionOutcome:
         """The full one-shot run; attaches the per-plan resident state."""
+        with self._session_lock:
+            return self._detect_locked()
+
+    def _detect_locked(self) -> DetectionOutcome:
         if self._detected:
             raise ValueError(
                 "detect() already ran for this session; updates are "
@@ -280,7 +300,9 @@ class IncrementalVerticalDetector:
                 # canonical attribute order, so delta projections align
                 relation = relation.project(tuple(dict.fromkeys(key + cfd.attributes)))
             plan.detector = self._detector_factory(cfd, engine=self._engine)
-            plan.detector.attach(relation)
+            found = plan.detector.attach(relation)
+            self._violations.add_bulk(found.violations, 1)
+            self._keys.add_bulk(found.tuple_keys, 1)
             self._cost.stages.append(plan.stage)
             self._plans.append(plan)
 
@@ -298,7 +320,7 @@ class IncrementalVerticalDetector:
 
     # -- updates ----------------------------------------------------------
 
-    def update(self, inserted=(), deleted=()):
+    def update(self, inserted=(), deleted=()) -> IncrementalUpdate:
         """Absorb one batch of whole-tuple inserts and key deletes.
 
         ``inserted`` holds rows over the *original* schema (a vertical
@@ -307,6 +329,10 @@ class IncrementalVerticalDetector:
         deletes would need a full scan of ``D`` and are rejected — run a
         predicate against your own copy and pass the keys.
         """
+        with self._session_lock:
+            return self._update_locked(inserted, deleted)
+
+    def _update_locked(self, inserted, deleted) -> IncrementalUpdate:
         if not self._detected:
             raise ValueError("run detect() before applying updates")
         if callable(deleted) or hasattr(deleted, "evaluate"):
@@ -351,11 +377,15 @@ class IncrementalVerticalDetector:
                 detector._rollback_batch()
             self.fragments[:] = prior_fragments
             raise
-        merged = ViolationDelta()
+        # the union report moves by each plan's delta
+        self._violations.begin()
+        self._keys.begin()
         for detector in folded:
             delta = detector._commit()
-            merged.added.merge(delta.added)
-            merged.removed.merge(delta.removed)
+            for sign, side in ((1, delta.added), (-1, delta.removed)):
+                self._violations.add_bulk(side.violations, sign)
+                self._keys.add_bulk(side.tuple_keys, sign)
+        merged = commit_counters(self._violations, self._keys)
 
         # the delta key-join: sources ship only their delta's keyed column
         # codes; the coordinator's join-side state was patched in place
@@ -383,29 +413,39 @@ class IncrementalVerticalDetector:
         stage = StageTimes(scan, transfer, check)
         self._cost.stages.append(stage)
         self._log.merge(update_log)
-        return IncrementalUpdate(merged, self.report, update_log, stage)
+        return IncrementalUpdate(
+            merged,
+            counters_size(self._violations, self._keys),
+            update_log,
+            stage,
+        )
 
     # -- results ----------------------------------------------------------
 
     @property
     def report(self) -> ViolationReport:
-        """The full current report (fresh merged copy)."""
-        return ViolationReport.union(
-            plan.detector.report for plan in self._plans
-        )
+        """The full current report (fresh copy)."""
+        with self._session_lock:
+            return counters_report(self._violations, self._keys)
+
+    def report_size(self) -> tuple[int, int]:
+        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
+        with self._session_lock:
+            return counters_size(self._violations, self._keys)
 
     @property
     def shipments(self) -> ShipmentLog:
         return self._log
 
     def outcome(self) -> DetectionOutcome:
-        return DetectionOutcome(
-            algorithm="VERTICALDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={"incremental": True},
-        )
+        with self._session_lock:
+            return DetectionOutcome(
+                algorithm="VERTICALDETECT+Δ",
+                report=self.report,
+                shipments=self._log,
+                cost=self._cost,
+                details={"incremental": True},
+            )
 
     def __repr__(self) -> str:
         return (

@@ -104,6 +104,61 @@ def test_cli_detect_partition_by_attribute(emp_csv, capsys):
     assert "Cluster(3 sites" in output
 
 
+@pytest.mark.parametrize("algorithm", ["clust", "pat-s"])
+@pytest.mark.parametrize("kind", ["mixed", "insert", "delete"])
+@pytest.mark.parametrize(
+    "cfd",
+    ["([CC=44, zip] -> [street])", "([CC, title] -> [salary])", "([CC, AC] -> [city])"],
+)
+def test_cli_detect_updates(emp_csv, capsys, algorithm, kind, cfd):
+    """``detect --updates``: the update line reports the batch's violation
+    delta, and the exit code is 1 iff violations remain after it — both
+    checked against the reference engine on the same synthetic batch."""
+    import re
+
+    from repro.cli import _load_cfds, _synthetic_update_batch
+    from repro.core import detect_violations_reference
+    from repro.partition import partition_uniform
+
+    code = main(
+        [
+            "detect",
+            "--data", emp_csv,
+            "--cfd", cfd,
+            "--sites", "3",
+            "--algorithm", algorithm,
+            "--updates", "0.3",
+            "--update-kind", kind,
+        ]
+    )
+    output = capsys.readouterr().out
+
+    relation = infer_column_types(load_csv(emp_csv))
+    sigma = _load_cfds([cfd])
+    cluster = partition_uniform(relation, 3)
+    site, inserted, doomed = _synthetic_update_batch(
+        cluster, sigma, 0.3, kind
+    )
+    gone = set(doomed)
+    after = [row for row in relation.rows if (row[0],) not in gone] + inserted
+    before = detect_violations_reference(relation, sigma).violations
+    now = detect_violations_reference(
+        Relation(relation.schema, after), sigma
+    ).violations
+    line = re.search(
+        rf"  update \|ΔD\|={len(inserted) + len(doomed)} rows \({kind}\) "
+        rf"at site {cluster.sites[site].name}: \+(\d+) / -(\d+) violations, "
+        rf"\d+ delta codes shipped, response \d+\.\d{{3}}s\n",
+        output,
+    )
+    assert line is not None, output
+    assert (int(line[1]), int(line[2])) == (
+        len(now - before),
+        len(before - now),
+    )
+    assert code == (1 if now else 0)
+
+
 # -- sql ------------------------------------------------------------------------
 
 

@@ -483,6 +483,59 @@ def test_failed_vertical_round_is_a_noop(stage, monkeypatch):
     assert len(session._cost.stages) == len(before[3]) + 1
 
 
+def test_vertical_session_serializes_concurrent_writers():
+    """More writer threads than cores, a short switch interval: every
+    plan's batch stays one transaction, so the union report ends equal
+    to a fresh run over the rows and ``report_size()`` to its length."""
+    import sys
+    import threading
+
+    from repro.detect import vertical_detect
+    from repro.partition import vertical_partition
+
+    session, sigma = _vertical_session()
+    n_threads, rounds = 6, 20
+    errors = []
+
+    def writer(t):
+        try:
+            for r in range(rounds):
+                key = 100 + t * rounds + r
+                session.update(inserted=[(key, key % 3, (key * 5) % 4, key % 2)])
+                session.update(deleted=[key - 1] if r else [])
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(t,)) for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    last = [100 + t * rounds + rounds - 1 for t in range(n_threads)]
+    rows = _relation(10).rows + [(k, k % 3, (k * 5) % 4, k % 2) for k in last]
+    fresh = vertical_detect(
+        vertical_partition(Relation(SCHEMA, rows), [("id", "a", "b"), ("id", "c")]),
+        sigma,
+    )
+    assert session.report.violations == fresh.report.violations
+    assert session.report.tuple_keys == fresh.report.tuple_keys
+    assert session.report_size() == (
+        len(fresh.report.violations),
+        len(fresh.report.tuple_keys),
+    )
+    assert len(session._cost.stages) == 2 + 2 * n_threads * rounds
+
+
 def test_verify_full_and_sampled():
     # pinned to a fold engine: the test corrupts the transition counters,
     # which recompute-mode engines (reference, sql) do not maintain

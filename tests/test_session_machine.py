@@ -2,15 +2,16 @@
 
 One :class:`hypothesis.stateful.RuleBasedStateMachine` per session family
 (``ctr``, ``pat-s``, ``pat-rt``, ``clust``, ``hybrid``) drives random
-insert / delete / replace rounds at random sites or regions, multi-site
-rounds, *poisoned* rounds (a wrong-width row, an unhashable cell, a
-malformed or absent delete key) and ``verify()`` calls, against the
-simplest model there is: the rows that were accepted, and the
-``reference`` engine over them.  After every rule the maintained report
-equals the reference over the union of the session's fragments,
-``report_size()`` equals the report's lengths, and a round that raised
-left every fragment version, the cost log and the shipment log exactly
-as they were.
+insert / delete / replace rounds at random sites or regions, predicate
+deletes, inserts that duplicate a resident key (bag semantics),
+multi-site rounds, *poisoned* rounds (a wrong-width row, an unhashable
+cell, a malformed or absent delete key) and ``verify()`` calls, against
+the simplest model there is: per place, the multiset of rows that were
+accepted, and the ``reference`` engine over them.  After every rule each
+place's fragment holds exactly its model rows, the maintained report
+equals the reference over their union, ``report_size()`` equals the
+report's lengths, and a round that raised left every fragment object,
+the cost log and the shipment log exactly as they were.
 
 The second half pins the *modelled* figures — every round's
 ``StageTimes``, ``codes_shipped`` and ``tuples_shipped`` of a fixed
@@ -19,6 +20,8 @@ rebuilt on one skeleton — so "the cost model did not move" is asserted,
 not inferred; and the initial run must equal the family's one-shot
 detector on the same fixture, shipment by shipment.
 """
+
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -40,15 +43,16 @@ from repro.detect import (
     IncrementalClustDetector,
     IncrementalHorizontalDetector,
     IncrementalHybridDetector,
+    apply_fragment_updates,
     clust_detect,
     ctr_detect,
     hybrid_detect,
     pat_detect_rt,
     pat_detect_s,
 )
-from repro.distributed import HybridCluster
+from repro.distributed import Cluster, HybridCluster
 from repro.partition import partition_uniform
-from repro.relational import Eq, Relation, Schema
+from repro.relational import Eq, Relation, Schema, column_store
 from seed_oracle import assert_seed_equals_one_shot
 
 SCHEMA = Schema("R", ("id", "a", "b", "c"), key=("id",))
@@ -87,9 +91,9 @@ def sigma_of(kind):
     return [PHI, PSI] if kind in ("clust", "hybrid") else [PHI]
 
 
-def build_cluster(kind):
+def build_cluster(kind, rows=None):
     """Three sites, or (hybrid) two regions on ``c``."""
-    relation = Relation(SCHEMA, base_rows())
+    relation = Relation(SCHEMA, base_rows() if rows is None else rows)
     if kind == "hybrid":
         return HybridCluster.from_partitions(
             relation,
@@ -161,9 +165,10 @@ class SessionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.session, _initial = build_session(self.kind)
-        self.n_places = len(places_of(self.session))
-        #: the model: every accepted row, by key
-        self.rows = {row[0]: row for row in base_rows()}
+        #: the model: per place, the multiset of accepted rows
+        self.places = [Counter(place.rows) for place in places_of(self.session)]
+        self.n_places = len(self.places)
+        assert sorted(sum(self.places, Counter()).elements()) == base_rows()
         self.next_id = 1000
 
     # -- helpers ------------------------------------------------------------
@@ -182,13 +187,21 @@ class SessionMachine(RuleBasedStateMachine):
         return sorted({keys[i % len(keys)] for i in indices}) if keys else []
 
     def _accept(self, round_):
-        """Apply a valid round and fold it into the model."""
+        """Apply a valid round and fold it into the model: deletes first
+        (every row of a listed key, or every row the predicate matches),
+        then inserts."""
         apply_round(self.session, round_)
-        for inserted, deleted in round_.values():
-            for key in deleted:
-                self.rows.pop(key, None)
-            for row in inserted:
-                self.rows[row[0]] = row
+        for place, (inserted, deleted) in round_.items():
+            rows = self.places[place]
+            if callable(deleted) or hasattr(deleted, "evaluate"):
+                evaluate = getattr(deleted, "evaluate", deleted)
+                doomed = [row for row in rows if evaluate(row, SCHEMA)]
+            else:
+                keys = set(deleted)
+                doomed = [row for row in rows if row[0] in keys]
+            for row in doomed:
+                del rows[row]
+            rows.update(inserted)
 
     def _snapshot(self):
         session = self.session
@@ -221,6 +234,45 @@ class SessionMachine(RuleBasedStateMachine):
             (key, a, b, place % 2) for key, (a, b) in zip(doomed, body_list)
         ]
         self._accept({place: (rows, doomed)})
+
+    @rule(
+        place=st.integers(0, 5),
+        a=st.sampled_from([0, 1, 2, 7]),
+        as_predicate=st.booleans(),
+        body_list=st.lists(bodies, max_size=1),
+    )
+    def predicate_delete(self, place, a, as_predicate, body_list):
+        """Delete every row of a place with ``a`` = the drawn value — a
+        ``(row, schema)`` callable or a :class:`Predicate` — with or
+        without inserts in the same round."""
+        place %= self.n_places
+        deleted = (
+            Eq("a", a)
+            if as_predicate
+            else lambda row, schema: row[schema.position("a")] == a
+        )
+        inserted = self._fresh(place, body_list[0]) if body_list else []
+        if self.kind == "hybrid":
+            # a region's rows live across vertical fragments: the hybrid
+            # session takes key deletes only, and rejects before any
+            # state moves
+            before = self._snapshot()
+            with pytest.raises(ValueError, match="predicates"):
+                self._accept({place: (inserted, deleted)})
+            after = self._snapshot()
+            assert all(x is y for x, y in zip(after[0], before[0]))
+            assert after[1:] == before[1:]
+            return
+        self._accept({place: (inserted, deleted)})
+
+    @rule(place=st.integers(0, 5), indices=picks, body_list=bodies)
+    def duplicate_key_insert(self, place, indices, body_list):
+        """Insert rows under keys the place already holds: the fragment is
+        a bag, and a later delete of such a key removes every copy."""
+        place %= self.n_places
+        keys = self._resident_keys(place, indices)
+        rows = [(key, a, b, place % 2) for key, (a, b) in zip(keys, body_list)]
+        self._accept({place: (rows, [])})
 
     @precondition(lambda self: self.kind != "hybrid")
     @rule(body_list=bodies, indices=picks)
@@ -270,10 +322,8 @@ class SessionMachine(RuleBasedStateMachine):
     @invariant()
     def report_matches_reference(self):
         session = self.session
-        resident = sorted(
-            row for place in places_of(session) for row in place.rows
-        )
-        assert resident == sorted(self.rows.values())
+        for place, model in zip(places_of(session), self.places, strict=True):
+            assert sorted(place.rows) == sorted(model.elements())
         report = session.report
         assert report.violations == reference_violations(session, self.kind)
         assert session.report_size() == (
@@ -393,3 +443,60 @@ def test_modelled_figures_equal_the_parent_commit(kind):
         )
     assert observed == PINNED[kind]
     assert session.report.violations == reference_violations(session, kind)
+
+
+# -- the versioned fragment path stays a pure function ----------------------
+
+
+@pytest.mark.parametrize("kind", ["pat-s", "clust", "hybrid"])
+def test_versioned_path_on_a_copy_leaves_the_session_alone(kind):
+    """What a caller pricing the versioned fragment path against a live
+    session relies on: :func:`apply_fragment_updates` on
+    ``list(session.fragments)`` moves nothing in the session; the same
+    batch then applies through ``update`` and equals a fresh rebuild;
+    and a fragment is a :class:`Relation` the columnar and delta layers
+    accept."""
+    session, _initial = build_session(kind)
+    resident = session.fragments[0].rows
+    # c = 0 keeps the rows in a hybrid session's region 0
+    batch = ([(200, 7, 3, 0), (201, 0, 1, 0)], [row[0] for row in resident[:2]])
+
+    def state():
+        fragments = session.fragments
+        return (
+            fragments,
+            [sorted(fragment.rows) for fragment in fragments],
+            session.report,
+            session.report_size(),
+        )
+
+    before = state()
+    assert apply_fragment_updates(list(session.fragments), {0: batch})
+    after = state()
+    assert all(x is y for x, y in zip(after[0], before[0], strict=True))
+    assert after[1:] == before[1:]
+
+    session.update(0, inserted=batch[0], deleted=batch[1])
+    rows = [row for fragment in session.fragments for row in fragment.rows]
+    gone = set(batch[1])
+    assert sorted(rows) == sorted(
+        [row for row in base_rows() if row[0] not in gone] + batch[0]
+    )
+    if kind == "hybrid":
+        rebuilt = build_cluster(kind, rows)
+    else:
+        rebuilt = Cluster.from_fragments(
+            Relation(SCHEMA, fragment.rows) for fragment in session.fragments
+        )
+    fresh = ONE_SHOT[kind](rebuilt)
+    assert session.report.violations == fresh.report.violations
+    assert session.report.tuple_keys == fresh.report.tuple_keys
+
+    fragment = session.fragments[0]
+    assert isinstance(fragment, Relation)
+    column_store(fragment).key_column(("a", "b"))
+    grown = fragment.insert([(300, 1, 1, 0)])
+    shrunk = fragment.delete([200])
+    assert (len(grown), len(shrunk)) == (len(fragment) + 1, len(fragment) - 1)
+    assert column_store(grown).key_column(("a", "b"))
+    assert column_store(shrunk).key_column(("a", "b"))
