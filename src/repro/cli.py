@@ -18,7 +18,7 @@ Commands
     (:mod:`repro.detect.incremental`; ``clust`` runs a resident
     CLUSTDETECT session over the whole Σ).  ``--update-kind`` picks the
     batch composition (``insert`` / ``delete`` / ``mixed``) so the
-    tombstone path is exercisable, not just appends.
+    delete path is exercisable, not just appends.
 
 ``sql``
     Print the SQL detection queries of [2] for a CFD: the statements the
@@ -40,7 +40,6 @@ Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
 accept a scoped ``--engine`` override), ``REPRO_FAULTS``
 (deterministic disk/serve fault injection),
-``REPRO_INCREMENTAL`` (structural store sharing of delta relations),
 ``REPRO_SCALE`` (dataset scale) — see the README's table.  Malformed
 knob values abort with exit code 2 before any data is loaded.
 
@@ -164,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["insert", "delete", "mixed"],
         default="mixed",
         help="composition of the --updates batch: pure inserts, pure "
-        "deletes (exercising the tombstone path), or half deletes / half "
+        "deletes (exercising the delete path), or half deletes / half "
         "mutated re-inserts (default)",
     )
 
@@ -379,7 +378,7 @@ def _synthetic_update_batch(cluster, cfds, fraction: float, kind: str):
     ``kind`` picks the composition: ``mixed`` (half seeded-random
     deletions, half re-inserted with one mutated attribute), ``insert``
     (all-new mutated rows under fresh keys) or ``delete`` (pure
-    deletions — the tombstone path).  Returns ``(site, inserted,
+    deletions — the delete path).  Returns ``(site, inserted,
     deleted_keys)``.
     """
     import random

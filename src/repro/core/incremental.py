@@ -36,10 +36,9 @@ delta folds.  Its variable-form fold is vectorized over the batch: it
 codes the batch once through the state's session dictionaries and
 scatters signed counts per distinct ``(x_code, y_code)`` combination
 instead of flipping multisets row by row
-(:meth:`VariableGroupState.fold_signed`).  Updates arrive either as
-:class:`~repro.relational.delta.DeltaRelation` versions (``apply``) or as
-explicit row batches (``update``, which changes the session's
-:class:`~repro.relational.rowstore.KeyedRows` store in place).
+(:meth:`VariableGroupState.fold_signed`).  Updates arrive as explicit
+row batches (``update``), which change the session's
+:class:`~repro.relational.rowstore.KeyedRows` store in place.
 """
 
 from __future__ import annotations
@@ -903,22 +902,18 @@ class IncrementalDetector:
     """``Vioπ(Σ, D)`` maintained across insert/delete batches.
 
     Compile once, :meth:`attach` to a relation (one full fold building
-    the cached state), then :meth:`apply` successive
-    :class:`~repro.relational.delta.DeltaRelation` versions — or
-    :meth:`update` with explicit batches — each in time proportional to
-    the delta and the σ groups it touches.  :attr:`report` is always the
-    full current report; every ``apply``/``update`` additionally returns
-    the :class:`ViolationDelta` of that batch.
+    the cached state), then :meth:`update` with successive batches, each
+    in time proportional to the delta and the σ groups it touches.
+    :attr:`report` is always the full current report; every ``update``
+    additionally returns the :class:`ViolationDelta` of that batch.
 
     Alongside the fold state the session keeps its rows in a
     :class:`~repro.relational.rowstore.KeyedRows` store — key projection
     → resident row(s), a DBMS-style heap + primary index.  An
     :meth:`update` batch of keys and rows mutates the store in O(|ΔD|):
-    no delta-relation version, no O(|D|) row-list copy, no tombstone mask
-    (a predicate delete scans the store once).  :attr:`relation` stays
-    available as the store's lazily materialized (and cached) snapshot;
-    explicit :meth:`apply` chains of delta-relation versions are absorbed
-    into the store at O(|ΔD|) per step.
+    no relation copy (a predicate delete scans the store once).
+    :attr:`relation` stays available as the store's lazily materialized
+    (and cached) snapshot.
 
     ``engine`` follows :func:`~repro.core.detection.detect_violations`:
     ``reference`` (full recompute + diff per update — the executable
@@ -928,8 +923,8 @@ class IncrementalDetector:
 
     **Concurrency contract**: a session is *single-writer* — the keyed
     row store, undo logs and transition counters assume one mutation at
-    a time.  Every public entry point (``attach`` / ``apply`` /
-    ``update`` / ``verify`` / ``report``) therefore serializes on a
+    a time.  Every public entry point (``attach`` / ``update`` /
+    ``verify`` / ``report``) therefore serializes on a
     per-session reentrant lock: concurrent callers (the resident
     service's request threads) are safe, they just take turns.  The lock
     is reentrant because public entry points call one another (``update``
@@ -963,9 +958,8 @@ class IncrementalDetector:
 
     @property
     def relation(self) -> Relation | None:
-        """The current relation version (materialized lazily after
-        store-level updates; the object is cached until the next update,
-        so :meth:`apply` chains can anchor on it)."""
+        """The current rows as a :class:`Relation` (materialized lazily
+        after an update; the object is cached until the next one)."""
         with self._session_lock:
             return None if self._rows is None else self._rows.relation
 
@@ -1072,7 +1066,7 @@ class IncrementalDetector:
         replaced or appended-to during the batch), every variable form's
         group table, both transition counters, and the cached relation
         snapshot.  After a rollback the session is exactly as if the
-        failed ``update``/``apply`` had never been called — the
+        failed ``update`` had never been called — the
         transactionality property the chaos suite asserts.
         """
         for state in self._variables:
@@ -1081,59 +1075,6 @@ class IncrementalDetector:
         self._keys.rollback()
         self._rows.rollback()
         self._reference_next = None
-
-    def apply(self, relation: Relation) -> ViolationDelta:
-        """Advance to ``relation``, folding only its recorded delta.
-
-        ``relation`` must be a :class:`~repro.relational.delta.DeltaRelation`
-        (or a chain of them) rooted at the currently attached version —
-        anything else raises, because the provenance chain is the only
-        thing that makes O(|ΔD|) maintenance sound.
-
-        All-or-nothing: if any step of the chain fails mid-fold, the
-        session rolls back to the state before this call and the
-        exception propagates.
-        """
-        with self._session_lock:
-            return self._apply_locked(relation)
-
-    def _apply_locked(self, relation: Relation) -> ViolationDelta:
-        if self.relation is None:
-            raise ValueError("attach() a relation before applying updates")
-        chain: list[Relation] = []
-        version = relation
-        while version is not self.relation:
-            parent = getattr(version, "delta_parent", None)
-            if parent is None:
-                raise ValueError(
-                    "apply() needs a DeltaRelation chained from the "
-                    "attached version; got an unrelated relation "
-                    "(use attach() to rebuild from scratch)"
-                )
-            chain.append(version)
-            version = parent
-        chain.reverse()
-        self._begin_batch()
-        try:
-            batches: list[tuple[list, int]] = []
-            for version in chain:
-                if version.delta_deleted:
-                    rows = list(version.delta_deleted)
-                    batches.append((rows, -1))
-                    self._rows.remove(rows)
-                if version.delta_inserted:
-                    rows = list(version.delta_inserted)
-                    batches.append((rows, 1))
-                    self._rows.insert(rows)
-            if self._recompute_mode:
-                self._reference_next = self._recompute_report(relation)
-            else:
-                self._fold_batches(relation.schema, batches)
-            self._rows.relation = relation
-        except BaseException:
-            self._rollback_batch()
-            raise
-        return self._commit()
 
     def update(
         self,
@@ -1146,8 +1087,8 @@ class IncrementalDetector:
         single-attribute keys; unknown keys are no-ops) or a predicate —
         the :meth:`Relation.delete` contract.  The batch goes straight
         through the session's keyed row store: O(|ΔD|) dictionary
-        operations, no relation version, no O(|D|) row-list copy (a
-        predicate costs one scan of the store).
+        operations, no O(|D|) row-list copy (a predicate costs one scan
+        of the store).
         """
         with self._session_lock:
             return self._update_locked(inserted, deleted)

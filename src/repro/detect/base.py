@@ -196,16 +196,10 @@ def partition_fragment_summary(
     # memoized per tableau: every site's scan reuses one σ trie
     first_match = pattern_index(variable.patterns).first_match
     for g, combo in enumerate(key.values):
-        occ = occupancy[g]
-        if not occ:
-            # phantom group: a delete-derived store may keep dictionary
-            # entries no surviving row references (repro.relational.delta);
-            # shipping their codes would fabricate conflicts
-            continue
         ordinal = first_match(combo[:lhs_width])
         if ordinal is None:
             continue
-        counts[ordinal] += occ
+        counts[ordinal] += occupancy[g]
         bucket_codes[ordinal].append(g)
     return counts, bucket_codes, key.values if need_values else None
 

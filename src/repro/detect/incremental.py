@@ -71,7 +71,6 @@ from ..distributed import (
     StageTimes,
 )
 from ..relational import Relation, compatible_with_bindings
-from ..relational.delta import prune_delta_history
 from ..relational.rowstore import KeyedRows
 from . import base
 from .ctr import ctr_step
@@ -81,50 +80,35 @@ from .pat import make_select_min_response, pat_step, select_max_stat
 def apply_fragment_updates(
     fragments: list[Relation], updates: Mapping[int, tuple]
 ) -> list[tuple[int, list, list]]:
-    """Advance per-site fragment versions by one round of update batches.
+    """Replace fragments by their next versions after one round of batches.
 
     ``updates`` maps site index to ``(inserted_rows, deleted)`` with
     ``deleted`` an iterable of keys or a predicate (the
     :meth:`Relation.delete` contract).  Each updated entry of the list
-    ``fragments`` is replaced by its new
-    :class:`~repro.relational.delta.DeltaRelation` version with the
-    consumed provenance pruned; the relations themselves are immutable
-    values, so nothing but that list changes.  Returns ``(site,
-    inserted_rows, removed_rows)`` for every site whose fragment actually
-    changed.  All-or-nothing: when any site's batch raises (a wrong-width
-    row, an invalid delete), no entry of ``fragments`` has been replaced.
+    ``fragments`` whose rows change is replaced by a new
+    :class:`Relation`; the relations themselves are immutable values, so
+    nothing but that list changes.  Returns ``(site, inserted_rows,
+    removed_rows)`` for every such site.  All-or-nothing: when any site's
+    batch raises (a wrong-width row, an invalid delete), no entry of
+    ``fragments`` has been replaced.
 
-    The vertical session's fragment path.  The sessions built on
-    :class:`_ResidentSession` keep their places in
-    :class:`~repro.relational.rowstore.KeyedRows` stores instead, so a
-    caller may run this on ``list(session.fragments)`` to price the
-    versioned path without touching the session.
+    Each site's batch runs through a fresh
+    :class:`~repro.relational.rowstore.KeyedRows` built from its fragment,
+    so this copies every updated fragment; a caller may run it on
+    ``list(session.fragments)`` without touching the session.
     """
-    staged: list[tuple[int, Relation, list, list]] = []
+    staged: list[tuple[int, KeyedRows, list, list]] = []
     for index in sorted(updates):
-        inserted, deleted = updates[index]
-        version = fragments[index]
-        is_predicate = callable(deleted) or hasattr(deleted, "evaluate")
-        if not is_predicate:
-            deleted = list(deleted)
-        if is_predicate or deleted:
-            version = version.delete(deleted)
-            removed = list(getattr(version, "delta_deleted", ()))
-        else:
-            removed = []
-        inserted = [tuple(row) for row in inserted]
-        if inserted:
-            version = version.insert(inserted)
-        if version is not fragments[index]:
-            staged.append((index, version, inserted, removed))
-    # every site's new version derived cleanly: only now install them
-    batches: list[tuple[int, list, list]] = []
-    for index, version, inserted, removed in staged:
-        # sever consumed provenance so a long session holds one live
-        # row list per site, not one per absorbed batch
-        prune_delta_history(version.delta_parent)
-        prune_delta_history(version)
-        fragments[index] = version
+        rows = KeyedRows(fragments[index])
+        inserted, doomed = rows.check(*updates[index])
+        removed = rows.delete(doomed)
+        rows.insert(inserted)
+        if inserted or removed:
+            staged.append((index, rows, inserted, removed))
+    # every site's batch applied cleanly: only now install the versions
+    batches = []
+    for index, rows, inserted, removed in staged:
+        fragments[index] = rows.relation
         batches.append((index, inserted, removed))
     return batches
 
@@ -662,7 +646,7 @@ class _ResidentSession:
         """Invariant check against the ``reference`` engine.
 
         With ``sample=None`` (the default), recomputes the full
-        violation set over the union of the *current* fragment versions
+        violation set over the union of the *current* fragments
         with :func:`~repro.core.detection.detect_violations_reference`
         and demands exact equality.  With an integer ``sample``, draws
         that many resident rows with ``random.Random(seed)`` and checks

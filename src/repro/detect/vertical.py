@@ -56,7 +56,8 @@ from ..distributed import (
     VerticalCluster,
 )
 from ..relational import Relation, SchemaError
-from .incremental import IncrementalUpdate, apply_fragment_updates
+from ..relational.rowstore import KeyedRows
+from .incremental import IncrementalUpdate
 
 
 def locally_checkable_vertical(
@@ -239,11 +240,15 @@ class IncrementalVerticalDetector:
     *delta's* key join is just a projection — each source site ships only
     its delta's keyed column codes, and the coordinator patches its
     join-side state in place instead of re-joining ``D``.  Deletes travel
-    as bare keys (the joined state indexes by key already).  A round is
-    all-or-nothing: every plan folds with its batch left open and only
-    then do all of them commit, so a round that raises leaves the
-    fragment versions, every plan's state, the cost log and the
-    shipments as they were.
+    as bare keys (the joined state indexes by key already).  Each
+    fragment keeps its rows in a
+    :class:`~repro.relational.rowstore.KeyedRows` store that takes its
+    projection of the batch in O(|ΔD|); :attr:`fragments` shows them as
+    relations.  A round is all-or-nothing: the stores and every plan
+    take the batch with it left open and only then do all of them
+    commit, so a round that raises rolls back the fragment stores and
+    every plan's state, and leaves the cost log and the shipments as
+    they were.
 
     The session's report is the union of the plans' reports, kept as two
     :class:`~repro.core.incremental.TransitionCounter`\\ s (a violation
@@ -267,9 +272,8 @@ class IncrementalVerticalDetector:
         self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
         self._engine = engine
         self._detector_factory = IncrementalDetector
-        self.fragments: list[Relation] = [
-            site.fragment for site in cluster.sites
-        ]
+        #: per fragment: its resident rows
+        self._stores = [KeyedRows(site.fragment) for site in cluster.sites]
         self._plans: list[_VerticalPlan] = []
         self._log = ShipmentLog()
         self._cost = CostBreakdown()
@@ -278,6 +282,13 @@ class IncrementalVerticalDetector:
         self._keys = TransitionCounter()
         #: serializes every public entry point (single-writer contract)
         self._session_lock = threading.RLock()
+
+    @property
+    def fragments(self) -> list[Relation]:
+        """Each fragment's current rows as a :class:`Relation` (cached
+        until that fragment's next successful round)."""
+        with self._session_lock:
+            return [store.relation for store in self._stores]
 
     # -- initial run ------------------------------------------------------
 
@@ -354,29 +365,36 @@ class IncrementalVerticalDetector:
         deleted = list(deleted)
         delta_rows = len(inserted) + len(deleted)
 
-        # advance every fragment version by its projection of the batch
-        fragment_updates = {}
-        for i, site in enumerate(cluster.sites):
-            positions = schema.positions(site.fragment.schema.attributes)
-            fragment_updates[i] = (
-                [tuple(row[p] for p in positions) for row in inserted],
-                deleted,
-            )
-        prior_fragments = list(self.fragments)
+        def project(relation_schema):
+            positions = schema.positions(relation_schema.attributes)
+            return [tuple(row[p] for p in positions) for row in inserted]
+
+        # every fragment's projection of the batch is checked before any
+        # state moves
+        stores = self._stores
+        checked = [
+            store.check(project(store.schema), deleted) for store in stores
+        ]
+        for store in stores:
+            store.begin()
         folded = []
         try:
-            apply_fragment_updates(self.fragments, fragment_updates)
+            for store, (rows, doomed) in zip(stores, checked):
+                store.delete(doomed)
+                store.insert(rows)
             # every plan folds with its batch open; all commit below
             for plan in self._plans:
-                positions = schema.positions(plan.detector.schema.attributes)
-                projected = [tuple(row[p] for p in positions) for row in inserted]
+                projected = project(plan.detector.schema)
                 if plan.detector._fold_open(projected, deleted):
                     folded.append(plan.detector)
         except BaseException:
             for detector in folded:
                 detector._rollback_batch()
-            self.fragments[:] = prior_fragments
+            for store in stores:
+                store.rollback()
             raise
+        for store in stores:
+            store.commit()
         # the union report moves by each plan's delta
         self._violations.begin()
         self._keys.begin()

@@ -26,19 +26,11 @@ from .predicate import (
 )
 from .columnar import Column, ColumnStore, KeyColumn, column_store
 from .csvio import infer_column_types, load_csv, save_csv
-from .delta import (
-    DeltaRelation,
-    DerivedColumnStore,
-    incremental_enabled,
-    prune_delta_history,
-)
 from .index import HashIndex
 from .relation import Relation
 from .schema import Schema, SchemaError
 from .shareddict import (
-    SharedColumn,
     SharedComboDictionary,
-    SharedDictionary,
     SharedPairDictionary,
     shared_dict_on,
 )
@@ -63,15 +55,9 @@ __all__ = [
     "HashIndex",
     "Column",
     "ColumnStore",
-    "DeltaRelation",
-    "DerivedColumnStore",
     "KeyColumn",
     "column_store",
-    "incremental_enabled",
-    "prune_delta_history",
-    "SharedColumn",
     "SharedComboDictionary",
-    "SharedDictionary",
     "SharedPairDictionary",
     "shared_dict_on",
     "Schema",

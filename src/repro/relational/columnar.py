@@ -193,32 +193,20 @@ class ColumnStore:
     Obtain through :func:`column_store`, which hangs the store off the
     relation so every consumer — the fused detector, ``HashIndex``,
     ``group_by``, ``join`` — shares one set of columns and group indexes.
-
-    ``shared`` makes the store **cluster-aware**: pass a
-    :class:`~repro.relational.shareddict.SharedDictionary` and every column
-    encodes against the cluster's global value ↔ code tables instead of a
-    private first-seen numbering, so codes are directly comparable across
-    all fragments built over the same dictionary (cluster-aware stores are
-    obtained through :meth:`SharedDictionary.store_for`, which caches them
-    separately from the relation's own local store).
     """
 
     __slots__ = (
         "schema",
         "rows",
-        "shared",
         "_columns",
         "_key_columns",
         "_group_indexes",
         "scratch",
     )
 
-    def __init__(self, relation, shared=None) -> None:
+    def __init__(self, relation) -> None:
         self.schema = relation.schema
         self.rows = relation.rows
-        #: cluster-scoped :class:`SharedDictionary`, or ``None`` for a
-        #: plain (fragment-local) store
-        self.shared = shared
         self._columns: dict[str, Column] = {}
         self._key_columns: dict[tuple[str, ...], KeyColumn] = {}
         self._group_indexes: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
@@ -234,18 +222,6 @@ class ColumnStore:
         if cached is not None:
             return cached
         position = self.schema.position(attribute)
-        if self.shared is not None:
-            # cluster-aware encoding: intern through the cluster's global
-            # table; the column's decode views *are* the shared (growing)
-            # lists, so codes compare across fragments.  The vectorized
-            # first-seen encoder below cannot apply — global codes are not
-            # a function of this fragment alone.
-            table = self.shared.column(attribute)
-            intern = table.intern
-            codes = [intern(row[position]) for row in self.rows]
-            column = Column(attribute, codes, table.values, table.code_of)
-            self._columns[attribute] = column
-            return column
         if (
             self.rows
             and len(self.rows) >= VECTORIZE_MIN_ROWS
@@ -378,9 +354,8 @@ class ColumnStore:
         buckets: list[list[int]] = [[] for _ in key.values]
         for i, group in enumerate(key.codes):
             buckets[group].append(i)
-        # skip empty buckets: fresh stores never produce them, but a
-        # delete-derived store may keep stale dictionary entries whose
-        # groups no surviving row references (see repro.relational.delta)
+        # skip empty buckets: the one a GROUP BY () over zero rows
+        # yields, since every other group is coded from a row of its own
         index = {key.values[g]: ids for g, ids in enumerate(buckets) if ids}
         self._group_indexes[attributes] = index
         return index

@@ -15,6 +15,7 @@ hashing of the same attribute combinations is paid once per relation.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .schema import Schema, SchemaError
@@ -191,37 +192,50 @@ class Relation:
         rows = self.rows
         return {key: [rows[i] for i in ids] for key, ids in index.items()}
 
-    # -- updates (delta versions) ----------------------------------------
+    # -- updates -----------------------------------------------------------
 
     def insert(self, rows: Iterable[Sequence[object]]) -> "Relation":
-        """A new relation version with ``rows`` appended.
-
-        Relations stay immutable: the result is a
-        :class:`~repro.relational.delta.DeltaRelation` that records the
-        inserted rows as provenance and shares this relation's columnar
-        caches structurally (dictionary-append encoding — see
-        :mod:`repro.relational.delta`), so deriving and re-detecting cost
-        O(|ΔD|)-ish instead of a full re-encode.  An empty batch returns
-        ``self`` — a no-op allocates nothing.
-        """
-        from .delta import insert_rows
-
-        return insert_rows(self, rows)
+        """A new relation with ``rows`` appended (validated like the
+        constructor).  Relations stay immutable values, so this copies the
+        row list; an empty batch returns ``self``."""
+        added = Relation(self.schema, rows).rows
+        if not added:
+            return self
+        return Relation(self.schema, self.rows + added, copy=False)
 
     def delete(self, keys_or_predicate) -> "Relation":
-        """A new relation version with the matching rows removed.
+        """A new relation without the matching rows.
 
         ``keys_or_predicate`` is an iterable of key values (projections on
         ``schema.key``; bare values accepted for single-attribute keys) or
-        any predicate callable of ``(row, schema)``.  The result is a
-        :class:`~repro.relational.delta.DeltaRelation` carrying the
-        deleted rows as provenance and a tombstone mask that derived
-        columnar caches filter through.  An empty key batch returns
-        ``self`` — a no-op allocates nothing.
+        any predicate callable of ``(row, schema)``.  Every row carrying a
+        listed key goes (bag semantics: duplicates go together); unknown
+        keys are no-ops; a wrong-width key raises :class:`SchemaError`.
+        An empty key batch returns ``self``.
         """
-        from .delta import delete_rows
-
-        return delete_rows(self, keys_or_predicate)
+        if callable(keys_or_predicate) or hasattr(keys_or_predicate, "evaluate"):
+            evaluate = getattr(keys_or_predicate, "evaluate", keys_or_predicate)
+            return self.select(lambda row, schema: not evaluate(row, schema))
+        schema = self.schema
+        key_pos = schema.key_positions()
+        doomed = set()
+        for key in keys_or_predicate:
+            if not isinstance(key, tuple):
+                key = (key,)
+            if len(key) != len(key_pos):
+                raise SchemaError(
+                    f"key {key!r} does not fit key attributes {schema.key}"
+                )
+            # itemgetter's shape: a bare value for a one-attribute key
+            doomed.add(key if len(key) > 1 else key[0])
+        if not doomed:
+            return self
+        key_of = itemgetter(*key_pos)
+        return Relation(
+            schema,
+            [row for row in self.rows if key_of(row) not in doomed],
+            copy=False,
+        )
 
     def sorted_by(self, attributes: Sequence[str]) -> "Relation":
         """Rows sorted lexicographically by ``attributes``, type-aware.

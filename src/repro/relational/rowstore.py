@@ -3,10 +3,10 @@
 A session that absorbs insert/delete batches must not pay O(|D|) per
 batch for the rows it keeps.  :class:`KeyedRows` maps each key projection
 to its row — or to a list of rows, for bag duplicates — so a batch of
-keys and rows moves O(|ΔD|) dictionary entries: no version, no row-list
-copy, no tombstone mask.  The centralized
-:class:`~repro.core.incremental.IncrementalDetector` keeps one, and every
-resident distributed session keeps one per place (site or region).
+keys and rows moves O(|ΔD|) dictionary entries, with no row-list copy.
+The centralized :class:`~repro.core.incremental.IncrementalDetector`
+keeps one, every horizontal, CLUST and hybrid session keeps one per
+place (site or region), and the vertical session one per fragment.
 
 Batches are transactional: while one is open (:meth:`KeyedRows.begin`)
 the first touch of each key journals its pre-batch entry, so
@@ -84,12 +84,6 @@ class KeyedRows:
         if self._relation is None:
             self._relation = Relation(self.schema, self, copy=False)
         return self._relation
-
-    @relation.setter
-    def relation(self, value: Relation) -> None:
-        """Adopt ``value`` as the snapshot; the caller vouches that it
-        holds exactly the resident rows (a delta version it applied)."""
-        self._relation = value
 
     # -- transactional batches ----------------------------------------------
 

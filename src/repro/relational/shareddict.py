@@ -21,14 +21,8 @@ exchange, the one-off dictionary shipment is accounted as control traffic,
 not tuple shipment; the per-row payload is what
 :attr:`~repro.distributed.network.ShipmentRecord.n_codes` counts.
 
-Three granularities, one idea:
+Two granularities, one idea:
 
-* :class:`SharedColumn` / :class:`SharedDictionary` — per-attribute global
-  tables.  :meth:`SharedDictionary.store_for` builds **cluster-aware
-  column stores**: fragments encode against the shared tables, so
-  ``fragment_a.column("CC").codes`` and ``fragment_b.column("CC").codes``
-  are directly comparable ints (the property suite asserts codes decode to
-  the same values on every fragment).
 * :class:`SharedPairDictionary` — per-variable-CFD ``(X, Y)`` projection
   interner: each shipped row collapses to a single ``(x_code, y_code)``
   pair regardless of attribute width.  Used by the horizontal detectors.
@@ -57,9 +51,6 @@ import threading
 
 from typing import Sequence
 
-from .columnar import ColumnStore
-from .relation import Relation
-
 
 def _intern(lock: threading.Lock, code_of: dict, values: list, value) -> int:
     """Append-only get-or-assign: the one interning primitive every
@@ -81,116 +72,6 @@ def _intern(lock: threading.Lock, code_of: dict, values: list, value) -> int:
             values.append(value)
             code_of[value] = code
     return code
-
-
-class SharedColumn:
-    """One attribute's cluster-global dictionary: value ↔ code, append-only."""
-
-    __slots__ = ("attribute", "values", "code_of", "_lock")
-
-    def __init__(self, attribute: str) -> None:
-        self.attribute = attribute
-        self.values: list[object] = []
-        self.code_of: dict[object, int] = {}
-        self._lock = threading.Lock()
-
-    def intern(self, value: object) -> int:
-        """The global code of ``value``, assigning the next one if new."""
-        return _intern(self._lock, self.code_of, self.values, value)
-
-    @property
-    def n_distinct(self) -> int:
-        return len(self.values)
-
-    def __repr__(self) -> str:
-        return f"SharedColumn({self.attribute!r}, {len(self.values)} values)"
-
-
-class SharedDictionary:
-    """Per-attribute global tables for all fragments of one cluster.
-
-    :meth:`store_for` returns a cluster-aware
-    :class:`~repro.relational.columnar.ColumnStore` whose columns encode
-    against these tables: the store's ``values`` list *is* the shared
-    (growing) global list, so a code obtained at any fragment decodes to
-    the same value at every other fragment of the cluster.
-    """
-
-    __slots__ = ("_columns", "_stores", "_lock")
-
-    def __init__(self) -> None:
-        self._columns: dict[str, SharedColumn] = {}
-        #: id(relation) -> (relation, store); the strong reference keeps
-        #: the id stable for the cache's lifetime (see :meth:`store_for`)
-        self._stores: dict[int, tuple[Relation, ColumnStore]] = {}
-        #: reentrant: building a store under the lock interns through
-        #: :meth:`column` on the same dictionary
-        self._lock = threading.RLock()
-
-    def column(self, attribute: str) -> SharedColumn:
-        """The global table of ``attribute`` (created on first use)."""
-        shared = self._columns.get(attribute)
-        if shared is not None:
-            return shared
-        with self._lock:
-            shared = self._columns.get(attribute)
-            if shared is None:
-                shared = SharedColumn(attribute)
-                self._columns[attribute] = shared
-        return shared
-
-    def store_for(self, relation: Relation) -> ColumnStore:
-        """A cluster-aware column store of ``relation`` (cached per object).
-
-        Kept inside the dictionary — *not* in the relation's own
-        ``_colstore`` slot — so the same fragment can carry both a local
-        store (first-seen local codes) and a cluster store (global codes)
-        without the two colliding.  The cache entry holds the relation
-        itself: the id-keyed lookup is only sound while the keyed object
-        is alive (slotted relations cannot be weak-referenced), and a
-        cluster dictionary outliving its fragments would be meaningless
-        anyway — the interned codes describe exactly those fragments.
-        """
-        entry = self._stores.get(id(relation))
-        if entry is not None and entry[0] is relation:
-            return entry[1]
-        with self._lock:
-            entry = self._stores.get(id(relation))
-            if entry is not None and entry[0] is relation:
-                return entry[1]
-            store = self._derived_store(relation)
-            if store is None:
-                store = ColumnStore(relation, shared=self)
-            self._stores[id(relation)] = (relation, store)
-        return store
-
-    def _derived_store(self, relation):
-        """A structurally shared store for a delta version, when possible.
-
-        When ``relation`` is a :class:`~repro.relational.delta.DeltaRelation`
-        whose parent already has a cluster-aware store here, the child's
-        store derives from it: inserted values intern into the global
-        (append-only) tables, deletions filter codes through the tombstone
-        mask — so cluster codes stay stable across relation versions.
-        """
-        from .delta import DerivedColumnStore, incremental_enabled
-
-        parent = getattr(relation, "delta_parent", None)
-        if parent is None or not incremental_enabled():
-            return None
-        entry = self._stores.get(id(parent))
-        if entry is None or entry[0] is not parent:
-            return None
-        return DerivedColumnStore(
-            relation,
-            entry[1],
-            inserted=relation.delta_inserted,
-            doomed=relation.delta_doomed,
-            shared=self,
-        )
-
-    def __repr__(self) -> str:
-        return f"SharedDictionary({len(self._columns)} attributes)"
 
 
 class SharedPairDictionary:

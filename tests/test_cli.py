@@ -297,6 +297,45 @@ def test_readme_knob_table_matches_the_knobs_src_reads():
     assert read and documented == read
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("REPRO_SERVE_QUEUE", "0"),
+        ("REPRO_SERVE_MAX_SESSIONS", "bogus"),
+        ("REPRO_SERVE_RATE", "-1"),
+        ("REPRO_SERVE_BREAKER", "0"),
+        ("REPRO_SERVE_COOLDOWN", "0"),
+        ("REPRO_SERVE_FSYNC", "bogus"),
+        ("REPRO_SERVE_CHECKPOINT", "0"),
+        ("REPRO_SERVE_TIMEOUT", "-1"),
+    ],
+)
+def test_bad_serve_knob_exits_loudly(knob, value, tmp_path):
+    """``repro serve`` with a bad knob exits 2 naming it, instead of
+    serving misconfigured (a server that starts runs into the timeout)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, **{knob: value})
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--data-dir", str(tmp_path / "data"),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2, result.stderr
+    assert knob in result.stderr
+
+
 # -- datagen ------------------------------------------------------------------
 
 

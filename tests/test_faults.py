@@ -440,7 +440,7 @@ def _vertical_state(session):
 @pytest.mark.parametrize("stage", ["unhashable", "mid-fold"])
 def test_failed_vertical_round_is_a_noop(stage, monkeypatch):
     """A round that raises after plan ``p`` folded — ``q``'s fold meets an
-    unhashable cell, or fails mid-fold — leaves the fragment versions,
+    unhashable cell, or fails mid-fold — leaves the fragment stores,
     every plan's rows, the report, the cost log and the shipments as
     they were; the same kind of round then applies cleanly."""
     from repro.core.incremental import VariableGroupState

@@ -207,16 +207,6 @@ def test_violation_delta_truthiness():
     assert delta
 
 
-def test_apply_requires_chained_delta():
-    relation = Relation(SCHEMA, [(1, 0, 0, 0)])
-    detector = IncrementalDetector(
-        [CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])]
-    )
-    detector.attach(relation)
-    with pytest.raises(ValueError):
-        detector.apply(Relation(SCHEMA, [(2, 1, 1, 1)]))
-
-
 def test_update_before_attach_raises():
     detector = IncrementalDetector(
         [CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])]

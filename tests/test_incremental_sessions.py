@@ -170,7 +170,7 @@ def test_vertical_session_equals_fresh_rebuild(rows, sigma, script):
     )
     assert session.report.violations == fresh.report.violations
     assert session.report.tuple_keys == fresh.report.tuple_keys
-    # the maintained fragment versions are the fresh partition's fragments
+    # the resident fragments are the fresh partition's fragments
     for fragment, site in zip(
         session.fragments, vertical_partition(Relation(SCHEMA, current), VSETS).sites
     ):

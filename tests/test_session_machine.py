@@ -15,8 +15,8 @@ the cost log and the shipment log exactly as they were.
 
 The second half pins the *modelled* figures — every round's
 ``StageTimes``, ``codes_shipped`` and ``tuples_shipped`` of a fixed
-script per family, recorded at the commit before the sessions were
-rebuilt on one skeleton — so "the cost model did not move" is asserted,
+script per family (the vertical session's too), recorded at the commit
+before the sessions were rebuilt on one skeleton — so "the cost model did not move" is asserted,
 not inferred; and the initial run must equal the family's one-shot
 detector on the same fixture, shipment by shipment.
 """
@@ -43,15 +43,17 @@ from repro.detect import (
     IncrementalClustDetector,
     IncrementalHorizontalDetector,
     IncrementalHybridDetector,
+    IncrementalVerticalDetector,
     apply_fragment_updates,
     clust_detect,
     ctr_detect,
     hybrid_detect,
     pat_detect_rt,
     pat_detect_s,
+    vertical_detect,
 )
 from repro.distributed import Cluster, HybridCluster
-from repro.partition import partition_uniform
+from repro.partition import partition_uniform, vertical_partition
 from repro.relational import Eq, Relation, Schema, column_store
 from seed_oracle import assert_seed_equals_one_shot
 
@@ -88,12 +90,20 @@ def base_rows():
 
 def sigma_of(kind):
     """The horizontal families host exactly one CFD."""
-    return [PHI, PSI] if kind in ("clust", "hybrid") else [PHI]
+    return [PHI, PSI] if kind in ("clust", "hybrid", "vertical") else [PHI]
+
+
+#: the vertical fragments: PHI checks locally on the first, PSI ships
+#: ``c`` from the second to a key join
+VSETS = [("id", "a", "b"), ("id", "c")]
 
 
 def build_cluster(kind, rows=None):
-    """Three sites, or (hybrid) two regions on ``c``."""
+    """Three sites, (hybrid) two regions on ``c``, or (vertical) two
+    fragments."""
     relation = Relation(SCHEMA, base_rows() if rows is None else rows)
+    if kind == "vertical":
+        return vertical_partition(relation, VSETS)
     if kind == "hybrid":
         return HybridCluster.from_partitions(
             relation,
@@ -108,6 +118,8 @@ def build_session(kind):
     cluster = build_cluster(kind)
     if kind == "hybrid":
         session = IncrementalHybridDetector(cluster, sigma_of(kind))
+    elif kind == "vertical":
+        session = IncrementalVerticalDetector(cluster, sigma_of(kind))
     elif kind == "clust":
         session = IncrementalClustDetector(cluster, sigma_of(kind))
     else:
@@ -122,6 +134,7 @@ ONE_SHOT = {
     "pat-rt": lambda cluster: pat_detect_rt(cluster, PHI),
     "clust": lambda cluster: clust_detect(cluster, sigma_of("clust")),
     "hybrid": lambda cluster: hybrid_detect(cluster, sigma_of("hybrid")),
+    "vertical": lambda cluster: vertical_detect(cluster, sigma_of("vertical")),
 }
 
 
@@ -131,7 +144,11 @@ def places_of(session):
 
 
 def apply_round(session, round_):
-    """One round; hybrid's public surface is one region at a time."""
+    """One round; hybrid's public surface is one region at a time, and a
+    vertical round is one whole-tuple batch."""
+    if isinstance(round_, tuple):
+        inserted, deleted = round_
+        return session.update(inserted=inserted, deleted=deleted)
     if hasattr(session, "apply_updates"):
         return session.apply_updates(round_)
     ((region, (inserted, deleted)),) = round_.items()
@@ -139,7 +156,11 @@ def apply_round(session, round_):
 
 
 def reference_violations(session, kind):
-    rows = [row for place in places_of(session) for row in place.rows]
+    if kind == "vertical":
+        first, second = session.fragments
+        rows = first.join(second).rows
+    else:
+        rows = [row for place in places_of(session) for row in place.rows]
     return set(
         detect_violations_reference(
             Relation(SCHEMA, rows, copy=False),
@@ -364,6 +385,12 @@ SCRIPT = {
         {0: ([(103, 0, 0, 0), (104, 2, 5, 0)], [0, 4])},
         {1: ([(105, 7, 1, 1), (106, 1, 2, 1)], [100, 101])},
     ],
+    # vertical: whole tuples in, keys out, no place
+    "vertical": [
+        ([(100, 7, 3, 1), (101, 7, 2, 1), (102, 1, 1, 1)], [1, 4]),
+        ([(103, 0, 0, 0), (104, 2, 5, 0)], [0, 3]),
+        ([(105, 7, 1, 1), (106, 1, 2, 1)], [100, 101]),
+    ],
 }
 
 #: per family: ``(stage times, codes_shipped, tuples_shipped)`` of the
@@ -417,10 +444,18 @@ PINNED = {
         ((2.6666666666666667e-05, 0.0005, 7.92481250360578e-06), 38, 18),
         ((2.6666666666666667e-05, 0.0005, 3.231203125901445e-05), 41, 19),
     ],
+    # recorded at commit cd5379a, while the vertical session still kept
+    # its fragments as versioned relations
+    "vertical": [
+        ([(0.0, 0.0, 0.00027863137138648347), (0.0, 0.001, 0.0005572627427729669)], 48, 24),
+        ((3.3333333333333335e-05, 0.00020833333333333335, 6.46240625180289e-05), 10, 5),
+        ((2.6666666666666667e-05, 0.00016666666666666666, 4.643856189774724e-05), 8, 4),
+        ((2.6666666666666667e-05, 0.00016666666666666666, 4.643856189774724e-05), 8, 4),
+    ],
 }
 
 
-@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("kind", FAMILIES + ["vertical"])
 def test_modelled_figures_equal_the_parent_commit(kind):
     session, initial = build_session(kind)
     assert_seed_equals_one_shot(initial, ONE_SHOT[kind](build_cluster(kind)))
@@ -445,17 +480,17 @@ def test_modelled_figures_equal_the_parent_commit(kind):
     assert session.report.violations == reference_violations(session, kind)
 
 
-# -- the versioned fragment path stays a pure function ----------------------
+# -- apply_fragment_updates stays a pure function ----------------------------
 
 
 @pytest.mark.parametrize("kind", ["pat-s", "clust", "hybrid"])
 def test_versioned_path_on_a_copy_leaves_the_session_alone(kind):
-    """What a caller pricing the versioned fragment path against a live
+    """What a caller pricing a copy of the fragments against a live
     session relies on: :func:`apply_fragment_updates` on
     ``list(session.fragments)`` moves nothing in the session; the same
     batch then applies through ``update`` and equals a fresh rebuild;
-    and a fragment is a :class:`Relation` the columnar and delta layers
-    accept."""
+    and a fragment is a :class:`Relation` the columnar layer and
+    ``Relation.insert`` / ``delete`` accept."""
     session, _initial = build_session(kind)
     resident = session.fragments[0].rows
     # c = 0 keeps the rows in a hybrid session's region 0

@@ -5,8 +5,8 @@ The whole point of :mod:`repro.relational.shareddict` is one invariant:
 code decodes to the same value everywhere**.  The coded shipping of the
 distributed detectors (and the coordinator-side merge on code pairs) is
 only correct on top of it, so it is pinned here on random fragmentations —
-through the cluster-aware column stores, the per-variable pair
-dictionaries, and the whole-combination dictionaries of CLUSTDETECT.
+through the per-variable pair dictionaries and the whole-combination
+dictionaries of CLUSTDETECT.
 """
 
 import hypothesis.strategies as st
@@ -23,7 +23,6 @@ from repro.relational import (
     Relation,
     Schema,
     SharedComboDictionary,
-    SharedDictionary,
     SharedPairDictionary,
     column_store,
 )
@@ -47,29 +46,6 @@ def fragmented(draw):
     relation = Relation(SCHEMA, [(i,) + r for i, r in enumerate(body)])
     n_sites = draw(st.integers(1, 4))
     return relation, partition_uniform(relation, n_sites)
-
-
-@SETTINGS
-@given(fragmented())
-def test_cluster_interned_codes_decode_identically_on_every_fragment(data):
-    """A code obtained at any fragment decodes to one value cluster-wide."""
-    relation, cluster = data
-    shared = SharedDictionary()
-    stores = [shared.store_for(site.fragment) for site in cluster.sites]
-    for attribute in ATTRS:
-        columns = [store.column(attribute) for store in stores]
-        table = shared.column(attribute)
-        for site, column in zip(cluster.sites, columns):
-            position = SCHEMA.position(attribute)
-            for row, code in zip(site.fragment.rows, column.codes):
-                # encode/decode round-trips through the *global* table
-                assert table.values[code] == row[position]
-                assert table.code_of[row[position]] == code
-        # equal values ⇒ equal codes across fragments (and vice versa)
-        decoded = {
-            code: value for value in table.code_of for code in [table.code_of[value]]
-        }
-        assert len(decoded) == len(table.values)
 
 
 @SETTINGS

@@ -33,9 +33,7 @@ import threading
 import pytest
 
 from repro.relational.shareddict import (
-    SharedColumn,
     SharedComboDictionary,
-    SharedDictionary,
     SharedPairDictionary,
     shared_dict_on,
 )
@@ -139,24 +137,6 @@ def assert_bijective(code_of: dict, values: list, witnessed: list[dict]) -> None
             )
 
 
-def test_shared_column_intern_is_bijective_under_threads():
-    for _ in range(ROUNDS):
-        column = SharedColumn("CC")
-        sync = threading.Barrier(N_THREADS)
-
-        def work(index: int) -> dict:
-            intern = column.intern
-            witnessed = {}
-            for position, value in enumerate(overlapping_values(index)):
-                lockstep(sync, position)
-                witnessed[value] = intern(value)
-            return witnessed
-
-        witnessed = hammer(N_THREADS, work)
-        assert_bijective(column.code_of, column.values, witnessed)
-        assert column.n_distinct == N_VALUES
-
-
 def test_pair_dictionary_intern_x_y_is_bijective_under_threads():
     for _ in range(ROUNDS):
         shared = SharedPairDictionary(lhs_width=2)
@@ -230,25 +210,6 @@ def test_translate_concurrent_with_interning_stays_consistent():
                 for combo, (x_code, y_code) in payload.items():
                     assert shared.x_code_of[combo[:1]] == x_code
                     assert shared.y_code_of[combo[1:]] == y_code
-
-
-def test_shared_dictionary_store_and_columns_race_free():
-    """Concurrent ``column()`` probes must converge on one table object."""
-    for _ in range(ROUNDS):
-        dictionary = SharedDictionary()
-        attributes = [f"attr{i}" for i in range(32)]
-
-        def work(index: int):
-            return [dictionary.column(a) for a in attributes]
-
-        results = hammer(N_THREADS, work)
-        first = results[0]
-        for tables in results[1:]:
-            for a, b in zip(first, tables):
-                assert a is b, (
-                    "two threads created distinct shared tables for one "
-                    "attribute — interned codes would split across them"
-                )
 
 
 class _Owner:
