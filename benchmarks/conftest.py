@@ -3,7 +3,8 @@
 Every ``test_fig3*`` benchmark regenerates one subfigure of the paper's
 Figure 3: it runs the parameter sweep once (printing and persisting the
 series under ``results/``), asserts the paper's qualitative shape, and
-times one representative configuration with pytest-benchmark.
+runs one representative configuration once more.  Nothing here is
+timed: ``bench/`` is the one timing instrument.
 
 Dataset sizes follow ``REPRO_SCALE`` (default 0.1 of the paper's sizes).
 """

@@ -29,7 +29,7 @@ from repro.experiments.figures import _cust8, _xref8
 from repro.partition import partition_by_attribute, partition_uniform
 
 
-def test_coordinator_choice_ablation(benchmark, record_table):
+def test_coordinator_choice_ablation(record_table):
     """Max-stat coordinators ship the least; worst-case choice the most."""
     from repro.experiments import ExperimentResult
 
@@ -57,10 +57,10 @@ def test_coordinator_choice_ablation(benchmark, record_table):
     assert best.tuples_shipped <= rand.tuples_shipped <= worst.tuples_shipped
     assert best.report.violations == worst.report.violations
 
-    benchmark.pedantic(lambda: pat_detect_s(cluster, cfd), rounds=3, iterations=1)
+    pat_detect_s(cluster, cfd)
 
 
-def test_generality_ordering_keeps_sigma_deterministic(benchmark):
+def test_generality_ordering_keeps_sigma_deterministic():
     """σ assigns by first *most specific* match; a reversed tableau would
     send every tuple to the catch-all bucket and lose the distribution."""
     cluster = partition_uniform(_xref8(), 4)
@@ -87,12 +87,10 @@ def test_generality_ordering_keeps_sigma_deterministic(benchmark):
         index.first_match(tuple(r[p] for p in lhs_pos)) == 0 for r in rows
     )
 
-    benchmark.pedantic(
-        lambda: partition_cluster(cluster, variable), rounds=3, iterations=1
-    )
+    partition_cluster(cluster, variable)
 
 
-def test_pruning_skips_inapplicable_sites(benchmark, record_table):
+def test_pruning_skips_inapplicable_sites(record_table):
     """F_i ∧ F_φ pruning: fragments whose predicate contradicts every
     pattern do not participate (no scan, no shipment)."""
     from repro.experiments import ExperimentResult
@@ -122,11 +120,11 @@ def test_pruning_skips_inapplicable_sites(benchmark, record_table):
         cc = part.site.fragment.rows[0][data.schema.position("CC")]
         assert cc not in pattern_ccs
     outcome = pat_detect_s(cluster, cfd)
-    benchmark.pedantic(lambda: pat_detect_s(cluster, cfd), rounds=3, iterations=1)
+    pat_detect_s(cluster, cfd)
     assert outcome.tuples_shipped >= 0
 
 
-def test_naive_baseline_ships_most(benchmark, record_table):
+def test_naive_baseline_ships_most(record_table):
     """Section III-A: the ship-everything baseline incurs the most traffic."""
     from repro.experiments import ExperimentResult
 
@@ -150,4 +148,4 @@ def test_naive_baseline_ships_most(benchmark, record_table):
     assert naive.tuples_shipped >= ctr.tuples_shipped >= pat.tuples_shipped
     assert naive.report.violations == pat.report.violations
 
-    benchmark.pedantic(lambda: naive_detect(cluster, cfd), rounds=3, iterations=1)
+    naive_detect(cluster, cfd)

@@ -15,7 +15,7 @@ from repro.partition import partition_uniform
 from repro.relational import InSet
 
 
-def test_replication_degree_sweep(benchmark, record_table):
+def test_replication_degree_sweep(record_table):
     data = _cust8()
     base = partition_uniform(data, 8)
     cfd = cust_street_cfd(255)
@@ -45,12 +45,10 @@ def test_replication_degree_sweep(benchmark, record_table):
     assert times[-1] < times[0]  # and is faster
 
     cluster = ReplicatedCluster.replicate(base, 4)
-    benchmark.pedantic(
-        lambda: replicated_pat_detect(cluster, cfd), rounds=3, iterations=1
-    )
+    replicated_pat_detect(cluster, cfd)
 
 
-def test_hybrid_vs_horizontal(benchmark, record_table):
+def test_hybrid_vs_horizontal(record_table):
     data = _cust8()
     cfd = cust_street_cfd(120)
     horizontal = partition_uniform(data, 6)
@@ -88,4 +86,4 @@ def test_hybrid_vs_horizontal(benchmark, record_table):
     )
     record_table(result)
 
-    benchmark.pedantic(lambda: hybrid_detect(hybrid, cfd), rounds=3, iterations=1)
+    hybrid_detect(hybrid, cfd)

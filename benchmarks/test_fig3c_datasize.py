@@ -11,7 +11,7 @@ from repro.experiments.figures import _cust16
 from repro.partition import partition_uniform
 
 
-def test_fig3c(benchmark, record_table):
+def test_fig3c(record_table):
     result = fig3c()
     record_table(result)
 
@@ -27,6 +27,4 @@ def test_fig3c(benchmark, record_table):
 
     cluster = partition_uniform(_cust16(), 8)
     cfd = cust_street_cfd(255)
-    benchmark.pedantic(
-        lambda: ctr_detect(cluster, cfd), rounds=3, iterations=1
-    )
+    ctr_detect(cluster, cfd)

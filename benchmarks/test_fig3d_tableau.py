@@ -12,7 +12,7 @@ from repro.experiments.figures import _cust8
 from repro.partition import partition_uniform
 
 
-def test_fig3d(benchmark, record_table):
+def test_fig3d(record_table):
     result = fig3d()
     record_table(result)
 
@@ -24,6 +24,4 @@ def test_fig3d(benchmark, record_table):
 
     cluster = partition_uniform(_cust8(), 8)
     cfd = cust_street_cfd(50)
-    benchmark.pedantic(
-        lambda: pat_detect_rt(cluster, cfd), rounds=3, iterations=1
-    )
+    pat_detect_rt(cluster, cfd)

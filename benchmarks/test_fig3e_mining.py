@@ -12,7 +12,7 @@ from repro.mining import instantiate_with_frequent_patterns
 from repro.partition import partition_by_attribute
 
 
-def test_fig3e(benchmark, record_table):
+def test_fig3e(record_table):
     result = fig3e()
     record_table(result)
 
@@ -28,8 +28,4 @@ def test_fig3e(benchmark, record_table):
 
     cluster = partition_by_attribute(_xrefh(), "info_type")
     fd = xref_mining_fd()
-    benchmark.pedantic(
-        lambda: instantiate_with_frequent_patterns(cluster, fd, theta=0.1),
-        rounds=3,
-        iterations=1,
-    )
+    instantiate_with_frequent_patterns(cluster, fd, theta=0.1)

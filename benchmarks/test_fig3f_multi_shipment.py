@@ -11,7 +11,7 @@ from repro.experiments.figures import _xref8
 from repro.partition import partition_uniform
 
 
-def test_fig3f(benchmark, record_table):
+def test_fig3f(record_table):
     result = fig3f()
     record_table(result)
 
@@ -23,8 +23,4 @@ def test_fig3f(benchmark, record_table):
 
     cluster = partition_uniform(_xref8(), 8)
     cfds = xref_overlapping_cfds()
-    benchmark.pedantic(
-        lambda: clust_detect(cluster, cfds, strategy="rt"),
-        rounds=3,
-        iterations=1,
-    )
+    clust_detect(cluster, cfds, strategy="rt")

@@ -11,7 +11,7 @@ from repro.experiments.figures import _xref8
 from repro.partition import partition_uniform
 
 
-def test_fig3g(benchmark, record_table):
+def test_fig3g(record_table):
     result = fig3g()
     record_table(result)
 
@@ -22,8 +22,4 @@ def test_fig3g(benchmark, record_table):
 
     cluster = partition_uniform(_xref8(), 8)
     cfds = xref_overlapping_cfds()
-    benchmark.pedantic(
-        lambda: seq_detect(cluster, cfds, single="rt"),
-        rounds=3,
-        iterations=1,
-    )
+    seq_detect(cluster, cfds, single="rt")

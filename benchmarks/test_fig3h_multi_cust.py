@@ -7,7 +7,7 @@ from repro.experiments.figures import _cust8
 from repro.partition import partition_uniform
 
 
-def test_fig3h(benchmark, record_table):
+def test_fig3h(record_table):
     result = fig3h()
     record_table(result)
 
@@ -18,8 +18,4 @@ def test_fig3h(benchmark, record_table):
 
     cluster = partition_uniform(_cust8(), 8)
     cfds = cust_overlapping_cfds()
-    benchmark.pedantic(
-        lambda: clust_detect(cluster, cfds, strategy="rt"),
-        rounds=3,
-        iterations=1,
-    )
+    clust_detect(cluster, cfds, strategy="rt")

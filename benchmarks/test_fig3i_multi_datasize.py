@@ -12,7 +12,7 @@ from repro.experiments.figures import _cust16
 from repro.partition import partition_uniform
 
 
-def test_fig3i(benchmark, record_table):
+def test_fig3i(record_table):
     result = fig3i()
     record_table(result)
 
@@ -26,8 +26,4 @@ def test_fig3i(benchmark, record_table):
 
     cluster = partition_uniform(_cust16(), 8)
     cfds = cust_overlapping_cfds()
-    benchmark.pedantic(
-        lambda: seq_detect(cluster, cfds, single="rt"),
-        rounds=3,
-        iterations=1,
-    )
+    seq_detect(cluster, cfds, single="rt")

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the core primitives (throughput sanity checks)."""
+"""The core primitives at benchmark scale: each runs once on the
+``REPRO_SCALE``-sized ``cust`` data and its result is checked."""
 
 from repro.core import PatternIndex, detect_violations, normalize
 from repro.datagen import cust_street_cfd, generate_cust
@@ -6,18 +7,14 @@ from repro.experiments import scaled
 from repro.relational import Eq
 
 
-def test_centralized_detection_throughput(benchmark):
+def test_centralized_detection_throughput():
     data = generate_cust(scaled(400_000))
     cfd = cust_street_cfd(255)
-    report = benchmark.pedantic(
-        lambda: detect_violations(data, cfd, collect_tuples=False),
-        rounds=3,
-        iterations=1,
-    )
+    report = detect_violations(data, cfd, collect_tuples=False)
     assert report is not None
 
 
-def test_pattern_index_lookup(benchmark):
+def test_pattern_index_lookup():
     cfd = cust_street_cfd(255)
     (variable,) = normalize(cfd).variables
     index = PatternIndex(variable.patterns)
@@ -32,21 +29,17 @@ def test_pattern_index_lookup(benchmark):
             if index.first_match(tuple(row[p] for p in positions)) is not None
         )
 
-    matched = benchmark.pedantic(lookup_all, rounds=3, iterations=1)
+    matched = lookup_all()
     assert matched > 0
 
 
-def test_group_by_throughput(benchmark):
+def test_group_by_throughput():
     data = generate_cust(scaled(400_000))
-    groups = benchmark.pedantic(
-        lambda: data.group_by(["CC", "AC", "zip"]), rounds=3, iterations=1
-    )
+    groups = data.group_by(["CC", "AC", "zip"])
     assert groups
 
 
-def test_selection_throughput(benchmark):
+def test_selection_throughput():
     data = generate_cust(scaled(400_000))
-    selected = benchmark.pedantic(
-        lambda: data.select(Eq("CC", 44)), rounds=3, iterations=1
-    )
+    selected = data.select(Eq("CC", 44))
     assert len(selected) > 0

@@ -29,21 +29,25 @@ distributed half lives in :mod:`repro.detect.incremental`):
   (the same violation witnessed by two forms, or the same key by two
   rows, only disappears when the last witness does).
 
-Engine semantics follow the rest of the library: ``reference`` (the
-executable spec the property suites compare against) and ``sql``
-recompute the full report per update and diff it; ``fused`` runs true
-delta folds.  Its variable-form fold is vectorized over the batch: it
+Every update runs true delta folds, whatever ``REPRO_ENGINE`` says (that
+knob picks the one-shot engines; the property suites compare a session
+against :func:`~repro.core.detection.detect_violations_reference`
+directly).  The variable-form fold is vectorized over the batch: it
 codes the batch once through the state's session dictionaries and
 scatters signed counts per distinct ``(x_code, y_code)`` combination
 instead of flipping multisets row by row
 (:meth:`VariableGroupState.fold_signed`).  Updates arrive as explicit
 row batches (``update``), which change the session's
 :class:`~repro.relational.rowstore.KeyedRows` store in place.
+
+Every resident session — this module's and the distributed ones of
+:mod:`repro.detect` — runs its round inside one :class:`Transaction`:
+the counters and every undo-logged participant begin together, roll
+back together on any exception, and commit together.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import Counter
 from operator import itemgetter
@@ -54,7 +58,7 @@ import numpy as _np
 from ..relational import Relation
 from ..relational.rowstore import KeyedRows
 from .cfd import CFD, matches, tuple_matches
-from .detection import ENGINES, detect_violations_reference
+from .detection import detect_violations_reference
 from .epatterns import is_predicate
 from .fused import FusedDetector, _project_rows, group_segments
 from .normalize import ConstantCFD, VariableCFD, pattern_index, projector
@@ -73,13 +77,10 @@ class ViolationDelta:
 
     __slots__ = ("_added", "_removed", "_raw", "_wrap")
 
-    def __init__(
-        self,
-        added: ViolationReport | None = None,
-        removed: ViolationReport | None = None,
-    ) -> None:
-        self._added = added if added is not None else ViolationReport()
-        self._removed = removed if removed is not None else ViolationReport()
+    def __init__(self) -> None:
+        """An empty delta (a batch that changed nothing)."""
+        self._added = ViolationReport()
+        self._removed = ViolationReport()
         self._raw = None
         self._wrap = False
 
@@ -347,6 +348,40 @@ def counters_size(
     return len(violations.counts), len(keys.counts)
 
 
+class Transaction:
+    """One all-or-nothing round: ``with Transaction(violations, keys,
+    participants):`` begins both counters and every participant (row
+    stores, group tables, kernels: anything with ``begin`` / ``commit``
+    / ``rollback``).  Any ``BaseException`` in the body — an interrupt
+    too — rolls all of them back and propagates; otherwise the
+    participants commit and the counters stay open for
+    :func:`commit_counters`.  Stateless between rounds, so reusable."""
+
+    __slots__ = ("violations", "keys", "participants")
+
+    def __init__(self, violations, keys, participants: Sequence) -> None:
+        self.violations = violations
+        self.keys = keys
+        self.participants = participants
+
+    def __enter__(self) -> None:
+        self.violations.begin()
+        self.keys.begin()
+        for participant in self.participants:
+            participant.begin()
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        if exc_type is None:
+            for participant in self.participants:
+                participant.commit()
+        else:
+            for participant in self.participants:
+                participant.rollback()
+            self.violations.rollback()
+            self.keys.rollback()
+        return False
+
+
 # -- constant normal forms ----------------------------------------------------
 
 
@@ -460,7 +495,12 @@ def _form_lookup(hashed: dict, probed: list):
 # -- variable normal forms ----------------------------------------------------
 
 
-def _bump(counts: dict, key, n: int, journal: dict | None = None) -> None:
+def _bump(counts: dict, key, n: int, journal: dict | None = None) -> int:
+    """Add ``n`` to ``counts[key]``, dropping the entry at zero; the one
+    count-and-journal step of every resident count table.  Records the
+    prior count in ``journal`` on first touch (the rollback half is
+    :func:`_restore_counts`) and returns it.  An underflow raises
+    :class:`ValueError` with the table unchanged."""
     prior = counts.get(key, 0)
     if journal is not None:
         journal.setdefault(key, prior)
@@ -471,6 +511,7 @@ def _bump(counts: dict, key, n: int, journal: dict | None = None) -> None:
         del counts[key]
     else:
         raise ValueError("deleted a row that is not in the group")
+    return prior
 
 
 class _CodeGroup:
@@ -898,6 +939,37 @@ class VariableGroupState:
 # -- the detector -------------------------------------------------------------
 
 
+def fold_batches(
+    schema,
+    batches: list[tuple[list, int]],
+    constants: ConstantFolds,
+    variables: Sequence[VariableGroupState],
+    violations: TransitionCounter,
+    keys: TransitionCounter,
+) -> None:
+    """Fold one update's signed row streams through every form state.
+
+    Constant forms fold per stream; the whole list reaches each variable
+    state's :meth:`VariableGroupState.fold_signed` in one call (a deleted
+    and re-inserted combination cancels before it costs anything).
+    """
+    for rows, sign in batches:
+        constants.fold(
+            Relation(schema, rows, copy=False), sign, violations, keys
+        )
+    for state in variables:
+        state.fold_signed(schema, batches, violations, keys)
+
+
+def apply_batch(store: KeyedRows, inserted: list, doomed) -> list:
+    """Move one :meth:`~KeyedRows.check`-ed batch through ``store`` —
+    deletes first — and return its non-empty signed row streams, the
+    ``batches`` of :func:`fold_batches`."""
+    removed = store.delete(doomed)
+    store.insert(inserted)
+    return [(rows, sign) for rows, sign in ((removed, -1), (inserted, 1)) if rows]
+
+
 class IncrementalDetector:
     """``Vioπ(Σ, D)`` maintained across insert/delete batches.
 
@@ -915,35 +987,24 @@ class IncrementalDetector:
     :attr:`relation` stays available as the store's lazily materialized
     (and cached) snapshot.
 
-    ``engine`` follows :func:`~repro.core.detection.detect_violations`:
-    ``reference`` (full recompute + diff per update — the executable
-    spec), ``sql`` (likewise, on sqlite3), ``fused`` (delta folds), or
-    ``auto``/``None`` (the ``REPRO_ENGINE`` environment decides, ``auto``
-    meaning ``fused``) — resolved at :meth:`attach` time.
-
     **Concurrency contract**: a session is *single-writer* — the keyed
     row store, undo logs and transition counters assume one mutation at
     a time.  Every public entry point (``attach`` / ``update`` /
     ``verify`` / ``report``) therefore serializes on a
     per-session reentrant lock: concurrent callers (the resident
     service's request threads) are safe, they just take turns.  The lock
-    is reentrant because public entry points call one another (``update``
-    reads :attr:`relation` in the recompute-mode engines).
+    is reentrant because public entry points call one another
+    (``verify`` reads :attr:`relation` and :attr:`report`).
     """
 
     def __init__(
-        self,
-        cfds: CFD | Iterable[CFD],
-        collect_tuples: bool = True,
-        engine: str | None = None,
+        self, cfds: CFD | Iterable[CFD], collect_tuples: bool = True
     ) -> None:
         self._fused = FusedDetector(cfds)
         self.cfds = self._fused.cfds
         self.collect_tuples = collect_tuples
         #: serializes every public entry point (single-writer contract)
         self._session_lock = threading.RLock()
-        self._requested_engine = engine
-        self.engine: str | None = None
         #: the resident rows; ``None`` until attach()
         self._rows: KeyedRows | None = None
         self.schema = None
@@ -952,9 +1013,8 @@ class IncrementalDetector:
         self._keys = TransitionCounter()
         self._constants = ConstantFolds(self._fused._constants, collect_tuples)
         self._variables: list[VariableGroupState] = []
-        self._reference_report: ViolationReport | None = None
-        #: recompute-mode engines: the open batch's recomputed report
-        self._reference_next: ViolationReport | None = None
+        #: one update's all-or-nothing round; built by attach()
+        self._transaction: Transaction | None = None
 
     @property
     def relation(self) -> Relation | None:
@@ -963,118 +1023,36 @@ class IncrementalDetector:
         with self._session_lock:
             return None if self._rows is None else self._rows.relation
 
-    # -- engine resolution ------------------------------------------------
-
-    def _resolve_engine(self) -> str:
-        engine = self._requested_engine
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE", "auto")
-        if engine == "auto":
-            return "fused"
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown detection engine {engine!r}; "
-                f"use one of {', '.join(ENGINES)} (or 'auto')"
-            )
-        return engine
-
-    @property
-    def _recompute_mode(self) -> bool:
-        """Engines maintained by recompute+diff instead of delta folds.
-
-        ``reference`` is the executable spec; ``sql`` delegates detection
-        to a database, which has no incremental fold — each update re-runs
-        the compiled statement set on the new relation (the per-relation
-        handle cache keeps the reload cost bounded) and diffs reports.
-        """
-        return self.engine in ("reference", "sql")
-
-    def _recompute_report(self, relation: Relation) -> ViolationReport:
-        if self.engine == "sql":
-            from .sql import detect_violations_sql
-
-            return detect_violations_sql(
-                relation, self.cfds, self.collect_tuples
-            )
-        return detect_violations_reference(
-            relation, self.cfds, self.collect_tuples
-        )
-
     # -- lifecycle --------------------------------------------------------
 
     def attach(self, relation: Relation) -> ViolationReport:
         """Build (or rebuild) the cached state with one full fold of ``D``."""
         with self._session_lock:
-            self.engine = self._resolve_engine()
             self.schema = relation.schema
             # single-attribute keys travel raw through the folds and the
             # key counters (no per-row 1-tuple); the report boundary
             # re-wraps them
             self._wrap_keys = len(relation.schema.key_positions()) == 1
             self._rows = KeyedRows(relation)
-            if self._recompute_mode:
-                self._reference_report = self._recompute_report(relation)
-                return self.report
             self._violations = TransitionCounter()
             self._keys = TransitionCounter()
             self._variables = [
                 VariableGroupState(variable, self.collect_tuples)
                 for variable, _index in self._fused._variables
             ]
+            self._transaction = Transaction(
+                self._violations, self._keys, [self._rows, *self._variables]
+            )
             self._fold_batches(relation.schema, [(relation.rows, 1)])
             return self.report
 
     def _fold_batches(
         self, schema, batches: list[tuple[list, int]]
     ) -> None:
-        """Fold one update's signed row streams through every form state.
-
-        Constant forms fold per stream; the whole list reaches each
-        variable state's :meth:`VariableGroupState.fold_signed` in one
-        call (a deleted and re-inserted combination cancels before it
-        costs anything).
-        """
-        for rows, sign in batches:
-            self._constants.fold(
-                Relation(schema, rows, copy=False),
-                sign,
-                self._violations,
-                self._keys,
-            )
-        for state in self._variables:
-            state.fold_signed(schema, batches, self._violations, self._keys)
-
-    # -- transactional batches --------------------------------------------
-
-    def _begin_batch(self) -> None:
-        """Open one all-or-nothing update: arm every undo log."""
-        self._rows.begin()
-        if not self._recompute_mode:
-            self._violations.begin()
-            self._keys.begin()
-            for state in self._variables:
-                state.begin()
-
-    def _end_batch(self) -> None:
-        """Close a successful update: drop the undo logs."""
-        self._rows.commit()
-
-    def _rollback_batch(self) -> None:
-        """Restore the exact pre-batch session state.
-
-        Unwinds, in O(|touched|): the keyed row store (entries popped,
-        replaced or appended-to during the batch), every variable form's
-        group table, both transition counters, and the cached relation
-        snapshot.  After a rollback the session is exactly as if the
-        failed ``update`` had never been called — the
-        transactionality property the chaos suite asserts.
-        """
-        for state in self._variables:
-            state.rollback()
-        self._violations.rollback()
-        self._keys.rollback()
-        self._rows.rollback()
-        self._reference_next = None
+        fold_batches(
+            schema, batches, self._constants, self._variables,
+            self._violations, self._keys,
+        )
 
     def update(
         self,
@@ -1088,82 +1066,21 @@ class IncrementalDetector:
         the :meth:`Relation.delete` contract.  The batch goes straight
         through the session's keyed row store: O(|ΔD|) dictionary
         operations, no O(|D|) row-list copy (a predicate costs one scan
-        of the store).
+        of the store).  All-or-nothing: a bad row or key raises before
+        any state moves, and a failing fold rolls the whole round back.
         """
         with self._session_lock:
-            return self._update_locked(inserted, deleted)
-
-    def _update_locked(self, inserted, deleted) -> ViolationDelta:
-        if self._rows is None:
-            raise ValueError("attach() a relation before applying updates")
-        if not self._fold_open(inserted, deleted):
-            return ViolationDelta()
-        return self._commit()
-
-    def _fold_open(self, inserted, deleted) -> bool:
-        """Fold one explicit batch, leaving the batch open.
-
-        Validates the batch, arms the undo logs, mutates the keyed row
-        store and folds every form (a recompute-mode engine recomputes
-        its report instead); if any of that raises, the batch is rolled
-        back and the exception propagates.  Returns whether a batch is
-        open — an empty batch opens none — which the caller then ends
-        with :meth:`_commit` or :meth:`_rollback_batch`, so several
-        detectors can fold one round and commit it together.
-        """
-        rows = self._rows
-        batch, doomed = rows.check(inserted, deleted)
-        if not doomed and not batch:
-            return False
-
-        self._begin_batch()
-        try:
-            removed = rows.delete(doomed)
-            rows.insert(batch)
-            if self._recompute_mode:
-                self._reference_next = self._recompute_report(rows.relation)
-            else:
-                batches: list[tuple[list, int]] = []
-                if removed:
-                    batches.append((removed, -1))
-                if batch:
-                    batches.append((batch, 1))
-                self._fold_batches(self.schema, batches)
-        except BaseException:
-            self._rollback_batch()
-            raise
-        return True
+            rows = self._rows
+            if rows is None:
+                raise ValueError("attach() a relation before applying updates")
+            batch, doomed = rows.check(inserted, deleted)
+            if not doomed and not batch:
+                return ViolationDelta()
+            with self._transaction:
+                self._fold_batches(self.schema, apply_batch(rows, batch, doomed))
+            return commit_counters(self._violations, self._keys, self._wrap_keys)
 
     # -- results ----------------------------------------------------------
-
-    def _commit(self) -> ViolationDelta:
-        """Close the open batch; returns what it changed."""
-        if self._recompute_mode:
-            delta = self._reference_rediff()
-        else:
-            for state in self._variables:
-                state.commit()
-            delta = commit_counters(
-                self._violations, self._keys, self._wrap_keys
-            )
-        self._end_batch()
-        return delta
-
-    def _reference_rediff(self) -> ViolationDelta:
-        previous = self._reference_report
-        current = self._reference_next
-        self._reference_report = current
-        self._reference_next = None
-        return ViolationDelta(
-            added=ViolationReport(
-                current.violations - previous.violations,
-                current.tuple_keys - previous.tuple_keys,
-            ),
-            removed=ViolationReport(
-                previous.violations - current.violations,
-                previous.tuple_keys - current.tuple_keys,
-            ),
-        )
 
     @property
     def report(self) -> ViolationReport:
@@ -1173,9 +1090,6 @@ class IncrementalDetector:
         counts read :meth:`report_size` instead.
         """
         with self._session_lock:
-            if self._recompute_mode:
-                source = self._reference_report or ViolationReport()
-                return ViolationReport(source.violations, source.tuple_keys)
             return counters_report(
                 self._violations, self._keys, self._wrap_keys
             )
@@ -1183,9 +1097,6 @@ class IncrementalDetector:
     def report_size(self) -> tuple[int, int]:
         """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
         with self._session_lock:
-            if self._recompute_mode:
-                source = self._reference_report or ViolationReport()
-                return len(source.violations), len(source.tuple_keys)
             return counters_size(self._violations, self._keys)
 
     def verify(self, sample: int | None = None, seed: int = 8) -> bool:
@@ -1239,8 +1150,8 @@ class IncrementalDetector:
     def __repr__(self) -> str:
         n = len(self.relation) if self.relation is not None else 0
         return (
-            f"IncrementalDetector({len(self.cfds)} CFDs, engine="
-            f"{self.engine or 'unresolved'}, {n} tuples attached)"
+            f"IncrementalDetector({len(self.cfds)} CFDs, "
+            f"{n} tuples attached)"
         )
 
 
@@ -1248,9 +1159,8 @@ def incremental_detect(
     relation: Relation,
     cfds: CFD | Iterable[CFD],
     collect_tuples: bool = True,
-    engine: str | None = None,
 ) -> IncrementalDetector:
     """Attach a fresh :class:`IncrementalDetector` to ``relation``."""
-    detector = IncrementalDetector(cfds, collect_tuples, engine)
+    detector = IncrementalDetector(cfds, collect_tuples)
     detector.attach(relation)
     return detector

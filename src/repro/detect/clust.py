@@ -58,7 +58,7 @@ from ..core import (
     projector,
     sort_patterns_by_generality,
 )
-from ..core.incremental import TransitionCounter, _restore_counts
+from ..core.incremental import TransitionCounter, _bump, _restore_counts
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -551,25 +551,18 @@ class _ClusterGroupState:
         journal = None if undo is None else undo.setdefault(ordinal, {})
         intern = self.shared.intern
         for combo, count in deltas.items():
-            code = intern(combo)
-            prior = counts.get(code, 0)
-            if journal is not None:
-                journal.setdefault(code, prior)
-            new = prior + count
-            if new < 0:
+            try:
+                prior = _bump(counts, intern(combo), count, journal)
+            except ValueError:
                 raise ValueError(
                     "coordinator state underflow: a site deleted rows it "
                     "never reported"
-                )
-            if new:
-                counts[code] = new
-            else:
-                del counts[code]
+                ) from None
             # a combination's conflict contribution changes exactly when
             # its resident count crosses zero
             if not prior:
                 self.cross(combo, routed[combo][1], 1, touched)
-            elif not new:
+            elif prior + count == 0:
                 self.cross(combo, routed[combo][1], -1, touched)
 
     def settle(self, touched: list[set], violations: TransitionCounter) -> None:

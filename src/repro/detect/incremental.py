@@ -55,12 +55,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..core import CFD, Violation, ViolationReport
 from ..core.incremental import (
     ConstantFolds,
+    Transaction,
     TransitionCounter,
     ViolationDelta,
+    _bump,
     _restore_counts,
     commit_counters,
     counters_report,
     counters_size,
+    fold_batches,
 )
 from ..core.normalize import VariableCFD, normalize, pattern_index
 from ..distributed import (
@@ -302,25 +305,17 @@ class _VariableState:
         ys = self.pair_counts.get(x)
         if ys is None:
             ys = self.pair_counts[x] = {}
-        prior = ys.get(y, 0)
         undo = self._undo_pairs
-        if undo is not None:
-            journal = undo.get(x)
-            if journal is None:
-                journal = undo[x] = {}
-            journal.setdefault(y, prior)
-        new = prior + count
-        if new > 0:
-            ys[y] = new
-        elif new == 0:
-            del ys[y]
-            if not ys:
-                del self.pair_counts[x]
-        else:
+        journal = None if undo is None else undo.setdefault(x, {})
+        try:
+            _bump(ys, y, count, journal)
+        except ValueError:
             raise ValueError(
                 "coordinator state underflow: a site deleted rows it never "
                 "reported"
-            )
+            ) from None
+        if not ys:
+            del self.pair_counts[x]
 
     def settle(self, x, violations: TransitionCounter) -> None:
         """Re-derive one group's conflict status after patching it."""
@@ -562,15 +557,12 @@ class _ResidentSession:
                 checked.append((index, rows, *rows.check(*updates[index])))
             schema = self.cluster.schema
             model = self.cluster.cost_model
-            self._violations.begin()
-            self._keys.begin()
-            for state in self._states:
-                state.begin()
-            for _index, rows, _inserted, _doomed in checked:
-                rows.begin()
+            stores = [rows for _index, rows, _inserted, _doomed in checked]
             update_log = ShipmentLog()
             stage = StageTimes(0, 0, 0)
-            try:
+            with Transaction(
+                self._violations, self._keys, stores + self._states
+            ):
                 batches = []
                 for index, rows, inserted, doomed in checked:
                     removed = rows.delete(doomed)
@@ -580,13 +572,11 @@ class _ResidentSession:
                 if batches:
                     # constants: fold each delta locally (Proposition 5)
                     for index, inserted, removed in batches:
-                        folds = self._constants[index]
-                        for sign, rows in ((-1, removed), (1, inserted)):
-                            if rows:
-                                folds.fold(
-                                    Relation(schema, rows, copy=False),
-                                    sign, self._violations, self._keys,
-                                )
+                        fold_batches(
+                            schema, [(removed, -1), (inserted, 1)],
+                            self._constants[index], (),
+                            self._violations, self._keys,
+                        )
                     received_events = self._absorb(batches, update_log)
                     stage = StageTimes(
                         max(
@@ -602,21 +592,9 @@ class _ResidentSession:
                             default=0.0,
                         ),
                     )
-            except BaseException:
-                for _index, rows, _inserted, _doomed in checked:
-                    rows.rollback()
-                for state in self._states:
-                    state.rollback()
-                self._violations.rollback()
-                self._keys.rollback()
-                raise
             if batches:
                 self._cost.stages.append(stage)
                 self._log.merge(update_log)
-            for _index, rows, _inserted, _doomed in checked:
-                rows.commit()
-            for state in self._states:
-                state.commit()
             delta = commit_counters(
                 self._violations, self._keys, self._wrap_keys
             )

@@ -31,7 +31,7 @@ semijoin idea of [25] the paper points at for the vertical case.
 
 :func:`vertical_step` is one CFD's plan and key join: :func:`vertical_detect`
 runs the centralized detector on the relation it leaves at the plan's
-site; the resident session attaches an incremental detector there.
+site; the resident session keeps that relation and its fold state there.
 """
 
 from __future__ import annotations
@@ -43,10 +43,15 @@ from typing import Iterable
 
 from ..core import CFD, ViolationReport, detect_violations, is_wildcard, normalize
 from ..core.incremental import (
+    ConstantFolds,
+    Transaction,
     TransitionCounter,
+    VariableGroupState,
+    apply_batch,
     commit_counters,
     counters_report,
     counters_size,
+    fold_batches,
 )
 from ..distributed import (
     CostBreakdown,
@@ -115,8 +120,9 @@ class _VerticalPlan:
     """One CFD's plan: a local check or a coordinator key-join.
 
     ``details`` is what ``details["plans"]`` reports for the CFD,
-    ``sources`` maps source site -> attributes it ships (joins only),
-    ``detector`` is a resident session's state over the plan's relation.
+    ``sources`` maps source site -> attributes it ships (joins only).  A
+    resident session also keeps, at the plan's site, the plan's relation
+    (``rows``) and its constant and variable fold state.
     """
 
     cfd: CFD
@@ -124,7 +130,9 @@ class _VerticalPlan:
     details: dict
     coordinator: int | None = None
     sources: dict[int, list[str]] = field(default_factory=dict)
-    detector: object = None
+    rows: KeyedRows | None = None
+    constants: ConstantFolds | None = None
+    variables: list[VariableGroupState] = field(default_factory=list)
 
 
 def vertical_step(
@@ -230,10 +238,10 @@ class IncrementalVerticalDetector:
 
     :meth:`detect` runs the one-shot :func:`vertical_step` once per CFD
     — local check where a fragment covers the CFD, otherwise keyed
-    columns ship to a coordinator and join — and leaves an attached
-    :class:`~repro.core.incremental.IncrementalDetector` behind at each
-    plan's site, holding that plan's relation (the covering fragment or
-    the joined projection) as resident GROUP-BY state.
+    columns ship to a coordinator and join — and keeps, at each plan's
+    site, that plan's relation (the covering fragment or the joined
+    projection) in a :class:`~repro.relational.rowstore.KeyedRows` store
+    together with the CFD's constant folds and variable group state.
 
     :meth:`update` then absorbs a batch of whole-tuple inserts and
     key deletes in O(|ΔD|): inserted tuples carry every attribute, so the
@@ -241,37 +249,27 @@ class IncrementalVerticalDetector:
     its delta's keyed column codes, and the coordinator patches its
     join-side state in place instead of re-joining ``D``.  Deletes travel
     as bare keys (the joined state indexes by key already).  Each
-    fragment keeps its rows in a
-    :class:`~repro.relational.rowstore.KeyedRows` store that takes its
+    fragment keeps its rows in a ``KeyedRows`` store too, which takes its
     projection of the batch in O(|ΔD|); :attr:`fragments` shows them as
-    relations.  A round is all-or-nothing: the stores and every plan
-    take the batch with it left open and only then do all of them
-    commit, so a round that raises rolls back the fragment stores and
-    every plan's state, and leaves the cost log and the shipments as
-    they were.
+    relations.
 
-    The session's report is the union of the plans' reports, kept as two
-    :class:`~repro.core.incremental.TransitionCounter`\\ s (a violation
-    or key counts once per plan that reports it) fed by each committed
-    plan delta, so :meth:`report_size` is O(1) and an update's ``delta``
-    is exactly what changed in :attr:`report`.
+    Every plan folds straight into the session's one pair of
+    :class:`~repro.core.incremental.TransitionCounter`\\ s, so
+    :meth:`report_size` is O(1) and an update's ``delta`` is exactly
+    what changed in :attr:`report`.  A round is one
+    :class:`~repro.core.incremental.Transaction` over the counters and
+    every store and group state: a round that raises leaves all of them,
+    the cost log and the shipments as they were.
 
     Sessions are *single-writer*: every public entry point serializes on
     a per-session reentrant lock, so concurrent callers take turns.
     """
 
     def __init__(
-        self,
-        cluster: VerticalCluster,
-        cfds: CFD | Iterable[CFD],
-        engine: str | None = None,
+        self, cluster: VerticalCluster, cfds: CFD | Iterable[CFD]
     ) -> None:
-        from ..core import IncrementalDetector
-
         self.cluster = cluster
         self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
-        self._engine = engine
-        self._detector_factory = IncrementalDetector
         #: per fragment: its resident rows
         self._stores = [KeyedRows(site.fragment) for site in cluster.sites]
         self._plans: list[_VerticalPlan] = []
@@ -280,6 +278,11 @@ class IncrementalVerticalDetector:
         self._detected = False
         self._violations = TransitionCounter()
         self._keys = TransitionCounter()
+        #: one round's all-or-nothing scope; built by detect()
+        self._transaction: Transaction | None = None
+        # the folds carry single-attribute keys raw; the report boundary
+        # wraps them back into the 1-tuple contract
+        self._wrap_keys = len(cluster.original_schema.key) == 1
         #: serializes every public entry point (single-writer contract)
         self._session_lock = threading.RLock()
 
@@ -290,10 +293,16 @@ class IncrementalVerticalDetector:
         with self._session_lock:
             return [store.relation for store in self._stores]
 
+    def _fold(self, plan: _VerticalPlan, batches: list) -> None:
+        fold_batches(
+            plan.rows.schema, batches, plan.constants, plan.variables,
+            self._violations, self._keys,
+        )
+
     # -- initial run ------------------------------------------------------
 
     def detect(self) -> DetectionOutcome:
-        """The full one-shot run; attaches the per-plan resident state."""
+        """The full one-shot run; builds the per-plan resident state."""
         with self._session_lock:
             return self._detect_locked()
 
@@ -310,13 +319,21 @@ class IncrementalVerticalDetector:
             if plan.coordinator is not None:
                 # canonical attribute order, so delta projections align
                 relation = relation.project(tuple(dict.fromkeys(key + cfd.attributes)))
-            plan.detector = self._detector_factory(cfd, engine=self._engine)
-            found = plan.detector.attach(relation)
-            self._violations.add_bulk(found.violations, 1)
-            self._keys.add_bulk(found.tuple_keys, 1)
+            normalized = normalize(cfd)
+            plan.rows = KeyedRows(relation)
+            plan.constants = ConstantFolds(normalized.constants)
+            plan.variables = [
+                VariableGroupState(variable) for variable in normalized.variables
+            ]
+            self._fold(plan, [(relation.rows, 1)])
             self._cost.stages.append(plan.stage)
             self._plans.append(plan)
-
+        self._transaction = Transaction(
+            self._violations,
+            self._keys,
+            [*self._stores, *(plan.rows for plan in self._plans)]
+            + [state for plan in self._plans for state in plan.variables],
+        )
         self._detected = True
         return DetectionOutcome(
             algorithm="VERTICALDETECT+Δ",
@@ -365,50 +382,28 @@ class IncrementalVerticalDetector:
         deleted = list(deleted)
         delta_rows = len(inserted) + len(deleted)
 
-        def project(relation_schema):
-            positions = schema.positions(relation_schema.attributes)
-            return [tuple(row[p] for p in positions) for row in inserted]
+        def check_batch(store):
+            positions = schema.positions(store.schema.attributes)
+            projected = [tuple(row[p] for p in positions) for row in inserted]
+            return store.check(projected, deleted)
 
-        # every fragment's projection of the batch is checked before any
-        # state moves
+        # every fragment's and every plan's projection of the batch is
+        # checked before any state moves
         stores = self._stores
-        checked = [
-            store.check(project(store.schema), deleted) for store in stores
-        ]
-        for store in stores:
-            store.begin()
-        folded = []
-        try:
+        plans = self._plans
+        checked = [check_batch(store) for store in stores]
+        plan_checked = [check_batch(plan.rows) for plan in plans]
+        with self._transaction:
             for store, (rows, doomed) in zip(stores, checked):
-                store.delete(doomed)
-                store.insert(rows)
-            # every plan folds with its batch open; all commit below
-            for plan in self._plans:
-                projected = project(plan.detector.schema)
-                if plan.detector._fold_open(projected, deleted):
-                    folded.append(plan.detector)
-        except BaseException:
-            for detector in folded:
-                detector._rollback_batch()
-            for store in stores:
-                store.rollback()
-            raise
-        for store in stores:
-            store.commit()
-        # the union report moves by each plan's delta
-        self._violations.begin()
-        self._keys.begin()
-        for detector in folded:
-            delta = detector._commit()
-            for sign, side in ((1, delta.added), (-1, delta.removed)):
-                self._violations.add_bulk(side.violations, sign)
-                self._keys.add_bulk(side.tuple_keys, sign)
-        merged = commit_counters(self._violations, self._keys)
+                apply_batch(store, rows, doomed)
+            for plan, (rows, doomed) in zip(plans, plan_checked):
+                self._fold(plan, apply_batch(plan.rows, rows, doomed))
+        delta = commit_counters(self._violations, self._keys, self._wrap_keys)
 
         # the delta key-join: sources ship only their delta's keyed column
         # codes; the coordinator's join-side state was patched in place
         update_log = ShipmentLog()
-        for plan in self._plans:
+        for plan in plans:
             for source_index, attributes in sorted(plan.sources.items()):
                 if delta_rows:
                     cells = delta_rows * (len(schema.key) + len(attributes))
@@ -424,7 +419,7 @@ class IncrementalVerticalDetector:
                 model.check_time(
                     model.check_ops(delta_rows, n_queries=1 + len(plan.sources))
                 )
-                for plan in self._plans
+                for plan in plans
             ),
             default=0.0,
         )
@@ -432,7 +427,7 @@ class IncrementalVerticalDetector:
         self._cost.stages.append(stage)
         self._log.merge(update_log)
         return IncrementalUpdate(
-            merged,
+            delta,
             counters_size(self._violations, self._keys),
             update_log,
             stage,
@@ -444,7 +439,9 @@ class IncrementalVerticalDetector:
     def report(self) -> ViolationReport:
         """The full current report (fresh copy)."""
         with self._session_lock:
-            return counters_report(self._violations, self._keys)
+            return counters_report(
+                self._violations, self._keys, self._wrap_keys
+            )
 
     def report_size(self) -> tuple[int, int]:
         """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
@@ -473,11 +470,9 @@ class IncrementalVerticalDetector:
 
 
 def incremental_vertical(
-    cluster: VerticalCluster,
-    cfds: CFD | Iterable[CFD],
-    engine: str | None = None,
+    cluster: VerticalCluster, cfds: CFD | Iterable[CFD]
 ) -> IncrementalVerticalDetector:
     """An attached incremental vertical session (initial run included)."""
-    detector = IncrementalVerticalDetector(cluster, cfds, engine)
+    detector = IncrementalVerticalDetector(cluster, cfds)
     detector.detect()
     return detector

@@ -8,7 +8,10 @@ copy.  For each write path this builds the same session over N and 4N
 ``generate_cust`` rows, replays 2 warm-up and then 8 steady-state
 batches of 16 key deletes + 16 inserts at one place, and asserts that
 the median allocation peak of an update at 4N is at most 1.25× the
-median at N.  An O(|D|) term reads ≈4× here.
+median at N.  An O(|D|) term reads ≈4× here.  The write paths are the
+sessions' own ``update`` and, for the kinds the resident service hosts
+(``central``, ``ctr``, ``clust``), :meth:`ManagedSession.update` — the
+service's admission, ticket queue and fold without the HTTP layer.
 
 N = 2,000 is small enough for tier-1 and still large enough to catch a
 whole-place copy.  On commit da8b75c, whose distributed sessions still
@@ -25,6 +28,7 @@ import tracemalloc
 import pytest
 
 from repro.core import IncrementalDetector
+from repro.core.parser import format_cfd
 from repro.datagen import generate_cust
 from repro.datagen.cust import cust_overlapping_cfds, cust_street_cfd
 from repro.detect import (
@@ -36,6 +40,7 @@ from repro.detect import (
 from repro.distributed import HybridCluster
 from repro.partition import partition_uniform, vertical_partition
 from repro.relational import Eq
+from repro.serve import ManagedSession
 
 N = 2_000
 BATCH = 16
@@ -98,6 +103,35 @@ def _vertical(relation):
     return relation.rows, session.update
 
 
+def _managed(kind):
+    def build(relation):
+        schema = relation.schema
+        cfds = [cust_street_cfd()] if kind == "ctr" else cust_overlapping_cfds()
+        spec = {
+            "kind": kind,
+            "schema": {
+                "name": schema.name,
+                "attributes": list(schema.attributes),
+                "key": list(schema.key),
+            },
+            "cfds": [format_cfd(cfd) for cfd in cfds],
+            "rows": relation.rows,
+        }
+        if kind != "central":
+            spec["sites"] = 4
+        session = ManagedSession("tenant", kind, spec, 64, 16)
+        rows = (
+            relation.rows
+            if kind == "central"
+            else session._detector.fragments[0].rows
+        )
+        return rows, lambda inserted, deleted: session.update(
+            inserted, deleted, site=0
+        )
+
+    return build
+
+
 def _at_place(update, place):
     return lambda inserted, deleted: update(
         place, inserted=inserted, deleted=deleted
@@ -112,6 +146,9 @@ PATHS = {
     "clust": _clust,
     "hybrid": _hybrid,
     "vertical": _vertical,
+    "managed-central": _managed("central"),
+    "managed-ctr": _managed("ctr"),
+    "managed-clust": _managed("clust"),
 }
 
 

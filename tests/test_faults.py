@@ -9,6 +9,7 @@ to end in ``test_serve_durability.py`` / ``test_serve_governor.py``.
 """
 
 import os
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -30,6 +31,11 @@ from repro.core.incremental import incremental_detect
 from repro.detect import incremental_pat_s
 from repro.partition import partition_uniform
 from repro.relational import Relation, Schema, SchemaError
+
+# the ``cust`` fixture of the complexity suite: three vertical fragments,
+# and the CC (hybrid region) and street positions
+from test_complexity import CC as CUST_CC, STREET as CUST_STREET
+from test_complexity import VSETS as CUST_VSETS
 
 # the per-family session builders of the state-machine suite: three sites
 # (or two regions split on ``c``), Σ with variable and constant forms
@@ -429,7 +435,7 @@ def _vertical_session():
 def _vertical_state(session):
     report = session.report
     return (
-        [sorted(plan.detector.relation.rows) for plan in session._plans],
+        [sorted(plan.rows.relation.rows) for plan in session._plans],
         set(report.violations),
         set(report.tuple_keys),
         list(session._cost.stages),
@@ -438,7 +444,7 @@ def _vertical_state(session):
 
 
 @pytest.mark.parametrize("stage", ["unhashable", "mid-fold"])
-def test_failed_vertical_round_is_a_noop(stage, monkeypatch):
+def test_failed_vertical_round_is_a_noop(stage):
     """A round that raises after plan ``p`` folded — ``q``'s fold meets an
     unhashable cell, or fails mid-fold — leaves the fragment stores,
     every plan's rows, the report, the cost log and the shipments as
@@ -447,8 +453,6 @@ def test_failed_vertical_round_is_a_noop(stage, monkeypatch):
     from repro.detect import vertical_detect
     from repro.partition import vertical_partition
 
-    # the fold the injection arms is the fused engine's
-    monkeypatch.setenv("REPRO_ENGINE", "fused")
     session, sigma = _vertical_session()
     before = _vertical_state(session)
     before_fragments = list(session.fragments)
@@ -536,11 +540,178 @@ def test_vertical_session_serializes_concurrent_writers():
     assert len(session._cost.stages) == 2 + 2 * n_threads * rounds
 
 
+# -- an interrupt at any counter call leaves the round a no-op ----------------
+
+
+def _cust_session(kind):
+    """``(session, Σ, all rows, place-0 rows)`` over 400 ``generate_cust``
+    rows; ``ctr`` hosts one CFD, every other family both overlapping ones."""
+    from repro.core import IncrementalDetector
+    from repro.datagen import generate_cust
+    from repro.datagen.cust import cust_overlapping_cfds, cust_street_cfd
+    from repro.detect import (
+        IncrementalClustDetector,
+        IncrementalHorizontalDetector,
+        IncrementalHybridDetector,
+        IncrementalVerticalDetector,
+    )
+    from repro.distributed import HybridCluster
+    from repro.partition import vertical_partition
+    from repro.relational import Eq
+
+    relation = generate_cust(400, seed=3, error_rate=0.1)
+    sigma = [cust_street_cfd()] if kind == "ctr" else cust_overlapping_cfds()
+    if kind == "central":
+        session = IncrementalDetector(sigma)
+        session.attach(relation)
+        return session, sigma, relation, relation.rows
+    if kind == "vertical":
+        session = IncrementalVerticalDetector(
+            vertical_partition(relation, CUST_VSETS), sigma
+        )
+    elif kind == "hybrid":
+        codes = sorted({row[CUST_CC] for row in relation.rows})
+        session = IncrementalHybridDetector(
+            HybridCluster.from_partitions(
+                relation,
+                {f"CC{code}": Eq("CC", code) for code in codes},
+                {
+                    name: list(attrs[1:])
+                    for name, attrs in zip("ABC", CUST_VSETS)
+                },
+            ),
+            sigma,
+        )
+    elif kind == "clust":
+        session = IncrementalClustDetector(partition_uniform(relation, 4), sigma)
+    else:
+        session = IncrementalHorizontalDetector(
+            partition_uniform(relation, 4), sigma[0], kind
+        )
+    session.detect()
+    if kind == "vertical":
+        return session, sigma, relation, relation.rows
+    return session, sigma, relation, _places(session)[0].rows
+
+
+def _cust_batch(rows):
+    """8 key deletes + 8 inserts: the next 8 rows again under fresh keys,
+    each with a new street, so every insert puts its ``(CC, AC, zip)``
+    group in conflict."""
+    doomed = [row[0] for row in rows[:8]]
+    inserted = [
+        (10_000 + i, *row[1:CUST_STREET], f"{row[CUST_STREET]}~",
+         *row[CUST_STREET + 1:])
+        for i, row in enumerate(rows[8:16])
+    ]
+    return inserted, doomed
+
+
+def _cust_round(kind, session, inserted, doomed):
+    """The batch as one round at place 0 (the whole tuple, vertically)."""
+    if kind in ("central", "vertical"):
+        return session.update(inserted=inserted, deleted=doomed)
+    return session.update(0, inserted=inserted, deleted=doomed)
+
+
+def _cust_state(kind, session):
+    """The rollback tests' snapshot: report, tuple keys, rows per place
+    or plan, cost stages and shipments."""
+    report = session.report
+    if kind == "central":
+        return (
+            set(report.violations),
+            set(report.tuple_keys),
+            session.report_size(),
+            Counter(session.relation.rows),
+        )
+    if kind == "vertical":
+        return (
+            _vertical_state(session),
+            session.report_size(),
+            [Counter(fragment.rows) for fragment in session.fragments],
+        )
+    return (
+        _session_state(session),
+        [Counter(place.rows) for place in _places(session)],
+    )
+
+
+def _places_or_relation(kind, session):
+    return [session.relation] if kind == "central" else list(_places(session))
+
+
+def _interrupt_at(mp, k):
+    """Make the ``k``-th ``TransitionCounter.add`` / ``add_bulk`` call of
+    a round (counted from 0 across both) raise ``KeyboardInterrupt``;
+    returns the one-item list counting the calls made."""
+    calls = [0]
+
+    def arm(original):
+        def wrapper(self, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == k + 1:
+                raise KeyboardInterrupt
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("add", "add_bulk"):
+        mp.setattr(TransitionCounter, name, arm(getattr(TransitionCounter, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind", ["central", "ctr", "clust", "hybrid", "vertical"]
+)
+def test_interrupted_round_is_a_noop(kind):
+    """A ``KeyboardInterrupt`` at the k-th counter call of a round, for
+    k = 0, 1, 2, … until the round completes without it firing, leaves
+    the session exactly as it was — report, tuple keys, rows per place or
+    plan, cost stages, shipments — and the completed round matches the
+    ``reference`` engine over the updated rows."""
+    session, sigma, relation, place_rows = _cust_session(kind)
+    inserted, doomed = _cust_batch(place_rows)
+    # how many counter calls the round makes: one clean run on a twin
+    twin = _cust_session(kind)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _interrupt_at(mp, -1)
+        _cust_round(kind, twin, inserted, doomed)
+    n_calls = calls[0]
+    assert n_calls > 0
+
+    before = _cust_state(kind, session)
+    before_places = _places_or_relation(kind, session)
+    for k in range(n_calls):
+        with pytest.MonkeyPatch.context() as mp:
+            _interrupt_at(mp, k)
+            with pytest.raises(KeyboardInterrupt):
+                _cust_round(kind, session, inserted, doomed)
+        assert _cust_state(kind, session) == before, f"torn at k={k}"
+        assert all(
+            a is b
+            for a, b in zip(_places_or_relation(kind, session), before_places)
+        ), f"k={k}"
+    # k = n_calls: the round completes without the injection firing
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _interrupt_at(mp, n_calls)
+        _cust_round(kind, session, inserted, doomed)
+    assert calls[0] == n_calls
+
+    gone = set(doomed)
+    final = [row for row in relation.rows if row[0] not in gone] + inserted
+    expected = detect_violations_reference(
+        Relation(relation.schema, final), sigma
+    )
+    report = session.report
+    assert report.violations == expected.violations
+    if kind in ("central", "vertical"):
+        assert report.tuple_keys == expected.tuple_keys
+
+
 def test_verify_full_and_sampled():
-    # pinned to a fold engine: the test corrupts the transition counters,
-    # which recompute-mode engines (reference, sql) do not maintain
     relation = _relation(40)
-    detector = incremental_detect(relation, [CFD_AB], engine="fused")
+    detector = incremental_detect(relation, [CFD_AB])
     assert detector.verify() is True
     assert detector.verify(sample=10) is True
     # corrupt the maintained state: verify must notice
@@ -560,10 +731,10 @@ def test_verify_on_distributed_session():
 
 
 def test_update_after_rollback_keeps_incremental_speed_path():
-    """A rollback must not silently flip the session to reference mode."""
+    """A rollback leaves the delta state exact and every batch closed, so
+    the next update folds on it."""
     relation = _relation(20)
-    detector = incremental_detect(relation, [CFD_AB], engine="fused")
-    assert detector.engine == "fused"
+    detector = incremental_detect(relation, [CFD_AB])
     mp = pytest.MonkeyPatch()
     try:
         for name in ("add", "add_bulk"):
@@ -576,9 +747,13 @@ def test_update_after_rollback_keeps_incremental_speed_path():
             detector.update(inserted=[(500, 0, 3, 1)])
     finally:
         mp.undo()
-    assert detector.engine == "fused"
+    assert detector._violations._undo is None
+    assert detector._keys._undo is None
+    assert detector._variables[0]._undo is None
+    assert detector.verify() is True
     delta = detector.update(inserted=[(500, 0, 3, 1)])
     assert (500,) in detector.report.tuple_keys or not delta
+    assert detector.verify() is True
 
 
 def teardown_module(module):

@@ -5,7 +5,8 @@ batches — including values the shared dictionaries have never seen — the
 incrementally maintained state after N updates is **identical** to a full
 recompute on the final relation: violations, violating tuple keys, and
 (for the distributed sessions) the coordinator GROUP-BY state a fresh run
-would rebuild.  Driven across every engine.
+would rebuild.  The full recompute is the ``reference`` engine, the
+executable spec.
 """
 
 import hypothesis.strategies as st
@@ -103,22 +104,21 @@ def run_script(detector_update, current_rows, script, rng_keys):
 )
 def test_incremental_equals_full_recompute_all_engines(rows, sigma, script):
     relation = Relation(SCHEMA, rows)
-    for engine in ("reference", "fused"):
-        detector = IncrementalDetector(sigma, engine=engine)
-        detector.attach(relation)
-        final_rows = run_script(
-            lambda ins, dels: detector.update(inserted=ins, deleted=dels),
-            rows,
-            script,
-            None,
-        )
-        oracle = detect_violations_reference(Relation(SCHEMA, final_rows), sigma)
-        report = detector.report
-        assert report.violations == oracle.violations, engine
-        assert report.tuple_keys == oracle.tuple_keys, engine
-        assert sorted(map(repr, detector.relation.rows)) == sorted(
-            map(repr, final_rows)
-        )
+    detector = IncrementalDetector(sigma)
+    detector.attach(relation)
+    final_rows = run_script(
+        lambda ins, dels: detector.update(inserted=ins, deleted=dels),
+        rows,
+        script,
+        None,
+    )
+    oracle = detect_violations_reference(Relation(SCHEMA, final_rows), sigma)
+    report = detector.report
+    assert report.violations == oracle.violations
+    assert report.tuple_keys == oracle.tuple_keys
+    assert sorted(map(repr, detector.relation.rows)) == sorted(
+        map(repr, final_rows)
+    )
 
 
 @settings(deadline=None, max_examples=25)
@@ -213,15 +213,6 @@ def test_update_before_attach_raises():
     )
     with pytest.raises(ValueError):
         detector.update(inserted=[(1, 0, 0, 0)])
-
-
-def test_incremental_detector_engine_validation(monkeypatch):
-    detector = IncrementalDetector(
-        [CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])],
-        engine="bogus",
-    )
-    with pytest.raises(ValueError):
-        detector.attach(Relation(SCHEMA, []))
 
 
 def test_delta_report_is_consistent_with_before_after():

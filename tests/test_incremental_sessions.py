@@ -8,8 +8,9 @@ deployment: violations, tuple keys, and (for CLUSTDETECT) the patched
 :class:`~repro.relational.shareddict.SharedComboDictionary`-coded
 coordinator state a fresh cluster rebuild would produce.  The module
 opts into the engine-matrix fixture, so every property runs once per
-detection engine (the one-shot runs they are compared with, and the
-vertical session's attached detectors, honour ``REPRO_ENGINE``).
+detection engine: the one-shot runs the sessions are compared with
+honour ``REPRO_ENGINE``, while the sessions themselves always run the
+delta folds.
 """
 
 import hypothesis.strategies as st

@@ -13,7 +13,8 @@ honest:
 * **a complexity guard with no clock in it** — the ``tracemalloc`` peak of
   one fixed update must not depend on the size of the groups it touches.
 
-Both run once per fused leg of the engine matrix (see ``conftest.py``).
+Both run once per fused leg of the engine matrix (see ``conftest.py``);
+the session itself always runs the delta folds.
 """
 
 import tracemalloc
@@ -65,15 +66,13 @@ class _Session:
     conflicting (300 rows), ``a=2`` small (5 rows) — aged by committed
     batches so the code layout's ``adds`` / ``dels`` logs are non-empty."""
 
-    def __init__(self, engine):
+    def __init__(self):
         rows = [(i, 0, 0) for i in range(300)]
         rows += [(300 + i, 1, i % 2) for i in range(300)]
         rows += [(600 + i, 2, 7) for i in range(5)]
         self.live = {a: [r[0] for r in rows if r[1] == a] for a in (0, 1, 2)}
         self.next_id = 1000
-        self.detector = incremental_detect(
-            Relation(SCHEMA, rows), [CFD_AB], engine=engine
-        )
+        self.detector = incremental_detect(Relation(SCHEMA, rows), [CFD_AB])
         for _ in range(4):
             inserted, deleted = self.batch({0: (5, 3), 1: (5, 3), 2: (2, 1)})
             self.detector.update(inserted=inserted, deleted=deleted)
@@ -148,14 +147,14 @@ DOOMED = {
 @pytest.mark.parametrize("scenario", DOOMED)
 @FUSED_LEGS
 def test_rollback_is_structurally_exact(fused_leg, scenario, fuse):
-    session = _Session(fused_leg)
+    session = _Session()
     detector = session.detector
     inserted, deleted = session.batch(DOOMED[scenario], commit=False)
     if scenario == "after-forced-compaction":
         # the batch really does compact group a=0 (the first X interned:
         # code 0) while it is open: run cleanly on a twin session, it
         # leaves the group a different key table object
-        twin = _Session(fused_leg)
+        twin = _Session()
         group = twin.detector._variables[0]._code_groups[0]
         key_counts = group.key_counts
         twin.detector.update(*twin.batch(DOOMED[scenario]))
@@ -177,14 +176,12 @@ def test_rollback_is_structurally_exact(fused_leg, scenario, fuse):
         assert 2 not in after and (2,) not in after
 
 
-def _update_peak(engine, group_rows):
+def _update_peak(group_rows):
     """``tracemalloc`` peak (bytes) of one fixed 8-insert + 4-delete
     update touching a clean and a conflicting group of ``group_rows``."""
     rows = [(i, 0, 0) for i in range(group_rows)]
     rows += [(group_rows + i, 1, i % 2) for i in range(group_rows)]
-    detector = incremental_detect(
-        Relation(SCHEMA, rows), [CFD_AB], engine=engine
-    )
+    detector = incremental_detect(Relation(SCHEMA, rows), [CFD_AB])
     base = 10 * group_rows
 
     def batch(n):
@@ -211,7 +208,7 @@ def test_update_allocation_is_flat_in_group_size(fused_leg):
     it touches (12 KB vs 13 KB here; 22 KB vs 603 KB when every touched
     group's member keys were copied on first touch).  The row counts keep
     every resident dict clear of a resize during the measured update."""
-    small = _update_peak(fused_leg, 100)
-    large = _update_peak(fused_leg, 10_000)
+    small = _update_peak(100)
+    large = _update_peak(10_000)
     assert large <= 2 * small, (small, large)
     assert small <= 2 * large, (small, large)
