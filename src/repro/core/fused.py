@@ -28,10 +28,13 @@ so each row tuple is *touched once*:
    by a sort-free group-reduce: a scatter elects one representative Y code
    per σ-matched X group, and a group conflicts iff some of its rows
    disagrees with the representative.  No tuple construction, no value
-   hashing.  On repeat detections violating tuple keys are gathered
-   through the relation's key
+   hashing.  Each firing form only records its violating rows; they OR
+   into one row mask once every form has run, so a row that several
+   forms flag has its tuple key projected once and the detection builds
+   one report.  The first collection over a store projects the rows; on
+   repeat detections the keys are gathered through the relation's key
    :class:`~repro.relational.columnar.KeyColumn`, whose pre-built value
-   tuples make the set-update allocation-free.
+   tuples make the set allocation-free.
 
 The output is bit-for-bit the reference detector's :class:`ViolationReport`
 (violations *and* violating tuple keys), which the property-based suites
@@ -131,30 +134,23 @@ def _constant_hits(checks, rhs_column, bad):
 
 
 def _scan_constants(
-    relation: Relation,
+    store: ColumnStore,
     constants: Sequence[ConstantCFD],
-    collect_tuples: bool,
-    keys_hot: bool | None = None,
-) -> ViolationReport:
-    report = ViolationReport()
-    rows = relation.rows
-    if not rows or not constants:
-        return report
-    store = column_store(relation)
-    schema = relation.schema
-    key_pos = schema.key_positions()
-    if keys_hot is None:
-        keys_hot = store.scratch.get("keys_collected", False)
-    collected = False
+    report: ViolationReport,
+    hits: list,
+) -> None:
+    """Add each constant form's violations to ``report`` and its violating
+    row ids to ``hits``."""
+    rows = store.rows
     for constant in constants:
         plan = _compile_constant(store, constant)
         if plan is None:
             continue
-        hits = _constant_hits(*plan).tolist()
-        if not hits:
+        ids = _constant_hits(*plan)
+        if not len(ids):
             continue
-        report_pos = schema.positions(constant.report_lhs)
-        for values in set(_project_rows(rows, hits, report_pos)):
+        report_pos = store.schema.positions(constant.report_lhs)
+        for values in set(_project_rows(rows, ids.tolist(), report_pos)):
             report.add(
                 Violation(
                     cfd=constant.source,
@@ -162,12 +158,7 @@ def _scan_constants(
                     lhs_values=values,
                 )
             )
-        if collect_tuples:
-            _collect_keys(report, store, rows, key_pos, hits, keys_hot)
-            collected = True
-    if collected:
-        store.scratch["keys_collected"] = True
-    return report
+        hits.append(ids)
 
 
 # -- variable normal forms ----------------------------------------------------
@@ -215,52 +206,39 @@ def group_segments(codes):
     return order, [0, *edges], [*edges, len(ordered)]
 
 
-def _collect_keys(
-    report: ViolationReport,
-    store: ColumnStore,
-    rows: Sequence[tuple],
-    key_pos: tuple[int, ...],
-    ids,
-    use_key_column: bool,
-) -> None:
-    """Add the key projections of the violating rows ``ids`` to the report,
-    adapting to store reuse.
+def _collect_keys(store: ColumnStore, hits: list) -> set[tuple]:
+    """The key projections of every row in ``hits`` (row-id arrays or
+    boolean row masks), gathered once: the hits OR into one row mask, so a
+    row that several forms flag is projected once.
 
     Decoding through the key :class:`KeyColumn`'s pre-built value tuples
     makes repeat detections allocation-free, but building that column costs
-    one pass over the relation — a loss for one-shot runs.  The scans pass
-    ``use_key_column=False`` on the first collecting detection over a store
-    and leave a breadcrumb in ``store.scratch``; from the second detection
-    on (the columnar caches are warm, the store is evidently being reused)
-    the key column pays for itself.
+    one pass over the relation — a loss for one-shot runs.  The first
+    collection over a store projects the rows and leaves a breadcrumb in
+    ``store.scratch``; from the second on (the columnar caches are warm,
+    the store is evidently being reused) the key column pays for itself.
     """
-    if use_key_column:
+    mask = _np.zeros(len(store.rows), dtype=bool)
+    for hit in hits:
+        mask[hit] = True
+    ids = _np.flatnonzero(mask)
+    if store.scratch.get("keys_collected", False):
         key_column = store.key_column(store.schema.key)
-        codes = key_column.codes_array()[ids]
-        report.tuple_keys.update(
-            map(key_column.values.__getitem__, codes.tolist())
-        )
-    else:
-        if not isinstance(ids, list):
-            ids = ids.tolist()
-        report.tuple_keys.update(_project_rows(rows, ids, key_pos))
+        codes = key_column.codes_array()[ids].tolist()
+        return set(map(key_column.values.__getitem__, codes))
+    store.scratch["keys_collected"] = True
+    key_pos = store.schema.key_positions()
+    return set(_project_rows(store.rows, ids.tolist(), key_pos))
 
 
 def _scan_variables(
-    relation: Relation,
+    store: ColumnStore,
     variables: Sequence[tuple[VariableCFD, PatternIndex]],
-    collect_tuples: bool,
-    keys_hot: bool | None = None,
-) -> ViolationReport:
-    report = ViolationReport()
-    rows = relation.rows
-    if not rows or not variables:
-        return report
-    store = column_store(relation)
-    key_pos = relation.schema.key_positions()
-    if keys_hot is None:
-        keys_hot = store.scratch.get("keys_collected", False)
-    collected = False
+    report: ViolationReport,
+    hits: list,
+) -> None:
+    """Add each variable form's violations to ``report`` and its violating
+    rows, as a boolean row mask, to ``hits``."""
     for variable, index in variables:
         x_key = store.key_column(variable.lhs)
         y_key = store.key_column(variable.rhs)
@@ -277,16 +255,28 @@ def _scan_variables(
                     lhs_values=x_key.values[g],
                 )
             )
-        if not collect_tuples:
-            continue
         # every member of a conflicting group is a violating tuple
-        mask = _np.zeros(x_key.n_groups, dtype=bool)
-        mask[conflicting] = True
-        ids = _np.nonzero(mask[x_key.codes_array()])[0]
-        _collect_keys(report, store, rows, key_pos, ids, keys_hot)
-        collected = True
-    if collected:
-        store.scratch["keys_collected"] = True
+        group_mask = _np.zeros(x_key.n_groups, dtype=bool)
+        group_mask[conflicting] = True
+        hits.append(group_mask[x_key.codes_array()])
+
+
+def _detect(
+    relation: Relation,
+    constants: Sequence[ConstantCFD],
+    variables: Sequence[tuple[VariableCFD, PatternIndex]],
+    collect_tuples: bool,
+) -> ViolationReport:
+    """Every form's violations, and the violating tuple keys collected once."""
+    report = ViolationReport()
+    if not relation.rows:
+        return report
+    store = column_store(relation)
+    hits: list = []
+    _scan_constants(store, constants, report, hits)
+    _scan_variables(store, variables, report, hits)
+    if collect_tuples and hits:
+        report.tuple_keys = _collect_keys(store, hits)
     return report
 
 
@@ -299,7 +289,7 @@ def detect_constants(
     collect_tuples: bool = True,
 ) -> ViolationReport:
     """Violations of several constant normal forms, over the columnar store."""
-    return _scan_constants(relation, constants, collect_tuples)
+    return _detect(relation, constants, (), collect_tuples)
 
 
 class FusedDetector:
@@ -331,15 +321,8 @@ class FusedDetector:
     ) -> ViolationReport:
         """``Vioπ(Σ, D)`` plus violating tuple keys, fused over one encoding
         pass of ``relation``."""
-        # resolve the key-collection breadcrumb once per call: both scans of
-        # a first detection must take the one-shot path even if the constant
-        # scan collects (and flips the flag) before the variable scan runs
-        keys_hot = column_store(relation).scratch.get("keys_collected", False)
-        report = _scan_constants(
-            relation, self._constants, collect_tuples, keys_hot
-        )
-        return report.merge(
-            _scan_variables(relation, self._variables, collect_tuples, keys_hot)
+        return _detect(
+            relation, self._constants, self._variables, collect_tuples
         )
 
 

@@ -27,20 +27,20 @@ it unboxes array elements, so the per-row loops of the delta engine, the
 group indexes and the distributed scans read those) and as cached
 ``int32`` numpy arrays, which the fused detection engine's vectorized
 folds (:mod:`repro.core.fused`) consume through
-:meth:`Column.codes_array` / :meth:`KeyColumn.codes_array`.  numpy also
-speeds up the encoding pass itself:
+:meth:`Column.codes_array` / :meth:`KeyColumn.codes_array`.
 
-* ``np.unique(..., return_inverse=True)`` replaces the per-row dictionary
-  probe for numeric columns, with the sorted codes remapped so the
-  first-seen-order contract of the dictionary encoder is preserved
-  bit-for-bit (string, mixed and NaN-carrying columns keep the dictionary
-  loop, which beats a wide-element sort there);
-* composite keys combine the per-attribute code arrays arithmetically in
-  one int64 mixed-radix pass instead of hashing row tuples.
-
-Both encoders produce the same encoding.  The vectorized one kicks in at
-:data:`VECTORIZE_MIN_ROWS` rows; below that the dictionary loop wins on
-constant factors.
+Every column is encoded by one dictionary loop, whatever its type: with
+CPython's cached hashes it beats a sort-based ``np.unique`` even on
+numeric columns, and it numbers values by first appearance with the
+dict's own equality (``1 == 1.0 == True`` conflate, a NaN object keys by
+identity).  Composite keys combine the per-attribute code arrays instead
+of hashing row tuples: attributes fold into a dense first-seen table of
+``groups × n_distinct`` cells while it stays small next to the row count,
+and whatever remains packs mixed-radix into one int64 for a single
+``np.unique``.  Both steps renumber groups by first appearance, so the
+result is the hash loop's encoding bit for bit; the vectorized combine
+kicks in at :data:`VECTORIZE_MIN_ROWS` rows, below which the hash loop
+wins on constant factors.
 """
 
 from __future__ import annotations
@@ -49,54 +49,35 @@ from typing import Sequence
 
 import numpy as _np
 
-#: below this many rows the dictionary loop beats ``np.unique`` on constant
-#: factors; tests force the vectorized path by patching this to 0.
+#: below this many rows the hash loop beats the vectorized composite-key
+#: combine on constant factors; tests force the vectorized path by patching
+#: this to 0.
 VECTORIZE_MIN_ROWS = 256
 
+#: a composite key folds attributes into a dense first-seen table while the
+#: table has at most this many cells per row; past that, one ``np.unique``
+_DENSE_CELLS_PER_ROW = 8
 
-def _first_seen_remap(sorted_values, first_index, inverse):
-    """Remap ``np.unique`` output from sorted order to first-seen order.
 
-    Returns ``(codes, decode)`` where ``codes[i]`` numbers distinct values
-    by first appearance — the contract of the dictionary encoder — and
-    ``decode`` lists the (still numpy-boxed) values in that order.
+def _int32(codes: list[int]):
+    return _np.fromiter(codes, dtype=_np.int32, count=len(codes))
+
+
+def _first_seen(packed, size: int):
+    """Renumber ``packed``, an int array over ``range(size)``, by first
+    appearance — the dictionary encoder's order — without sorting.
+
+    Returns ``(codes, firsts)``: ``codes[i]`` is row ``i``'s group ordinal
+    and ``firsts`` holds each group's first row, in row order.
     """
-    order = _np.argsort(first_index)  # sorted ordinal -> first-seen position
-    rank = _np.empty(len(order), dtype=_np.int64)
-    rank[order] = _np.arange(len(order), dtype=_np.int64)
-    return rank[inverse].astype(_np.int32), sorted_values[order]
-
-
-def _encode_values_numpy(raw: list):
-    """Vectorized dictionary encoding of one *numeric* attribute, or ``None``.
-
-    Only numeric columns take this path; everything else — strings, whose
-    cached hashes make the dictionary loop faster than a wide-element sort
-    anyway; mixed columns, which ``np.asarray`` would silently stringify;
-    arbitrary objects; int64-overflowing integers — falls back (returns
-    ``None``).  A float result additionally must survive a value-exact
-    round trip: an int/float mix upcasts to float64, where ints beyond
-    2**53 collapse onto the same float and NaNs (which a Python dict keys
-    by identity) compare unequal to themselves — either would silently
-    diverge from the dictionary backend, and the two must agree
-    bit-for-bit.  Benign conflations (1 / 1.0 / True) round-trip as equal,
-    exactly as a dict conflates those keys.
-    """
-    try:
-        arr = _np.asarray(raw)
-    except (OverflowError, ValueError):  # ints beyond int64, odd shapes
-        return None
-    if arr.ndim != 1 or arr.dtype.kind not in "biuf":
-        return None
-    if arr.dtype.kind == "f" and arr.tolist() != raw:
-        return None
-    sorted_values, first_index, inverse = _np.unique(
-        arr, return_index=True, return_inverse=True
-    )
-    codes_arr, decode = _first_seen_remap(sorted_values, first_index, inverse)
-    values = decode.tolist()  # unbox to plain Python values
-    code_of = {value: code for code, value in enumerate(values)}
-    return codes_arr.tolist(), values, code_of, codes_arr
+    n = len(packed)
+    first = _np.full(size, n, dtype=_np.int64)
+    _np.minimum.at(first, packed, _np.arange(n, dtype=_np.int64))
+    seen = _np.zeros(n + 1, dtype=bool)
+    seen[first] = True  # absent cells land on the sentinel slot n
+    firsts = _np.flatnonzero(seen[:n])
+    first[packed[firsts]] = _np.arange(len(firsts))  # cell -> group ordinal
+    return first[packed], firsts
 
 
 class Column:
@@ -116,26 +97,22 @@ class Column:
         codes: list[int],
         values: list[object],
         code_of: dict[object, int],
-        codes_np=None,
     ) -> None:
         self.attribute = attribute
         self.codes = codes
         self.values = values
         self.code_of = code_of
-        self._codes_np = codes_np
+        self._codes_np = None
 
     @property
     def n_distinct(self) -> int:
         return len(self.values)
 
     def codes_array(self):
-        """The codes as a cached ``int32`` ndarray.
-
-        Built natively by the vectorized encoder; otherwise converted from
-        the list on first use.  The two views describe the same encoding.
-        """
+        """The codes as an ``int32`` ndarray, converted from the list on
+        first use and cached.  The two views describe the same encoding."""
         if self._codes_np is None:
-            self._codes_np = _np.asarray(self.codes, dtype=_np.int32)
+            self._codes_np = _int32(self.codes)
         return self._codes_np
 
     def __repr__(self) -> str:
@@ -177,7 +154,7 @@ class KeyColumn:
         """The group ordinals as a cached ``int32`` ndarray (see
         :meth:`Column.codes_array`)."""
         if self._codes_np is None:
-            self._codes_np = _np.asarray(self.codes, dtype=_np.int32)
+            self._codes_np = _int32(self.codes)
         return self._codes_np
 
     def __repr__(self) -> str:
@@ -222,21 +199,6 @@ class ColumnStore:
         if cached is not None:
             return cached
         position = self.schema.position(attribute)
-        if (
-            self.rows
-            and len(self.rows) >= VECTORIZE_MIN_ROWS
-            # cheap prefilter on the first value: a string/object column
-            # would only be rejected by the encoder after a throwaway
-            # wide-dtype array conversion (full checks still run inside)
-            and isinstance(self.rows[0][position], (bool, int, float))
-        ):
-            raw = [row[position] for row in self.rows]
-            encoded = _encode_values_numpy(raw)
-            if encoded is not None:
-                codes, values, code_of, codes_arr = encoded
-                column = Column(attribute, codes, values, code_of, codes_arr)
-                self._columns[attribute] = column
-                return column
         codes: list[int] = []
         values: list[object] = []
         code_of: dict[object, int] = {}
@@ -273,8 +235,8 @@ class ColumnStore:
             key = KeyColumn(
                 attributes,
                 column.codes,
-                [(v,) for v in column.values],
-                column._codes_np,
+                list(zip(column.values)),
+                column.codes_array(),
             )
             self._key_columns[attributes] = key
             return key
@@ -307,34 +269,46 @@ class ColumnStore:
     def _key_column_numpy(
         self, attributes: tuple[str, ...], columns: list[Column]
     ) -> KeyColumn | None:
-        """Vectorized composite encoding: one mixed-radix int64 pass.
+        """Vectorized composite encoding over the per-attribute codes.
 
-        Each row's combination is packed into a single int64 (per-attribute
-        code weighted by the later attributes' alphabet sizes), grouped
-        with one ``np.unique`` and remapped to first-seen order.  Returns
+        Attributes fold one at a time into a dense table of the
+        ``groups × n_distinct`` cells, renumbered by first appearance, while
+        that table stays within :data:`_DENSE_CELLS_PER_ROW` cells per row.
+        The remaining attributes pack mixed-radix into one int64, grouped
+        by a single ``np.unique`` and renumbered the same way.  Returns
         ``None`` when the packed key could overflow int64 — the hash loop
         handles that (rare, very-high-cardinality) case.
         """
-        capacity = 1
-        for column in columns:
-            capacity *= max(column.n_distinct, 1)
-            if capacity > 2 ** 62:
-                return None
+        n = len(self.rows)
         combined = columns[0].codes_array().astype(_np.int64)
+        groups = columns[0].n_distinct
+        dense = 1
         for column in columns[1:]:
-            combined = combined * max(column.n_distinct, 1) + column.codes_array()
-        sorted_keys, first_index, inverse = _np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        codes_arr, _ = _first_seen_remap(sorted_keys, first_index, inverse)
+            width = column.n_distinct
+            if groups * width > _DENSE_CELLS_PER_ROW * n:
+                break
+            packed = combined * width + column.codes_array()
+            combined, firsts = _first_seen(packed, groups * width)
+            groups = len(firsts)
+            dense += 1
+        rest = columns[dense:]
+        if rest:
+            capacity = groups
+            for column in rest:
+                capacity *= column.n_distinct
+                if capacity > 2 ** 62:
+                    return None
+            for column in rest:
+                combined = combined * column.n_distinct + column.codes_array()
+            distinct, inverse = _np.unique(combined, return_inverse=True)
+            combined, firsts = _first_seen(inverse, len(distinct))
+        codes_arr = combined.astype(_np.int32)
         # decode each group from its first occurrence's per-attribute codes
-        firsts = _np.sort(first_index).tolist()
-        code_lists = [column.codes for column in columns]
-        value_lists = [column.values for column in columns]
-        values = [
-            tuple(vl[cl[i]] for vl, cl in zip(value_lists, code_lists))
-            for i in firsts
-        ]
+        decoded = []
+        for column in columns:
+            codes = column.codes_array()[firsts].tolist()
+            decoded.append(map(column.values.__getitem__, codes))
+        values = list(zip(*decoded))
         return KeyColumn(attributes, codes_arr.tolist(), values, codes_arr)
 
     # -- hash group index -------------------------------------------------

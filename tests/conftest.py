@@ -15,9 +15,10 @@ local checks (:mod:`repro.core.fused`) pick the engine up.
 
 There is one leg per engine plus ``fused-numpy``, which is not an engine:
 it runs ``fused`` with :data:`repro.relational.columnar.VECTORIZE_MIN_ROWS`
-forced to 0, so the matrix's small relations also take the numpy encoder
-(``np.unique`` and the mixed-radix key combine) instead of the dictionary
-loop they get by default.
+forced to 0, so the matrix's small relations also take the vectorized
+composite-key combine (the dense first-seen table and the mixed-radix
+``np.unique`` step) instead of the hash loop they get by default.  Columns
+encode through the one dictionary loop on every leg.
 """
 
 import pytest

@@ -9,9 +9,8 @@ paths where they genuinely diverge in implementation:
 
 * eCFD predicate entries (``OneOf`` / ``NotValue`` / ``Range``) on both
   sides of the pattern;
-* mixed int/str columns, which the vectorized encoder must refuse
-  (``np.asarray`` would silently stringify) and route through the
-  dictionary loop;
+* mixed int/str columns, whose dictionary codes the vectorized
+  composite-key combine must group exactly like the hash loop;
 * both horizontal partition kinds, empty relations and fragments,
   single-row X-groups, and all-identical columns;
 * warm re-detection on a cached store (the fused folds switch their
@@ -22,9 +21,9 @@ paths where they genuinely diverge in implementation:
   strategy is documented in :mod:`repro.core.sql`).
 
 ``VECTORIZE_MIN_ROWS`` is forced to 0 for the whole module so the
-hypothesis-sized relations actually take the vectorized encoder; the
-columnar unit tests at the bottom pin the two encoders to the identical
-first-seen-order output.
+hypothesis-sized relations actually take the vectorized composite-key
+combine; the columnar unit tests at the bottom pin it and the hash loop
+to the identical first-seen-order output.
 """
 
 import hypothesis.strategies as st
@@ -48,15 +47,15 @@ from repro.relational import columnar
 
 ATTRS = ("a", "b", "c", "d")
 SCHEMA = Schema("R", ("id",) + ATTRS, key=("id",))
-#: mixed domain: int-only draws exercise the vectorized encoder, draws with
-#: strings exercise its fallback — both against the same oracle
+#: mixed domain: int-only and string-carrying draws, both against the same
+#: oracle
 VALUES = [0, 1, 2, "x", "y"]
 
 
 @pytest.fixture(scope="module", autouse=True)
 def vectorize_tiny_relations():
     """Drop the vectorization threshold so hypothesis-sized inputs hit the
-    numpy encoder instead of the small-relation dictionary loop."""
+    vectorized key combine instead of the small-relation hash loop."""
     patcher = pytest.MonkeyPatch()
     patcher.setattr(columnar, "VECTORIZE_MIN_ROWS", 0)
     yield
@@ -372,7 +371,8 @@ def test_mixed_type_key_columns():
 
 
 def both_stores(rows_, n_attrs=3):
-    """The same rows encoded by the vectorized and the dictionary backend."""
+    """The same rows with key columns built by the vectorized combine and
+    by the hash loop."""
     schema = Schema("R", ("id",) + ATTRS[:n_attrs], key=("id",))
     vec = column_store(Relation(schema, rows_))
     patcher = pytest.MonkeyPatch()
@@ -389,7 +389,6 @@ def test_vectorized_encode_matches_dictionary_encode():
     vec, plain = both_stores(rows_)
     for attr in ("a", "b", "c"):
         left, right = vec.column(attr), plain.column(attr)
-        assert left._codes_np is not None, "vectorized encode should run"
         assert left.codes == right.codes  # first-seen order preserved
         assert left.values == right.values
         assert left.code_of == right.code_of
@@ -404,10 +403,8 @@ def test_vectorized_encode_matches_dictionary_encode():
 def test_vectorized_encode_fallbacks():
     mixed = [(i, "s" if i % 2 else i, 1.5, float("nan")) for i in range(40)]
     vec, plain = both_stores(mixed)
-    for attr in ("a", "c"):  # mixed and NaN columns take the dictionary loop
-        assert vec.column(attr)._codes_np is None
+    for attr in ("a", "c"):  # mixed and NaN columns
         assert vec.column(attr).codes == plain.column(attr).codes
-    assert vec.column("b")._codes_np is not None  # clean floats vectorize
     # the lazily-built array view agrees with the list view
     assert vec.column("a").codes_array().tolist() == vec.column("a").codes
 

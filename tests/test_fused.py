@@ -22,6 +22,8 @@ from repro.core import (
     detect_violations_reference,
     fused_detect,
 )
+from repro.core.fused import detect_constants
+from repro.core.normalize import normalize_all
 from repro.partition import partition_by_attribute, partition_uniform
 from repro.relational import HashIndex, Relation, Schema, column_store
 
@@ -226,3 +228,70 @@ def test_group_index_matches_group_by_row_ids():
     index = column_store(relation).group_index(("c",))
     for key, ids in index.items():
         assert [relation.rows[i] for i in ids] == relation.group_by(["c"])[key]
+
+
+# -- tuple keys collected once ------------------------------------------------
+
+
+def overlapping_relation():
+    """Both constant forms fire on rows 0 and 1 (and more), and each
+    variable form fires on groups that overlap those rows and reach beyond
+    them; every fragment of a two-site split still holds a row that both
+    constant forms flag."""
+    body = [
+        (1, 5, 0, 0),
+        (1, 1, 0, 1),
+        (1, 1, 1, 2),
+        (1, 9, 1, 2),
+        (1, 9, 2, 0),
+        (1, 9, 2, 0),
+        (2, 7, 0, 3),
+        (2, 7, 1, 2),
+        (3, 4, 2, 1),
+    ]
+    return Relation(SCHEMA, [(i,) + r for i, r in enumerate(body)])
+
+
+OVERLAPPING_SIGMA = [
+    CFD(["a"], ["b"], [PatternTuple((1,), (9,))], name="const"),
+    CFD(["a"], ["b"], name="var_ab"),
+    CFD(["c"], ["d"], name="var_cd"),
+    CFD(["c"], ["d"], [PatternTuple((0,), (9,))], name="const_c"),
+]
+
+
+def test_overlapping_forms_collect_keys_once_per_route():
+    relation = overlapping_relation()
+    expected = detect_violations_reference(relation, OVERLAPPING_SIGMA)
+    assert {v.cfd for v in expected.violations} == {
+        "const", "var_ab", "var_cd", "const_c"
+    }
+    store = column_store(relation)
+    # first detection: the keys are projected from the rows
+    first = fused_detect(relation, OVERLAPPING_SIGMA)
+    assert ("id",) not in store._key_columns
+    assert first.violations == expected.violations
+    assert first.tuple_keys == expected.tuple_keys
+    # second: they decode through the key column
+    second = fused_detect(relation, OVERLAPPING_SIGMA)
+    assert ("id",) in store._key_columns
+    assert second.violations == expected.violations
+    assert second.tuple_keys == expected.tuple_keys
+
+
+def test_detect_constants_collects_keys_once_on_a_fragment():
+    constants = [
+        constant
+        for nf in normalize_all(OVERLAPPING_SIGMA)
+        for constant in nf.constants
+    ]
+    fragment = partition_uniform(overlapping_relation(), 2).fragment(0)
+    expected = detect_violations_reference(
+        fragment, [cfd for cfd in OVERLAPPING_SIGMA if cfd.name.startswith("const")]
+    )
+    assert {v.cfd for v in expected.violations} == {"const", "const_c"}
+    for _ in range(2):  # row projection, then the key column
+        report = detect_constants(fragment, constants, collect_tuples=True)
+        assert report.violations == expected.violations
+        assert report.tuple_keys == expected.tuple_keys
+    assert ("id",) in column_store(fragment)._key_columns
