@@ -19,7 +19,8 @@ distributed half lives in :mod:`repro.detect.incremental`):
     count hits in, deleted rows count them back out
     (:class:`ConstantFolds`);
   - **variable forms** keep, per σ-matched ``X`` group, the multiset of
-    RHS combinations and of member tuple keys
+    RHS combinations (a :class:`GroupCounts` table, the one every
+    resident session keeps) and of member tuple keys
     (:class:`VariableGroupState`).  A batch touches only the groups its
     rows fall into; a group flips between clean and conflicting exactly
     when its count of distinct RHS combinations crosses two.
@@ -142,6 +143,25 @@ def _restore_counts(counts: dict, journal: dict) -> None:
             counts.pop(key, None)
 
 
+def _bump(counts: dict, key, n: int, journal: dict | None = None) -> int:
+    """Add ``n`` to ``counts[key]``, dropping the entry at zero; the one
+    count-and-journal step of every resident count table.  Records the
+    prior count in ``journal`` on first touch (the rollback half is
+    :func:`_restore_counts`) and returns it.  An underflow raises
+    :class:`ValueError` with the table unchanged."""
+    prior = counts.get(key, 0)
+    if journal is not None:
+        journal.setdefault(key, prior)
+    count = prior + n
+    if count > 0:
+        counts[key] = count
+    elif count == 0:
+        counts.pop(key, None)
+    else:
+        raise ValueError("deleted a row that is not in the group")
+    return prior
+
+
 class TransitionCounter:
     """A multiset that captures zero crossings per update batch.
 
@@ -189,22 +209,15 @@ class TransitionCounter:
                 self._went_down.add(item)
 
     def add(self, item, n: int = 1) -> None:
-        count = self.counts.get(item, 0)
-        undo = self._undo
-        if undo is not None and item not in undo:
-            undo[item] = count
-        new = count + n
-        if new > 0:
-            self.counts[item] = new
-        elif new == 0:
-            self.counts.pop(item, None)
-        else:
+        try:
+            count = _bump(self.counts, item, n, self._undo)
+        except ValueError:
             raise ValueError(
                 f"witness count of {item!r} fell below zero: the update "
                 "removed rows that were never inserted"
-            )
-        if self._went_up is not None and (count > 0) != (new > 0):
-            self._cross(item, new > 0)
+            ) from None
+        if self._went_up is not None and (count > 0) != (count + n > 0):
+            self._cross(item, count + n > 0)
 
     def add_bulk(self, items: Iterable, sign: int) -> None:
         """Bulk single-sign :meth:`add` — the per-row hot path of the
@@ -495,33 +508,100 @@ def _form_lookup(hashed: dict, probed: list):
 # -- variable normal forms ----------------------------------------------------
 
 
-def _bump(counts: dict, key, n: int, journal: dict | None = None) -> int:
-    """Add ``n`` to ``counts[key]``, dropping the entry at zero; the one
-    count-and-journal step of every resident count table.  Records the
-    prior count in ``journal`` on first touch (the rollback half is
-    :func:`_restore_counts`) and returns it.  An underflow raises
-    :class:`ValueError` with the table unchanged."""
-    prior = counts.get(key, 0)
-    if journal is not None:
-        journal.setdefault(key, prior)
-    count = prior + n
-    if count > 0:
-        counts[key] = count
-    elif count == 0:
-        del counts[key]
-    else:
-        raise ValueError("deleted a row that is not in the group")
-    return prior
+class GroupCounts:
+    """The GROUP BY of a variable CFD, resident: ``x → {y: row count}``.
+
+    An ``x`` group violates when it holds two distinct ``y``; the groups
+    that do are the ``conflicting`` set, which :meth:`settle` moves one
+    group at a time.  Every resident table of a session is one of these —
+    the centralized fold's (:class:`VariableGroupState`), each distributed
+    coordinator's (:class:`repro.detect.incremental._VariableState`) and
+    CLUSTDETECT's per-bucket combination counts — so they share one
+    count-and-journal step and one rollback.
+
+    Batches are **transactional**: while one is open, the first touch of
+    each ``x`` journals ``(was_conflicting, {y: prior count})`` — the
+    :func:`_bump` journal of that group plus its conflict flag — so
+    :meth:`rollback` restores counts *and* flags in O(|touched|).  Empty
+    groups are dropped, never kept at ``{}``.
+    """
+
+    __slots__ = ("counts", "conflicting", "_journal")
+
+    def __init__(self) -> None:
+        self.counts: dict = {}
+        self.conflicting: set = set()
+        #: x -> (was conflicting, {y: prior count}) while a batch is open
+        self._journal: dict | None = None
+
+    def begin(self) -> None:
+        """Open a transactional batch (first-touch journal per ``x``)."""
+        self._journal = {}
+
+    def commit(self) -> None:
+        """Close the batch, discarding its journal."""
+        self._journal = None
+
+    def rollback(self) -> None:
+        """Restore every touched group's counts and conflict flag; close
+        the batch.  A no-op when no batch is open."""
+        journal = self._journal
+        self._journal = None
+        if journal is None:
+            return
+        counts, conflicting = self.counts, self.conflicting
+        for x, (was, priors) in journal.items():
+            ys = counts.setdefault(x, {})
+            _restore_counts(ys, priors)
+            if not ys:
+                del counts[x]
+            (conflicting.add if was else conflicting.discard)(x)
+
+    def _arm(self, x) -> dict | None:
+        """``x``'s ``{y: prior}`` journal under an open batch (recorded on
+        first touch), else ``None``."""
+        journal = self._journal
+        if journal is None:
+            return None
+        entry = journal.get(x)
+        if entry is None:
+            entry = journal[x] = (x in self.conflicting, {})
+        return entry[1]
+
+    def add_rows(self, x, y, n: int) -> None:
+        """Add ``n`` rows of ``(x, y)``.  An underflow raises
+        :class:`ValueError` with the table unchanged."""
+        counts = self.counts
+        ys = counts.get(x)
+        if ys is None:
+            ys = counts[x] = {}
+        journal = None if self._journal is None else self._arm(x)
+        try:
+            _bump(ys, y, n, journal)
+        finally:
+            if not ys:
+                del counts[x]
+
+    def settle(self, x) -> int:
+        """Re-derive ``x``'s conflict status after patching it: ``+1``
+        when it starts conflicting, ``-1`` when it stops, else ``0``."""
+        now = len(self.counts.get(x, ())) >= 2
+        if now == (x in self.conflicting):
+            return 0
+        (self.conflicting.add if now else self.conflicting.discard)(x)
+        return 1 if now else -1
 
 
 class _CodeGroup:
-    """One σ-matched ``X`` group's live state, keyed by its ``X`` code.
+    """The member keys of one σ-matched ``X`` group, keyed by its ``X``
+    code (the group's RHS counts live in the state's
+    :class:`GroupCounts`).
 
-    ``y_counts`` maps RHS *codes* to row counts.  Member keys are kept as
-    a compacted multiset plus two append-only event logs (``adds`` /
-    ``dels``) — the per-row residue of a batch is then a C-level
-    ``list.extend``, and the logs fold into the multiset only when a
-    conflict flip actually needs the membership (or the logs outgrow it).
+    Member keys are kept as a compacted multiset plus two append-only
+    event logs (``adds`` / ``dels``) — the per-row residue of a batch is
+    then a C-level ``list.extend``, and the logs fold into the multiset
+    only when a conflict flip actually needs the membership (or the logs
+    outgrow it).
 
     **Rollback relies on this invariant:** ``key_counts`` is *replaced*,
     never mutated in place; ``adds`` / ``dels`` only grow between
@@ -529,29 +609,22 @@ class _CodeGroup:
     with fresh objects.  The undo entry of an open batch therefore holds
     the three pre-batch objects by reference plus the two log lengths —
     O(1), whatever the group's size — and :meth:`restore` reinstates the
-    references and truncates the logs.  ``y_counts`` is bumped in place,
-    so its undo is a journal of the prior count of each entry the batch
-    changes, recorded on first touch like :class:`TransitionCounter`'s.
+    references and truncates the logs.
     """
 
-    __slots__ = ("y_counts", "key_counts", "adds", "dels", "conflicting")
+    __slots__ = ("key_counts", "adds", "dels")
 
     def __init__(self) -> None:
-        self.y_counts: dict[int, int] = {}
         self.key_counts: dict = {}
         self.adds: list = []
         self.dels: list = []
-        self.conflicting = False
 
     def snapshot(self) -> tuple:
         adds, dels = self.adds, self.dels
-        logs = (self.key_counts, adds, len(adds), dels, len(dels))
-        return self.conflicting, {}, logs
+        return self.key_counts, adds, len(adds), dels, len(dels)
 
     def restore(self, saved: tuple) -> None:
-        self.conflicting, y_journal, logs = saved
-        _restore_counts(self.y_counts, y_journal)
-        self.key_counts, self.adds, n_adds, self.dels, n_dels = logs
+        self.key_counts, self.adds, n_adds, self.dels, n_dels = saved
         del self.adds[n_adds:]
         del self.dels[n_dels:]
 
@@ -576,20 +649,16 @@ class _CodeGroup:
         return self.key_counts
 
 
-#: :meth:`VariableGroupState._touch`'s answer when no batch is open or
-#: the batch itself created the group: nothing to journal
-_NO_JOURNAL = (False, None, None)
-
-
-class VariableGroupState:
+class VariableGroupState(GroupCounts):
     """Cached GROUP-BY state of one variable normal form.
 
     Append-only session dictionaries intern every distinct ``X`` / ``Y``
-    projection ever seen, with the σ verdict per ``X`` code.  A
-    :class:`_CodeGroup` exists for every σ-matched ``X`` code with at
-    least one row and holds the multiset of RHS codes and member keys.  A
-    batch touches only the groups of its own rows; a group's member keys
-    enter/leave the shared key counter exactly when the group flips.
+    projection ever seen, with the σ verdict per ``X`` code.  The
+    :class:`GroupCounts` table it extends counts RHS codes per σ-matched
+    ``X`` code; a :class:`_CodeGroup` per such code with at least one row
+    holds its member keys.  A batch touches only the groups of its own
+    rows; a group's member keys enter/leave the shared key counter
+    exactly when the group flips.
     """
 
     __slots__ = (
@@ -607,6 +676,7 @@ class VariableGroupState:
     )
 
     def __init__(self, variable: VariableCFD, collect_tuples: bool = True) -> None:
+        super().__init__()
         self.variable = variable
         self.collect_tuples = collect_tuples
         self._index = pattern_index(variable.patterns)
@@ -617,7 +687,7 @@ class VariableGroupState:
         self._y_code_of: dict = {}
         self._y_values: list = []
         self._code_groups: dict[int, _CodeGroup] = {}
-        # transactional batches: group key -> (group, its undo entry),
+        # transactional batches: x code -> (member group, its snapshot),
         # or None when the group did not exist; recorded on first touch
         self._undo: dict | None = None
 
@@ -635,34 +705,35 @@ class VariableGroupState:
         stay grown across a rollback: codes assigned during a doomed
         batch are simply never referenced again.
         """
+        super().begin()
         self._undo = {}
 
     def commit(self) -> None:
-        """Close the batch, discarding its undo log."""
+        """Close the batch, discarding its undo logs."""
+        super().commit()
         self._undo = None
 
-    def _touch(self, key, group) -> tuple:
-        """Journal ``key``'s group (``None``: absent) on its first touch
-        under an open batch; returns its ``(conflicting, y journal,
-        rest)`` undo entry for the fold to journal into."""
-        undo = self._undo
-        if undo is None:
-            return _NO_JOURNAL
-        if key in undo:
-            entry = undo[key]
-        else:
-            entry = undo[key] = (
-                None if group is None else (group, group.snapshot())
-            )
-        return _NO_JOURNAL if entry is None else entry[1]
+    def _touch(self, x: int, group) -> dict | None:
+        """:meth:`GroupCounts._arm` for code ``x`` that, on the same first
+        touch, also journals its member group (``None``: absent) — one
+        check per distinct ``x`` of a fold arms both layers."""
+        journal = self._journal
+        if journal is None:
+            return None
+        entry = journal.get(x)
+        if entry is None:
+            entry = journal[x] = (x in self.conflicting, {})
+            self._undo[x] = None if group is None else (group, group.snapshot())
+        return entry[1]
 
     def rollback(self) -> None:
-        """Restore every touched group to its pre-batch state.
+        """Restore the counts and every touched member group.
 
         A no-op when no batch is open.  Groups created during the batch
         disappear; groups deleted during it come back (the same object);
         groups mutated in place are restored from their undo entries.
         """
+        super().rollback()
         undo = self._undo
         self._undo = None
         if undo is None:
@@ -824,10 +895,12 @@ class VariableGroupState:
         pair_y = (pair_codes % n_y).tolist()
         net_counts = net.tolist()
 
+        counts = self.counts
+        conflicting = self.conflicting
         groups = self._code_groups
 
-        # phase A — net (x, y) counts into the y tables; conflict flips
-        # are *not* evaluated yet (phase B reads the pre-batch flags)
+        # phase A — net (x, y) counts into the count table; conflict
+        # flips are *not* settled yet (phase B reads the pre-batch flags)
         touched: list[tuple[int, _CodeGroup]] = []
         n_pairs = len(pair_x)
         at = 0
@@ -836,16 +909,18 @@ class VariableGroupState:
             group = groups.get(gx)
             # every distinct x of the stream appears in pair_x, so this
             # single touch also covers the phase B/C mutations below
-            _, y_journal, _ = self._touch(gx, group)
+            y_journal = self._touch(gx, group)
             if group is None:
                 group = groups[gx] = _CodeGroup()
             touched.append((gx, group))
-            y_counts = group.y_counts
+            y_rows = counts.get(gx)
+            if y_rows is None:
+                y_rows = counts[gx] = {}
             while at < n_pairs and pair_x[at] == gx:
                 count = net_counts[at]
                 if count:
                     try:
-                        _bump(y_counts, pair_y[at], count, y_journal)
+                        _bump(y_rows, pair_y[at], count, y_journal)
                     except ValueError:
                         raise ValueError(
                             "deleted a row of X group "
@@ -853,6 +928,8 @@ class VariableGroupState:
                             "state"
                         ) from None
                 at += 1
+            if not y_rows:
+                del counts[gx]
 
         # phase B — member-key streams, one per sign, C-level extends
         # into each touched group's event log; rows of a group that was
@@ -895,7 +972,7 @@ class VariableGroupState:
                     group.adds.extend(seg)
                 else:
                     group.dels.extend(seg)
-                if collect and group.conflicting:
+                if collect and gx in conflicting:
                     conflict_keys.extend(seg)
                 if len(group.adds) + len(group.dels) > (
                     32 + 2 * len(group.key_counts)
@@ -904,35 +981,29 @@ class VariableGroupState:
             if conflict_keys:
                 keys.add_bulk(conflict_keys, sign)
 
-        # phase C — settle conflict flips from the post-batch y tables
+        # phase C — settle conflict flips from the post-batch counts
         for gx, group in touched:
-            was = group.conflicting
-            now = len(group.y_counts) >= 2
-            if now != was:
-                group.conflicting = now
-                violations.add(self._code_violation(gx), 1 if now else -1)
+            flip = self.settle(gx)
+            if flip:
+                violations.add(self._code_violation(gx), flip)
                 if collect:
                     membership = group.membership()
                     if sum(membership.values()) == len(membership):
                         # all counts are 1 (row keys are usually unique)
-                        keys.add_bulk(
-                            list(membership), 1 if now else -1
-                        )
+                        keys.add_bulk(list(membership), flip)
                     else:
                         ones = [
                             k for k, c in membership.items() if c == 1
                         ]
-                        keys.add_bulk(ones, 1 if now else -1)
+                        keys.add_bulk(ones, flip)
                         for member, count in membership.items():
                             if count != 1:
-                                keys.add(
-                                    member, count if now else -count
-                                )
+                                keys.add(member, flip * count)
             elif len(group.adds) + len(group.dels) > (
                 32 + 2 * len(group.key_counts)
             ):
                 group.membership()  # keep pure-delete sessions bounded
-            if not group.y_counts:
+            if gx not in counts:
                 del groups[gx]
 
 

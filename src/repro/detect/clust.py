@@ -58,7 +58,7 @@ from ..core import (
     projector,
     sort_patterns_by_generality,
 )
-from ..core.incremental import TransitionCounter, _bump, _restore_counts
+from ..core.incremental import GroupCounts, TransitionCounter, _bump
 from ..distributed import (
     Cluster,
     CostBreakdown,
@@ -73,7 +73,12 @@ from ..relational import (
     shared_dict_on,
 )
 from . import base
-from .incremental import _forward, _ResidentSession, _VariableState
+from .incremental import (
+    _UNDERFLOW,
+    _forward,
+    _ResidentSession,
+    _VariableState,
+)
 from .pat import Strategy, _resolve_strategy
 
 
@@ -222,7 +227,7 @@ def cluster_fragment_summary(
 @dataclass
 class ClusterStep:
     """One CFD cluster's step, as its coordinators left it: bucket ``l``
-    went to ``coordinators[l]``, ``rows[l]`` rows in all.  ``shipped``
+    went to ``coordinators[l]``.  ``shipped``
     holds, per site with matching rows, ``(counts, bucket_codes, codes,
     occupancy)``: the ``counts[l]`` rows and local combinations
     ``bucket_codes[l]`` it sent to bucket ``l``, and per local
@@ -233,7 +238,6 @@ class ClusterStep:
     shared: SharedComboDictionary
     coordinators: list[int]
     shipped: list[tuple[list[int], list[list[int]], list[int], list[int]]]
-    rows: list[int]
     stage: StageTimes
 
 
@@ -305,7 +309,7 @@ def clust_step(
         model.transfer_time(stage_log.outgoing_by_source()),
         max(map(model.check_time, ops_per_site.values()), default=0.0),
     )
-    return ClusterStep(group, shared, coordinators, shipped, rows, stage)
+    return ClusterStep(group, shared, coordinators, shipped, stage)
 
 
 def _details(steps: Sequence[ClusterStep]) -> dict:
@@ -386,21 +390,20 @@ def scan_clust_delta_summary(
 
     The incremental counterpart of :func:`cluster_fragment_summary`: for
     each projected pattern returns the signed ``combination → ±count``
-    summary (cancelled combinations dropped), the row-event count and the
-    signed row-count change; last, ``combination → (bucket, member CFDs
-    it σ-matches)`` for every delta combination, so the coordinator need
-    not probe the tableaux again.  ``fragment`` supplies only the schema
-    — the scan never touches resident rows, which keeps the update cost
-    independent of ``|D_i|``.
+    summary (cancelled combinations dropped) and the row-event count;
+    last, ``combination → (bucket, member CFDs it σ-matches)`` for every
+    delta combination, so the coordinator need not probe the tableaux
+    again.  ``fragment`` supplies only the schema — the scan never
+    touches resident rows, which keeps the update cost independent of
+    ``|D_i|``.
     """
     schema = fragment.schema
     n_buckets = len(group.projected)
     combo_deltas: list[dict] = [{} for _ in range(n_buckets)]
     row_events = [0] * n_buckets
-    net_rows = [0] * n_buckets
     routed: dict[tuple, tuple] = {}
     if not inserted and not deleted:
-        return combo_deltas, row_events, net_rows, routed
+        return combo_deltas, row_events, routed
     combo_of = projector(schema.positions(group.attributes))
     route = _combo_router(group)
     for sign, rows in ((-1, deleted), (1, inserted)):
@@ -419,43 +422,31 @@ def scan_clust_delta_summary(
             else:
                 del deltas[combo]
             row_events[ordinal] += 1
-            net_rows[ordinal] += sign
-    return combo_deltas, row_events, net_rows, routed
+    return combo_deltas, row_events, routed
 
 
 class _ClusterGroupState:
     """One CFD cluster's resident coordinator state.
 
-    Per projected pattern, the resident row count of every global
-    combination code; per member CFD, one GROUP BY kernel over the
-    *distinct* resident combinations (conflict existence is
-    multiplicity-free, exactly like the one-shot coordinator).  Equal
-    ``X`` always lands in one bucket (``shared ⊆ member.lhs``), so one
-    table per member serves all of the cluster's buckets.
+    ``combos`` is one :class:`~repro.core.incremental.GroupCounts` table,
+    bucket ordinal → {global combination code: resident row count}; it
+    is never settled, so its conflict set stays empty (a rollback
+    restores the journalled flag, never re-derives it).  Per member CFD,
+    one GROUP BY kernel over the *distinct* resident combinations
+    (conflict existence is multiplicity-free, exactly like the one-shot
+    coordinator).  Equal ``X`` always lands in one bucket (``shared ⊆
+    member.lhs``), so one table per member serves all of the cluster's
+    buckets.
     """
 
-    __slots__ = (
-        "group",
-        "shared",
-        "coordinators",
-        "combo_counts",
-        "members",
-        "bucket_rows",
-        "_probes",
-        "_undo_combos",
-        "_undo_buckets",
-    )
+    __slots__ = ("group", "shared", "coordinators", "combos", "members", "_probes")
 
     def __init__(self, group, shared, coordinators, schema) -> None:
         self.group = group
         self.shared = shared
         self.coordinators = list(coordinators)
-        #: per projected pattern: global combo code -> resident row count
-        self.combo_counts: list[dict[int, int]] = [
-            {} for _ in group.projected
-        ]
+        self.combos = GroupCounts()
         self.members = [_VariableState(member) for member in group.members]
-        self.bucket_rows = [0] * len(group.projected)
         #: per member: combination -> X, combination -> RHS
         self._probes = [
             (
@@ -464,10 +455,6 @@ class _ClusterGroupState:
             )
             for member in group.members
         ]
-        # transactional batches: bucket ordinal -> {code: prior count},
-        # each entry recorded on first touch
-        self._undo_combos: dict | None = None
-        self._undo_buckets: list | None = None
 
     @classmethod
     def seeded(
@@ -483,16 +470,17 @@ class _ClusterGroupState:
         )
         route = _combo_router(group)
         touched = [set() for _ in group.members]
+        table = state.combos.counts
         for counts, bucket_codes, codes, occupancy in step.shipped:
-            for bucket, count, local in zip(state.combo_counts, counts, bucket_codes):
+            for ordinal, (count, local) in enumerate(zip(counts, bucket_codes)):
                 if not count:
                     continue
+                bucket = table.setdefault(ordinal, {})
                 for g in local:
                     code = codes[g]
                     bucket[code] = bucket.get(code, 0) + occupancy[g]
-        state.bucket_rows = list(step.rows)
-        for bucket in state.combo_counts:
-            for code in bucket:
+        for ordinal in range(len(group.projected)):
+            for code in table.get(ordinal, ()):
                 combo = step.shared.values[code]
                 state.cross(combo, route(combo)[1], 1, touched)
         state.settle(touched, violations)
@@ -500,29 +488,20 @@ class _ClusterGroupState:
 
     def begin(self) -> None:
         """Open a transactional batch, here and in every member kernel."""
-        self._undo_combos = {}
-        self._undo_buckets = list(self.bucket_rows)
+        self.combos.begin()
         for member in self.members:
             member.begin()
 
     def commit(self) -> None:
-        """Close the batch, discarding its undo log."""
-        self._undo_combos = None
-        self._undo_buckets = None
+        """Close the batch, discarding its undo logs."""
+        self.combos.commit()
         for member in self.members:
             member.commit()
 
     def rollback(self) -> None:
-        """Restore every touched combination count, the bucket row counts
-        and the member kernels.  A no-op when no batch is open."""
-        undo = self._undo_combos
-        self._undo_combos = None
-        if undo is not None:
-            for ordinal, journal in undo.items():
-                _restore_counts(self.combo_counts[ordinal], journal)
-        if self._undo_buckets is not None:
-            self.bucket_rows = self._undo_buckets
-            self._undo_buckets = None
+        """Restore every touched combination count and the member
+        kernels.  A no-op when no batch is open."""
+        self.combos.rollback()
         for member in self.members:
             member.rollback()
 
@@ -546,30 +525,32 @@ class _ClusterGroupState:
         touched: list[set],
     ) -> None:
         """Apply one site's signed combination counts to one bucket."""
-        counts = self.combo_counts[ordinal]
-        undo = self._undo_combos
-        journal = None if undo is None else undo.setdefault(ordinal, {})
+        counts = self.combos.counts
+        journal = self.combos._arm(ordinal)
+        bucket = counts.setdefault(ordinal, {})
         intern = self.shared.intern
-        for combo, count in deltas.items():
-            try:
-                prior = _bump(counts, intern(combo), count, journal)
-            except ValueError:
-                raise ValueError(
-                    "coordinator state underflow: a site deleted rows it "
-                    "never reported"
-                ) from None
-            # a combination's conflict contribution changes exactly when
-            # its resident count crosses zero
-            if not prior:
-                self.cross(combo, routed[combo][1], 1, touched)
-            elif prior + count == 0:
-                self.cross(combo, routed[combo][1], -1, touched)
+        try:
+            for combo, count in deltas.items():
+                prior = _bump(bucket, intern(combo), count, journal)
+                # a combination's conflict contribution changes exactly
+                # when its resident count crosses zero
+                if not prior:
+                    self.cross(combo, routed[combo][1], 1, touched)
+                elif prior + count == 0:
+                    self.cross(combo, routed[combo][1], -1, touched)
+        except ValueError:
+            raise ValueError(_UNDERFLOW) from None
+        finally:
+            if not bucket:
+                del counts[ordinal]
 
     def settle(self, touched: list[set], violations: TransitionCounter) -> None:
         """Re-derive the conflict status of every patched group."""
         for member, seen in zip(self.members, touched):
             for x in seen:
-                member.settle(x, violations)
+                flip = member.settle(x)
+                if flip:
+                    violations.add(member._violation(x), flip)
 
 
 class IncrementalClustDetector(_ResidentSession):
@@ -623,7 +604,7 @@ class IncrementalClustDetector(_ResidentSession):
             group = state.group
             touched = [set() for _ in group.members]
             for index, inserted, removed in batches:
-                combo_deltas, row_events, net_rows, routed = (
+                combo_deltas, row_events, routed = (
                     scan_clust_delta_summary(
                         self._initial_fragments[index], group,
                         inserted, removed,
@@ -639,7 +620,6 @@ class IncrementalClustDetector(_ResidentSession):
                         f"{group.name}#p{ordinal}Δ", 2 * len(deltas),
                     )
                     state.patch(ordinal, deltas, routed, touched)
-                    state.bucket_rows[ordinal] += net_rows[ordinal]
             state.settle(touched, self._violations)
         return received_events
 

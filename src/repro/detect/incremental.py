@@ -18,9 +18,10 @@ coordinates* and *what is shipped* (:mod:`repro.detect.base`), and so
 are their sessions.  :class:`_ResidentSession` is that skeleton — the
 per-place constant folds (Proposition 5: purely local), the all-or-
 nothing update round with its modelled stage times, reports and
-``verify`` — and :class:`_VariableState` the one coordinator kernel.  A
-family supplies how the initial run seeds coordinator state and where a
-round's signed deltas come from:
+``verify`` — and :class:`_VariableState` the one coordinator kernel, a
+:class:`~repro.core.incremental.GroupCounts` table like the centralized
+fold's.  A family supplies how the initial run seeds coordinator state
+and where a round's signed deltas come from:
 
 * :class:`IncrementalHorizontalDetector` (here; CTRDETECT / PATDETECTS /
   PATDETECTRT) — each updated site σ-partitions *its delta rows only*
@@ -55,11 +56,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..core import CFD, Violation, ViolationReport
 from ..core.incremental import (
     ConstantFolds,
+    GroupCounts,
     Transaction,
     TransitionCounter,
     ViolationDelta,
-    _bump,
-    _restore_counts,
     commit_counters,
     counters_report,
     counters_size,
@@ -138,12 +138,12 @@ def scan_delta_summary(
 ):
     """One site's σ scan of its *delta rows* (site-local, O(|ΔD_i|)).
 
-    For each variable CFD returns ``(pair_deltas, row_events, net_rows)``
-    per pattern: the signed ``(x, y) → count`` summary (cancelled
-    combinations dropped), how many row events (inserts + deletes) hit
-    the bucket, and the signed row-count change.  ``fragment`` supplies
-    only the schema — the scan never touches the resident rows, which is
-    what makes the update cost independent of |D_i|.
+    For each variable CFD returns ``(pair_deltas, row_events)`` per
+    pattern: the signed ``(x, y) → count`` summary (cancelled
+    combinations dropped) and how many row events (inserts + deletes)
+    hit the bucket.  ``fragment`` supplies only the schema — the scan
+    never touches the resident rows, which is what makes the update cost
+    independent of |D_i|.
     """
     schema = fragment.schema
     out = []
@@ -155,7 +155,6 @@ def scan_delta_summary(
         n_patterns = len(variable.patterns)
         pair_deltas: list[dict] = [{} for _ in range(n_patterns)]
         row_events = [0] * n_patterns
-        net_rows = [0] * n_patterns
         match_cache: dict[tuple, int | None] = {}
         for sign, rows in ((-1, deleted), (1, inserted)):
             for row in rows:
@@ -173,8 +172,7 @@ def scan_delta_summary(
                 else:
                     del deltas[(x, y)]
                 row_events[ordinal] += 1
-                net_rows[ordinal] += sign
-        out.append((pair_deltas, row_events, net_rows))
+        out.append((pair_deltas, row_events))
     return out
 
 
@@ -203,45 +201,35 @@ def _forward(
     received_events[coordinator] = received_events.get(coordinator, 0) + events
 
 
-class _VariableState:
-    """One variable CFD's resident coordinator state: the GROUP BY kernel.
+#: a coordinator's count fell below zero
+_UNDERFLOW = (
+    "coordinator state underflow: a site deleted rows it never reported"
+)
 
-    ``x → {y: count}`` merged across all sites, the ``x`` currently
-    conflicting, and the row count of every σ bucket.  Keys are anything
+
+class _VariableState(GroupCounts):
+    """One variable CFD's resident coordinator state: the
+    :class:`~repro.core.incremental.GroupCounts` kernel merged across all
+    sites, plus who coordinates each σ bucket.  Keys are anything
     hashable: global ``(x_code, y_code)`` pairs of ``shared`` for the
     horizontal and hybrid sessions, the ``X`` / RHS value tuples
     themselves (``shared=None``) for a member CFD of a CLUSTDETECT
     cluster — whose buckets belong to the cluster, so it has none here.
+    The shared dictionaries stay grown across a rollback (append-only:
+    codes interned during a doomed batch are simply never referenced
+    again).
     """
 
-    __slots__ = (
-        "variable",
-        "shared",
-        "coordinators",
-        "pair_counts",
-        "conflicting",
-        "bucket_rows",
-        "width",
-        "_undo_pairs",
-        "_undo_buckets",
-    )
+    __slots__ = ("variable", "shared", "coordinators", "width")
 
     def __init__(self, variable, shared=None, coordinators=()) -> None:
+        super().__init__()
         self.variable = variable
         self.shared = shared
         #: per σ bucket: the (global) id of the site coordinating it
         self.coordinators = list(coordinators)
-        #: x -> {y: row count}, merged across all sites
-        self.pair_counts: dict = {}
-        self.conflicting: set = set()
-        self.bucket_rows = [0] * len(self.coordinators)
         #: attributes per shipped row
         self.width = len(variable.attributes)
-        # transactional batches: x -> {y: prior count}, each entry
-        # recorded on first touch (the journal shape of
-        # repro.core.incremental); see begin()
-        self._undo_pairs: dict | None = None
-        self._undo_buckets: list | None = None
 
     @classmethod
     def seeded(
@@ -250,48 +238,13 @@ class _VariableState:
         """The kernel a one-shot step leaves resident: what each
         coordinator received, with row counts, and its conflicts."""
         state = cls(step.variable, step.shared, step.coordinators)
-        for ordinal, bucket in enumerate(step.merged):
+        for bucket in step.merged:
             for (x_code, y_code), rows in zip(bucket.pairs, bucket.counts):
                 state.add_rows(x_code, y_code, rows)
-            state.bucket_rows[ordinal] = bucket.rows
-        for x_code in list(state.pair_counts):
-            state.settle(x_code, violations)
+        for x_code in list(state.counts):
+            if state.settle(x_code):
+                violations.add(state._violation(x_code), 1)
         return state
-
-    def begin(self) -> None:
-        """Open a transactional batch (first-touch prior-count journal)."""
-        self._undo_pairs = {}
-        self._undo_buckets = list(self.bucket_rows)
-
-    def commit(self) -> None:
-        """Close the batch, discarding its undo log."""
-        self._undo_pairs = None
-        self._undo_buckets = None
-
-    def rollback(self) -> None:
-        """Restore every touched count and the bucket row counts.
-
-        Every group was settled when the batch opened, so a restored
-        group's conflict status is re-derived from its restored counts.
-        The shared dictionaries stay grown (append-only: codes interned
-        during a doomed batch are simply never referenced again).  A
-        no-op when no batch is open.
-        """
-        undo = self._undo_pairs
-        self._undo_pairs = None
-        if undo is not None:
-            for x, journal in undo.items():
-                ys = self.pair_counts.setdefault(x, {})
-                _restore_counts(ys, journal)
-                if not ys:
-                    del self.pair_counts[x]
-                if len(ys) >= 2:
-                    self.conflicting.add(x)
-                else:
-                    self.conflicting.discard(x)
-        if self._undo_buckets is not None:
-            self.bucket_rows = self._undo_buckets
-            self._undo_buckets = None
 
     def _violation(self, x) -> Violation:
         return Violation(
@@ -299,35 +252,6 @@ class _VariableState:
             lhs_attributes=self.variable.lhs,
             lhs_values=x if self.shared is None else self.shared.x_values[x],
         )
-
-    def add_rows(self, x, y, count: int) -> None:
-        """Patch one combination's row count (build and update path both)."""
-        ys = self.pair_counts.get(x)
-        if ys is None:
-            ys = self.pair_counts[x] = {}
-        undo = self._undo_pairs
-        journal = None if undo is None else undo.setdefault(x, {})
-        try:
-            _bump(ys, y, count, journal)
-        except ValueError:
-            raise ValueError(
-                "coordinator state underflow: a site deleted rows it never "
-                "reported"
-            ) from None
-        if not ys:
-            del self.pair_counts[x]
-
-    def settle(self, x, violations: TransitionCounter) -> None:
-        """Re-derive one group's conflict status after patching it."""
-        ys = self.pair_counts.get(x)
-        now = ys is not None and len(ys) >= 2
-        was = x in self.conflicting
-        if now and not was:
-            self.conflicting.add(x)
-            violations.add(self._violation(x), 1)
-        elif was and not now:
-            self.conflicting.discard(x)
-            violations.add(self._violation(x), -1)
 
     def absorb(
         self,
@@ -344,7 +268,7 @@ class _VariableState:
         pairs|`` — and patches the counters in place; new values intern
         append-only into ``shared``.
         """
-        pair_deltas, row_events, net_rows = summary
+        pair_deltas, row_events = summary
         shared = self.shared
         touched: set[int] = set()
         for ordinal, deltas in enumerate(pair_deltas):
@@ -358,11 +282,15 @@ class _VariableState:
             )
             for (x, y), count in deltas.items():
                 x_code = shared.intern_x(x)
-                self.add_rows(x_code, shared.intern_y(y), count)
+                try:
+                    self.add_rows(x_code, shared.intern_y(y), count)
+                except ValueError:
+                    raise ValueError(_UNDERFLOW) from None
                 touched.add(x_code)
-            self.bucket_rows[ordinal] += net_rows[ordinal]
         for x_code in touched:
-            self.settle(x_code, violations)
+            flip = self.settle(x_code)
+            if flip:
+                violations.add(self._violation(x_code), flip)
 
 
 @dataclass

@@ -263,34 +263,28 @@ def _round_for(kind, session, poison=None):
 
 
 def _kernel_tables(session):
-    """Every resident coordinator table, decoded to values."""
+    """Every resident count table, decoded to values."""
+
+    def decode(kernel, x_of, y_of):
+        return (
+            {
+                (x_of(x), y_of(y)): n
+                for x, ys in kernel.counts.items()
+                for y, n in ys.items()
+            },
+            {x_of(x) for x in kernel.conflicting},
+        )
+
     tables = []
     for state in session._states:
-        kernels = getattr(state, "members", [state])
-        for kernel in kernels:
+        for kernel in getattr(state, "members", [state]):
             shared = kernel.shared
             x_of = (lambda x: x) if shared is None else shared.x_values.__getitem__
             y_of = (lambda y: y) if shared is None else shared.y_values.__getitem__
+            tables.append(decode(kernel, x_of, y_of))
+        if hasattr(state, "combos"):
             tables.append(
-                (
-                    {
-                        (x_of(x), y_of(y)): n
-                        for x, ys in kernel.pair_counts.items()
-                        for y, n in ys.items()
-                    },
-                    {x_of(x) for x in kernel.conflicting},
-                    list(kernel.bucket_rows),
-                )
-            )
-        if hasattr(state, "combo_counts"):
-            tables.append(
-                (
-                    [
-                        {state.shared.values[c]: n for c, n in bucket.items()}
-                        for bucket in state.combo_counts
-                    ],
-                    list(state.bucket_rows),
-                )
+                decode(state.combos, lambda x: x, state.shared.values.__getitem__)
             )
     return tables
 

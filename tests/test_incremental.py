@@ -168,9 +168,7 @@ def test_distributed_incremental_equals_fresh_run(
             for x, ys in counts.items()
             for y, n in ys.items()
         }
-        assert decode(live, live.pair_counts) == decode(
-            scratch, scratch.pair_counts
-        )
+        assert decode(live, live.counts) == decode(scratch, scratch.counts)
 
 
 # -- units --------------------------------------------------------------------

@@ -129,13 +129,13 @@ def test_clust_session_equals_fresh_rebuild(rows, sigma, script, n_sites):
     rebuilt.detect()
     assert len(session._states) == len(rebuilt._states)
     for live, scratch in zip(session._states, rebuilt._states):
-        decode = lambda state: [
-            {
+        decode = lambda state: {
+            ordinal: {
                 state.shared.values[code]: count
                 for code, count in bucket.items()
             }
-            for bucket in state.combo_counts
-        ]
+            for ordinal, bucket in state.combos.counts.items()
+        }
         assert decode(live) == decode(scratch)
 
 

@@ -13,6 +13,11 @@ honest:
 * **a complexity guard with no clock in it** — the ``tracemalloc`` peak of
   one fixed update must not depend on the size of the groups it touches.
 
+Under it sits ``GroupCounts``, the one ``x -> {y: count}`` kernel every
+resident session keeps; a property test pins it against a plain
+``Counter``: exact rollback, commit equal to the model, and an underflow
+that raises with the table unchanged.
+
 Both run once per fused leg of the engine matrix (see ``conftest.py``);
 the session itself always runs the delta folds.
 """
@@ -21,9 +26,15 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CFD, PatternTuple, TransitionCounter, WILDCARD
-from repro.core.incremental import IncrementalDetector, incremental_detect
+from repro.core.incremental import (
+    GroupCounts,
+    IncrementalDetector,
+    incremental_detect,
+)
 from repro.relational import Relation, Schema
 
 SCHEMA = Schema("R", ("id", "a", "b"), key=("id",))
@@ -36,17 +47,21 @@ FUSED_LEGS = pytest.mark.parametrize(
 
 def _group_table(detector):
     """The variable form's group table by value, read without compacting:
-    ``x -> (y_counts, member-key multiset, conflicting)``."""
+    ``x -> ({y: count}, member-key multiset, conflicting)``."""
     state = detector._variables[0]
+    groups = state._code_groups
+    assert groups.keys() == state.counts.keys()
+    assert state.conflicting <= state.counts.keys()
     table = {}
-    for code, g in state._code_groups.items():
+    for code, ys in state.counts.items():
+        g = groups[code]
         members = Counter(g.key_counts)
         members.update(g.adds)
         members.subtract(g.dels)
         table[state._x_values[code]] = (
-            dict(g.y_counts),
+            dict(ys),
             {key: n for key, n in members.items() if n},
-            g.conflicting,
+            code in state.conflicting,
         )
     return table
 
@@ -164,7 +179,7 @@ def test_rollback_is_structurally_exact(fused_leg, scenario, fuse):
     _fail_update(detector, inserted, deleted, fuse)
     assert detector._variables[0]._undo is None
     table, violations, keys, rows = _session_state(detector)
-    assert table == before[0]  # same groups, y_counts, membership, flags
+    assert table == before[0]  # same groups, counts, membership, flags
     assert (violations, keys, rows) == before[1:]
 
     # the same batch re-applies on the restored state
@@ -212,3 +227,73 @@ def test_update_allocation_is_flat_in_group_size(fused_leg):
     large = _update_peak(10_000)
     assert large <= 2 * small, (small, large)
     assert small <= 2 * large, (small, large)
+
+
+# -- the count kernel ---------------------------------------------------------
+
+#: ``add_rows`` calls over a 4-value ``x`` and 3-value ``y`` alphabet;
+#: negative counts underflow whenever the model holds fewer rows
+ADDS = st.lists(
+    st.tuples(
+        st.integers(0, 3), st.integers(0, 2), st.integers(-3, 3).filter(bool)
+    ),
+    max_size=14,
+)
+
+
+def _kernel_state(kernel):
+    return (
+        {x: dict(ys) for x, ys in kernel.counts.items()},
+        set(kernel.conflicting),
+    )
+
+
+def _model_state(model, settled=True):
+    counts = {}
+    for (x, y), n in model.items():
+        if n:
+            counts.setdefault(x, {})[y] = n
+    conflicting = {x for x, ys in counts.items() if len(ys) >= 2}
+    return counts, conflicting if settled else set()
+
+
+def _play(kernel, model, adds, settle):
+    """Apply ``adds`` to the kernel and the ``Counter`` model, then (if
+    ``settle``) settle every touched ``x``; an underflowing add must
+    raise and change nothing."""
+    touched = set()
+    for x, y, n in adds:
+        if model[x, y] + n < 0:
+            before = _kernel_state(kernel)
+            with pytest.raises(ValueError):
+                kernel.add_rows(x, y, n)
+            assert _kernel_state(kernel) == before
+            continue
+        kernel.add_rows(x, y, n)
+        model[x, y] += n
+        touched.add(x)
+    for x in touched if settle else ():
+        was = x in kernel.conflicting
+        flip = kernel.settle(x)
+        assert flip == (x in kernel.conflicting) - was
+
+
+@settings(max_examples=150, deadline=None)
+@given(ADDS, ADDS, st.booleans())
+def test_group_counts_rollback_and_commit(seed, batch, settle):
+    """``settle=False`` is CLUSTDETECT's combination table, which is never
+    settled: its conflict set must stay empty across a rollback."""
+    kernel, model = GroupCounts(), Counter()
+    _play(kernel, model, seed, settle)
+    assert _kernel_state(kernel) == _model_state(model, settle)
+
+    before = _kernel_state(kernel)
+    kernel.begin()
+    _play(kernel, Counter(model), batch, settle)
+    kernel.rollback()
+    assert _kernel_state(kernel) == before
+
+    kernel.begin()
+    _play(kernel, model, batch, settle)
+    kernel.commit()
+    assert _kernel_state(kernel) == _model_state(model, settle)
