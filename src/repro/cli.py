@@ -40,8 +40,10 @@ Environment knobs honoured by every command: ``REPRO_ENGINE`` (detection
 backend; unknown values abort with exit code 2; ``check``/``detect``
 accept a scoped ``--engine`` override), ``REPRO_FAULTS``
 (deterministic disk/serve fault injection),
-``REPRO_SCALE`` (dataset scale) — see the README's table.  Malformed
-knob values abort with exit code 2 before any data is loaded.
+``REPRO_SCALE`` (dataset scale) — see the README's table.  Every knob
+is a row of :mod:`repro.knobs`; malformed values abort with exit code 2
+before any data is loaded, and ``repro serve`` takes the ``REPRO_SERVE_*``
+rows as flags too.
 
 CFDs are given in the paper notation accepted by
 :func:`repro.core.parse_cfd`, e.g. ``"([CC=44, zip] -> [street])"``.
@@ -65,7 +67,11 @@ from .detect import (
     pat_detect_s,
     seq_detect,
 )
+from .knobs import KNOBS, resolve
 from .relational import infer_column_types, load_csv
+
+#: the knobs ``repro serve`` also takes as flags
+SERVE_KNOBS = [knob for knob in KNOBS.values() if knob.flag]
 
 
 @contextmanager
@@ -221,87 +227,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default 8571; 0 picks a free one)",
     )
     serve.add_argument(
-        "--max-sessions", type=int, default=None, metavar="N",
-        help="resident sessions before LRU eviction "
-        "(default REPRO_SERVE_MAX_SESSIONS or 64)",
-    )
-    serve.add_argument(
-        "--queue", type=int, default=None, metavar="N",
-        help="per-session pending-update bound before 429 backpressure "
-        "(default REPRO_SERVE_QUEUE or 64)",
-    )
-    serve.add_argument(
-        "--coalesce", type=int, default=None, metavar="N",
-        help="max update requests folded as one combined batch "
-        "(default REPRO_SERVE_COALESCE or 16)",
-    )
-    serve.add_argument(
         "--data-dir", default=None, metavar="DIR",
         help="durable session store: per-session write-ahead log + "
         "atomic snapshots under DIR, with WAL replay recovery on "
         "startup (default: memory only)",
     )
-    serve.add_argument(
-        "--fsync", default=None, metavar="POLICY",
-        help="WAL fsync policy: always | batch | off "
-        "(default REPRO_SERVE_FSYNC or batch; needs --data-dir)",
-    )
-    serve.add_argument(
-        "--checkpoint", type=int, default=None, metavar="N",
-        help="WAL records between snapshot checkpoints "
-        "(default REPRO_SERVE_CHECKPOINT or 256; needs --data-dir)",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-connection socket timeout so stalled clients cannot "
-        "pin handler threads (default REPRO_SERVE_TIMEOUT or 30)",
-    )
-    serve.add_argument(
-        "--tenant-sessions", type=int, default=None, metavar="N",
-        help="resident sessions per tenant before 429 QuotaExceeded "
-        "(default REPRO_SERVE_TENANT_SESSIONS or 0 = unlimited)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=None, metavar="REQ_PER_SEC",
-        help="token-bucket admission rate per tenant "
-        "(default REPRO_SERVE_RATE or 0 = unlimited)",
-    )
-    serve.add_argument(
-        "--max-rows", type=int, default=None, metavar="N",
-        help="rows (inserted + deleted) per update request "
-        "(default REPRO_SERVE_MAX_ROWS or 100000)",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="queue-residence deadline: updates still queued past it "
-        "are shed with 503 before folding "
-        "(default REPRO_SERVE_DEADLINE or 0 = never)",
-    )
-    serve.add_argument(
-        "--breaker", type=int, default=None, metavar="K",
-        help="consecutive fold/WAL failures before a session's circuit "
-        "breaker opens (default REPRO_SERVE_BREAKER or 5)",
-    )
-    serve.add_argument(
-        "--cooldown", type=float, default=None, metavar="SECONDS",
-        help="open-breaker cool-down before the half-open probe "
-        "(default REPRO_SERVE_COOLDOWN or 1.0)",
-    )
-    serve.add_argument(
-        "--max-body", type=int, default=None, metavar="BYTES",
-        help="request body cap before 413 "
-        "(default REPRO_SERVE_MAX_BODY or 8 MiB)",
-    )
-    serve.add_argument(
-        "--scrub", type=float, default=None, metavar="SECONDS",
-        help="background integrity-scrub interval; drifted sessions "
-        "are quarantined (default REPRO_SERVE_SCRUB or 0 = off)",
-    )
-    serve.add_argument(
-        "--scrub-sample", type=int, default=None, metavar="N",
-        help="sampled keys per scrub verify "
-        "(default REPRO_SERVE_SCRUB_SAMPLE or 64)",
-    )
+    for knob in SERVE_KNOBS:
+        serve.add_argument(
+            knob.flag, dest=knob.keyword, type=type(knob.default),
+            default=None, metavar=knob.metavar,
+            help=f"{knob.doc} (default {knob.name} or {knob.default})",
+        )
     return parser
 
 
@@ -549,35 +485,22 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DetectionService, serve_http
 
+    overrides = {
+        knob.keyword: getattr(args, knob.keyword) for knob in SERVE_KNOBS
+    }
+    http_overrides = {
+        keyword: overrides.pop(keyword) for keyword in ("timeout", "max_body")
+    }
     try:
         # env knobs were validated before dispatch; flag overrides resolve
         # here and get the same fail-loudly exit 2, not a traceback
-        service = DetectionService(
-            max_sessions=args.max_sessions,
-            queue_depth=args.queue,
-            coalesce=args.coalesce,
-            data_dir=args.data_dir,
-            fsync=args.fsync,
-            checkpoint=args.checkpoint,
-            tenant_sessions=args.tenant_sessions,
-            rate=args.rate,
-            max_rows=args.max_rows,
-            deadline=args.deadline,
-            breaker=args.breaker,
-            cooldown=args.cooldown,
-            scrub=args.scrub,
-            scrub_sample=args.scrub_sample,
-        )
+        service = DetectionService(data_dir=args.data_dir, **overrides)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         server = serve_http(
-            service,
-            host=args.host,
-            port=args.port,
-            timeout=args.timeout,
-            max_body=args.max_body,
+            service, host=args.host, port=args.port, **http_overrides
         )
     except ValueError as error:
         service.close()
@@ -622,64 +545,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    engine = os.environ.get("REPRO_ENGINE")
-    if engine is not None and engine not in ENGINES + ("auto",):
-        # fail loudly instead of silently falling back to auto: a typo in
-        # the environment would otherwise benchmark the wrong engine
-        print(
-            f"error: unknown REPRO_ENGINE {engine!r}; "
-            f"use one of {', '.join(ENGINES)} (or 'auto')",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        # same fail-loudly treatment for every other knob: surface the
-        # typo before any data is loaded, not as a mid-detection traceback
-        from .core import active_plan
-
-        active_plan()  # a malformed REPRO_FAULTS raises FaultSpecError
-
-        from .serve.durability import resolve_checkpoint, resolve_fsync
-        from .serve.governor import (
-            resolve_breaker,
-            resolve_cooldown,
-            resolve_deadline,
-            resolve_max_body,
-            resolve_max_rows,
-            resolve_rate,
-            resolve_scrub,
-            resolve_scrub_sample,
-            resolve_tenant_sessions,
-        )
-        from .serve.service import (
-            resolve_coalesce,
-            resolve_max_sessions,
-            resolve_queue_depth,
-            resolve_timeout,
-        )
-
-        resolve_max_sessions()
-        resolve_queue_depth()
-        resolve_coalesce()
-        resolve_timeout()
-        resolve_fsync()
-        resolve_checkpoint()
-        resolve_tenant_sessions()
-        resolve_rate()
-        resolve_max_rows()
-        resolve_deadline()
-        resolve_breaker()
-        resolve_cooldown()
-        resolve_max_body()
-        resolve_scrub()
-        resolve_scrub_sample()
-
-        if "REPRO_SCALE" in os.environ:
-            # only ``figures`` reads it: when unset, skip importing the
-            # experiments package on every other command's start-up
-            from .experiments.harness import scale
-
-            scale()
+        # every knob fails loudly before any data is loaded, not as a
+        # mid-detection traceback (or a server that boots misconfigured)
+        for name in KNOBS:
+            resolve(name)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -33,9 +33,9 @@ detection runs the fused engine.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable
 
+from ..knobs import ENGINES, resolve  # ENGINES: re-exported by repro.core
 from ..relational import Relation
 from .cfd import CFD
 from .normalize import (
@@ -169,10 +169,6 @@ def detect_violations_reference(
     )
 
 
-#: engine names :func:`detect_violations` accepts (besides ``"auto"``).
-ENGINES = ("reference", "fused", "sql")
-
-
 def detect_violations(
     relation: Relation,
     cfds: CFD | Iterable[CFD],
@@ -192,24 +188,19 @@ def detect_violations(
         sqlite3 database — see :mod:`repro.core.sql`), ``"reference"``
         (one scan per normal form — the executable spec) or ``"auto"``
         (the fused engine).  When ``None``, the ``REPRO_ENGINE``
-        environment variable decides, defaulting to ``"auto"``.
+        environment variable decides, defaulting to ``"auto"``.  An
+        unknown name raises :class:`ValueError`.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "auto")
+    engine = resolve("REPRO_ENGINE", engine)
     if engine in ("auto", "fused"):
         from .fused import fused_detect
 
         return fused_detect(relation, cfds, collect_tuples)
     if engine == "reference":
         return detect_violations_reference(relation, cfds, collect_tuples)
-    if engine == "sql":
-        from .sql import detect_violations_sql
+    from .sql import detect_violations_sql  # engine == "sql"
 
-        return detect_violations_sql(relation, cfds, collect_tuples)
-    raise ValueError(
-        f"unknown detection engine {engine!r}; "
-        f"use one of {', '.join(ENGINES)} (or 'auto')"
-    )
+    return detect_violations_sql(relation, cfds, collect_tuples)
 
 
 def check_cost(n_tuples: int, n_cfds: int = 1) -> float:

@@ -31,9 +31,10 @@ exercise the production handling path, not a special injected one.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Iterable, Mapping
+
+from ..knobs import resolve
 
 #: disk fault kinds, keyed by the **disk order** counter (one per WAL
 #: append):
@@ -153,7 +154,8 @@ class FaultPlan:
                 target[kind].append(int(position))
             except ValueError:
                 raise FaultSpecError(
-                    f"fault order must be an integer in {part!r}"
+                    f"fault order must be an integer in REPRO_FAULTS "
+                    f"entry {part!r}"
                 ) from None
         return cls(disk=disk_orders, serve=serve_orders)
 
@@ -252,13 +254,19 @@ class fault_plan:
 
 def active_plan() -> FaultPlan | None:
     """The plan in force: the API-installed one, else ``REPRO_FAULTS``."""
+    global _ENV_PLAN
     if _ACTIVE is not None:
         return _ACTIVE
+    plan = resolve("REPRO_FAULTS")
+    if plan is None:
+        _ENV_PLAN = None  # a later spec starts from a fresh plan
+    return plan
+
+
+def env_plan(spec: str) -> FaultPlan:
+    """The plan of one ``REPRO_FAULTS`` spec (the knob's parser),
+    parsed once and kept while the spec text stays the same."""
     global _ENV_PLAN
-    spec = os.environ.get("REPRO_FAULTS")
-    if not spec:
-        _ENV_PLAN = None
-        return None
     if _ENV_PLAN is None or _ENV_PLAN[0] != spec:
         _ENV_PLAN = (spec, FaultPlan.parse(spec))
     return _ENV_PLAN[1]

@@ -13,25 +13,16 @@ environment variable to 1.0 to regenerate at full paper scale.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ..knobs import resolve
+
 
 def scale() -> float:
     """The global dataset scale factor (``REPRO_SCALE``, default 0.1)."""
-    raw = os.environ.get("REPRO_SCALE", "0.1")
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(
-            f"REPRO_SCALE must be a finite number > 0, got {raw!r}"
-        )
-    return value
+    return resolve("REPRO_SCALE")
 
 
 def scaled(n_paper_tuples: int) -> int:

@@ -8,28 +8,8 @@ See :mod:`repro.serve.service` for the session machinery and
 :mod:`repro.serve.http` for the wire protocol.
 """
 
-from .durability import (
-    DurableStore,
-    SessionJournal,
-    WalScan,
-    read_wal,
-    resolve_checkpoint,
-    resolve_fsync,
-)
-from .governor import (
-    CircuitBreaker,
-    Governor,
-    TokenBucket,
-    resolve_breaker,
-    resolve_cooldown,
-    resolve_deadline,
-    resolve_max_body,
-    resolve_max_rows,
-    resolve_rate,
-    resolve_scrub,
-    resolve_scrub_sample,
-    resolve_tenant_sessions,
-)
+from .durability import DurableStore, SessionJournal, WalScan, read_wal
+from .governor import CircuitBreaker, Governor, TokenBucket
 from .http import ServeHandler, serve_http
 from .registry import SessionRegistry
 from .scrubber import Scrubber
@@ -50,10 +30,6 @@ from .service import (
     SessionRetired,
     UnknownSession,
     WALError,
-    resolve_coalesce,
-    resolve_max_sessions,
-    resolve_queue_depth,
-    resolve_timeout,
 )
 
 __all__ = [
@@ -83,20 +59,5 @@ __all__ = [
     "WALError",
     "WalScan",
     "read_wal",
-    "resolve_breaker",
-    "resolve_checkpoint",
-    "resolve_coalesce",
-    "resolve_cooldown",
-    "resolve_deadline",
-    "resolve_fsync",
-    "resolve_max_body",
-    "resolve_max_rows",
-    "resolve_max_sessions",
-    "resolve_queue_depth",
-    "resolve_rate",
-    "resolve_scrub",
-    "resolve_scrub_sample",
-    "resolve_tenant_sessions",
-    "resolve_timeout",
     "serve_http",
 ]

@@ -62,15 +62,10 @@ from pathlib import Path
 from urllib.parse import quote, unquote
 
 from ..core.faults import active_plan, disk_failure_for
-from .service import BadSnapshot, WALError, _resolve_positive
+from ..knobs import resolve
+from .service import BadSnapshot, WALError
 
 log = logging.getLogger("repro.serve.durability")
-
-DEFAULT_CHECKPOINT = 256
-DEFAULT_FSYNC = "batch"
-
-#: fsync policies, strongest first
-FSYNC_POLICIES = ("always", "batch", "off")
 
 #: WAL frame header: big-endian payload length + CRC32 of the payload
 _HEADER = struct.Struct(">II")
@@ -79,33 +74,6 @@ _HEADER = struct.Struct(">II")
 #: legitimate record comes close, and it stops a garbage length from
 #: swallowing the rest of the scan
 _MAX_RECORD = 1 << 30
-
-
-def resolve_fsync(override: str | None = None) -> str:
-    """The WAL fsync policy (``REPRO_SERVE_FSYNC=always|batch|off``).
-
-    Unknown policies fail loudly (the CLI maps the ValueError to exit
-    code 2, like every other knob).
-    """
-    value = override if override is not None else os.environ.get(
-        "REPRO_SERVE_FSYNC"
-    )
-    if value is None or value == "":
-        return DEFAULT_FSYNC
-    value = str(value).strip().lower()
-    if value not in FSYNC_POLICIES:
-        raise ValueError(
-            f"REPRO_SERVE_FSYNC must be one of {'|'.join(FSYNC_POLICIES)}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def resolve_checkpoint(override: int | None = None) -> int:
-    """WAL records between snapshots (``REPRO_SERVE_CHECKPOINT``)."""
-    return _resolve_positive(
-        "REPRO_SERVE_CHECKPOINT", override, DEFAULT_CHECKPOINT
-    )
 
 
 def _encode(part: str) -> str:
@@ -444,8 +412,8 @@ class DurableStore:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.fsync = resolve_fsync(fsync)
-        self.checkpoint_every = resolve_checkpoint(checkpoint)
+        self.fsync = resolve("REPRO_SERVE_FSYNC", fsync)
+        self.checkpoint_every = resolve("REPRO_SERVE_CHECKPOINT", checkpoint)
         self._lock = threading.Lock()
         self._journals: dict[tuple[str, str], SessionJournal] = {}
         self.counters: Counter = Counter()

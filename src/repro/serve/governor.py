@@ -35,128 +35,11 @@ admission checks can run from any layer without inversion risk.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
+from ..knobs import resolve
 from .service import CircuitOpen, QuotaExceeded
-
-DEFAULT_TENANT_SESSIONS = 0  # 0 = unlimited (PR 7/9 behavior)
-DEFAULT_RATE = 0.0  # requests/second/tenant; 0 = unlimited
-DEFAULT_MAX_ROWS = 100_000  # rows (inserted + deleted) per update
-DEFAULT_DEADLINE = 0.0  # seconds in queue before shedding; 0 = off
-DEFAULT_BREAKER = 5  # consecutive failures before the breaker opens
-DEFAULT_COOLDOWN = 1.0  # seconds open before a half-open probe
-DEFAULT_MAX_BODY = 8 * 1024 * 1024  # request body cap in bytes
-DEFAULT_SCRUB = 0.0  # seconds between scrub rounds; 0 = off
-DEFAULT_SCRUB_SAMPLE = 64  # verify(sample=N) per scrubbed session
-
-
-def _resolve_count(name: str, override, default: int, minimum: int) -> int:
-    """An integer knob with a floor; ``minimum=0`` means 0 disables it."""
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get(name)
-        if raw is None or raw == "":
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{name} must be an integer >= {minimum}, got {raw!r}"
-            ) from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _resolve_seconds(name: str, override, default: float, minimum: float):
-    """A float knob in seconds with a floor; ``minimum=0`` allows off."""
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get(name)
-        if raw is None or raw == "":
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{name} must be a number >= {minimum}, got {raw!r}"
-            ) from None
-    value = float(value)
-    if not value >= minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def resolve_tenant_sessions(override: int | None = None) -> int:
-    """Resident sessions per tenant (``REPRO_SERVE_TENANT_SESSIONS``);
-    0 (the default) keeps the pre-governor unlimited behavior."""
-    return _resolve_count(
-        "REPRO_SERVE_TENANT_SESSIONS", override, DEFAULT_TENANT_SESSIONS, 0
-    )
-
-
-def resolve_rate(override: float | None = None) -> float:
-    """Admitted requests/second/tenant (``REPRO_SERVE_RATE``); 0 = off."""
-    return _resolve_seconds("REPRO_SERVE_RATE", override, DEFAULT_RATE, 0.0)
-
-
-def resolve_max_rows(override: int | None = None) -> int:
-    """Rows (inserted + deleted) per update (``REPRO_SERVE_MAX_ROWS``)."""
-    return _resolve_count(
-        "REPRO_SERVE_MAX_ROWS", override, DEFAULT_MAX_ROWS, 1
-    )
-
-
-def resolve_deadline(override: float | None = None) -> float:
-    """Queue-residence deadline in seconds (``REPRO_SERVE_DEADLINE``);
-    0 (the default) never sheds on age."""
-    return _resolve_seconds(
-        "REPRO_SERVE_DEADLINE", override, DEFAULT_DEADLINE, 0.0
-    )
-
-
-def resolve_breaker(override: int | None = None) -> int:
-    """Consecutive fold/WAL failures before the per-session breaker
-    opens (``REPRO_SERVE_BREAKER``)."""
-    return _resolve_count("REPRO_SERVE_BREAKER", override, DEFAULT_BREAKER, 1)
-
-
-def resolve_cooldown(override: float | None = None) -> float:
-    """Seconds an open breaker waits before its half-open probe
-    (``REPRO_SERVE_COOLDOWN``)."""
-    value = _resolve_seconds(
-        "REPRO_SERVE_COOLDOWN", override, DEFAULT_COOLDOWN, 0.0
-    )
-    if not value > 0:
-        raise ValueError(
-            f"REPRO_SERVE_COOLDOWN must be > 0 seconds, got {value!r}"
-        )
-    return value
-
-
-def resolve_max_body(override: int | None = None) -> int:
-    """Request-body byte cap (``REPRO_SERVE_MAX_BODY``, default 8 MiB)."""
-    return _resolve_count(
-        "REPRO_SERVE_MAX_BODY", override, DEFAULT_MAX_BODY, 1
-    )
-
-
-def resolve_scrub(override: float | None = None) -> float:
-    """Seconds between integrity-scrub rounds (``REPRO_SERVE_SCRUB``);
-    0 (the default) disables the background scrubber."""
-    return _resolve_seconds("REPRO_SERVE_SCRUB", override, DEFAULT_SCRUB, 0.0)
-
-
-def resolve_scrub_sample(override: int | None = None) -> int:
-    """Sampled keys per scrub ``verify`` (``REPRO_SERVE_SCRUB_SAMPLE``)."""
-    return _resolve_count(
-        "REPRO_SERVE_SCRUB_SAMPLE", override, DEFAULT_SCRUB_SAMPLE, 1
-    )
-
 
 class TokenBucket:
     """One tenant's request-rate bucket: ``rate`` tokens/second, burst
@@ -315,12 +198,14 @@ class Governor:
         queue_depth: int = 64,
         clock=time.monotonic,
     ) -> None:
-        self.tenant_sessions = resolve_tenant_sessions(tenant_sessions)
-        self.rate = resolve_rate(rate)
-        self.max_rows = resolve_max_rows(max_rows)
-        self.deadline = resolve_deadline(deadline)
-        self.breaker_threshold = resolve_breaker(breaker)
-        self.cooldown = resolve_cooldown(cooldown)
+        self.tenant_sessions = resolve(
+            "REPRO_SERVE_TENANT_SESSIONS", tenant_sessions
+        )
+        self.rate = resolve("REPRO_SERVE_RATE", rate)
+        self.max_rows = resolve("REPRO_SERVE_MAX_ROWS", max_rows)
+        self.deadline = resolve("REPRO_SERVE_DEADLINE", deadline)
+        self.breaker_threshold = resolve("REPRO_SERVE_BREAKER", breaker)
+        self.cooldown = resolve("REPRO_SERVE_COOLDOWN", cooldown)
         #: queued tickets a tenant may hold across its sessions; bounded
         #: only when the per-tenant session cap is (cap × queue depth)
         self.ticket_cap = (

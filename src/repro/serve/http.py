@@ -37,8 +37,8 @@ import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
+from ..knobs import resolve
 from ..relational.schema import SchemaError
-from .governor import DEFAULT_MAX_BODY, resolve_max_body
 from .service import (
     Backpressure,
     BadSessionSpec,
@@ -49,7 +49,6 @@ from .service import (
     PayloadTooLarge,
     SessionQuarantined,
     UnknownSession,
-    resolve_timeout,
 )
 
 _SESSION = re.compile(r"^/v1/([^/]+)/sessions/([^/]+)$")
@@ -87,7 +86,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             raise BadSessionSpec("Content-Length is not an integer") from None
-        limit = getattr(self.server, "max_body", DEFAULT_MAX_BODY)
+        limit = self.server.max_body
         if length > limit:
             # reject on the declared length, before reading a byte: an
             # unbounded rfile.read() is exactly the memory hole this cap
@@ -273,7 +272,7 @@ def serve_http(
     # moment a burst outruns the accept loop; overload must be answered
     # by the governor (429/503 + Retry-After), not by kernel RSTs
     server.socket.listen(128)
-    server.request_timeout = resolve_timeout(timeout)
-    server.max_body = resolve_max_body(max_body)
+    server.request_timeout = resolve("REPRO_SERVE_TIMEOUT", timeout)
+    server.max_body = resolve("REPRO_SERVE_MAX_BODY", max_body)
     server.service = service if service is not None else DetectionService()
     return server

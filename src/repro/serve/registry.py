@@ -29,6 +29,7 @@ import threading
 from collections import OrderedDict
 from typing import Mapping
 
+from ..knobs import resolve
 from .service import (
     DuplicateSession,
     ManagedSession,
@@ -36,9 +37,6 @@ from .service import (
     SessionQuarantined,
     UnknownSession,
     WALError,
-    resolve_coalesce,
-    resolve_max_sessions,
-    resolve_queue_depth,
 )
 
 
@@ -53,9 +51,9 @@ class SessionRegistry:
         store=None,
         governor=None,
     ) -> None:
-        self.max_sessions = resolve_max_sessions(max_sessions)
-        self.queue_depth = resolve_queue_depth(queue_depth)
-        self.coalesce = resolve_coalesce(coalesce)
+        self.max_sessions = resolve("REPRO_SERVE_MAX_SESSIONS", max_sessions)
+        self.queue_depth = resolve("REPRO_SERVE_QUEUE", queue_depth)
+        self.coalesce = resolve("REPRO_SERVE_COALESCE", coalesce)
         #: optional DurableStore; None keeps the registry memory-only
         self.store = store
         #: optional Governor; sessions built here get bound to it (its

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 
 from ..core.faults import active_plan
-from .governor import resolve_scrub, resolve_scrub_sample
+from ..knobs import resolve
 
 #: seed for the scrubber's sampled verifies — fixed so a scrub round is
 #: reproducible given the same resident state
@@ -45,8 +45,8 @@ class Scrubber:
         seed: int = SCRUB_SEED,
     ) -> None:
         self.registry = registry
-        self.interval = resolve_scrub(interval)
-        self.sample = resolve_scrub_sample(sample)
+        self.interval = resolve("REPRO_SERVE_SCRUB", interval)
+        self.sample = resolve("REPRO_SERVE_SCRUB_SAMPLE", sample)
         self.seed = seed
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

@@ -44,14 +44,10 @@ from ..core.faults import FoldFaultInjected, active_plan
 from ..core.incremental import IncrementalDetector
 from ..detect.clust import IncrementalClustDetector
 from ..detect.incremental import IncrementalHorizontalDetector
+from ..knobs import resolve
 from ..partition import partition_uniform
 from ..relational import Relation
 from ..relational.schema import Schema, SchemaError
-
-DEFAULT_MAX_SESSIONS = 64
-DEFAULT_QUEUE_DEPTH = 64
-DEFAULT_COALESCE = 16
-DEFAULT_TIMEOUT = 30.0
 
 #: session kinds the service hosts; all but ``central`` partition the
 #: payload rows uniformly over ``sites`` simulated fragments
@@ -160,73 +156,6 @@ class SessionQuarantined(ServeError):
 
 class PayloadTooLarge(ServeError):
     """The request body exceeds ``REPRO_SERVE_MAX_BODY`` (413)."""
-
-
-def _resolve_positive(name: str, override, default: int) -> int:
-    """One ``REPRO_SERVE_*`` knob: explicit override, else env, else
-    default; anything non-integer or < 1 fails loudly (the CLI maps the
-    ValueError to exit code 2, like every other knob)."""
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get(name)
-        if raw is None or raw == "":
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{name} must be a positive integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
-    return value
-
-
-def resolve_max_sessions(override: int | None = None) -> int:
-    """Resident-session cap before LRU eviction (``REPRO_SERVE_MAX_SESSIONS``)."""
-    return _resolve_positive(
-        "REPRO_SERVE_MAX_SESSIONS", override, DEFAULT_MAX_SESSIONS
-    )
-
-
-def resolve_queue_depth(override: int | None = None) -> int:
-    """Per-session pending-update bound (``REPRO_SERVE_QUEUE``)."""
-    return _resolve_positive("REPRO_SERVE_QUEUE", override, DEFAULT_QUEUE_DEPTH)
-
-
-def resolve_coalesce(override: int | None = None) -> int:
-    """Max tickets folded as one combined batch (``REPRO_SERVE_COALESCE``)."""
-    return _resolve_positive("REPRO_SERVE_COALESCE", override, DEFAULT_COALESCE)
-
-
-def resolve_timeout(override: float | None = None) -> float:
-    """Per-connection socket timeout in seconds (``REPRO_SERVE_TIMEOUT``).
-
-    Bounds how long a stalled client can pin one handler thread: the
-    stdlib handler applies it to the connection socket, so a peer that
-    stops sending (or reading) mid-request gets disconnected instead of
-    holding the thread forever.  Must be a positive number; malformed
-    values fail loudly (the CLI maps the ValueError to exit code 2).
-    """
-    if override is not None:
-        value = override
-    else:
-        raw = os.environ.get("REPRO_SERVE_TIMEOUT")
-        if raw is None or raw == "":
-            return DEFAULT_TIMEOUT
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SERVE_TIMEOUT must be a positive number, got {raw!r}"
-            ) from None
-    value = float(value)
-    if not value > 0:
-        raise ValueError(
-            f"REPRO_SERVE_TIMEOUT must be > 0 seconds, got {value!r}"
-        )
-    return value
 
 
 class _Ticket:
@@ -880,7 +809,7 @@ class DetectionService:
             from .durability import DurableStore
 
             store = DurableStore(data_dir, fsync=fsync, checkpoint=checkpoint)
-        depth = resolve_queue_depth(queue_depth)
+        depth = resolve("REPRO_SERVE_QUEUE", queue_depth)
         #: the admission authority every request funnels through; quotas
         #: default off (rate/deadline/tenant caps = 0) so an ungoverned
         #: service behaves exactly like the PR 7/9 one

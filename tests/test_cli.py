@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.datagen import emp_instance
+from repro.knobs import KNOBS, resolve
 from repro.relational import Relation, Schema, infer_column_types, load_csv, save_csv
 
 
@@ -276,14 +277,15 @@ def test_cli_removed_fused_numpy_engine_exits_2(emp_csv, capsys, monkeypatch):
 
 
 def test_readme_knob_table_matches_the_knobs_src_reads():
-    """A knob cannot be added or removed without its README row."""
+    """A knob cannot be added or removed without its README row, and
+    each row's default (first of "Values") is the table's default."""
     import re
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
-    documented = set(
+    rows = dict(
         re.findall(
-            r"^\| `(REPRO_[A-Z_]+)` \|",
+            r"^\| `(REPRO_[A-Z_]+)` \| `?([^`,| ]+)",
             (root / "README.md").read_text(),
             re.MULTILINE,
         )
@@ -294,7 +296,98 @@ def test_readme_knob_table_matches_the_knobs_src_reads():
         # the lookahead skips glob mentions such as ``REPRO_SERVE_*``
         for name in re.findall(r"REPRO_[A-Z_]+(?![A-Z_*])", source.read_text())
     }
-    assert read and documented == read
+    assert read and set(rows) == read == set(KNOBS)
+    for name, shown in rows.items():
+        knob = KNOBS[name]
+        default = None if shown == "unset" else knob.parse(name, shown)
+        assert default == knob.default, name
+
+
+#: one value per knob that its parser must reject
+BAD_KNOB_VALUES = {
+    "REPRO_ENGINE": "turbo",
+    "REPRO_FAULTS": "bogus@0",
+    "REPRO_SCALE": "0",
+    "REPRO_SERVE_MAX_SESSIONS": "bogus",
+    "REPRO_SERVE_QUEUE": "0",
+    "REPRO_SERVE_COALESCE": "0",
+    "REPRO_SERVE_FSYNC": "sometimes",
+    "REPRO_SERVE_CHECKPOINT": "many",
+    "REPRO_SERVE_TIMEOUT": "-1",
+    "REPRO_SERVE_TENANT_SESSIONS": "-1",
+    "REPRO_SERVE_RATE": "fast",
+    "REPRO_SERVE_MAX_ROWS": "0",
+    "REPRO_SERVE_DEADLINE": "-0.5",
+    "REPRO_SERVE_BREAKER": "0",
+    "REPRO_SERVE_COOLDOWN": "0",
+    "REPRO_SERVE_MAX_BODY": "1.5",
+    "REPRO_SERVE_SCRUB": "nan",
+    "REPRO_SERVE_SCRUB_SAMPLE": "0",
+}
+
+
+def test_every_knob_has_a_bad_value_case():
+    assert set(BAD_KNOB_VALUES) == set(KNOBS)
+
+
+@pytest.mark.parametrize("knob", sorted(BAD_KNOB_VALUES))
+def test_bad_knob_value_exits_2_naming_it(knob, capsys, monkeypatch):
+    monkeypatch.setenv(knob, BAD_KNOB_VALUES[knob])
+    assert main(["sql", "--cfd", "([a=1] -> [b])"]) == 2
+    error = capsys.readouterr().err
+    assert knob in error
+    assert len(error.strip().splitlines()) == 1
+
+
+SECONDS_KNOBS = [
+    "REPRO_SERVE_TIMEOUT",
+    "REPRO_SERVE_RATE",
+    "REPRO_SERVE_DEADLINE",
+    "REPRO_SERVE_COOLDOWN",
+    "REPRO_SERVE_SCRUB",
+]
+
+
+@pytest.mark.parametrize("knob", SECONDS_KNOBS)
+def test_non_finite_seconds_knob_exits_2(knob, capsys, monkeypatch):
+    """``inf`` seconds would pass validation and then kill every
+    connection (``settimeout``) or the scrubber thread (``Event.wait``)
+    with ``OverflowError``; it is rejected up front instead."""
+    monkeypatch.setenv(knob, "inf")
+    assert main(["sql", "--cfd", "([a=1] -> [b])"]) == 2
+    assert knob in capsys.readouterr().err
+    monkeypatch.delenv(knob)
+    with pytest.raises(ValueError, match=knob):
+        resolve(knob, float("inf"))  # a flag override is checked alike
+
+
+def test_non_serve_commands_do_not_import_the_service():
+    """Validating the serve knobs needs only the knob table, so a plain
+    ``repro sql`` leaves the service package unloaded."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['sql', '--cfd', '([a=1] -> [b])']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

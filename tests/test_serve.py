@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import detect_violations, parse_cfd
 from repro.core.incremental import incremental_detect
+from repro.knobs import resolve
 from repro.relational import Relation
 from repro.relational.schema import Schema
 from repro.serve import (
@@ -26,7 +27,6 @@ from repro.serve import (
     DetectionService,
     DuplicateSession,
     UnknownSession,
-    resolve_timeout,
     serve_http,
 )
 
@@ -368,16 +368,16 @@ def test_http_end_to_end_with_concurrent_clients(server):
 
 
 def test_resolve_timeout_knob(monkeypatch):
-    assert resolve_timeout() == 30.0
+    assert resolve("REPRO_SERVE_TIMEOUT") == 30.0
     monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "2.5")
-    assert resolve_timeout() == 2.5
-    assert resolve_timeout(1.0) == 1.0
+    assert resolve("REPRO_SERVE_TIMEOUT") == 2.5
+    assert resolve("REPRO_SERVE_TIMEOUT", 1.0) == 1.0
     monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "soon")
     with pytest.raises(ValueError):
-        resolve_timeout()
+        resolve("REPRO_SERVE_TIMEOUT")
     monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "0")
     with pytest.raises(ValueError):
-        resolve_timeout()
+        resolve("REPRO_SERVE_TIMEOUT")
 
 
 def test_stalled_client_cannot_pin_a_handler_thread():

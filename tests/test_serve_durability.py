@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.core import detect_violations, parse_cfd
 from repro.core.faults import FaultPlan, fault_plan
+from repro.knobs import resolve
 from repro.relational import Relation
 from repro.relational.schema import Schema
 from repro.serve import (
@@ -35,8 +36,6 @@ from repro.serve import (
     ManagedSession,
     WALError,
     read_wal,
-    resolve_checkpoint,
-    resolve_fsync,
 )
 
 CFD = "([CC=44, zip] -> [street])"
@@ -97,28 +96,28 @@ def wal_files(data_dir: Path) -> list[Path]:
 
 
 def test_resolve_fsync_accepts_policies(monkeypatch):
-    assert resolve_fsync() == "batch"
+    assert resolve("REPRO_SERVE_FSYNC") == "batch"
     for policy in ("always", "batch", "off"):
         monkeypatch.setenv("REPRO_SERVE_FSYNC", policy)
-        assert resolve_fsync() == policy
-    assert resolve_fsync("always") == "always"
+        assert resolve("REPRO_SERVE_FSYNC") == policy
+    assert resolve("REPRO_SERVE_FSYNC", "always") == "always"
 
 
 def test_resolve_fsync_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_FSYNC", "sometimes")
     with pytest.raises(ValueError):
-        resolve_fsync()
+        resolve("REPRO_SERVE_FSYNC")
 
 
 def test_resolve_checkpoint_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_CHECKPOINT", "many")
     with pytest.raises(ValueError):
-        resolve_checkpoint()
+        resolve("REPRO_SERVE_CHECKPOINT")
     monkeypatch.setenv("REPRO_SERVE_CHECKPOINT", "0")
     with pytest.raises(ValueError):
-        resolve_checkpoint()
+        resolve("REPRO_SERVE_CHECKPOINT")
     monkeypatch.setenv("REPRO_SERVE_CHECKPOINT", "12")
-    assert resolve_checkpoint() == 12
+    assert resolve("REPRO_SERVE_CHECKPOINT") == 12
 
 
 # -- the WAL format ------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.core import (
     parse_cfd,
 )
 from repro.core.faults import FoldFaultInjected
+from repro.knobs import resolve
 from repro.relational import Relation, Schema
 from repro.serve import (
     Backpressure,
@@ -40,14 +41,6 @@ from repro.serve import (
     SessionQuarantined,
     TokenBucket,
     UnknownSession,
-    resolve_breaker,
-    resolve_cooldown,
-    resolve_max_body,
-    resolve_max_rows,
-    resolve_rate,
-    resolve_scrub,
-    resolve_scrub_sample,
-    resolve_tenant_sessions,
     serve_http,
 )
 from repro.serve.service import ManagedSession, _Ticket
@@ -90,36 +83,36 @@ class Clock:
 
 
 def test_governor_knob_resolvers(monkeypatch):
-    assert resolve_rate() == 0.0
-    assert resolve_tenant_sessions() == 0
-    assert resolve_max_rows() == 100_000
-    assert resolve_breaker() == 5
-    assert resolve_cooldown() == 1.0
-    assert resolve_max_body() == 8 * 1024 * 1024
-    assert resolve_scrub() == 0.0
-    assert resolve_scrub_sample() == 64
+    assert resolve("REPRO_SERVE_RATE") == 0.0
+    assert resolve("REPRO_SERVE_TENANT_SESSIONS") == 0
+    assert resolve("REPRO_SERVE_MAX_ROWS") == 100_000
+    assert resolve("REPRO_SERVE_BREAKER") == 5
+    assert resolve("REPRO_SERVE_COOLDOWN") == 1.0
+    assert resolve("REPRO_SERVE_MAX_BODY") == 8 * 1024 * 1024
+    assert resolve("REPRO_SERVE_SCRUB") == 0.0
+    assert resolve("REPRO_SERVE_SCRUB_SAMPLE") == 64
 
     monkeypatch.setenv("REPRO_SERVE_RATE", "2.5")
-    assert resolve_rate() == 2.5
-    assert resolve_rate(1.0) == 1.0  # explicit override wins
+    assert resolve("REPRO_SERVE_RATE") == 2.5
+    assert resolve("REPRO_SERVE_RATE", 1.0) == 1.0  # explicit override wins
     monkeypatch.setenv("REPRO_SERVE_RATE", "fast")
     with pytest.raises(ValueError):
-        resolve_rate()
+        resolve("REPRO_SERVE_RATE")
 
     monkeypatch.setenv("REPRO_SERVE_MAX_ROWS", "0")
     with pytest.raises(ValueError):
-        resolve_max_rows()
+        resolve("REPRO_SERVE_MAX_ROWS")
     monkeypatch.setenv("REPRO_SERVE_BREAKER", "0")
     with pytest.raises(ValueError):
-        resolve_breaker()
+        resolve("REPRO_SERVE_BREAKER")
     monkeypatch.setenv("REPRO_SERVE_COOLDOWN", "0")
     with pytest.raises(ValueError):
-        resolve_cooldown()
+        resolve("REPRO_SERVE_COOLDOWN")
     monkeypatch.setenv("REPRO_SERVE_SCRUB", "-1")
     with pytest.raises(ValueError):
-        resolve_scrub()
+        resolve("REPRO_SERVE_SCRUB")
     monkeypatch.setenv("REPRO_SERVE_TENANT_SESSIONS", "3")
-    assert resolve_tenant_sessions() == 3
+    assert resolve("REPRO_SERVE_TENANT_SESSIONS") == 3
 
 
 # -- token bucket & breaker units ---------------------------------------------
