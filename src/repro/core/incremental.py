@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -61,7 +62,7 @@ from ..relational.rowstore import KeyedRows
 from .cfd import CFD, matches, tuple_matches
 from .detection import detect_violations_reference
 from .epatterns import is_predicate
-from .fused import FusedDetector, _project_rows, group_segments
+from .fused import FusedDetector, group_segments
 from .normalize import ConstantCFD, VariableCFD, pattern_index, projector
 from .violations import Violation, ViolationReport
 
@@ -224,9 +225,10 @@ class TransitionCounter:
         vectorized folds, built from C-level primitives.
 
         ``sign > 0``: the crossers are exactly the items absent before
-        the bulk (one set comprehension), the counting is one
-        :meth:`Counter.update`, and the crossing sets advance with whole-
-        set arithmetic.  ``sign < 0`` mirrors it with
+        the bulk (one C-level ``filterfalse`` into a set; none are
+        gathered while no batch is open, as during an attach), the
+        counting is one :meth:`Counter.update`, and the crossing sets
+        advance with whole-set arithmetic.  ``sign < 0`` mirrors it with
         :meth:`Counter.subtract` plus a per-distinct sweep that purges
         zeros (the counts dict never stores non-positive entries) and
         spots underflows.
@@ -234,11 +236,13 @@ class TransitionCounter:
         counts = self.counts
         undo = self._undo
         if sign > 0:
-            crossers = {item for item in items if item not in counts}
-            if undo is not None:
-                for item in items:
-                    if item not in undo:
-                        undo[item] = counts.get(item, 0)
+            if undo is None:  # no batch open: nobody reads the crossers
+                counts.update(items)
+                return
+            crossers = set(filterfalse(counts.__contains__, items))
+            for item in items:
+                if item not in undo:
+                    undo[item] = counts.get(item, 0)
             counts.update(items)
         else:
             distinct = set(items)
@@ -294,9 +298,9 @@ class TransitionCounter:
         return self.counts.keys()
 
 
-def _project_keys(rows: Sequence[tuple], ids, key_pos: tuple[int, ...]):
-    """Key projections of the given rows — *raw* values for
-    single-attribute keys.
+def _key_projector(key_pos: tuple[int, ...]):
+    """``row -> key``: a C-level ``itemgetter`` that yields the *raw*
+    value for single-attribute keys.
 
     The key counters run hottest of all the incremental state (every
     violating-row event hashes a key), so for the overwhelmingly common
@@ -306,14 +310,12 @@ def _project_keys(rows: Sequence[tuple], ids, key_pos: tuple[int, ...]):
     ``wrap_keys=True``) restores the tuple form the
     :class:`ViolationReport` contract requires.
     """
-    if len(key_pos) == 1:
-        return map(itemgetter(key_pos[0]), map(rows.__getitem__, ids))
-    return _project_rows(rows, ids, key_pos)
+    return itemgetter(*key_pos)
 
 
 def _wrap(keys_iterable, wrap_keys: bool):
     if wrap_keys:
-        return [(key,) for key in keys_iterable]
+        return list(zip(keys_iterable))
     return keys_iterable
 
 
@@ -325,7 +327,7 @@ def commit_counters(
     """Close both counters' batches into one :class:`ViolationDelta`.
 
     ``wrap_keys`` restores 1-tuple form for key items the folds carried
-    raw (single-attribute keys, see :func:`_project_keys`).  The delta's
+    raw (single-attribute keys, see :func:`_key_projector`).  The delta's
     reports materialize lazily; the key crossing sets transfer by
     reference, so closing a batch is O(|violation crossings|), not
     O(|key crossings|).
@@ -478,16 +480,8 @@ class ConstantFolds:
             return
         violations.add_bulk(found, sign)
         if self.collect_tuples:
-            keys.add_bulk(
-                list(
-                    _project_keys(
-                        hit_rows,
-                        range(len(hit_rows)),
-                        self._schema.key_positions(),
-                    )
-                ),
-                sign,
-            )
+            project_key = _key_projector(self._schema.key_positions())
+            keys.add_bulk(list(map(project_key, hit_rows)), sign)
 
 
 def _form_lookup(hashed: dict, probed: list):
@@ -633,16 +627,19 @@ class _CodeGroup:
         if self.adds or self.dels:
             counter = Counter(self.key_counts)
             counter.update(self.adds)
-            if self.dels:
+            if not self.dels:
+                # adds only: every count is positive, one C copy
+                cleaned = dict(counter)
+            else:
                 counter.subtract(self.dels)
-            cleaned: dict = {}
-            for key, count in counter.items():
-                if count > 0:
-                    cleaned[key] = count
-                elif count < 0:
-                    raise ValueError(
-                        "deleted a row that is not in the group"
-                    )
+                cleaned = {}
+                for key, count in counter.items():
+                    if count > 0:
+                        cleaned[key] = count
+                    elif count < 0:
+                        raise ValueError(
+                            "deleted a row that is not in the group"
+                        )
             self.key_counts = cleaned
             self.adds = []
             self.dels = []
@@ -762,47 +759,32 @@ class VariableGroupState(GroupCounts):
     def _intern_projections(self, batches, positions, code_of, values):
         """Code every batch row's projection through a session dictionary.
 
-        The probe runs as one C-level ``map(dict.get)`` per batch
-        (single-attribute projections probe the *raw* value — no tuple
-        allocation); projections never seen before fall into the (rare,
-        steady-state empty) miss loop, which appends them to the
-        append-only decode list — codes assigned once stay valid for the
-        session's lifetime, which is what lets the group table key by int
-        code.  Returns the flat code list across all batches, aligned
-        with the concatenated row stream, plus the freshly assigned codes.
+        One first-seen dictionary loop over ``map(itemgetter(*positions),
+        rows)`` — the loop of :meth:`ColumnStore.column
+        <repro.relational.columnar.ColumnStore.column>` — serves attach
+        (every row a miss) and update (nearly every row a hit) alike.
+        Single-attribute projections intern the *raw* value (no tuple
+        allocation).  A miss appends the projection to the append-only
+        decode list, so codes assigned once stay valid for the session's
+        lifetime, which is what lets the group table key by int code.
+        Returns the flat code list across all batches, aligned with the
+        concatenated row stream, plus the freshly assigned codes in
+        first-seen order.
         """
-        single = len(positions) == 1
-        getter = itemgetter(positions[0]) if single else None
-        codes: list = []
+        project = itemgetter(*positions)
+        codes: list[int] = []
         fresh: list[int] = []
+        append = codes.append
+        get = code_of.get
         for rows, _sign in batches:
-            if single:
-                projected = map(getter, rows)
-            else:
-                projected = _project_rows(rows, range(len(rows)), positions)
-            offset = len(codes)
-            codes.extend(map(code_of.get, projected))
-            if None in codes[offset:]:
-                # miss loop: re-project lazily only for the gap rows
-                gap = [
-                    i
-                    for i in range(offset, len(codes))
-                    if codes[i] is None
-                ]
-                if single:
-                    gap_values = (rows[i - offset][positions[0]] for i in gap)
-                else:
-                    gap_values = _project_rows(
-                        rows, [i - offset for i in gap], positions
-                    )
-                for i, value in zip(gap, gap_values):
-                    code = code_of.get(value)
-                    if code is None:
-                        code = len(values)
-                        code_of[value] = code
-                        values.append(value)
-                        fresh.append(code)
-                    codes[i] = code
+            for value in map(project, rows):
+                code = get(value)
+                if code is None:
+                    code = len(values)
+                    code_of[value] = code
+                    values.append(value)
+                    fresh.append(code)
+                append(code)
         return codes, fresh
 
     def fold_signed(
@@ -817,16 +799,18 @@ class VariableGroupState(GroupCounts):
         ``batches`` is a list of ``(rows, ±1)`` — typically one delete
         stream and one insert stream of the same update.  The whole
         stream is coded **once** through the state's append-only session
-        dictionaries (one C-level ``dict.get`` map per projection — no
-        per-batch columnar re-encode), σ is answered from the per-code
-        verdict array, and one sort-based reduce over the mixed-radix
-        ``(x_code, y_code)`` combination collapses the stream to a *net*
-        signed count per distinct touched combination — a delete and a
-        re-insert of the same combination cancel before they ever reach
-        the group table.  The remaining Python work is per distinct
+        dictionaries (one first-seen dictionary loop per projection, the
+        same for an attach and an update — no per-batch columnar
+        re-encode, see :meth:`_intern_projections`), σ is answered from
+        the per-code verdict array, and one sort-based reduce over the
+        mixed-radix ``(x_code, y_code)`` combination collapses the stream
+        to a *net* signed count per distinct touched combination — a
+        delete and a re-insert of the same combination cancel before they
+        ever reach the group table.  The remaining Python work is per distinct
         touched group (conflict transitions from the aggregated counts)
-        plus the member-key bookkeeping of those groups, which cannot
-        compress below the rows because every row carries its own key.
+        plus the member-key bookkeeping of those groups: every row's key
+        is projected once in stream order and gathered per group by C
+        primitives, since every row carries its own key.
 
         Folding a multi-step chain in one call is sound because multiset
         arithmetic commutes and the counters only observe the batch's
@@ -936,17 +920,16 @@ class VariableGroupState(GroupCounts):
         # conflicting before the batch also count into the key counter
         # (a flip later settles the difference in phase C)
         collect = self.collect_tuples
-        key_pos = schema.key_positions()
         stream_base = (
             _np.arange(total, dtype=_np.int64) if sel is None else sel
         )
-        all_rows: Sequence[tuple]
-        if len(batches) == 1:
-            all_rows = batches[0][0]
-        else:
-            all_rows = []
-            for rows, _sign in batches:
-                all_rows.extend(rows)
+        # every row's key, projected in stream order and then gathered
+        # per group: a gather over resident rows in group order would
+        # chase one scattered row tuple per key
+        project_key = _key_projector(schema.key_positions())
+        row_keys: list = []
+        for rows, _sign in batches:
+            row_keys.extend(map(project_key, rows))
         # the insert stream folds first: a valid chain can insert a row
         # and delete it again within one batch, and running deletes last
         # means they always subtract from maximal counts — no transient
@@ -962,7 +945,7 @@ class VariableGroupState(GroupCounts):
                 _np.asarray(starts, dtype=_np.int64)
             ]].tolist()
             stream_keys = list(
-                _project_keys(all_rows, stream_base[ordered].tolist(), key_pos)
+                map(row_keys.__getitem__, stream_base[ordered].tolist())
             )
             conflict_keys: list = []
             for gx, s, e in zip(first_codes, starts, ends):

@@ -804,6 +804,9 @@ class DetectionService:
         from .registry import SessionRegistry
         from .scrubber import Scrubber
 
+        # checked with or without a data dir, so a bad value never boots
+        fsync = resolve("REPRO_SERVE_FSYNC", fsync)
+        checkpoint = resolve("REPRO_SERVE_CHECKPOINT", checkpoint)
         store = None
         if data_dir is not None:
             from .durability import DurableStore

@@ -22,8 +22,22 @@ encode through the one dictionary loop on every leg.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.relational import columnar
+
+# Tier-1 draws the same hypothesis examples on every host and every run:
+# seeds derive from each test, no example database carries state between
+# runs, and each test's own ``max_examples`` stands.  ``explore`` (CI's
+# exploration job, ``--hypothesis-profile=explore``) draws fresh random
+# examples, more of them where a test sets no count, and prints a
+# reproduction blob for any failure.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "explore", derandomize=False, database=None, max_examples=300,
+    print_blob=True,
+)
+settings.load_profile("tier1")
 
 #: matrix leg -> (``REPRO_ENGINE`` value, forced ``VECTORIZE_MIN_ROWS``)
 LEGS = {

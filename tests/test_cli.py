@@ -429,6 +429,37 @@ def test_bad_serve_knob_exits_loudly(knob, value, tmp_path):
     assert knob in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value, knob",
+    [
+        ("--fsync", "bogus", "REPRO_SERVE_FSYNC"),
+        ("--checkpoint", "0", "REPRO_SERVE_CHECKPOINT"),
+    ],
+)
+def test_bad_durability_flag_exits_without_data_dir(flag, value, knob):
+    """A bad ``--fsync`` / ``--checkpoint`` flag exits 2 naming its knob
+    even without ``--data-dir`` (where the value would go unused), as
+    the same bad value in the environment does."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", flag, value],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2, result.stderr
+    assert knob in result.stderr
+
+
 # -- datagen ------------------------------------------------------------------
 
 

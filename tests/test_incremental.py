@@ -9,6 +9,8 @@ would rebuild.  The full recompute is the ``reference`` engine, the
 executable spec.
 """
 
+from collections import Counter
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from repro.core import (
     WILDCARD,
     detect_violations_reference,
 )
-from repro.core.incremental import ViolationDelta
+from repro.core.fused import FusedDetector
+from repro.core.incremental import (
+    VariableGroupState,
+    ViolationDelta,
+    _CodeGroup,
+)
 from repro.detect import (
     IncrementalHorizontalDetector,
     ctr_detect,
@@ -236,3 +243,157 @@ def test_distributed_detect_is_single_shot():
     session.update(0, deleted=[1])
     with pytest.raises(ValueError):
         session.detect()
+
+
+# -- the session intern and the member-key multiset ---------------------------
+
+NAN_A, NAN_B = float("nan"), float("nan")
+#: ``test_columnar_keys.py``'s mixed domain (1 / 1.0 / True and 0 / 0.0 /
+#: False conflate as dict keys) plus two distinct NaN objects
+INTERN_DOMAIN = [0, "0", 1.0, True, "x", None, 1, 0.0, False, (1, 2)] + [
+    NAN_A, NAN_B, -0.0, "m1",
+]
+
+
+def _variable_state():
+    cfd = CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])
+    (variable, _index), = FusedDetector(cfd)._variables
+    return VariableGroupState(variable)
+
+
+@st.composite
+def intern_streams(draw):
+    """Positions to project, then updates of signed batches whose rows
+    draw from :data:`INTERN_DOMAIN` (later updates hit earlier codes)."""
+    width = draw(st.integers(1, 3))
+    positions = tuple(draw(st.permutations(range(3))))[:width]
+    cell = st.sampled_from(INTERN_DOMAIN)
+    batch = st.tuples(
+        st.lists(st.tuples(cell, cell, cell), max_size=10),
+        st.sampled_from([1, -1]),
+    )
+    updates = draw(
+        st.lists(st.lists(batch, max_size=3), min_size=1, max_size=4)
+    )
+    return positions, updates
+
+
+@settings(deadline=None, max_examples=80)
+@given(intern_streams())
+def test_intern_projections_is_one_first_seen_loop(stream):
+    """Codes, decode values and fresh codes of the session intern equal a
+    plain first-seen dictionary loop's, update after update: the decode
+    list holds the very objects the loop saw first, single-attribute
+    projections stay raw, and NaN objects code by identity."""
+    positions, updates = stream
+    state = _variable_state()
+    code_of, values = {}, []
+    ref_code_of, ref_values = {}, []
+    for batches in updates:
+        codes, fresh = state._intern_projections(
+            batches, positions, code_of, values
+        )
+        ref_codes, ref_fresh = [], []
+        for rows, _sign in batches:
+            for row in rows:
+                value = tuple(row[p] for p in positions)
+                if len(positions) == 1:
+                    (value,) = value
+                code = ref_code_of.get(value)
+                if code is None:
+                    code = ref_code_of[value] = len(ref_values)
+                    ref_values.append(value)
+                    ref_fresh.append(code)
+                ref_codes.append(code)
+        assert codes == ref_codes
+        assert fresh == ref_fresh
+        assert len(values) == len(ref_values)
+        for got, want in zip(values, ref_values):
+            if len(positions) == 1:
+                assert got is want
+            else:
+                assert type(got) is tuple
+                assert all(g is w for g, w in zip(got, want))
+
+
+@st.composite
+def member_logs(draw):
+    """A compacted multiset, an adds log and a dels log that stays within
+    what the first two hold (keys repeat: bag duplicates)."""
+    keys = st.sampled_from(["k0", "k1", "k2", ("k", 3), 4])
+    base = draw(st.dictionaries(keys, st.integers(1, 3), max_size=4))
+    adds = draw(st.lists(keys, max_size=8))
+    pool = list(Counter(base).elements()) + adds
+    index = st.integers(0, len(pool) - 1) if pool else st.nothing()
+    picks = draw(st.lists(index, unique=True))
+    return base, adds, [pool[i] for i in picks]
+
+
+@settings(deadline=None, max_examples=80)
+@given(member_logs())
+def test_code_group_membership_is_counter_arithmetic(logs):
+    """Compaction of adds-only and adds + dels logs equals ``Counter``
+    arithmetic, drops zero counts, and replaces (never mutates) the
+    multiset and both logs."""
+    base, adds, dels = logs
+    group = _CodeGroup()
+    group.key_counts = before = dict(base)
+    group.adds = list(adds)
+    group.dels = list(dels)
+    expected = Counter(base)
+    expected.update(adds)
+    expected.subtract(dels)
+    members = group.membership()
+    assert members == {key: n for key, n in expected.items() if n > 0}
+    assert all(n > 0 for n in members.values())
+    assert group.key_counts is members
+    assert group.adds == [] and group.dels == []
+    if adds or dels:
+        assert members is not before
+    assert before == base
+
+
+def test_code_group_membership_underflow_raises_and_keeps_the_logs():
+    group = _CodeGroup()
+    group.key_counts = kept = {"k": 2}
+    group.adds = adds = ["k", "j"]
+    group.dels = dels = ["j", "j"]
+    with pytest.raises(ValueError):
+        group.membership()
+    assert group.key_counts is kept and kept == {"k": 2}
+    assert group.adds is adds and group.dels is dels
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 5), *[st.sampled_from(VALUES) for _ in ATTRS]
+        ),
+        max_size=24,
+    ),
+    st.lists(cfds(), min_size=1, max_size=2),
+)
+def test_attach_over_a_bag_relation_equals_reference(rows, sigma):
+    """Rows sharing a key (counts > 1 in the member multisets) attach to
+    the report the reference engine computes."""
+    relation = Relation(SCHEMA, rows)
+    report = IncrementalDetector(sigma).attach(relation)
+    expected = detect_violations_reference(relation, sigma)
+    assert report.violations == expected.violations
+    assert report.tuple_keys == expected.tuple_keys
+
+
+def test_attach_over_a_bag_relation_with_duplicate_conflicting_keys():
+    cfd = CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])
+    rows = [(1, "x", 0, 0), (1, "x", 0, 0), (1, "x", 1, 0), (2, "x", 1, 0),
+            (3, "y", 0, 0), (3, "y", 0, 0)]
+    relation = Relation(SCHEMA, rows)
+    detector = IncrementalDetector(cfd)
+    report = detector.attach(relation)
+    expected = detect_violations_reference(relation, [cfd])
+    assert report.violations == expected.violations
+    assert report.tuple_keys == expected.tuple_keys == {(1,), (2,)}
+    (state,) = detector._variables
+    members = [state._code_groups[code].membership() for code in state.counts]
+    assert {1: 3, 2: 1} in members and {3: 2} in members
