@@ -42,18 +42,22 @@ row batches (``update``), which change the session's
 :class:`~repro.relational.rowstore.KeyedRows` store in place.
 
 Every resident session — this module's and the distributed ones of
-:mod:`repro.detect` — runs its round inside one :class:`Transaction`:
-the counters and every undo-logged participant begin together, roll
-back together on any exception, and commit together.
+:mod:`repro.detect` — is a :class:`ResidentSession`: one lock, one
+counter pair, one :class:`Transaction` per round (the counters and every
+undo-logged participant begin together, roll back together on any
+exception, and commit together), one round close, the reports and one
+``verify``.  A session's layout adds only where its rows live and what
+its round ships.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 from collections import Counter
 from itertools import filterfalse
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import eq, itemgetter, le
+from typing import Iterable, Mapping, Sequence
 
 import numpy as _np
 
@@ -72,9 +76,9 @@ class ViolationDelta:
 
     Both sides are plain :class:`ViolationReport`\\ s, so delta consumers
     (dashboards, downstream repair queues) reuse the ordinary report API.
-    Deltas built by the counters (:func:`commit_counters`) materialize
-    those reports lazily — a session absorbing batches in a tight loop
-    never pays for delta reports nobody reads.
+    Deltas built by the counters (:meth:`ResidentSession._close_round`)
+    materialize those reports lazily — a session absorbing batches in a
+    tight loop never pays for delta reports nobody reads.
     """
 
     __slots__ = ("_added", "_removed", "_raw", "_wrap")
@@ -306,8 +310,8 @@ def _key_projector(key_pos: tuple[int, ...]):
     violating-row event hashes a key), so for the overwhelmingly common
     single-attribute key they carry the bare value instead of a 1-tuple —
     no per-row tuple allocation, cheaper hashing.  The report boundary
-    (:func:`commit_counters` / :func:`counters_report` with
-    ``wrap_keys=True``) restores the tuple form the
+    (:class:`ResidentSession`'s round close and reports, when
+    ``_wrap_keys`` is set) restores the tuple form the
     :class:`ViolationReport` contract requires.
     """
     return itemgetter(*key_pos)
@@ -319,50 +323,6 @@ def _wrap(keys_iterable, wrap_keys: bool):
     return keys_iterable
 
 
-def commit_counters(
-    violations: TransitionCounter,
-    keys: TransitionCounter,
-    wrap_keys: bool = False,
-) -> ViolationDelta:
-    """Close both counters' batches into one :class:`ViolationDelta`.
-
-    ``wrap_keys`` restores 1-tuple form for key items the folds carried
-    raw (single-attribute keys, see :func:`_key_projector`).  The delta's
-    reports materialize lazily; the key crossing sets transfer by
-    reference, so closing a batch is O(|violation crossings|), not
-    O(|key crossings|).
-    """
-    v_added, v_removed = violations.commit()
-    k_added = keys._went_up
-    k_removed = keys._went_down
-    keys._went_up = None
-    keys._went_down = None
-    keys._undo = None
-    return ViolationDelta.deferred(
-        v_added, k_added, v_removed, k_removed, wrap_keys
-    )
-
-
-def counters_report(
-    violations: TransitionCounter,
-    keys: TransitionCounter,
-    wrap_keys: bool = False,
-) -> ViolationReport:
-    """The counters' current positive entries as a fresh report copy."""
-    return ViolationReport(
-        violations.positive(), _wrap(keys.positive(), wrap_keys)
-    )
-
-
-def counters_size(
-    violations: TransitionCounter, keys: TransitionCounter
-) -> tuple[int, int]:
-    """``(len(report.violations), len(report.tuple_keys))`` of
-    :func:`counters_report`, without building the report: the counters
-    never keep a non-positive count, so the sizes are two ``len()``\\ s."""
-    return len(violations.counts), len(keys.counts)
-
-
 class Transaction:
     """One all-or-nothing round: ``with Transaction(violations, keys,
     participants):`` begins both counters and every participant (row
@@ -370,7 +330,9 @@ class Transaction:
     / ``rollback``).  Any ``BaseException`` in the body — an interrupt
     too — rolls all of them back and propagates; otherwise the
     participants commit and the counters stay open for
-    :func:`commit_counters`.  Stateless between rounds, so reusable."""
+    :meth:`ResidentSession._close_round`.  Stateless between rounds, so
+    reusable; a session whose participants change per round reassigns
+    :attr:`participants`."""
 
     __slots__ = ("violations", "keys", "participants")
 
@@ -993,39 +955,175 @@ class VariableGroupState(GroupCounts):
 # -- the detector -------------------------------------------------------------
 
 
-def fold_batches(
-    schema,
-    batches: list[tuple[list, int]],
-    constants: ConstantFolds,
-    variables: Sequence[VariableGroupState],
-    violations: TransitionCounter,
-    keys: TransitionCounter,
-) -> None:
-    """Fold one update's signed row streams through every form state.
-
-    Constant forms fold per stream; the whole list reaches each variable
-    state's :meth:`VariableGroupState.fold_signed` in one call (a deleted
-    and re-inserted combination cancels before it costs anything).
-    """
-    for rows, sign in batches:
-        constants.fold(
-            Relation(schema, rows, copy=False), sign, violations, keys
-        )
-    for state in variables:
-        state.fold_signed(schema, batches, violations, keys)
-
-
 def apply_batch(store: KeyedRows, inserted: list, doomed) -> list:
     """Move one :meth:`~KeyedRows.check`-ed batch through ``store`` —
     deletes first — and return its non-empty signed row streams, the
-    ``batches`` of :func:`fold_batches`."""
+    ``batches`` of :meth:`ResidentSession._fold`."""
     removed = store.delete(doomed)
     store.insert(inserted)
     return [(rows, sign) for rows, sign in ((removed, -1), (inserted, 1)) if rows]
 
 
-class IncrementalDetector:
-    """``Vioπ(Σ, D)`` maintained across insert/delete batches.
+class ResidentSession:
+    """What every resident session is, whatever its layout.
+
+    ``Vioπ(Σ, D)`` lives in one pair of :class:`TransitionCounter`\\ s —
+    violations and violating tuple keys — whose zero crossings are each
+    round's :class:`ViolationDelta`.  A *layout* — this module's
+    :class:`IncrementalDetector` (one place, nothing shipped), and the
+    horizontal, CLUSTDETECT, hybrid and vertical sessions of
+    :mod:`repro.detect` — keeps its rows where they live and runs its own
+    round inside :attr:`_transaction`, then closes it with
+    :meth:`_close_round`.  The reports, :meth:`verify` and ``repr`` are
+    here, once; a layout supplies only :meth:`_current`, its current rows
+    as one full-schema :class:`Relation`.
+
+    **Concurrency contract**: a session is *single-writer* — row stores,
+    undo logs and transition counters assume one mutation at a time.
+    Every public entry point therefore serializes on a per-session
+    reentrant lock: concurrent callers (the resident service's request
+    threads) are safe, they just take turns.  The lock is reentrant
+    because public entry points call one another (``verify`` reads
+    :attr:`report`).
+    """
+
+    #: whether :meth:`verify` compares violating tuple keys as well as
+    #: violations; the distributed families ship coded summaries and keep
+    #: no per-row keys of variable forms, so they compare violations only
+    _verify_keys = True
+
+    def __init__(self, cfds: CFD | Iterable[CFD], schema=None) -> None:
+        self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
+        #: serializes every public entry point (single-writer contract)
+        self._session_lock = threading.RLock()
+        self._reset(schema)
+
+    def _reset(self, schema) -> None:
+        """Fresh counters, and a round with no participants yet, for rows
+        over ``schema``."""
+        # single-attribute keys travel raw through the folds and the key
+        # counters (no per-row 1-tuple); the report boundary re-wraps them
+        self._wrap_keys = schema is not None and len(schema.key) == 1
+        self._violations = TransitionCounter()
+        self._keys = TransitionCounter()
+        #: one round's all-or-nothing scope; the layout names the
+        #: participants (its row stores and group states)
+        self._transaction = Transaction(self._violations, self._keys, ())
+
+    def _current(self) -> Relation | None:
+        """The layout's current rows as one full-schema relation (``None``
+        before there are any)."""
+        raise NotImplementedError
+
+    def _fold(
+        self,
+        schema,
+        batches: list[tuple[list, int]],
+        constants: ConstantFolds,
+        variables: Sequence[VariableGroupState],
+    ) -> None:
+        """Fold one round's signed row streams through form states.
+
+        Constant forms fold per stream; the whole list reaches each variable
+        state's :meth:`VariableGroupState.fold_signed` in one call (a deleted
+        and re-inserted combination cancels before it costs anything).
+        """
+        violations, keys = self._violations, self._keys
+        for rows, sign in batches:
+            constants.fold(
+                Relation(schema, rows, copy=False), sign, violations, keys
+            )
+        for state in variables:
+            state.fold_signed(schema, batches, violations, keys)
+
+    def _close_round(self) -> ViolationDelta:
+        """Close both counters' batches into one :class:`ViolationDelta`.
+
+        The delta's reports materialize lazily; the key crossing sets
+        transfer by reference, so closing a round is O(|violation
+        crossings|), not O(|key crossings|).
+        """
+        v_added, v_removed = self._violations.commit()
+        keys = self._keys
+        k_added = keys._went_up
+        k_removed = keys._went_down
+        keys._went_up = None
+        keys._went_down = None
+        keys._undo = None
+        return ViolationDelta.deferred(
+            v_added, k_added, v_removed, k_removed, self._wrap_keys
+        )
+
+    @property
+    def report(self) -> ViolationReport:
+        """The full current report (a fresh copy, safe to merge/mutate).
+
+        Building the copy is O(|report|); callers that only need the
+        counts read :meth:`report_size` instead.
+        """
+        with self._session_lock:
+            return ViolationReport(
+                self._violations.positive(),
+                _wrap(self._keys.positive(), self._wrap_keys),
+            )
+
+    def report_size(self) -> tuple[int, int]:
+        """``(len(report.violations), len(report.tuple_keys))`` in O(1):
+        the counters never keep a non-positive count."""
+        with self._session_lock:
+            return len(self._violations.counts), len(self._keys.counts)
+
+    def verify(self, sample: int | None = None, seed: int = 8) -> bool:
+        """Invariant check of the maintained state against ``reference``.
+
+        With ``sample=None`` (the default), recomputes the report with
+        :func:`detect_violations_reference` over the current rows and
+        demands exact equality — O(|D|), the strongest check.
+
+        With an integer ``sample``, draws that many current rows with
+        ``random.Random(seed)`` and checks **subset soundness**: both
+        violations and violating tuple keys are monotone increasing in
+        the rows (a sub-relation's witnesses all survive in the full
+        relation), so everything the reference engine finds on the
+        sample must already be in the maintained report.  O(|sample|) —
+        cheap enough to run inside a long-lived session as a periodic
+        corruption check; it can miss corruption outside the sampled
+        groups, never report a false alarm.
+
+        Tuple keys are compared when :attr:`_verify_keys` says so.  The
+        rows and the report are read under the session lock; the
+        reference run happens outside it.
+        """
+        with self._session_lock:
+            relation = self._current()
+            if relation is None:
+                raise ValueError("attach() a relation before verifying")
+            maintained = self.report
+        keys = self._verify_keys
+        compare = eq
+        if sample is not None and sample < len(relation):
+            rows = random.Random(seed).sample(list(relation.rows), sample)
+            relation = Relation(relation.schema, rows, copy=False)
+            compare = le
+        expected = detect_violations_reference(relation, self.cfds, keys)
+        if not compare(set(expected.violations), set(maintained.violations)):
+            return False
+        return not keys or compare(
+            set(expected.tuple_keys), set(maintained.tuple_keys)
+        )
+
+    def __repr__(self) -> str:
+        violations, keys = self.report_size()
+        return (
+            f"{type(self).__name__}({len(self.cfds)} CFDs, "
+            f"{violations} violations, {keys} violating tuples)"
+        )
+
+
+class IncrementalDetector(ResidentSession):
+    """``Vioπ(Σ, D)`` maintained across insert/delete batches: the
+    centralized layout of :class:`ResidentSession`, one place with
+    nothing to ship.
 
     Compile once, :meth:`attach` to a relation (one full fold building
     the cached state), then :meth:`update` with successive batches, each
@@ -1040,42 +1138,39 @@ class IncrementalDetector:
     no relation copy (a predicate delete scans the store once).
     :attr:`relation` stays available as the store's lazily materialized
     (and cached) snapshot.
-
-    **Concurrency contract**: a session is *single-writer* — the keyed
-    row store, undo logs and transition counters assume one mutation at
-    a time.  Every public entry point (``attach`` / ``update`` /
-    ``verify`` / ``report``) therefore serializes on a
-    per-session reentrant lock: concurrent callers (the resident
-    service's request threads) are safe, they just take turns.  The lock
-    is reentrant because public entry points call one another
-    (``verify`` reads :attr:`relation` and :attr:`report`).
     """
 
     def __init__(
         self, cfds: CFD | Iterable[CFD], collect_tuples: bool = True
     ) -> None:
-        self._fused = FusedDetector(cfds)
-        self.cfds = self._fused.cfds
+        super().__init__(cfds)
+        self._fused = FusedDetector(self.cfds)
         self.collect_tuples = collect_tuples
-        #: serializes every public entry point (single-writer contract)
-        self._session_lock = threading.RLock()
         #: the resident rows; ``None`` until attach()
         self._rows: KeyedRows | None = None
         self.schema = None
-        self._wrap_keys = False
-        self._violations = TransitionCounter()
-        self._keys = TransitionCounter()
         self._constants = ConstantFolds(self._fused._constants, collect_tuples)
         self._variables: list[VariableGroupState] = []
-        #: one update's all-or-nothing round; built by attach()
-        self._transaction: Transaction | None = None
+
+    @property
+    def _verify_keys(self) -> bool:
+        return self.collect_tuples
+
+    def _current(self) -> Relation | None:
+        return None if self._rows is None else self._rows.relation
 
     @property
     def relation(self) -> Relation | None:
         """The current rows as a :class:`Relation` (materialized lazily
         after an update; the object is cached until the next one)."""
         with self._session_lock:
-            return None if self._rows is None else self._rows.relation
+            return self._current()
+
+    @property
+    def fragments(self) -> list[Relation]:
+        """The current rows as the session's one place — the distributed
+        sessions' view of their rows."""
+        return [self.relation]
 
     # -- lifecycle --------------------------------------------------------
 
@@ -1083,30 +1178,20 @@ class IncrementalDetector:
         """Build (or rebuild) the cached state with one full fold of ``D``."""
         with self._session_lock:
             self.schema = relation.schema
-            # single-attribute keys travel raw through the folds and the
-            # key counters (no per-row 1-tuple); the report boundary
-            # re-wraps them
-            self._wrap_keys = len(relation.schema.key_positions()) == 1
+            self._reset(relation.schema)
             self._rows = KeyedRows(relation)
-            self._violations = TransitionCounter()
-            self._keys = TransitionCounter()
             self._variables = [
                 VariableGroupState(variable, self.collect_tuples)
                 for variable, _index in self._fused._variables
             ]
-            self._transaction = Transaction(
-                self._violations, self._keys, [self._rows, *self._variables]
-            )
+            self._transaction.participants = [self._rows, *self._variables]
             self._fold_batches(relation.schema, [(relation.rows, 1)])
             return self.report
 
     def _fold_batches(
         self, schema, batches: list[tuple[list, int]]
     ) -> None:
-        fold_batches(
-            schema, batches, self._constants, self._variables,
-            self._violations, self._keys,
-        )
+        self._fold(schema, batches, self._constants, self._variables)
 
     def update(
         self,
@@ -1132,81 +1217,14 @@ class IncrementalDetector:
                 return ViolationDelta()
             with self._transaction:
                 self._fold_batches(self.schema, apply_batch(rows, batch, doomed))
-            return commit_counters(self._violations, self._keys, self._wrap_keys)
+            return self._close_round()
 
-    # -- results ----------------------------------------------------------
-
-    @property
-    def report(self) -> ViolationReport:
-        """The full current report (a fresh copy, safe to merge/mutate).
-
-        Building the copy is O(|report|); callers that only need the
-        counts read :meth:`report_size` instead.
-        """
-        with self._session_lock:
-            return counters_report(
-                self._violations, self._keys, self._wrap_keys
-            )
-
-    def report_size(self) -> tuple[int, int]:
-        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
-        with self._session_lock:
-            return counters_size(self._violations, self._keys)
-
-    def verify(self, sample: int | None = None, seed: int = 8) -> bool:
-        """Invariant check of the maintained state against ``reference``.
-
-        With ``sample=None`` (the default), recomputes the full report
-        with :func:`detect_violations_reference` on the current relation
-        and demands exact equality — O(|D|), the strongest check.
-
-        With an integer ``sample``, draws that many resident rows with
-        ``random.Random(seed)`` and checks **subset soundness**: both
-        violations and violating tuple keys are monotone increasing in
-        the rows (a sub-relation's witnesses all survive in the full
-        relation), so everything the reference engine finds on the
-        sampled sub-relation must already be in the maintained report.
-        O(|sample|) — cheap enough to run inside a long-lived session as
-        a periodic corruption check; it can miss corruption outside the
-        sampled groups, never report a false alarm.
-        """
-        with self._session_lock:
-            return self._verify_locked(sample, seed)
-
-    def _verify_locked(self, sample: int | None, seed: int) -> bool:
-        relation = self.relation
-        if relation is None:
-            raise ValueError("attach() a relation before verifying")
-        maintained = self.report
-        if sample is None or sample >= len(relation.rows):
-            expected = detect_violations_reference(
-                relation, self.cfds, self.collect_tuples
-            )
-            if set(maintained.violations) != set(expected.violations):
-                return False
-            return not self.collect_tuples or set(
-                maintained.tuple_keys
-            ) == set(expected.tuple_keys)
-        import random
-
-        rows = random.Random(seed).sample(list(relation.rows), sample)
-        sampled = detect_violations_reference(
-            Relation(self.schema, rows, copy=False),
-            self.cfds,
-            self.collect_tuples,
-        )
-        if not set(sampled.violations) <= set(maintained.violations):
-            return False
-        return not self.collect_tuples or set(sampled.tuple_keys) <= set(
-            maintained.tuple_keys
-        )
-
-    def __repr__(self) -> str:
-        n = len(self.relation) if self.relation is not None else 0
-        return (
-            f"IncrementalDetector({len(self.cfds)} CFDs, "
-            f"{n} tuples attached)"
-        )
+    def apply_updates(self, updates: Mapping[int, tuple]) -> ViolationDelta:
+        """:meth:`update` as a round over the session's one place:
+        ``updates`` holds one ``(inserted, deleted)`` batch, and its key
+        (the place; ``0`` by convention) is not read."""
+        ((inserted, deleted),) = updates.values()
+        return self.update(inserted, deleted)
 
 
 def incremental_detect(

@@ -54,6 +54,7 @@ from ..distributed import (
 )
 from ..distributed.hybrid import HybridCluster
 from ..relational import Relation, compatible_with_bindings
+from ..relational.rowstore import _is_predicate
 from . import base
 from .incremental import (
     IncrementalUpdate,
@@ -310,7 +311,7 @@ class IncrementalHybridDetector(_ResidentSession):
         cluster = self.cluster
         checked = {}
         for r, (inserted, deleted) in updates.items():
-            if callable(deleted) or hasattr(deleted, "evaluate"):
+            if _is_predicate(deleted):
                 raise ValueError(
                     "incremental hybrid sessions take key deletes, not "
                     "predicates (a predicate needs a scan of the region)"

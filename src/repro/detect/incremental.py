@@ -15,10 +15,14 @@ step's coordinators received.
 
 The paper's horizontal algorithms are one skeleton that differs in *who
 coordinates* and *what is shipped* (:mod:`repro.detect.base`), and so
-are their sessions.  :class:`_ResidentSession` is that skeleton — the
-per-place constant folds (Proposition 5: purely local), the all-or-
-nothing update round with its modelled stage times, reports and
-``verify`` — and :class:`_VariableState` the one coordinator kernel, a
+are their sessions.  Every session is a
+:class:`~repro.core.incremental.ResidentSession` (lock, counters,
+round close, reports, ``verify``); :class:`_DistributedSession` adds what
+every cluster session has (the once-only initial run, the cumulative
+shipment log and cost, ``outcome``), and :class:`_ResidentSession` is
+the horizontal skeleton — the per-place constant folds (Proposition 5:
+purely local) and the all-or-nothing update round with its modelled
+stage times — with :class:`_VariableState` the one coordinator kernel, a
 :class:`~repro.core.incremental.GroupCounts` table like the centralized
 fold's.  A family supplies how the initial run seeds coordinator state
 and where a round's signed deltas come from:
@@ -47,23 +51,18 @@ full run, with every stage driven by |ΔD| instead of |D|.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..core import CFD, Violation, ViolationReport
+from ..core import CFD, Violation
 from ..core.incremental import (
     ConstantFolds,
     GroupCounts,
-    Transaction,
+    ResidentSession,
     TransitionCounter,
     ViolationDelta,
-    commit_counters,
-    counters_report,
-    counters_size,
-    fold_batches,
+    apply_batch,
 )
 from ..core.normalize import VariableCFD, normalize, pattern_index
 from ..distributed import (
@@ -78,6 +77,13 @@ from ..relational.rowstore import KeyedRows
 from . import base
 from .ctr import ctr_step
 from .pat import make_select_min_response, pat_step, select_max_stat
+
+
+def _removed(streams: list) -> list:
+    """The removed rows among :func:`~repro.core.incremental.apply_batch`'s
+    signed streams (it lists them first)."""
+    rows, sign = streams[0]
+    return rows if sign < 0 else []
 
 
 def apply_fragment_updates(
@@ -104,10 +110,9 @@ def apply_fragment_updates(
     for index in sorted(updates):
         rows = KeyedRows(fragments[index])
         inserted, doomed = rows.check(*updates[index])
-        removed = rows.delete(doomed)
-        rows.insert(inserted)
-        if inserted or removed:
-            staged.append((index, rows, inserted, removed))
+        streams = apply_batch(rows, inserted, doomed)
+        if streams:
+            staged.append((index, rows, inserted, _removed(streams)))
     # every site's batch applied cleanly: only now install the versions
     batches = []
     for index, rows, inserted, removed in staged:
@@ -315,16 +320,97 @@ class IncrementalUpdate:
         return self.stage.total
 
 
-class _ResidentSession:
-    """The skeleton every resident distributed session shares.
+class _DistributedSession(ResidentSession):
+    """A :class:`~repro.core.incremental.ResidentSession` over a cluster:
+    what the horizontal, CLUSTDETECT, hybrid and vertical sessions share.
+
+    The one-shot run happens once (:meth:`detect`); its shipments and
+    modelled stage times start a cumulative log and cost that every round
+    extends (:meth:`_settle_round`), and :meth:`outcome` reports them.  A
+    layout supplies :meth:`_initial_run` — the one-shot run that fills
+    its resident state — and its own round.
+    """
+
+    #: display name of the session's algorithm
+    algorithm = ""
+
+    def __init__(self, cluster, cfds: CFD | Iterable[CFD], schema) -> None:
+        super().__init__(cfds, schema)
+        self.cluster = cluster
+        self._log = ShipmentLog()
+        self._cost = CostBreakdown()
+        self._detected = False
+
+    def _initial_run(self) -> dict:
+        """The layout's one-shot run: its scans and shipments on
+        ``_log``, its ``StageTimes`` on ``_cost``, its resident state
+        filled.  Returns the outcome's ``details``."""
+        raise NotImplementedError
+
+    def detect(self) -> DetectionOutcome:
+        """The full one-shot run; builds the resident state.
+
+        One run per session: the scan reads the *original* cluster
+        fragments, so re-running after updates would fold stale rows on
+        top of live counters — start a new session instead.
+        """
+        with self._session_lock:
+            if self._detected:
+                raise ValueError(
+                    "detect() already ran for this session; updates are "
+                    "absorbed via update() — build a new "
+                    f"{type(self).__name__} to re-detect from scratch"
+                )
+            details = self._initial_run()
+            self._detected = True
+            return self._outcome({**details, "incremental": True})
+
+    def _require_detected(self) -> None:
+        if not self._detected:
+            raise ValueError("run detect() before applying updates")
+
+    def _settle_round(
+        self, update_log: ShipmentLog, stage: StageTimes, record: bool
+    ) -> IncrementalUpdate:
+        """Close a round into its :class:`IncrementalUpdate`; with
+        ``record``, its stage and traffic join the cumulative cost and
+        log."""
+        if record:
+            self._cost.stages.append(stage)
+            self._log.merge(update_log)
+        return IncrementalUpdate(
+            self._close_round(), self.report_size(), update_log, stage
+        )
+
+    @property
+    def shipments(self) -> ShipmentLog:
+        """Cumulative traffic: the initial run plus every absorbed batch."""
+        return self._log
+
+    def outcome(self) -> DetectionOutcome:
+        """The session as a :class:`DetectionOutcome` (cumulative cost/log)."""
+        with self._session_lock:
+            return self._outcome({"incremental": True})
+
+    def _outcome(self, details: dict) -> DetectionOutcome:
+        return DetectionOutcome(
+            algorithm=self.algorithm,
+            report=self.report,
+            shipments=self._log,
+            cost=self._cost,
+            details=details,
+        )
+
+
+class _ResidentSession(_DistributedSession):
+    """The skeleton every resident horizontal session shares.
 
     A family (horizontal, CLUSTDETECT, hybrid) is the two things the
     paper says it is: :meth:`_seed` — how the initial run chooses
     coordinators and fills their state — and :meth:`_absorb` — where one
     round's signed deltas come from and what crosses the wire.  The rest
     is here, once: the per-place constant folds (Proposition 5), the
-    :meth:`detect` once-guard, the all-or-nothing round, the modelled
-    stage times of a round, reports, :meth:`verify` and the cost log.
+    all-or-nothing round and its modelled stage times.
 
     ``places`` are the cluster's horizontal units (sites, or the regions
     of a hybrid cluster), each with a ``predicate``.  Each place keeps its
@@ -336,31 +422,21 @@ class _ResidentSession:
     schema.
     ``_states`` is the family's resident coordinator state — anything
     with ``begin`` / ``commit`` / ``rollback``.
-
-    Sessions are *single-writer*: row stores, coordinator tables,
-    counters and the cost log assume one mutation at a time, so every
-    public entry point serializes on a per-session reentrant lock.
-    Concurrent callers — the resident service's request threads — are
-    safe; they take turns.
     """
 
-    #: display name of the session's algorithm
-    algorithm = ""
     #: whether the constant forms' tuple keys are collected
     _collect_tuples = True
+    # the protocol ships coded summaries, so (like the one-shot
+    # algorithms) the session tracks no per-row tuple keys of variable
+    # forms: ``verify`` compares violations only
+    _verify_keys = False
 
     def __init__(self, cluster, cfds: CFD | Iterable[CFD], places, fragments) -> None:
-        self.cluster = cluster
-        self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
+        super().__init__(cluster, cfds, cluster.schema)
         #: per place: the fragment the session starts from, and its keyed
         #: row store, built when a round first touches the place
         self._initial_fragments: list[Relation] = list(fragments)
         self._rows: list[KeyedRows | None] = [None] * len(fragments)
-        # the constant folds carry single-attribute keys raw; the report
-        # boundary wraps them back into the 1-tuple contract
-        self._wrap_keys = len(cluster.schema.key_positions()) == 1
-        self._violations = TransitionCounter()
-        self._keys = TransitionCounter()
         constants = []
         self._variable_cfds: list[VariableCFD] = []
         for cfd in self.cfds:
@@ -382,11 +458,6 @@ class _ResidentSession:
             for place in places
         ]
         self._states: list = []
-        self._log = ShipmentLog()
-        self._cost = CostBreakdown()
-        self._detected = False
-        #: serializes every public entry point (single-writer contract)
-        self._session_lock = threading.RLock()
 
     @property
     def fragments(self) -> list[Relation]:
@@ -398,6 +469,10 @@ class _ResidentSession:
                 fragment if rows is None else rows.relation
                 for fragment, rows in zip(self._initial_fragments, self._rows)
             ]
+
+    def _current(self) -> Relation:
+        rows = [row for fragment in self.fragments for row in fragment.rows]
+        return Relation(self.cluster.schema, rows, copy=False)
 
     # -- the two things a family is ---------------------------------------
 
@@ -418,33 +493,10 @@ class _ResidentSession:
         """Family validation of a round's input, before any state moves."""
         return updates
 
-    # -- initial run ------------------------------------------------------
-
-    def detect(self) -> DetectionOutcome:
-        """The full one-shot run; builds the resident coordinator state.
-
-        One run per session: the scan reads the *original* cluster
-        fragments, so re-running after updates would fold stale rows on
-        top of live counters — start a new session instead.
-        """
-        with self._session_lock:
-            if self._detected:
-                raise ValueError(
-                    "detect() already ran for this session; updates are "
-                    "absorbed via update() — build a new "
-                    f"{type(self).__name__} to re-detect from scratch"
-                )
-            for fragment, folds in zip(self.fragments, self._constants):
-                folds.fold(fragment, 1, self._violations, self._keys)
-            details = self._seed()
-            self._detected = True
-            return DetectionOutcome(
-                algorithm=self.algorithm,
-                report=self.report,
-                shipments=self._log,
-                cost=self._cost,
-                details={**details, "incremental": True},
-            )
+    def _initial_run(self) -> dict:
+        for fragment, folds in zip(self.fragments, self._constants):
+            folds.fold(fragment, 1, self._violations, self._keys)
+        return self._seed()
 
     # -- updates ----------------------------------------------------------
 
@@ -471,8 +523,7 @@ class _ResidentSession:
         before this call and the exception propagates.
         """
         with self._session_lock:
-            if not self._detected:
-                raise ValueError("run detect() before applying updates")
+            self._require_detected()
             updates = self._check_round(updates)
             # every place's batch is checked before any state moves
             checked = []
@@ -485,26 +536,21 @@ class _ResidentSession:
                 checked.append((index, rows, *rows.check(*updates[index])))
             schema = self.cluster.schema
             model = self.cluster.cost_model
-            stores = [rows for _index, rows, _inserted, _doomed in checked]
             update_log = ShipmentLog()
             stage = StageTimes(0, 0, 0)
-            with Transaction(
-                self._violations, self._keys, stores + self._states
-            ):
+            transaction = self._transaction
+            transaction.participants = [
+                rows for _index, rows, _inserted, _doomed in checked
+            ] + self._states
+            with transaction:
                 batches = []
                 for index, rows, inserted, doomed in checked:
-                    removed = rows.delete(doomed)
-                    rows.insert(inserted)
-                    if inserted or removed:
-                        batches.append((index, inserted, removed))
+                    streams = apply_batch(rows, inserted, doomed)
+                    if streams:
+                        # constants: fold each delta locally (Proposition 5)
+                        self._fold(schema, streams, self._constants[index], ())
+                        batches.append((index, inserted, _removed(streams)))
                 if batches:
-                    # constants: fold each delta locally (Proposition 5)
-                    for index, inserted, removed in batches:
-                        fold_batches(
-                            schema, [(removed, -1), (inserted, 1)],
-                            self._constants[index], (),
-                            self._violations, self._keys,
-                        )
                     received_events = self._absorb(batches, update_log)
                     stage = StageTimes(
                         max(
@@ -520,92 +566,7 @@ class _ResidentSession:
                             default=0.0,
                         ),
                     )
-            if batches:
-                self._cost.stages.append(stage)
-                self._log.merge(update_log)
-            delta = commit_counters(
-                self._violations, self._keys, self._wrap_keys
-            )
-            return IncrementalUpdate(
-                delta,
-                counters_size(self._violations, self._keys),
-                update_log,
-                stage,
-            )
-
-    # -- results ----------------------------------------------------------
-
-    @property
-    def report(self) -> ViolationReport:
-        """The full current report (fresh copy)."""
-        with self._session_lock:
-            return counters_report(
-                self._violations, self._keys, self._wrap_keys
-            )
-
-    def report_size(self) -> tuple[int, int]:
-        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
-        with self._session_lock:
-            return counters_size(self._violations, self._keys)
-
-    def verify(self, sample: int | None = None, seed: int = 8) -> bool:
-        """Invariant check against the ``reference`` engine.
-
-        With ``sample=None`` (the default), recomputes the full
-        violation set over the union of the *current* fragments
-        with :func:`~repro.core.detection.detect_violations_reference`
-        and demands exact equality.  With an integer ``sample``, draws
-        that many resident rows with ``random.Random(seed)`` and checks
-        subset soundness (violations are monotone increasing in the
-        rows): every violation the reference engine finds on the sample
-        must already be in the maintained report — a cheap,
-        false-alarm-free corruption check for long-lived sessions.
-
-        Only violations are compared: the distributed protocol ships
-        coded summaries, so (like the one-shot algorithms) the session
-        does not track per-row tuple keys of variable forms.
-        """
-        import random
-
-        from ..core.detection import detect_violations_reference
-
-        with self._session_lock:
-            rows = [row for fragment in self.fragments for row in fragment.rows]
-            maintained = set(self.report.violations)
-        sampled = sample is not None and sample < len(rows)
-        if sampled:
-            rows = random.Random(seed).sample(rows, sample)
-        expected = set(
-            detect_violations_reference(
-                Relation(self.cluster.schema, rows, copy=False),
-                self.cfds,
-                collect_tuples=False,
-            ).violations
-        )
-        return expected <= maintained if sampled else expected == maintained
-
-    @property
-    def shipments(self) -> ShipmentLog:
-        """Cumulative traffic: the initial run plus every absorbed batch."""
-        return self._log
-
-    def outcome(self) -> DetectionOutcome:
-        """The session as a :class:`DetectionOutcome` (cumulative cost/log)."""
-        with self._session_lock:
-            return DetectionOutcome(
-                algorithm=self.algorithm,
-                report=self.report,
-                shipments=self._log,
-                cost=self._cost,
-                details={"incremental": True},
-            )
-
-    def __repr__(self) -> str:
-        total = sum(len(fragment) for fragment in self.fragments)
-        return (
-            f"{type(self).__name__}({self.algorithm}, {len(self.cfds)} CFDs, "
-            f"{len(self.fragments)} fragments, {total} tuples)"
-        )
+            return self._settle_round(update_log, stage, bool(batches))
 
 
 class IncrementalHorizontalDetector(_ResidentSession):

@@ -36,33 +36,26 @@ site; the resident session keeps that relation and its fold state there.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core import CFD, ViolationReport, detect_violations, is_wildcard, normalize
 from ..core.incremental import (
     ConstantFolds,
-    Transaction,
-    TransitionCounter,
     VariableGroupState,
     apply_batch,
-    commit_counters,
-    counters_report,
-    counters_size,
-    fold_batches,
 )
 from ..distributed import (
     CostBreakdown,
     DetectionOutcome,
     ShipmentLog,
+    Site,
     StageTimes,
     VerticalCluster,
 )
 from ..relational import Relation, SchemaError
-from ..relational.rowstore import KeyedRows
-from .incremental import IncrementalUpdate
+from ..relational.rowstore import KeyedRows, _is_predicate
+from .incremental import IncrementalUpdate, _DistributedSession
 
 
 def locally_checkable_vertical(
@@ -233,7 +226,7 @@ def vertical_detect(
 # -- incremental sessions ------------------------------------------------------
 
 
-class IncrementalVerticalDetector:
+class IncrementalVerticalDetector(_DistributedSession):
     """A resident detection session over one vertical cluster and Σ.
 
     :meth:`detect` runs the one-shot :func:`vertical_step` once per CFD
@@ -251,7 +244,7 @@ class IncrementalVerticalDetector:
     as bare keys (the joined state indexes by key already).  Each
     fragment keeps its rows in a ``KeyedRows`` store too, which takes its
     projection of the batch in O(|ΔD|); :attr:`fragments` shows them as
-    relations.
+    relations, and ``verify`` checks against their key join.
 
     Every plan folds straight into the session's one pair of
     :class:`~repro.core.incremental.TransitionCounter`\\ s, so
@@ -260,31 +253,17 @@ class IncrementalVerticalDetector:
     :class:`~repro.core.incremental.Transaction` over the counters and
     every store and group state: a round that raises leaves all of them,
     the cost log and the shipments as they were.
-
-    Sessions are *single-writer*: every public entry point serializes on
-    a per-session reentrant lock, so concurrent callers take turns.
     """
+
+    algorithm = "VERTICALDETECT+Δ"
 
     def __init__(
         self, cluster: VerticalCluster, cfds: CFD | Iterable[CFD]
     ) -> None:
-        self.cluster = cluster
-        self.cfds = [cfds] if isinstance(cfds, CFD) else list(cfds)
+        super().__init__(cluster, cfds, cluster.original_schema)
         #: per fragment: its resident rows
         self._stores = [KeyedRows(site.fragment) for site in cluster.sites]
         self._plans: list[_VerticalPlan] = []
-        self._log = ShipmentLog()
-        self._cost = CostBreakdown()
-        self._detected = False
-        self._violations = TransitionCounter()
-        self._keys = TransitionCounter()
-        #: one round's all-or-nothing scope; built by detect()
-        self._transaction: Transaction | None = None
-        # the folds carry single-attribute keys raw; the report boundary
-        # wraps them back into the 1-tuple contract
-        self._wrap_keys = len(cluster.original_schema.key) == 1
-        #: serializes every public entry point (single-writer contract)
-        self._session_lock = threading.RLock()
 
     @property
     def fragments(self) -> list[Relation]:
@@ -293,26 +272,18 @@ class IncrementalVerticalDetector:
         with self._session_lock:
             return [store.relation for store in self._stores]
 
-    def _fold(self, plan: _VerticalPlan, batches: list) -> None:
-        fold_batches(
-            plan.rows.schema, batches, plan.constants, plan.variables,
-            self._violations, self._keys,
-        )
+    def _current(self) -> Relation:
+        cluster = self.cluster
+        sites = [
+            Site(site.index, fragment, site.name)
+            for site, fragment in zip(cluster.sites, self.fragments)
+        ]
+        return VerticalCluster(cluster.original_schema, sites).reconstruct()
 
-    # -- initial run ------------------------------------------------------
+    def _fold_plan(self, plan: _VerticalPlan, batches: list) -> None:
+        self._fold(plan.rows.schema, batches, plan.constants, plan.variables)
 
-    def detect(self) -> DetectionOutcome:
-        """The full one-shot run; builds the per-plan resident state."""
-        with self._session_lock:
-            return self._detect_locked()
-
-    def _detect_locked(self) -> DetectionOutcome:
-        if self._detected:
-            raise ValueError(
-                "detect() already ran for this session; updates are "
-                "absorbed via update() — build a new "
-                "IncrementalVerticalDetector to re-detect from scratch"
-            )
+    def _initial_run(self) -> dict:
         key = tuple(self.cluster.original_schema.key)
         for cfd in self.cfds:
             plan, relation = vertical_step(self.cluster, cfd, self._log)
@@ -325,26 +296,14 @@ class IncrementalVerticalDetector:
             plan.variables = [
                 VariableGroupState(variable) for variable in normalized.variables
             ]
-            self._fold(plan, [(relation.rows, 1)])
+            self._fold_plan(plan, [(relation.rows, 1)])
             self._cost.stages.append(plan.stage)
             self._plans.append(plan)
-        self._transaction = Transaction(
-            self._violations,
-            self._keys,
+        self._transaction.participants = (
             [*self._stores, *(plan.rows for plan in self._plans)]
-            + [state for plan in self._plans for state in plan.variables],
+            + [state for plan in self._plans for state in plan.variables]
         )
-        self._detected = True
-        return DetectionOutcome(
-            algorithm="VERTICALDETECT+Δ",
-            report=self.report,
-            shipments=self._log,
-            cost=self._cost,
-            details={
-                "plans": {plan.cfd.name: plan.details for plan in self._plans},
-                "incremental": True,
-            },
-        )
+        return {"plans": {plan.cfd.name: plan.details for plan in self._plans}}
 
     # -- updates ----------------------------------------------------------
 
@@ -358,115 +317,71 @@ class IncrementalVerticalDetector:
         predicate against your own copy and pass the keys.
         """
         with self._session_lock:
-            return self._update_locked(inserted, deleted)
-
-    def _update_locked(self, inserted, deleted) -> IncrementalUpdate:
-        if not self._detected:
-            raise ValueError("run detect() before applying updates")
-        if callable(deleted) or hasattr(deleted, "evaluate"):
-            raise ValueError(
-                "incremental vertical sessions take key deletes, not "
-                "predicates (a predicate needs a scan of D)"
-            )
-        cluster = self.cluster
-        model = cluster.cost_model
-        schema = cluster.original_schema
-        width = len(schema)
-        inserted = [tuple(row) for row in inserted]
-        for row in inserted:
-            if len(row) != width:
-                raise SchemaError(
-                    f"row of width {len(row)} does not fit schema "
-                    f"{schema.name!r} of width {width}: {row!r}"
+            self._require_detected()
+            if _is_predicate(deleted):
+                raise ValueError(
+                    "incremental vertical sessions take key deletes, not "
+                    "predicates (a predicate needs a scan of D)"
                 )
-        deleted = list(deleted)
-        delta_rows = len(inserted) + len(deleted)
-
-        def check_batch(store):
-            positions = schema.positions(store.schema.attributes)
-            projected = [tuple(row[p] for p in positions) for row in inserted]
-            return store.check(projected, deleted)
-
-        # every fragment's and every plan's projection of the batch is
-        # checked before any state moves
-        stores = self._stores
-        plans = self._plans
-        checked = [check_batch(store) for store in stores]
-        plan_checked = [check_batch(plan.rows) for plan in plans]
-        with self._transaction:
-            for store, (rows, doomed) in zip(stores, checked):
-                apply_batch(store, rows, doomed)
-            for plan, (rows, doomed) in zip(plans, plan_checked):
-                self._fold(plan, apply_batch(plan.rows, rows, doomed))
-        delta = commit_counters(self._violations, self._keys, self._wrap_keys)
-
-        # the delta key-join: sources ship only their delta's keyed column
-        # codes; the coordinator's join-side state was patched in place
-        update_log = ShipmentLog()
-        for plan in plans:
-            for source_index, attributes in sorted(plan.sources.items()):
-                if delta_rows:
-                    cells = delta_rows * (len(schema.key) + len(attributes))
-                    update_log.ship(
-                        plan.coordinator, source_index, delta_rows, cells,
-                        tag=f"{plan.cfd.name}Δ", n_codes=cells,
+            cluster = self.cluster
+            model = cluster.cost_model
+            schema = cluster.original_schema
+            width = len(schema)
+            inserted = [tuple(row) for row in inserted]
+            for row in inserted:
+                if len(row) != width:
+                    raise SchemaError(
+                        f"row of width {len(row)} does not fit schema "
+                        f"{schema.name!r} of width {width}: {row!r}"
                     )
+            deleted = list(deleted)
+            delta_rows = len(inserted) + len(deleted)
 
-        scan = model.scan_time(delta_rows)
-        transfer = model.transfer_time(update_log.outgoing_by_source())
-        check = max(
-            (
-                model.check_time(
-                    model.check_ops(delta_rows, n_queries=1 + len(plan.sources))
-                )
-                for plan in plans
-            ),
-            default=0.0,
-        )
-        stage = StageTimes(scan, transfer, check)
-        self._cost.stages.append(stage)
-        self._log.merge(update_log)
-        return IncrementalUpdate(
-            delta,
-            counters_size(self._violations, self._keys),
-            update_log,
-            stage,
-        )
+            def check_batch(store):
+                positions = schema.positions(store.schema.attributes)
+                projected = [tuple(row[p] for p in positions) for row in inserted]
+                return store.check(projected, deleted)
 
-    # -- results ----------------------------------------------------------
+            # every fragment's and every plan's projection of the batch is
+            # checked before any state moves
+            stores = self._stores
+            plans = self._plans
+            checked = [check_batch(store) for store in stores]
+            plan_checked = [check_batch(plan.rows) for plan in plans]
+            with self._transaction:
+                for store, (rows, doomed) in zip(stores, checked):
+                    apply_batch(store, rows, doomed)
+                for plan, (rows, doomed) in zip(plans, plan_checked):
+                    self._fold_plan(plan, apply_batch(plan.rows, rows, doomed))
 
-    @property
-    def report(self) -> ViolationReport:
-        """The full current report (fresh copy)."""
-        with self._session_lock:
-            return counters_report(
-                self._violations, self._keys, self._wrap_keys
+            # the delta key-join: sources ship only their delta's keyed
+            # column codes; the coordinator's join-side state was patched
+            # in place
+            update_log = ShipmentLog()
+            for plan in plans:
+                for source_index, attributes in sorted(plan.sources.items()):
+                    if delta_rows:
+                        cells = delta_rows * (len(schema.key) + len(attributes))
+                        update_log.ship(
+                            plan.coordinator, source_index, delta_rows, cells,
+                            tag=f"{plan.cfd.name}Δ", n_codes=cells,
+                        )
+
+            scan = model.scan_time(delta_rows)
+            transfer = model.transfer_time(update_log.outgoing_by_source())
+            check = max(
+                (
+                    model.check_time(
+                        model.check_ops(delta_rows, n_queries=1 + len(plan.sources))
+                    )
+                    for plan in plans
+                ),
+                default=0.0,
             )
-
-    def report_size(self) -> tuple[int, int]:
-        """``(len(report.violations), len(report.tuple_keys))`` in O(1)."""
-        with self._session_lock:
-            return counters_size(self._violations, self._keys)
-
-    @property
-    def shipments(self) -> ShipmentLog:
-        return self._log
-
-    def outcome(self) -> DetectionOutcome:
-        with self._session_lock:
-            return DetectionOutcome(
-                algorithm="VERTICALDETECT+Δ",
-                report=self.report,
-                shipments=self._log,
-                cost=self._cost,
-                details={"incremental": True},
+            # every round is recorded, an empty one too
+            return self._settle_round(
+                update_log, StageTimes(scan, transfer, check), True
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"IncrementalVerticalDetector({len(self.cfds)} CFDs, "
-            f"{self.cluster.n_sites} fragments)"
-        )
 
 
 def incremental_vertical(

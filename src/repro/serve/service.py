@@ -28,7 +28,10 @@ Session kinds mirror the detector families: ``central`` (the
 :class:`~repro.core.incremental.IncrementalDetector` keyed row store),
 ``ctr`` / ``pat-s`` / ``pat-rt`` (resident horizontal coordinators over
 a uniform partition) and ``clust`` (resident CLUSTDETECT, the only kind
-accepting several CFDs).
+accepting several CFDs).  Every kind answers one session interface —
+``fragments``, ``apply_updates({site: (inserted, deleted)})``,
+``report_size``, ``verify`` — the central one as a single place ``0``,
+so only construction (:meth:`ManagedSession._build`) knows the kind.
 """
 
 from __future__ import annotations
@@ -452,9 +455,9 @@ class ManagedSession:
         ticket already settled when they get the lock.  Either way the
         caller observes its update folded before the call returns.
         """
-        if site is not None and self.kind != "central" and not (
-            0 <= int(site) < self.sites
-        ):
+        if self.kind == "central":
+            site = None  # one place: a central session ignores ``site``
+        if site is not None and not (0 <= int(site) < self.sites):
             raise BadSessionSpec(
                 f"site {site} out of range for {self.sites} sites"
             )
@@ -567,10 +570,7 @@ class ManagedSession:
 
     def _apply(self, site: int, deleted: list, inserted: list) -> None:
         self._maybe_inject_fold_fault()
-        if self.kind == "central":
-            self._detector.update(inserted, deleted)
-        else:
-            self._detector.apply_updates({site: (inserted, deleted)})
+        self._detector.apply_updates({site: (inserted, deleted)})
 
     def bind_journal(self, journal) -> None:
         """Attach the durable journal committed batches append to."""
@@ -622,24 +622,19 @@ class ManagedSession:
                 pass
 
     def _fold_combined(self, batch: list[_Ticket]) -> None:
-        if self.kind == "central":
-            deleted, inserted = _reconcile(batch, self._key_of)
-            self._apply(0, deleted, inserted)
-            committed = [(0, deleted, inserted)]
-        else:
-            per_site: dict[int, list[_Ticket]] = {}
-            for ticket in batch:
-                per_site.setdefault(ticket.site, []).append(ticket)
-            updates = {}
-            for site, tickets in sorted(per_site.items()):
-                deleted, inserted = _reconcile(tickets, self._key_of)
-                updates[site] = (inserted, deleted)
-            self._maybe_inject_fold_fault()
-            self._detector.apply_updates(updates)
-            committed = [
-                (site, deleted, inserted)
-                for site, (inserted, deleted) in sorted(updates.items())
-            ]
+        per_site: dict[int, list[_Ticket]] = {}
+        for ticket in batch:
+            per_site.setdefault(ticket.site, []).append(ticket)
+        updates = {}
+        for site, tickets in sorted(per_site.items()):
+            deleted, inserted = _reconcile(tickets, self._key_of)
+            updates[site] = (inserted, deleted)
+        self._maybe_inject_fold_fault()
+        self._detector.apply_updates(updates)
+        committed = [
+            (site, deleted, inserted)
+            for site, (inserted, deleted) in sorted(updates.items())
+        ]
         try:
             self._log_committed(committed)
         except WALError as error:
@@ -720,13 +715,10 @@ class ManagedSession:
         session (same resident rows per fragment, same Σ, same stats)."""
         with self._lock:
             detector = self._detector
-            if self.kind == "central":
-                fragments = [[list(row) for row in detector.relation.rows]]
-            else:
-                fragments = [
-                    [list(row) for row in fragment.rows]
-                    for fragment in detector.fragments
-                ]
+            fragments = [
+                [list(row) for row in fragment.rows]
+                for fragment in detector.fragments
+            ]
             return {
                 "tenant": self.tenant,
                 "name": self.name,

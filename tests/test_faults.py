@@ -28,7 +28,6 @@ from repro.core import (
     install_fault_plan,
 )
 from repro.core.incremental import incremental_detect
-from repro.detect import incremental_pat_s
 from repro.partition import partition_uniform
 from repro.relational import Relation, Schema, SchemaError
 
@@ -42,6 +41,7 @@ from test_complexity import VSETS as CUST_VSETS
 from test_session_machine import (
     FAMILIES,
     apply_round as _apply,
+    build_cluster,
     build_session,
     places_of as _places,
     sigma_of,
@@ -715,13 +715,42 @@ def test_verify_full_and_sampled():
     assert detector.verify(sample=30) is False
 
 
-def test_verify_on_distributed_session():
-    session = incremental_pat_s(partition_uniform(_relation(30), 3), CFD_AB)
+@pytest.mark.parametrize("kind", ["pat-s", "clust", "hybrid", "vertical"])
+def test_verify_on_distributed_session(kind):
+    """Every session shape inherits the one ``verify``: full and sampled
+    checks hold after a round, and cleared counters read ``False``."""
+    session, _outcome = build_session(kind)
+    # one inserted row: a whole-tuple batch, or a round at place 1 (site
+    # 1, or the ``c = 1`` region)
+    batch = ([(100, 0, 3, 1)], [])
+    _apply(session, batch if kind == "vertical" else {1: batch})
     assert session.verify() is True
     assert session.verify(sample=10) is True
     session._violations.counts.clear()
     session._keys.counts.clear()
     assert session.verify() is False
+    assert session.verify(sample=10) is False
+
+
+@pytest.mark.parametrize(
+    "kind, keys_compared",
+    [("central", True), ("vertical", True), ("pat-s", False)],
+)
+def test_verify_compares_tuple_keys_only_where_sessions_keep_them(
+    kind, keys_compared
+):
+    """The distributed families ship coded summaries and keep no per-row
+    keys of variable forms, so their ``verify`` compares violations only;
+    the central and vertical sessions compare tuple keys too."""
+    if kind == "central":
+        session = incremental_detect(
+            build_cluster("ctr").reconstruct(), sigma_of("clust")
+        )
+    else:
+        session, _outcome = build_session(kind)
+    assert session.report.tuple_keys
+    session._keys.counts.clear()
+    assert session.verify() is (not keys_compared)
 
 
 def test_update_after_rollback_keeps_incremental_speed_path():

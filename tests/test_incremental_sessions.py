@@ -17,9 +17,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CFD, PatternTuple, WILDCARD
+from repro.core import CFD, IncrementalDetector, PatternTuple, WILDCARD
+from repro.core.incremental import ResidentSession
 from repro.detect import (
     IncrementalClustDetector,
+    IncrementalHorizontalDetector,
     IncrementalHybridDetector,
     IncrementalVerticalDetector,
     clust_detect,
@@ -267,3 +269,26 @@ def test_hybrid_session_rejects_rows_outside_the_region():
     session.detect()
     with pytest.raises(ValueError):
         session.update(0, inserted=[(9, 1, 0, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "session",
+    [
+        IncrementalDetector,
+        IncrementalHorizontalDetector,
+        IncrementalClustDetector,
+        IncrementalHybridDetector,
+        IncrementalVerticalDetector,
+    ],
+    ids=lambda session: session.__name__,
+)
+def test_every_session_shares_one_base(session):
+    """The reports, ``verify`` and ``repr`` are written once, in
+    :class:`ResidentSession`: no session class, nor any class between it
+    and the base, defines its own."""
+    assert issubclass(session, ResidentSession)
+    between = session.__mro__[: session.__mro__.index(ResidentSession)]
+    for klass in between:
+        assert not {"report", "report_size", "verify", "__repr__"} & set(
+            klass.__dict__
+        ), klass.__name__

@@ -197,6 +197,20 @@ def test_restart_recovers_equivalent_state(tmp_path, kind):
     assert resident_ids(third, "t", "s") == resident_ids(revived, "t", "s")
 
 
+def test_central_session_logs_every_update_at_place_zero(tmp_path):
+    """A central session has one place: a request's ``site`` is ignored,
+    so its WAL records every update at site 0, and recovery replays it."""
+    service = DetectionService(data_dir=tmp_path, fsync="always")
+    service.create_session("t", "s", spec(base_rows()))
+    service.update("t", "s", inserted=[[200, 44, "Z1", "N1"]], site=5)
+    (path,) = wal_files(tmp_path)
+    assert [record["updates"] for record in read_wal(path).records] == [
+        [[0, [], [[200, 44, "Z1", "N1"]]]]
+    ]
+    revived = DetectionService(data_dir=tmp_path, fsync="always")
+    assert revived.detect("t", "s") == service.detect("t", "s")
+
+
 def test_recovery_equals_serial_replay_of_acknowledged_prefix(tmp_path):
     """The core property over a seeded mixed workload (inserts+deletes),
     under every fsync policy."""
