@@ -188,24 +188,6 @@ def _variable_conflicts(x_key, y_key, matched):
     return _np.nonzero(conflict)[0].tolist()
 
 
-def group_segments(codes):
-    """Segment an ``int`` code array into per-group contiguous runs.
-
-    The shared kernel behind the vectorized delta folds: one stable
-    argsort brings equal codes together, then the run boundaries fall out
-    of a single vectorized comparison.  Returns ``(order, starts, ends)``
-    — ``order[starts[k]:ends[k]]`` are the original positions of the
-    ``k``-th distinct code, and because codes are first-seen ordinals
-    everywhere in this library, segments come back in first-seen order,
-    exactly like a row-at-a-time fold would visit the groups.
-    """
-    order = _np.argsort(codes, kind="stable")
-    ordered = codes[order]
-    bounds = _np.nonzero(ordered[1:] != ordered[:-1])[0] + 1
-    edges = bounds.tolist()
-    return order, [0, *edges], [*edges, len(ordered)]
-
-
 def _collect_keys(store: ColumnStore, hits: list) -> set[tuple]:
     """The key projections of every row in ``hits`` (row-id arrays or
     boolean row masks), gathered once: the hits OR into one row mask, so a

@@ -33,11 +33,12 @@ distributed half lives in :mod:`repro.detect.incremental`):
 Every update runs true delta folds, whatever ``REPRO_ENGINE`` says (that
 knob picks the one-shot engines; the property suites compare a session
 against :func:`~repro.core.detection.detect_violations_reference`
-directly).  The variable-form fold is vectorized over the batch: it
-codes the batch once through the state's session dictionaries and
-scatters signed counts per distinct ``(x_code, y_code)`` combination
-instead of flipping multisets row by row
-(:meth:`VariableGroupState.fold_signed`).  Updates arrive as explicit
+directly).  The variable-form fold works in plain dictionaries: it
+codes the batch once through the state's session dictionaries, makes
+one C-level pass per signed stream that counts its ``(x_code, y_code)``
+pairs and gathers its member keys per ``x_code``, nets the streams per
+pair, and leaves Python work per distinct touched pair and group, not
+per row (:meth:`VariableGroupState.fold_signed`).  Updates arrive as explicit
 row batches (``update``), which change the session's
 :class:`~repro.relational.rowstore.KeyedRows` store in place.
 
@@ -54,19 +55,17 @@ from __future__ import annotations
 
 import random
 import threading
-from collections import Counter
-from itertools import filterfalse
-from operator import eq, itemgetter, le
+from collections import Counter, deque
+from itertools import compress, filterfalse, repeat
+from operator import eq, itemgetter, le, neg, not_, sub
 from typing import Iterable, Mapping, Sequence
-
-import numpy as _np
 
 from ..relational import Relation
 from ..relational.rowstore import KeyedRows
 from .cfd import CFD, matches, tuple_matches
 from .detection import detect_violations_reference
 from .epatterns import is_predicate
-from .fused import FusedDetector, group_segments
+from .fused import FusedDetector
 from .normalize import ConstantCFD, VariableCFD, pattern_index, projector
 from .violations import Violation, ViolationReport
 
@@ -148,6 +147,19 @@ def _restore_counts(counts: dict, journal: dict) -> None:
             counts.pop(key, None)
 
 
+def _drop(table: dict, keys) -> None:
+    """Delete ``keys`` from ``table`` through C-level ``dict.__delitem__``
+    (a :class:`Counter`'s own ``__delitem__`` is Python-level)."""
+    deque(map(dict.__delitem__, repeat(table), keys), maxlen=0)
+
+
+def _tally(items: Sequence) -> dict:
+    """``item -> multiplicity`` of ``items``: one C-level ``dict.fromkeys``
+    when they are distinct (row keys usually are), else a :class:`Counter`."""
+    tally = dict.fromkeys(items, 1)
+    return tally if len(tally) == len(items) else Counter(items)
+
+
 def _bump(counts: dict, key, n: int, journal: dict | None = None) -> int:
     """Add ``n`` to ``counts[key]``, dropping the entry at zero; the one
     count-and-journal step of every resident count table.  Records the
@@ -179,7 +191,7 @@ class TransitionCounter:
     item bumped up and back down within one batch appears in neither
     list).  Tracking only actual crossings keeps both ``add`` and
     ``commit`` proportional to what changed, not to what was touched —
-    the property the vectorized delta folds lean on.
+    the property the batched delta folds lean on.
 
     Batches are **transactional**: while one is open, the first touch of
     each item records its prior count in an undo log, so
@@ -224,18 +236,22 @@ class TransitionCounter:
         if self._went_up is not None and (count > 0) != (count + n > 0):
             self._cross(item, count + n > 0)
 
-    def add_bulk(self, items: Iterable, sign: int) -> None:
+    def add_bulk(self, items: Sequence, sign: int) -> None:
         """Bulk single-sign :meth:`add` — the per-row hot path of the
-        vectorized folds, built from C-level primitives.
+        delta folds, built from C-level passes.
 
         ``sign > 0``: the crossers are exactly the items absent before
-        the bulk (one C-level ``filterfalse`` into a set; none are
-        gathered while no batch is open, as during an attach), the
-        counting is one :meth:`Counter.update`, and the crossing sets
-        advance with whole-set arithmetic.  ``sign < 0`` mirrors it with
-        :meth:`Counter.subtract` plus a per-distinct sweep that purges
-        zeros (the counts dict never stores non-positive entries) and
-        spots underflows.
+        the bulk (one ``filterfalse`` into a set), an open batch journals
+        the items missing from its undo log (``filterfalse`` again, then
+        one ``dict.update`` of their priors; none while no batch is
+        open, as during an attach) and the counting is one
+        :meth:`Counter.update`.  ``sign < 0`` tallies the distinct items
+        (:func:`_tally`), reads their priors through ``map(counts.get,
+        …)`` and raises on an underflow before any count moves; then one
+        ``dict.update`` writes the new counts and the zeros — the
+        crossers — leave through ``dict.__delitem__`` (the counts never
+        store non-positive entries).  The crossing sets advance with
+        whole-set arithmetic.
         """
         counts = self.counts
         undo = self._undo
@@ -244,36 +260,37 @@ class TransitionCounter:
                 counts.update(items)
                 return
             crossers = set(filterfalse(counts.__contains__, items))
-            for item in items:
-                if item not in undo:
-                    undo[item] = counts.get(item, 0)
+            fresh = list(filterfalse(undo.__contains__, items))
+            undo.update(zip(fresh, map(counts.get, fresh, repeat(0))))
             counts.update(items)
         else:
-            distinct = set(items)
-            if undo is not None:
-                for item in distinct:
-                    if item not in undo:
-                        undo[item] = counts.get(item, 0)
-            counts.subtract(items)
-            if min(map(counts.__getitem__, distinct), default=1) < 0:
-                bad = next(k for k in distinct if counts[k] < 0)
+            tally = _tally(items)
+            left = list(
+                map(sub, map(counts.get, tally, repeat(0)), tally.values())
+            )
+            if min(left, default=0) < 0:
+                bad = next(k for k, n in zip(tally, left) if n < 0)
                 raise ValueError(
                     f"witness count of {bad!r} fell below zero: the "
                     "update removed rows that were never inserted"
                 )
-            crossers = {item for item in distinct if not counts[item]}
-            for item in crossers:
-                del counts[item]
+            if undo is not None:
+                fresh = list(filterfalse(undo.__contains__, tally))
+                undo.update(zip(fresh, map(counts.get, fresh)))
+            dict.update(counts, zip(tally, left))
+            crossers = set(compress(tally, map(not_, left)))
+            _drop(counts, crossers)
         if self._went_up is None or not crossers:
             return
         if sign > 0:
-            returning = crossers & self._went_down
-            self._went_down -= returning
-            self._went_up |= crossers - returning
+            back, onward = self._went_down, self._went_up
         else:
-            returning = crossers & self._went_up
-            self._went_up -= returning
-            self._went_down |= crossers - returning
+            back, onward = self._went_up, self._went_down
+        returning = crossers & back
+        if returning:  # crossed back within the batch: no net change
+            back -= returning
+            crossers -= returning
+        onward |= crossers
 
     def commit(self) -> tuple[list, list]:
         """Close the batch; return (newly positive, newly gone) items."""
@@ -390,13 +407,19 @@ class ConstantFolds:
 
     def _route(self, schema) -> None:
         """Compile the router: every position resolved, every form filed
-        under its ``lhs`` as ``(form, rhs position, report projector)``."""
+        under its ``lhs`` as ``(form, rhs position, rhs test, rhs pattern,
+        report projector)``.  The rhs test is the C-level ``eq`` for a
+        constant pattern (``value == pattern`` in :func:`matches`' operand
+        order) and :func:`matches` for a predicate."""
         by_lhs: dict[tuple, tuple[dict, list]] = {}
         for constant in self.constants:
             hashed, probed = by_lhs.setdefault(constant.lhs, ({}, []))
+            rhs = constant.rhs_value
             form = (
                 constant,
                 schema.position(constant.rhs_attr),
+                matches if is_predicate(rhs) else eq,
+                rhs,
                 projector(schema.positions(constant.report_lhs)),
             )
             if any(map(is_predicate, constant.values)):
@@ -425,11 +448,10 @@ class ConstantFolds:
         found: list[Violation] = []
         hit_rows: list[tuple] = []  # one entry per (row, violated form)
         for project, lookup in self._routes:
-            for row, forms in zip(rows, map(lookup, map(project, rows))):
-                if not forms:
-                    continue
-                for constant, rhs_pos, report in forms:
-                    if not matches(row[rhs_pos], constant.rhs_value):
+            routed = list(map(lookup, map(project, rows)))
+            for row, forms in compress(zip(rows, routed), routed):
+                for constant, rhs_pos, test, rhs, report in forms:
+                    if not test(row[rhs_pos], rhs):
                         found.append(
                             Violation(
                                 cfd=constant.source,
@@ -585,24 +607,26 @@ class _CodeGroup:
         del self.dels[n_dels:]
 
     def membership(self) -> dict:
-        """The compacted member-key multiset (folds the event logs in)."""
+        """The compacted member-key multiset (folds the event logs in).
+
+        C-level passes only: the adds count into one copy (a
+        :class:`Counter`, which becomes the new multiset), the dels are
+        tallied once and subtracted through ``map(counter.get, …)`` and
+        one ``dict.update``, and the keys that reach zero leave through
+        ``dict.__delitem__``.  An underflow raises with the multiset and
+        both logs as they were."""
         if self.adds or self.dels:
             counter = Counter(self.key_counts)
             counter.update(self.adds)
-            if not self.dels:
-                # adds only: every count is positive, one C copy
-                cleaned = dict(counter)
-            else:
-                counter.subtract(self.dels)
-                cleaned = {}
-                for key, count in counter.items():
-                    if count > 0:
-                        cleaned[key] = count
-                    elif count < 0:
-                        raise ValueError(
-                            "deleted a row that is not in the group"
-                        )
-            self.key_counts = cleaned
+            if self.dels:
+                tally = _tally(self.dels)
+                priors = map(counter.get, tally, repeat(0))
+                left = list(map(sub, priors, tally.values()))
+                if min(left) < 0:
+                    raise ValueError("deleted a row that is not in the group")
+                dict.update(counter, zip(tally, left))
+                _drop(counter, compress(tally, map(not_, left)))
+            self.key_counts = counter
             self.adds = []
             self.dels = []
         return self.key_counts
@@ -627,7 +651,6 @@ class VariableGroupState(GroupCounts):
         "_x_code_of",
         "_x_values",
         "_x_matched",
-        "_x_matched_np",
         "_y_code_of",
         "_y_values",
         "_code_groups",
@@ -642,7 +665,6 @@ class VariableGroupState(GroupCounts):
         self._x_code_of: dict[tuple, int] = {}
         self._x_values: list[tuple] = []
         self._x_matched: list[bool] = []
-        self._x_matched_np = None
         self._y_code_of: dict = {}
         self._y_values: list = []
         self._code_groups: dict[int, _CodeGroup] = {}
@@ -762,17 +784,19 @@ class VariableGroupState(GroupCounts):
         stream and one insert stream of the same update.  The whole
         stream is coded **once** through the state's append-only session
         dictionaries (one first-seen dictionary loop per projection, the
-        same for an attach and an update — no per-batch columnar
-        re-encode, see :meth:`_intern_projections`), σ is answered from
-        the per-code verdict array, and one sort-based reduce over the
-        mixed-radix ``(x_code, y_code)`` combination collapses the stream
-        to a *net* signed count per distinct touched combination — a
-        delete and a re-insert of the same combination cancel before they
-        ever reach the group table.  The remaining Python work is per distinct
-        touched group (conflict transitions from the aggregated counts)
-        plus the member-key bookkeeping of those groups: every row's key
-        is projected once in stream order and gathered per group by C
-        primitives, since every row carries its own key.
+        same for an attach and an update, see :meth:`_intern_projections`)
+        and σ is answered from the per-code verdict list.  Each stream
+        then makes one pass over its σ-matched rows (:meth:`_stream`):
+        one :class:`Counter` of its ``(x_code, y_code)`` pairs and its
+        member keys per ``x_code``.  The streams net per pair — a delete
+        and a re-insert of the same combination cancel before they reach
+        the group table — and three phases apply the batch, with Python
+        work per distinct touched pair or group and C-level work per row:
+
+        * A, counts and journal (:meth:`_count_pairs`);
+        * B, log extends and conflict keys, inserts before deletes
+          (:meth:`_log_members`);
+        * C, settle the flips (:meth:`_settle_flips`).
 
         Folding a multi-step chain in one call is sound because multiset
         arithmetic commutes and the counters only observe the batch's
@@ -783,142 +807,130 @@ class VariableGroupState(GroupCounts):
         batches = [(rows, sign) for rows, sign in batches if rows]
         if not batches:
             return
-        x_single = len(self.variable.lhs) == 1
+        lhs = self.variable.lhs
         x_codes, fresh = self._intern_projections(
-            batches,
-            schema.positions(self.variable.lhs),
-            self._x_code_of,
-            self._x_values,
+            batches, schema.positions(lhs), self._x_code_of, self._x_values
         )
-        matched_list = self._x_matched
         if fresh:
             matches_any = self._index.matches_any
             x_values = self._x_values
-            matched_list.extend(
-                matches_any((x_values[code],) if x_single else x_values[code])
+            single = len(lhs) == 1
+            self._x_matched.extend(
+                matches_any((x_values[code],) if single else x_values[code])
                 for code in fresh
             )
-            self._x_matched_np = None
         y_codes, _fresh_y = self._intern_projections(
             batches,
             schema.positions(self.variable.rhs),
             self._y_code_of,
             self._y_values,
         )
-
-        x_arr = _np.asarray(x_codes, dtype=_np.int64)
-        if self._x_matched_np is None:
-            self._x_matched_np = _np.asarray(matched_list, dtype=bool)
-        matched = self._x_matched_np[x_arr]
-        total = len(x_codes)
-        if not matched.any():
-            return
-        signs = _np.empty(total, dtype=_np.int8)
+        project_key = _key_projector(schema.key_positions())
+        streams = []
         at = 0
         for rows, sign in batches:
-            signs[at:at + len(rows)] = sign
-            at += len(rows)
-        if matched.all():
-            sel = None
-            xs = x_arr
-            sgns = signs
-        else:
-            sel = _np.nonzero(matched)[0]
-            xs = x_arr[sel]
-            sgns = signs[sel]
-        ys = _np.asarray(y_codes, dtype=_np.int64)
-        if sel is not None:
-            ys = ys[sel]
-
-        # net signed count per distinct (x, y): one sparse sort-based
-        # reduce (never a dense x × y table)
-        n_y = len(self._y_values)
-        pair_codes, inverse = _np.unique(
-            xs * n_y + ys, return_inverse=True
-        )
-        net = _np.bincount(inverse, weights=sgns).astype(_np.int64)
-        pair_x = (pair_codes // n_y).tolist()
-        pair_y = (pair_codes % n_y).tolist()
-        net_counts = net.tolist()
-
-        counts = self.counts
-        conflicting = self.conflicting
-        groups = self._code_groups
-
-        # phase A — net (x, y) counts into the count table; conflict
-        # flips are *not* settled yet (phase B reads the pre-batch flags)
-        touched: list[tuple[int, _CodeGroup]] = []
-        n_pairs = len(pair_x)
-        at = 0
-        while at < n_pairs:
-            gx = pair_x[at]
-            group = groups.get(gx)
-            # every distinct x of the stream appears in pair_x, so this
-            # single touch also covers the phase B/C mutations below
-            y_journal = self._touch(gx, group)
-            if group is None:
-                group = groups[gx] = _CodeGroup()
-            touched.append((gx, group))
-            y_rows = counts.get(gx)
-            if y_rows is None:
-                y_rows = counts[gx] = {}
-            while at < n_pairs and pair_x[at] == gx:
-                count = net_counts[at]
-                if count:
-                    try:
-                        _bump(y_rows, pair_y[at], count, y_journal)
-                    except ValueError:
-                        raise ValueError(
-                            "deleted a row of X group "
-                            f"{self._x_values[gx]!r} that is not in the "
-                            "state"
-                        ) from None
-                at += 1
-            if not y_rows:
-                del counts[gx]
-
-        # phase B — member-key streams, one per sign, C-level extends
-        # into each touched group's event log; rows of a group that was
-        # conflicting before the batch also count into the key counter
-        # (a flip later settles the difference in phase C)
-        collect = self.collect_tuples
-        stream_base = (
-            _np.arange(total, dtype=_np.int64) if sel is None else sel
-        )
-        # every row's key, projected in stream order and then gathered
-        # per group: a gather over resident rows in group order would
-        # chase one scattered row tuple per key
-        project_key = _key_projector(schema.key_positions())
-        row_keys: list = []
-        for rows, _sign in batches:
-            row_keys.extend(map(project_key, rows))
-        # the insert stream folds first: a valid chain can insert a row
-        # and delete it again within one batch, and running deletes last
-        # means they always subtract from maximal counts — no transient
-        # underflow on the key counter, and compaction at any point sees
-        # every add the pending dels could refer to
-        for sign in (1, -1):
-            sign_sel = _np.nonzero(sgns == sign)[0]
-            if not len(sign_sel):
-                continue
-            order, starts, ends = group_segments(xs[sign_sel])
-            ordered = sign_sel[order]
-            first_codes = xs[ordered[
-                _np.asarray(starts, dtype=_np.int64)
-            ]].tolist()
-            stream_keys = list(
-                map(row_keys.__getitem__, stream_base[ordered].tolist())
+            end = at + len(rows)
+            stream = self._stream(
+                rows, x_codes[at:end], y_codes[at:end], project_key
             )
+            if stream is not None:
+                streams.append((*stream, sign))
+            at = end
+        if not streams:
+            return
+        touched = self._count_pairs(streams)
+        self._log_members(streams, touched, keys)
+        self._settle_flips(touched, violations, keys)
+
+    def _stream(self, rows, xs, ys, project_key):
+        """One signed stream's pass over its σ-matched rows: its
+        ``(x, y)`` pair counts and its member keys per ``x``, in stream
+        order (``None`` when σ matches no row)."""
+        verdicts = list(map(self._x_matched.__getitem__, xs))
+        if not all(verdicts):
+            if not any(verdicts):
+                return None
+            xs = list(compress(xs, verdicts))
+            ys = compress(ys, verdicts)
+            rows = compress(rows, verdicts)
+        pairs = Counter(zip(xs, ys))
+        members: dict[int, list] = {}
+        get = members.get
+        for x, key in zip(xs, map(project_key, rows)):
+            bucket = get(x)
+            if bucket is None:
+                members[x] = [key]
+            else:
+                bucket.append(key)
+        return pairs, members
+
+    def _count_pairs(self, streams) -> dict:
+        """Phase A: the streams' net ``(x, y)`` counts into the count
+        table, one journal touch per distinct ``x`` (it also covers the
+        mutations of phases B and C).  Returns ``x -> (member group, its
+        y counts, its y journal)`` for every touched ``x``.  Conflict
+        flips are *not* settled here: phase B reads the pre-batch flags."""
+        if len(streams) == 1:
+            pairs, _members, sign = streams[0]
+            if sign > 0:
+                net = pairs.items()
+            else:
+                net = zip(pairs, map(neg, pairs.values()))
+        else:
+            netted: dict = {}  # zeros stay: every x is touched
+            get = netted.get
+            for pairs, _members, sign in streams:
+                for pair, n in pairs.items():
+                    netted[pair] = get(pair, 0) + sign * n
+            net = netted.items()
+        counts, groups = self.counts, self._code_groups
+        touched: dict = {}
+        for (x, y), n in net:
+            slot = touched.get(x)
+            if slot is None:
+                group = groups.get(x)
+                journal = self._touch(x, group)
+                if group is None:
+                    group = groups[x] = _CodeGroup()
+                y_rows = counts.get(x)
+                if y_rows is None:
+                    y_rows = counts[x] = {}
+                slot = touched[x] = (group, y_rows, journal)
+            if n:
+                try:
+                    _bump(slot[1], y, n, slot[2])
+                except ValueError:
+                    raise ValueError(
+                        f"deleted a row of X group {self._x_values[x]!r} "
+                        "that is not in the state"
+                    ) from None
+        for x, (_group, y_rows, _journal) in touched.items():
+            if not y_rows:
+                del counts[x]
+        return touched
+
+    def _log_members(self, streams, touched: dict, keys) -> None:
+        """Phase B: each stream's member keys into its groups' event logs
+        (C-level extends); the rows of a group that conflicted before the
+        batch also count into the key counter (a flip settles the
+        difference in phase C).
+
+        Inserts fold first: a valid chain can insert a row and delete it
+        again within one batch, and running deletes last means they
+        always subtract from maximal counts — no transient underflow on
+        the key counter, and compaction at any point sees every add the
+        pending dels could refer to."""
+        collect = self.collect_tuples
+        conflicting = self.conflicting
+        for _pairs, members, sign in sorted(
+            streams, key=itemgetter(2), reverse=True
+        ):
             conflict_keys: list = []
-            for gx, s, e in zip(first_codes, starts, ends):
-                group = groups[gx]  # phase A created it
-                seg = stream_keys[s:e]
-                if sign > 0:
-                    group.adds.extend(seg)
-                else:
-                    group.dels.extend(seg)
-                if collect and gx in conflicting:
-                    conflict_keys.extend(seg)
+            for x, member_keys in members.items():
+                group = touched[x][0]
+                (group.adds if sign > 0 else group.dels).extend(member_keys)
+                if collect and x in conflicting:
+                    conflict_keys.extend(member_keys)
                 if len(group.adds) + len(group.dels) > (
                     32 + 2 * len(group.key_counts)
                 ):
@@ -926,30 +938,28 @@ class VariableGroupState(GroupCounts):
             if conflict_keys:
                 keys.add_bulk(conflict_keys, sign)
 
-        # phase C — settle conflict flips from the post-batch counts
-        for gx, group in touched:
-            flip = self.settle(gx)
+    def _settle_flips(self, touched: dict, violations, keys) -> None:
+        """Phase C: settle each touched group's conflict flip from the
+        post-batch counts.  A flip moves the group's violation and, when
+        tuple keys are collected, its whole membership; groups left with
+        no rows are dropped."""
+        collect = self.collect_tuples
+        counts, groups = self.counts, self._code_groups
+        for x, (group, _y_rows, _journal) in touched.items():
+            flip = self.settle(x)
             if flip:
-                violations.add(self._code_violation(gx), flip)
+                violations.add(self._code_violation(x), flip)
                 if collect:
-                    membership = group.membership()
-                    if sum(membership.values()) == len(membership):
-                        # all counts are 1 (row keys are usually unique)
-                        keys.add_bulk(list(membership), flip)
-                    else:
-                        ones = [
-                            k for k, c in membership.items() if c == 1
-                        ]
-                        keys.add_bulk(ones, flip)
-                        for member, count in membership.items():
-                            if count != 1:
-                                keys.add(member, flip * count)
+                    members = group.membership()
+                    if sum(members.values()) != len(members):
+                        members = Counter.elements(members)  # bag duplicates
+                    keys.add_bulk(list(members), flip)
             elif len(group.adds) + len(group.dels) > (
                 32 + 2 * len(group.key_counts)
             ):
-                group.membership()  # keep pure-delete sessions bounded
-            if gx not in counts:
-                del groups[gx]
+                group.membership()  # keeps pure-delete sessions bounded
+            if x not in counts:
+                del groups[x]
 
 
 # -- the detector -------------------------------------------------------------

@@ -12,6 +12,10 @@ median at N.  An O(|D|) term reads ≈4× here.  The write paths are the
 sessions' own ``update`` and, for the kinds the resident service hosts
 (``central``, ``ctr``, ``clust``), :meth:`ManagedSession.update` — the
 service's admission, ticket queue and fold without the HTTP layer.
+Every re-insert carries a perturbed street, so it lands in an existing
+``X`` group; the ``centralized-fresh-zip`` case also gives each one a
+never-seen zip, so every measured update interns fresh ``X`` codes and
+their σ verdicts.
 
 N = 2,000 is small enough for tier-1 and still large enough to catch a
 whole-place copy.  On commit da8b75c, whose distributed sessions still
@@ -52,7 +56,7 @@ VSETS = [
     ("id", "street", "city", "zip"),
     ("id", "item", "price", "quantity"),
 ]
-KEY, CC, STREET = 0, 2, 5
+KEY, CC, STREET, ZIP = 0, 2, 5, 7
 
 
 def _centralized(relation):
@@ -150,9 +154,11 @@ PATHS = {
     "managed-ctr": _managed("ctr"),
     "managed-clust": _managed("clust"),
 }
+#: the paths whose re-inserts also carry a never-seen zip
+FRESH_ZIP = {"centralized-fresh-zip": _centralized}
 
 
-def update_peaks(build, n_rows):
+def update_peaks(build, n_rows, fresh_zip=False):
     """Allocation peak (bytes) of each measured update of one session."""
     rows, update = build(generate_cust(n_rows, seed=3, error_rate=0.05))
     live = {row[KEY]: row for row in rows}
@@ -168,6 +174,8 @@ def update_peaks(build, n_rows):
             row = list(live.pop(key))
             row[KEY] = next_key
             row[STREET] = f"{row[STREET]}~{step % 3}"
+            if fresh_zip:
+                row[ZIP] = f"Z~{next_key}"
             next_key += 1
             inserted.append(tuple(row))
         live.update((row[KEY], row) for row in inserted)
@@ -182,10 +190,12 @@ def update_peaks(build, n_rows):
     return peaks
 
 
-@pytest.mark.parametrize("path", list(PATHS))
+@pytest.mark.parametrize("path", [*PATHS, *FRESH_ZIP])
 def test_update_allocation_is_independent_of_resident_rows(path):
-    small = statistics.median(update_peaks(PATHS[path], N))
-    large = statistics.median(update_peaks(PATHS[path], 4 * N))
+    fresh_zip = path in FRESH_ZIP
+    build = FRESH_ZIP[path] if fresh_zip else PATHS[path]
+    small = statistics.median(update_peaks(build, N, fresh_zip))
+    large = statistics.median(update_peaks(build, 4 * N, fresh_zip))
     assert large / small <= MAX_RATIO, (
         f"{path}: an update allocates {large / small:.2f}x more at "
         f"{4 * N} rows ({large} B) than at {N} ({small} B)"

@@ -235,6 +235,35 @@ def test_delta_report_is_consistent_with_before_after():
     assert delta_back.removed.violations == delta.added.violations
 
 
+def test_deleting_and_reinserting_one_row_in_one_batch_cancels():
+    """The delete and insert streams of a batch net per ``(x, y)`` pair:
+    deleting a row of a conflicting group and re-inserting it unchanged
+    yields an empty delta and leaves the group counts, the conflict flags
+    and both counters as they were."""
+    cfd = CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])
+    rows = [(1, "x", "u", 0), (2, "x", "v", 0), (3, "y", "u", 0)]
+    detector = IncrementalDetector([cfd])
+    detector.attach(Relation(SCHEMA, rows))
+    (state,) = detector._variables
+
+    def snapshot():
+        return (
+            {x: dict(ys) for x, ys in state.counts.items()},
+            set(state.conflicting),
+            dict(detector._violations.counts),
+            dict(detector._keys.counts),
+        )
+
+    before = snapshot()
+    assert before[1] and 1 in before[3]  # row 1 is a violating key
+    delta = detector.update(inserted=[rows[0]], deleted=[1])
+    assert not delta
+    assert not delta.added.violations and not delta.removed.violations
+    assert not delta.added.tuple_keys and not delta.removed.tuple_keys
+    assert snapshot() == before
+    assert detector.verify()
+
+
 def test_distributed_detect_is_single_shot():
     relation = Relation(SCHEMA, [(1, "x", "u", 0), (2, "x", "v", 0)])
     cfd = CFD(("a",), ("b",), [PatternTuple((WILDCARD,), (WILDCARD,))])
