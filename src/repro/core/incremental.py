@@ -646,7 +646,6 @@ class VariableGroupState(GroupCounts):
 
     __slots__ = (
         "variable",
-        "collect_tuples",
         "_index",
         "_x_code_of",
         "_x_values",
@@ -657,10 +656,9 @@ class VariableGroupState(GroupCounts):
         "_undo",
     )
 
-    def __init__(self, variable: VariableCFD, collect_tuples: bool = True) -> None:
+    def __init__(self, variable: VariableCFD) -> None:
         super().__init__()
         self.variable = variable
-        self.collect_tuples = collect_tuples
         self._index = pattern_index(variable.patterns)
         self._x_code_of: dict[tuple, int] = {}
         self._x_values: list[tuple] = []
@@ -920,7 +918,6 @@ class VariableGroupState(GroupCounts):
         always subtract from maximal counts — no transient underflow on
         the key counter, and compaction at any point sees every add the
         pending dels could refer to."""
-        collect = self.collect_tuples
         conflicting = self.conflicting
         for _pairs, members, sign in sorted(
             streams, key=itemgetter(2), reverse=True
@@ -929,7 +926,7 @@ class VariableGroupState(GroupCounts):
             for x, member_keys in members.items():
                 group = touched[x][0]
                 (group.adds if sign > 0 else group.dels).extend(member_keys)
-                if collect and x in conflicting:
+                if x in conflicting:
                     conflict_keys.extend(member_keys)
                 if len(group.adds) + len(group.dels) > (
                     32 + 2 * len(group.key_counts)
@@ -940,20 +937,17 @@ class VariableGroupState(GroupCounts):
 
     def _settle_flips(self, touched: dict, violations, keys) -> None:
         """Phase C: settle each touched group's conflict flip from the
-        post-batch counts.  A flip moves the group's violation and, when
-        tuple keys are collected, its whole membership; groups left with
-        no rows are dropped."""
-        collect = self.collect_tuples
+        post-batch counts.  A flip moves the group's violation and its
+        whole membership; groups left with no rows are dropped."""
         counts, groups = self.counts, self._code_groups
         for x, (group, _y_rows, _journal) in touched.items():
             flip = self.settle(x)
             if flip:
                 violations.add(self._code_violation(x), flip)
-                if collect:
-                    members = group.membership()
-                    if sum(members.values()) != len(members):
-                        members = Counter.elements(members)  # bag duplicates
-                    keys.add_bulk(list(members), flip)
+                members = group.membership()
+                if sum(members.values()) != len(members):
+                    members = Counter.elements(members)  # bag duplicates
+                keys.add_bulk(list(members), flip)
             elif len(group.adds) + len(group.dels) > (
                 32 + 2 * len(group.key_counts)
             ):
@@ -1150,21 +1144,14 @@ class IncrementalDetector(ResidentSession):
     (and cached) snapshot.
     """
 
-    def __init__(
-        self, cfds: CFD | Iterable[CFD], collect_tuples: bool = True
-    ) -> None:
+    def __init__(self, cfds: CFD | Iterable[CFD]) -> None:
         super().__init__(cfds)
         self._fused = FusedDetector(self.cfds)
-        self.collect_tuples = collect_tuples
         #: the resident rows; ``None`` until attach()
         self._rows: KeyedRows | None = None
         self.schema = None
-        self._constants = ConstantFolds(self._fused._constants, collect_tuples)
+        self._constants = ConstantFolds(self._fused._constants)
         self._variables: list[VariableGroupState] = []
-
-    @property
-    def _verify_keys(self) -> bool:
-        return self.collect_tuples
 
     def _current(self) -> Relation | None:
         return None if self._rows is None else self._rows.relation
@@ -1191,7 +1178,7 @@ class IncrementalDetector(ResidentSession):
             self._reset(relation.schema)
             self._rows = KeyedRows(relation)
             self._variables = [
-                VariableGroupState(variable, self.collect_tuples)
+                VariableGroupState(variable)
                 for variable, _index in self._fused._variables
             ]
             self._transaction.participants = [self._rows, *self._variables]
@@ -1238,11 +1225,9 @@ class IncrementalDetector(ResidentSession):
 
 
 def incremental_detect(
-    relation: Relation,
-    cfds: CFD | Iterable[CFD],
-    collect_tuples: bool = True,
+    relation: Relation, cfds: CFD | Iterable[CFD]
 ) -> IncrementalDetector:
     """Attach a fresh :class:`IncrementalDetector` to ``relation``."""
-    detector = IncrementalDetector(cfds, collect_tuples)
+    detector = IncrementalDetector(cfds)
     detector.attach(relation)
     return detector

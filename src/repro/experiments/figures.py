@@ -29,7 +29,7 @@ from ..detect import (
     seq_detect,
 )
 from ..distributed import Cluster
-from ..mining import instantiate_with_frequent_patterns
+from ..mining.patterns import instantiate_mined, mine_cluster
 from ..partition import partition_by_attribute, partition_uniform
 from ..relational import Relation
 from .harness import ExperimentResult, scaled, sweep
@@ -198,9 +198,10 @@ def fig3e() -> ExperimentResult:
     cluster = partition_by_attribute(_xrefh(), "info_type")
     fd = xref_mining_fd()
     baseline = pat_detect_s(cluster, fd).tuples_shipped
+    mining = mine_cluster(cluster, fd)  # once: closedness is θ-free
 
     def point(theta: float) -> dict[str, float]:
-        mined = instantiate_with_frequent_patterns(cluster, fd, theta=theta)
+        mined = instantiate_mined(mining, theta)
         shipped = pat_detect_s(cluster, mined.cfd).tuples_shipped
         return {
             "PATDETECTS": float(baseline),

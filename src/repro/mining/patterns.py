@@ -7,6 +7,10 @@ paper's remedy: mine each fragment for pattern tuples occurring at least
 ``θ · |D_i|`` times and replace the FD ``φ = (X → A)`` with the equivalent
 CFD ``φ' = (X → A, T_θ)`` whose tableau holds the frequent patterns plus a
 final all-wildcard row catching the infrequent remainder.
+
+Closedness does not depend on θ (see :mod:`.itemsets`): a cluster is mined
+once for a CFD (:func:`mine_cluster`) and instantiated at any θ from that
+mining (:func:`instantiate_mined`).
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from .itemsets import closed_frequent_itemsets, itemsets_to_rows
 class MiningResult:
     """An instantiated CFD plus mining statistics.
 
-    ``preprocess_time`` estimates the parallel mining overhead under the
-    cluster's cost model (one levelwise pass per lattice level at each
-    site); experiments add it to the response time they report.
+    ``preprocess_time`` is the paper's modelled mining overhead under the
+    cluster's cost model — one levelwise pass per lattice level at each
+    site, in parallel — not the work this code runs; experiments add it to
+    the response time they report.
     """
 
     cfd: CFD
@@ -34,44 +39,46 @@ class MiningResult:
     preprocess_time: float
 
 
-def instantiate_with_frequent_patterns(
-    cluster: Cluster,
-    cfd: CFD,
-    theta: float,
-    max_patterns: int | None = None,
-) -> MiningResult:
-    """Refine the all-wildcard rows of ``cfd`` with mined frequent patterns.
+@dataclass
+class ClusterMining:
+    """Every site's closed itemsets at support 1 over ``cfd.lhs``: per site
+    ``(|D_i|, {pattern row: support})``, rows in emission order."""
 
-    ``theta ∈ (0, 1]`` is the frequency threshold.  Only rows whose LHS is
-    entirely wildcards are refined (the FD case the paper evaluates); the
-    original rows are kept, so the result is equivalent to ``cfd``:
-    the mined rows are specializations whose tuples the original rows would
-    have matched anyway, and Lemma 6 makes the σ assignment immaterial to
-    the detected violations.
-    """
+    cfd: CFD
+    sites: list[tuple[int, dict[tuple, int]]]
+    preprocess_time: float
+
+
+def mine_cluster(cluster: Cluster, cfd: CFD) -> ClusterMining:
+    """Mine every fragment of ``cluster`` once over ``cfd``'s LHS."""
+    lhs = cfd.lhs
+    sites = []
+    for site in cluster.sites:
+        transactions = site.fragment.project(lhs).rows
+        closed = closed_frequent_itemsets(transactions, lhs, 1)
+        rows = itemsets_to_rows(closed, lhs, WILDCARD)
+        sites.append((len(site.fragment), dict(zip(rows, closed.values()))))
+    scans = [len(lhs) * cluster.cost_model.scan_time(n) for n, _rows in sites]
+    return ClusterMining(cfd, sites, max(scans, default=0.0))
+
+
+def instantiate_mined(
+    mining: ClusterMining, theta: float, max_patterns: int | None = None
+) -> MiningResult:
+    """:func:`instantiate_with_frequent_patterns` of ``mining.cfd`` at
+    ``theta``, from ``mining``."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
 
-    lhs = cfd.lhs
+    cfd = mining.cfd
     mined_rows: dict[tuple, None] = {}
     per_site = []
-    levels = len(lhs)
-    total_scan = 0.0
-    for site in cluster.sites:
-        fragment = site.fragment
-        if not len(fragment):
-            per_site.append(0)
-            continue
-        min_support = max(1, math.ceil(theta * len(fragment)))
-        transactions = fragment.project(lhs).rows
-        closed = closed_frequent_itemsets(transactions, lhs, min_support)
-        rows = itemsets_to_rows(closed, lhs, WILDCARD)
+    for size, closed in mining.sites:
+        min_support = max(1, math.ceil(theta * size))
+        rows = [row for row, support in closed.items() if support >= min_support]
         per_site.append(len(rows))
         for row in rows:
             mined_rows.setdefault(row)
-        total_scan = max(
-            total_scan, levels * cluster.cost_model.scan_time(len(fragment))
-        )
 
     ordered = sort_patterns_by_generality(mined_rows)
     if max_patterns is not None:
@@ -96,5 +103,23 @@ def instantiate_with_frequent_patterns(
         cfd=instantiated,
         n_mined_patterns=len(new_rows),
         per_site_patterns=per_site,
-        preprocess_time=total_scan,
+        preprocess_time=mining.preprocess_time,
     )
+
+
+def instantiate_with_frequent_patterns(
+    cluster: Cluster,
+    cfd: CFD,
+    theta: float,
+    max_patterns: int | None = None,
+) -> MiningResult:
+    """Refine the all-wildcard rows of ``cfd`` with mined frequent patterns.
+
+    ``theta ∈ (0, 1]`` is the frequency threshold.  Only rows whose LHS is
+    entirely wildcards are refined (the FD case the paper evaluates); the
+    original rows are kept, so the result is equivalent to ``cfd``:
+    the mined rows are specializations whose tuples the original rows would
+    have matched anyway, and Lemma 6 makes the σ assignment immaterial to
+    the detected violations.
+    """
+    return instantiate_mined(mine_cluster(cluster, cfd), theta, max_patterns)

@@ -4,7 +4,8 @@ Every distributed session (CTRDETECT, PATDETECTS, PATDETECTRT,
 CLUSTDETECT, hybrid, vertical) seeds itself by calling the same step
 function its one-shot detector runs, so its :meth:`detect` outcome must
 equal the one-shot outcome on everything a run reports — not just the
-violations.
+violations.  The served-state comparison of the service tests is stated
+here once too (:func:`as_comparable`).
 """
 
 
@@ -36,3 +37,12 @@ def assert_seed_equals_one_shot(initial, one_shot):
     details = dict(initial.details)
     assert details.pop("incremental") is True
     assert details == one_shot.details
+
+
+def as_comparable(violations) -> set:
+    """Violations as the ``(cfd, lhs attributes, lhs values)`` triples a
+    service's ``detect`` serves, for comparing with a one-shot report."""
+    return {
+        (v.cfd, tuple(v.lhs_attributes), tuple(v.lhs_values))
+        for v in violations
+    }

@@ -29,6 +29,7 @@ from repro.serve import (
     UnknownSession,
     serve_http,
 )
+from seed_oracle import as_comparable
 
 CFD = "([CC=44, zip] -> [street])"
 SCHEMA = {
@@ -68,13 +69,6 @@ def served_violations(service, tenant, name) -> set:
     return {
         (v["cfd"], tuple(v["lhs_attributes"]), tuple(v["lhs_values"]))
         for v in service.detect(tenant, name)["violations"]
-    }
-
-
-def as_comparable(violations) -> set:
-    return {
-        (v.cfd, tuple(v.lhs_attributes), tuple(v.lhs_values))
-        for v in violations
     }
 
 
