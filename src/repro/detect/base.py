@@ -23,7 +23,8 @@ sessions (:mod:`repro.detect.incremental`) run the same steps through
 The sites' parallelism is *modelled* (:mod:`repro.distributed.cost`
 takes the max over sites), not executed: step 2 runs one
 :func:`partition_fragment_summary` per site through :func:`scan_sites`,
-one site after another in site order.
+one site after another in site order; each reads its fragment's
+distinct combinations from one :func:`combination_counts` pass.
 
 Shipments are dictionary-coded: each cluster keeps one
 :class:`~repro.relational.shareddict.SharedPairDictionary` per variable
@@ -36,10 +37,10 @@ directly on the code pairs, decoding only the violating ``X`` values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from ..core import (
     CFD,
@@ -150,58 +151,54 @@ def scan_sites(fragments: Sequence[Relation], fn, tasks) -> list:
     return [fn(fragments[i], *args) for i, args in tasks]
 
 
-def group_occupancy(fragment: Relation, attributes: Sequence[str]) -> list[int]:
-    """Rows per distinct combination of ``attributes`` (cached per store).
-
-    A pure function of the fragment's composite key column, so it is
-    memoized in the store's scratch space: repeat detections skip the
-    per-row pass entirely.
-    """
+def combination_counts(
+    fragment: Relation, attributes: Sequence[str]
+) -> tuple[list[tuple], list[int]]:
+    """The fragment's distinct ``attributes`` combinations, first-seen
+    order, and the rows of each: one C-level ``Counter`` pass, memoized
+    in the store's scratch.  Grouping and order are the key column's
+    (dict equality: ``1 == 1.0 == True``, NaN by identity), but each
+    combination is its *first row's* projection, so with mixed ``1`` /
+    ``1.0`` / ``True`` cells the two are equal, not identical."""
     store = column_store(fragment)
-    key = store.key_column(attributes)
-    cache_key = ("occupancy", tuple(attributes))
+    cache_key = ("combinations", tuple(attributes))
     cached = store.scratch.get(cache_key)
     if cached is not None:
         return cached
-    occupancy = np.bincount(key.codes_array(), minlength=key.n_groups).tolist()
-    store.scratch[cache_key] = occupancy
-    return occupancy
+    positions = fragment.schema.positions(attributes)
+    counted = Counter(map(itemgetter(*positions), fragment.rows))
+    # itemgetter yields a bare value for one attribute: back into 1-tuples
+    values = list(zip(counted)) if len(positions) == 1 else list(counted)
+    store.scratch[cache_key] = values, list(counted.values())
+    return store.scratch[cache_key]
 
 
-def partition_fragment_summary(
-    fragment: Relation,
-    variable: VariableCFD,
-    need_values: bool = True,
-):
+def partition_fragment_summary(fragment: Relation, variable: VariableCFD):
     """σ-partition one fragment into dictionary-coded bucket summaries.
 
-    The site-local scan of step 2: the fragment's cached composite key
-    column assigns each row the ordinal of its distinct ``X ∪ A``
-    combination, σ is probed once per *distinct* combination, and each
-    bucket is summarized as (row count, distinct local codes present).
+    The site-local scan of step 2: σ is probed once per distinct ``X ∪
+    A`` combination of :func:`combination_counts` (its first-seen ordinal
+    is its local code), and each bucket is summarized as (row count,
+    distinct local codes present).
 
-    Returns ``(counts, bucket_codes, values)`` where ``values`` is the
-    fragment's local dictionary (distinct combinations, first-seen order)
-    when ``need_values`` — the coordinator asks for it only the first time
-    it sees this fragment; afterwards codes suffice.
+    Returns ``(counts, bucket_codes, values)``, ``values`` being the
+    fragment's local dictionary (its distinct combinations), which the
+    coordinator translates the first time it sees this fragment.
     """
     n_patterns = len(variable.patterns)
     counts = [0] * n_patterns
     bucket_codes: list[list[int]] = [[] for _ in range(n_patterns)]
-    if not fragment.rows:
-        return counts, bucket_codes, [] if need_values else None
-    key = column_store(fragment).key_column(variable.attributes)
-    occupancy = group_occupancy(fragment, variable.attributes)
+    values, occupancy = combination_counts(fragment, variable.attributes)
     lhs_width = len(variable.lhs)
     # memoized per tableau: every site's scan reuses one σ trie
     first_match = pattern_index(variable.patterns).first_match
-    for g, combo in enumerate(key.values):
+    for g, combo in enumerate(values):
         ordinal = first_match(combo[:lhs_width])
         if ordinal is None:
             continue
         counts[ordinal] += occupancy[g]
         bucket_codes[ordinal].append(g)
-    return counts, bucket_codes, key.values if need_values else None
+    return counts, bucket_codes, values
 
 
 def partition_cluster(
@@ -225,10 +222,7 @@ def partition_cluster(
     participating = [
         i for i, site in enumerate(sites) if applicable_patterns(site, variable)
     ]
-    tasks = [
-        (i, (variable, shared.pairs_for(i) is None))
-        for i in participating
-    ]
+    tasks = [(i, (variable,)) for i in participating]
     fragments = [site.fragment for site in sites]
     results = scan_sites(fragments, partition_fragment_summary, tasks)
 
@@ -248,7 +242,7 @@ def partition_cluster(
             CodedBucket(count, codes)
             for count, codes in zip(counts, bucket_codes)
         ]
-        occupancy = group_occupancy(site.fragment, variable.attributes)
+        occupancy = combination_counts(site.fragment, variable.attributes)[1]
         partitions.append(
             SitePartition(site, buckets, True, pairs, shared, occupancy)
         )

@@ -22,6 +22,9 @@ the member's own tableau are reported — conflict existence is
 multiplicity-free, so this is exactly the row-level answer, and equal
 combinations carry equal codes cluster-wide, so nothing is re-encoded.
 
+A step routes each distinct attribute-union combination once, however
+many sites hold it (:func:`clust_step`).
+
 Correctness: tuples agreeing on a member's full LHS ``X'`` also agree on
 ``X ∩ X' ⊆ X'``, hence land at the same coordinator, so every violating
 pair is co-located (the Lemma 6 argument, applied per member).  Read the
@@ -69,7 +72,6 @@ from ..distributed import (
 from ..relational import (
     Relation,
     SharedComboDictionary,
-    column_store,
     shared_dict_on,
 )
 from . import base
@@ -188,32 +190,30 @@ def _combo_router(group: CFDCluster):
 
 
 def cluster_fragment_summary(
-    fragment: Relation, group: CFDCluster, need_values: bool = True
+    fragment: Relation, group: CFDCluster, route, routed: dict
 ):
     """One scan of a fragment serving every member CFD of the cluster.
 
-    Columnar: the attribute union is encoded once, member matches and the
-    projected σ ordinal are resolved per *distinct* combination, and each
-    bucket comes back as (row count, distinct local combination codes) —
-    ready for the shared-dictionary translation at the coordinator — plus
-    the per-member matching counts used for check-cost accounting.
-    ``need_values`` additionally returns the fragment's local dictionary
-    (its distinct combinations), which the coordinator requests only once
-    per fragment.
+    Member matches and the projected σ ordinal are resolved once per
+    distinct combination of :func:`~repro.detect.base.combination_counts`
+    by ``route`` (:func:`_combo_router`), memoized in ``routed`` across
+    the step's sites.  Each bucket comes back as (row count, distinct
+    local combination codes) — ready for the shared-dictionary
+    translation at the coordinator — plus the per-member matching counts
+    used for check-cost accounting; last, the fragment's local
+    dictionary (its distinct combinations).
     """
     n_buckets = len(group.projected)
     n_members = len(group.members)
     counts = [0] * n_buckets
     bucket_codes: list[list[int]] = [[] for _ in range(n_buckets)]
     member_counts = [[0] * n_members for _ in range(n_buckets)]
-    if not fragment.rows:
-        return counts, bucket_codes, member_counts, [] if need_values else None
-
-    key = column_store(fragment).key_column(group.attributes)
-    occupancy = base.group_occupancy(fragment, group.attributes)
-    route = _combo_router(group)
-    for g, combo in enumerate(key.values):
-        ordinal, matched = route(combo)
+    values, occupancy = base.combination_counts(fragment, group.attributes)
+    for g, combo in enumerate(values):
+        hit = routed.get(combo)
+        if hit is None:
+            hit = routed[combo] = route(combo)
+        ordinal, matched = hit
         if ordinal is None:
             continue
         n = occupancy[g]
@@ -221,7 +221,7 @@ def cluster_fragment_summary(
         bucket_codes[ordinal].append(g)
         for m in matched:
             member_counts[ordinal][m] += n
-    return counts, bucket_codes, member_counts, key.values if need_values else None
+    return counts, bucket_codes, member_counts, values
 
 
 @dataclass
@@ -232,13 +232,14 @@ class ClusterStep:
     occupancy)``: the ``counts[l]`` rows and local combinations
     ``bucket_codes[l]`` it sent to bucket ``l``, and per local
     combination ``g`` its global code ``codes[g]`` and row count
-    ``occupancy[g]``."""
+    ``occupancy[g]``; ``routed`` is the step's routing memo."""
 
     group: CFDCluster
     shared: SharedComboDictionary
     coordinators: list[int]
     shipped: list[tuple[list[int], list[list[int]], list[int], list[int]]]
     stage: StageTimes
+    routed: dict
 
 
 def clust_step(
@@ -252,10 +253,9 @@ def clust_step(
         cluster, ("combo",) + tuple(group.members), SharedComboDictionary
     )
     fragments = [site.fragment for site in cluster.sites]
-    tasks = [
-        (i, (group, shared.codes_for(i) is None))
-        for i in range(len(fragments))
-    ]
+    # one router and one routing memo for all of the step's site scans
+    route, routed = _combo_router(group), {}
+    tasks = [(i, (group, route, routed)) for i in range(len(fragments))]
     summaries = base.scan_sites(fragments, cluster_fragment_summary, tasks)
     base.exchange_statistics(cluster, log)
     coordinators = pick(cluster, [summary[0] for summary in summaries])
@@ -274,7 +274,7 @@ def clust_step(
             codes = shared.translate(i, values)
         if not any(counts):
             continue
-        occupancy = base.group_occupancy(site.fragment, group.attributes)
+        occupancy = base.combination_counts(site.fragment, group.attributes)[1]
         shipped.append((counts, bucket_codes, codes, occupancy))
         for ordinal, count in enumerate(counts):
             if not count:
@@ -309,7 +309,7 @@ def clust_step(
         model.transfer_time(stage_log.outgoing_by_source()),
         max(map(model.check_time, ops_per_site.values()), default=0.0),
     )
-    return ClusterStep(group, shared, coordinators, shipped, stage)
+    return ClusterStep(group, shared, coordinators, shipped, stage, routed)
 
 
 def _details(steps: Sequence[ClusterStep]) -> dict:
@@ -468,7 +468,6 @@ class _ClusterGroupState:
             group, step.shared, step.coordinators,
             schema.project(group.attributes),
         )
-        route = _combo_router(group)
         touched = [set() for _ in group.members]
         table = state.combos.counts
         for counts, bucket_codes, codes, occupancy in step.shipped:
@@ -482,7 +481,7 @@ class _ClusterGroupState:
         for ordinal in range(len(group.projected)):
             for code in table.get(ordinal, ()):
                 combo = step.shared.values[code]
-                state.cross(combo, route(combo)[1], 1, touched)
+                state.cross(combo, step.routed[combo][1], 1, touched)
         state.settle(touched, violations)
         return state
 

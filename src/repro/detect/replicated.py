@@ -69,10 +69,7 @@ def replicated_pat_detect(
             lambda: SharedPairDictionary(len(variable.lhs)),
         )
         fragments = list(cluster.fragments)
-        tasks = [
-            (f, (variable, shared.pairs_for(f) is None))
-            for f in range(len(fragments))
-        ]
+        tasks = [(f, (variable,)) for f in range(len(fragments))]
         summaries = base.scan_sites(
             fragments, base.partition_fragment_summary, tasks
         )

@@ -9,6 +9,8 @@ among the sites") plus hash- and attribute-based splits.
 
 from __future__ import annotations
 
+import numbers
+import zlib
 from typing import Sequence
 
 from ..distributed import Cluster, CostModel
@@ -97,20 +99,35 @@ def partition_uniform(
     )
 
 
+def _canonical(value: object) -> object:
+    """Integral numbers (``True``, ``1.0``) as their ``int``."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        value = float(value)
+        return int(value) if value.is_integer() else value
+    return value
+
+
 def partition_by_hash(
     relation: Relation,
     attributes: Sequence[str],
     n_sites: int,
     cost_model: CostModel | None = None,
 ) -> Cluster:
-    """Hash-partition on ``attributes`` into ``n_sites`` fragments."""
+    """Hash-partition on ``attributes`` into ``n_sites`` fragments.
+
+    A row goes to site ``crc32(repr(canonical values)) % n_sites``, in
+    relation order: the same under every ``PYTHONHASHSEED``, and equal
+    numbers (``1 == 1.0 == True``) share a site, other values by ``repr``.
+    """
     if n_sites < 1:
         raise PartitionError("need at least one site")
     positions = relation.schema.positions(attributes)
     buckets: list[list[tuple]] = [[] for _ in range(n_sites)]
     for row in relation.rows:
-        digest = hash(tuple(row[p] for p in positions))
-        buckets[digest % n_sites].append(row)
+        canonical = repr(tuple(_canonical(row[p]) for p in positions))
+        buckets[zlib.crc32(canonical.encode()) % n_sites].append(row)
     return Cluster.from_fragments(
         (Relation(relation.schema, rows, copy=False) for rows in buckets),
         cost_model=cost_model,

@@ -125,7 +125,8 @@ class Relation:
     ) -> "Relation":
         """``π_attributes``; set semantics when ``dedupe`` is true."""
         positions = self.schema.positions(attributes)
-        rows: Iterable[tuple] = (tuple(row[p] for p in positions) for row in self.rows)
+        # one C-level zip over per-attribute columns (a schema rejects π_())
+        rows: Iterable[tuple] = zip(*(map(itemgetter(p), self.rows) for p in positions))
         if dedupe:
             rows = dict.fromkeys(rows)
         return Relation(self.schema.project(attributes, name=name), rows, copy=False)

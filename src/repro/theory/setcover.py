@@ -18,13 +18,14 @@ class SetCoverError(ValueError):
 def _normalize(
     universe: Iterable[Hashable],
     subsets: Mapping[Hashable, Iterable[Hashable]] | Sequence[Iterable[Hashable]],
-) -> tuple[set, dict]:
-    universe = set(universe)
+) -> tuple[dict, dict]:
+    universe = dict.fromkeys(universe)  # a set that keeps the given order
+    elements = universe.keys()
     if isinstance(subsets, Mapping):
-        named = {name: set(s) & universe for name, s in subsets.items()}
+        named = {name: set(s) & elements for name, s in subsets.items()}
     else:
-        named = {i: set(s) & universe for i, s in enumerate(subsets)}
-    if universe - set().union(*named.values()) if named else universe:
+        named = {i: set(s) & elements for i, s in enumerate(subsets)}
+    if elements - set().union(*named.values()) if named else universe:
         raise SetCoverError("subsets do not cover the universe")
     return universe, named
 
@@ -33,12 +34,13 @@ def greedy_set_cover(
     universe: Iterable[Hashable],
     subsets: Mapping[Hashable, Iterable[Hashable]] | Sequence[Iterable[Hashable]],
 ) -> list[Hashable]:
-    """Greedy cover: repeatedly take the subset covering most remaining."""
+    """Greedy cover: repeatedly take the subset covering most remaining,
+    the first given on a tie (not hash order: ``max`` keeps the first)."""
     universe, named = _normalize(universe, subsets)
     remaining = set(universe)
     cover: list[Hashable] = []
     while remaining:
-        best = max(named, key=lambda name: (len(named[name] & remaining), -hash(name) % 97))
+        best = max(named, key=lambda name: len(named[name] & remaining))
         gain = named[best] & remaining
         if not gain:
             raise SetCoverError("subsets do not cover the universe")
@@ -53,8 +55,9 @@ def minimum_set_cover(
 ) -> list[Hashable]:
     """An exact minimum cover via branch and bound.
 
-    Branches on the uncovered element with the fewest candidate subsets;
-    the greedy solution provides the initial upper bound.
+    Branches on the uncovered element with the fewest candidate subsets
+    (the first given on a tie, never hash order); the greedy solution
+    provides the initial upper bound.
     """
     universe, named = _normalize(universe, subsets)
     if not universe:
@@ -80,7 +83,8 @@ def minimum_set_cover(
                         best = chosen + [name]
                         return
             return
-        pivot = min(remaining, key=lambda element: len(coverers[element]))
+        pending = (element for element in coverers if element in remaining)
+        pivot = min(pending, key=lambda element: len(coverers[element]))
         for name in coverers[pivot]:
             search(remaining - named[name], chosen + [name])
 

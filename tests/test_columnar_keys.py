@@ -7,7 +7,10 @@ mixed-radix ``np.unique``, and a key whose packed capacity would pass
 2**62 falls back to the hash loop.  These tests pin all three routes to
 the hash loop's encoding — codes, decoded values (the very same value
 objects), the ``int32`` array view and the ``group_index`` order — over
-int, str, float, NaN, bool and mixed columns.
+int, str, float, NaN, bool and mixed columns.  The distributed site scans
+skip the key column for one ``Counter`` pass
+(:func:`repro.detect.base.combination_counts`); the last tests pin that
+pass to the key column's grouping, order and row counts.
 """
 
 import hypothesis.strategies as st
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 
+from repro.detect.base import combination_counts
 from repro.relational import Relation, Schema, column_store
 from repro.relational import columnar
 
@@ -160,3 +164,38 @@ def test_single_attribute_key_shares_the_column_array():
     for attribute in ("a0", "a1"):
         key = store.key_column((attribute,))
         assert key.codes_array() is store.column(attribute).codes_array()
+
+
+# -- the site scans' combination counts ---------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_combination_counts_equal_the_key_column(case):
+    """One ``Counter`` pass yields the key column's distinct combinations,
+    equal and in the same first-seen order, and a ``bincount`` of its
+    codes as the row counts."""
+    schema, attributes, rows = case
+    relation = Relation(schema, rows)
+    values, occupancy = combination_counts(relation, attributes)
+    key = column_store(Relation(schema, rows)).key_column(attributes)
+    assert all(type(combo) is tuple for combo in values)
+    assert values == key.values
+    expected = np.bincount(key.codes_array(), minlength=key.n_groups).tolist()
+    assert occupancy == expected
+    # memoized per store: a repeat scan gets the very same lists back
+    assert combination_counts(relation, attributes) == (values, occupancy)
+    assert combination_counts(relation, attributes)[0] is values
+
+
+def test_combination_decodes_to_its_first_row():
+    """Equal combinations share one count; the decoded combination is the
+    first row's projection, not each column's first-seen value."""
+    schema = Schema("R", ("id", "a", "b"), key=("id",))
+    rows = [(0, 1, "x"), (1, True, "y"), (2, 1.0, "y"), (3, NAN_A, "y")]
+    values, occupancy = combination_counts(Relation(schema, rows), ("a", "b"))
+    assert values == [(1, "x"), (True, "y"), (NAN_A, "y")]
+    assert occupancy == [1, 2, 1]
+    decoded = column_store(Relation(schema, rows)).key_column(("a", "b")).values
+    assert decoded[1] == values[1]
+    assert type(decoded[1][0]) is int and values[1][0] is True

@@ -63,3 +63,29 @@ def test_cli_help_exits_zero():
 def test_cli_rejects_bad_knob(knob, value):
     result = run_cli("sql", "--cfd", "([a=1] -> [b])", **{knob: value})
     assert result.returncode != 0, f"{knob}={value} should exit nonzero"
+
+
+def _defines(source: str, symbol: str) -> bool:
+    """Whether ``source`` defines ``symbol`` (``Class.attr`` part by part)
+    as a function, a class or a module- or class-level name."""
+    return all(
+        re.search(rf"^\s*(?:(?:async\s+)?def|class)\s+{part}\b|^\s*{part}\s*[:=]", source, re.M)
+        for part in symbol.split(".")
+    )
+
+
+def test_architecture_paths_and_symbols_resolve():
+    """Every backticked ``path.py`` in the architecture doc names a file
+    under ``src/repro/``, ``tests/`` or the repo root, and every
+    ``path.py::Symbol`` one under ``src/repro/`` or ``tests/`` that
+    defines ``Symbol`` — a doc naming a deleted helper fails here."""
+    text = (ROOT / "docs" / "architecture.md").read_text()
+    bad = []
+    for path, symbol in re.findall(r"`([\w/.]+\.py)(?:::([\w.]+))?", text):
+        bases = [SRC / "repro", ROOT / "tests"] + ([] if symbol else [ROOT])
+        found = [base / path for base in bases if (base / path).is_file()]
+        if not found:
+            bad.append(f"no file {path}")
+        elif symbol and not any(_defines(f.read_text(), symbol) for f in found):
+            bad.append(f"{path} does not define {symbol}")
+    assert not bad, "\n".join(bad)

@@ -41,6 +41,14 @@ from repro.core import (
     detect_violations,
     run_detection_on_sqlite,
 )
+from repro.detect import (
+    IncrementalClustDetector,
+    clust_detect,
+    ctr_detect,
+    pat_detect_rt,
+    pat_detect_s,
+    seq_detect,
+)
 from repro.partition import partition_by_attribute, partition_uniform
 from repro.relational import Relation, Schema, column_store
 from repro.relational import columnar
@@ -284,6 +292,51 @@ def test_engines_and_printed_sql_agree_on_edge_cells(instance):
         SCHEMA, [(i, a, b, 0, 0) for i, (a, b) in enumerate(body)]
     )
     assert_engines_agree(relation, [cfd])
+
+
+NAN = float("nan")
+#: the edge cells plus the cells where equality and identity part: ``1 ==
+#: 1.0 == True`` conflate, a NaN object equals only itself
+DISTRIBUTED_EDGES = {
+    **EDGE_INSTANCES,
+    "lookalike-numbers": (
+        [(1, "x"), (1.0, "x"), (True, "y"), (0, 1), (0.0, 1.0), (False, True)],
+        CFD(["a"], ["b"], name="phi"),
+    ),
+    "nan-cells": (
+        [(NAN, 1), (NAN, 2), (float("nan"), 1), (0, NAN), (0, NAN), (1, NAN)],
+        CFD(["a"], ["b"], name="phi"),
+    ),
+}
+DISTRIBUTED = {
+    "ctr": lambda cluster, sigma: ctr_detect(cluster, sigma[0]),
+    "pat_s": lambda cluster, sigma: pat_detect_s(cluster, sigma[0]),
+    "pat_rt": lambda cluster, sigma: pat_detect_rt(cluster, sigma[0]),
+    "seq": seq_detect,
+    "clust": clust_detect,
+    "clust session": lambda cluster, sigma: IncrementalClustDetector(
+        cluster, sigma
+    ).detect(),
+}
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 4])
+@pytest.mark.parametrize("instance", sorted(DISTRIBUTED_EDGES))
+def test_distributed_algorithms_agree_on_edge_cells(instance, n_sites):
+    """Every site scan groups a fragment's combinations with the
+    reference engine's equality, so the distributed detectors report its
+    violations on the edge cells; SEQ and CLUST also get a second CFD
+    whose LHS contains the first's, so CLUST merges the two."""
+    body, cfd = DISTRIBUTED_EDGES[instance]
+    relation = Relation(
+        SCHEMA, [(i, a, b, i % 2, 0) for i, (a, b) in enumerate(body)]
+    )
+    wider = CFD(["a", "c"], ["b"], name="psi")
+    for name, detect in DISTRIBUTED.items():
+        sigma = [cfd] if name in ("ctr", "pat_s", "pat_rt") else [cfd, wider]
+        expected = detect_violations(relation, sigma, engine="reference")
+        outcome = detect(partition_uniform(relation, n_sites), sigma)
+        assert outcome.report.violations == expected.violations, name
 
 
 # -- deterministic edge cases -------------------------------------------------

@@ -1,7 +1,13 @@
 """Unit tests for horizontal and vertical partitioning."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.distributed import Cluster, Site
 from repro.partition import (
     PartitionError,
@@ -91,6 +97,51 @@ def test_partition_by_hash_deterministic_cover():
     for site in cluster.sites:
         for row in site.fragment.rows:
             assert homes[row[1]] == site.index
+
+
+def test_partition_by_hash_co_locates_equal_numbers():
+    rows = [(i, (1, 1.0, True, 0, 0.0, False, -0.0)[i % 7], 0) for i in range(14)]
+    cluster = partition_by_hash(Relation(S, rows), ["kind"], 5)
+    homes = {
+        bool(row[1]): {site.index for site in cluster.sites if row in site.fragment.rows}
+        for row in rows
+    }
+    assert all(len(sites) == 1 for sites in homes.values())
+
+
+#: str attribute values, str subset names and str elements: builtin
+#: ``hash`` of any of them changes with ``PYTHONHASHSEED``
+HASH_SEED_SCRIPT = """
+from repro.datagen import generate_cust
+from repro.partition import partition_by_hash
+from repro.theory import greedy_set_cover, minimum_set_cover
+
+cluster = partition_by_hash(generate_cust(200, seed=1), ["city"], 3)
+print([site.fragment.rows for site in cluster.sites])
+names = ["d", "c", "a", "b", "f", "e"]
+subsets = dict(zip(names, [{0, 1, 2}, {3, 4, 5}, {0, 1, 3}, {2, 4, 5}, {0, 3}, {1, 2}]))
+print(greedy_set_cover(range(6), subsets), minimum_set_cover(range(6), subsets))
+words = dict(zip(names, [{"p", "q"}, {"r", "s"}, {"p", "r"}, {"q", "s"}, {"p"}, {"s"}]))
+print(greedy_set_cover("pqrs", words), minimum_set_cover("pqrs", words))
+"""
+
+
+def test_hash_partition_and_covers_do_not_depend_on_the_hash_seed():
+    src = Path(repro.__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cluster_rejects_mixed_schemas():
